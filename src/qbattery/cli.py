@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -40,7 +41,7 @@ from .ensembles import (
     gue_hermitian,
     haar_pure,
 )
-from .moments import compute_moments, verify_instance
+from .moments import REPORT_FIELDS, batch_rows, compute_moments, verify_batch, verify_instance
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -125,22 +126,76 @@ def _map_ordered(fn, items, threads: int):
 
 # ---------------------------------------------------------------- verify
 
-def _run_trial(structure: TensorStructure, kind: str, seed: int, rank, index: int) -> dict:
-    rho, f, v, used = draw_instance(structure, kind, seed, index, rank=rank)
-    row = {"trial": index, "kind": used}
-    try:
-        report = verify_instance(rho, f, v, structure)
-    except NumericalIntegrityError as exc:
-        row["violation"] = str(exc)
-        row["instance"] = {
-            "rho": to_matrix_literal(rho),
-            "f": to_matrix_literal(f),
-            "v": to_matrix_literal(v),
-        }
-        return row
-    row["report"] = report.to_dict()
-    row["moments"] = compute_moments(rho, f, v, structure).to_dict()
-    return row
+# TRIAL_COLUMNS after "trial" and "kind" are REPORT_FIELDS, these moments, then cov_re, cov_im
+_MOMENT_COLUMNS = ("mean_f", "mean_v", "var_f", "var_v")
+_POWER_SQ, _SLACK, _RATIO = (REPORT_FIELDS.index(k) for k in ("power_sq", "slack", "saturation_ratio"))
+_MATRICES = ("rho", "f", "v")
+
+
+def _trial_chunks(trials: int, dim: int) -> list[range]:
+    size = batch_rows(dim)
+    return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
+
+
+class _LeastSlack:
+    """The clean trial of least slack over every chunk, with its matrices.
+
+    Chunks may run on several threads and offer their own least-slack trial
+    in any order; ties go to the lower trial, so the result is the same for
+    any order.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.case = None
+
+    def offer(self, case: dict) -> None:
+        key = (case["report"]["slack"], case["trial"])
+        with self._lock:
+            if self.case is None or key < (self.case["report"]["slack"], self.case["trial"]):
+                self.case = case
+
+
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range,
+                  least: _LeastSlack) -> dict:
+    """Draw the chunk's trials in index order, then verify them in one batch.
+
+    Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS order) and
+    the violation rows; offers the chunk's clean trial of least slack to `least`.
+    """
+    drawn = [draw_instance(structure, kind, seed, i, rank=rank) for i in trials]
+    kinds = [d[3] for d in drawn]
+    stacks = [np.stack([d[k].mat for d in drawn]) for k in range(3)]
+    del drawn  # the stacks hold the same matrices
+    batch = verify_batch(*stacks, structure)
+    m = batch.moments
+    columns = [getattr(batch, name) for name in REPORT_FIELDS]
+    columns += [getattr(m, name) for name in _MOMENT_COLUMNS] + [m.cov.real, m.cov.imag]
+    values = np.stack(columns, axis=1).tolist()
+    clean, violations, worst = [], [], None
+    for j, (trial, used, row, err) in enumerate(zip(trials, kinds, values, batch.errors)):
+        if err is None:
+            clean.append((trial, used, row))
+            if worst is None or row[_SLACK] < values[worst][_SLACK]:
+                worst = j
+        elif isinstance(err, NumericalIntegrityError):
+            violations.append({
+                "trial": trial,
+                "kind": used,
+                "violation": str(err),
+                "instance": {name: to_matrix_literal(x[j]) for name, x in zip(_MATRICES, stacks)},
+            })
+        else:
+            raise err
+    if worst is not None:
+        least.offer({
+            "trial": trials[worst],
+            "kind": kinds[worst],
+            "report": dict(zip(REPORT_FIELDS, values[worst])),
+            # copies, so that the chunk's stacks can be freed
+            **{name: x[worst].copy() for name, x in zip(_MATRICES, stacks)},
+        })
+    return {"clean": clean, "violations": violations}
 
 
 def cmd_verify(args) -> int:
@@ -153,14 +208,15 @@ def cmd_verify(args) -> int:
         )
     kind = ENSEMBLES[args.ensemble]
     started = time.perf_counter()
+    least = _LeastSlack()
 
-    def one(i: int) -> dict:
-        return _run_trial(structure, kind, args.seed, args.rank, i)
+    def one(trials: range) -> dict:
+        return _verify_chunk(structure, kind, args.seed, args.rank, trials, least)
 
-    rows = _map_ordered(one, range(args.trials), args.threads)
+    chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
 
-    violations = [r for r in rows if "violation" in r]
-    clean = [r for r in rows if "report" in r]
+    clean = [row for c in chunks for row in c["clean"]]
+    violations = [row for c in chunks for row in c["violations"]]
     summary = {
         "trials": args.trials,
         "violations": len(violations),
@@ -170,21 +226,13 @@ def cmd_verify(args) -> int:
         "worst_case": None,
     }
     if clean:
-        slacks = [r["report"]["slack"] for r in clean]
-        worst = clean[int(np.argmin(slacks))]
-        summary["max_power_sq"] = max(r["report"]["power_sq"] for r in clean)
-        summary["min_slack"] = min(slacks)
-        summary["mean_saturation_ratio"] = math.fsum(
-            r["report"]["saturation_ratio"] for r in clean
-        ) / len(clean)
-        rho, f, v, used = draw_instance(structure, kind, args.seed, worst["trial"], rank=args.rank)
+        worst = least.case
+        summary["max_power_sq"] = max(row[_POWER_SQ] for _, _, row in clean)
+        summary["min_slack"] = worst["report"]["slack"]
+        summary["mean_saturation_ratio"] = math.fsum(row[_RATIO] for _, _, row in clean) / len(clean)
         summary["worst_case"] = {
-            "trial": worst["trial"],
-            "kind": used,
-            "rho": to_matrix_literal(rho),
-            "f": to_matrix_literal(f),
-            "v": to_matrix_literal(v),
-            "report": worst["report"],
+            **worst,
+            **{name: to_matrix_literal(worst[name]) for name in _MATRICES},
         }
     if violations:
         summary["worst_case"] = violations[0]
@@ -192,27 +240,8 @@ def cmd_verify(args) -> int:
     Path(args.out).write_bytes(_json_bytes(summary))
     if args.format == "csv":
         lines = [",".join(TRIAL_COLUMNS)]
-        for r in clean:
-            rep, mom = r["report"], r["moments"]
-            lines.append(",".join([
-                str(r["trial"]),
-                r["kind"],
-                _g17(rep["power"]),
-                _g17(rep["power_sq"]),
-                _g17(rep["term_fv"]),
-                _g17(rep["term_vf"]),
-                _g17(rep["term_cross"]),
-                _g17(rep["corrected_bound"]),
-                _g17(rep["loose_bound"]),
-                _g17(rep["slack"]),
-                _g17(rep["saturation_ratio"]),
-                _g17(mom["mean_f"]),
-                _g17(mom["mean_v"]),
-                _g17(mom["var_f"]),
-                _g17(mom["var_v"]),
-                _g17(mom["cov"]["re"]),
-                _g17(mom["cov"]["im"]),
-            ]))
+        for trial, used, row in clean:
+            lines.append(",".join([str(trial), used] + [_g17(x) for x in row]))
         Path(args.out + ".trials.csv").write_bytes(("\n".join(lines) + "\n").encode())
 
     config = {

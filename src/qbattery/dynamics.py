@@ -15,19 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PowerBoundReport, verify_instance
+from .moments import PowerBoundReport, batch_rows, verify_batch
+from .moments import verify_instance  # noqa: F401  a name bench/tracer.py patches here
 from .operators import (
     DensityMatrix,
     DimensionMismatchError,
+    EigenDecomposition,
     HermitianOperator,
     RejectedInputError,
+    RowErrors,
     TensorStructure,
     density_from_literal,
+    density_stack,
     eig_decompose,
     embed_battery_op,
-    expectation,
     hermitian_from_literal,
-    partial_trace_to_battery,
 )
 
 COMMUTE_TOL = 1e-10
@@ -68,27 +70,21 @@ class TrajectoryRecord:
             raise RejectedInputError(f"battery purity {self.battery_purity!r} above 1")
 
 
+def _evolved(dec: EigenDecomposition, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Stack of U(t) rho0 U(t)^dag over `times`, with U(t) = exp(-i H t) from H's decomposition."""
+    vec = dec.vectors
+    core = vec.conj().T @ rho0 @ vec
+    u = vec * np.exp(-1j * np.multiply.outer(times, dec.eigenvalues))[:, None, :]
+    return u @ core @ u.conj().swapaxes(-1, -2)
+
+
 def propagate(rho0: DensityMatrix, h: HamiltonianSpec, t: float) -> DensityMatrix:
     """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t)."""
     if rho0.dim != h.structure.dim:
         raise DimensionMismatchError(f"state dim {rho0.dim} != structure dim {h.structure.dim}")
     if not math.isfinite(t):
         raise RejectedInputError(f"time must be finite, got {t!r}")
-    dec = eig_decompose(h.total())
-    u = dec.vectors * np.exp(-1j * dec.eigenvalues * t)
-    return DensityMatrix(u @ (dec.vectors.conj().T @ rho0.mat @ dec.vectors) @ u.conj().T)
-
-
-def _propagator_factory(h: HamiltonianSpec):
-    dec = eig_decompose(h.total())
-    vec = dec.vectors
-    vec_dag = vec.conj().T
-
-    def apply(rho0_mat: np.ndarray, t: float) -> np.ndarray:
-        u = vec * np.exp(-1j * dec.eigenvalues * t)
-        return u @ (vec_dag @ rho0_mat @ vec) @ u.conj().T
-
-    return apply
+    return DensityMatrix(_evolved(eig_decompose(h.total()), rho0.mat, np.array([t]))[0])
 
 
 def trajectory_report(
@@ -100,7 +96,10 @@ def trajectory_report(
     """Evolve rho0 along the time grid and verify the bound chain at every point.
 
     The grid must be strictly increasing with at least 3 points so the interior
-    finite differences exist; endpoints carry dfdt_fd = None.
+    finite differences exist; endpoints carry dfdt_fd = None. The grid is
+    evolved and verified in batches of `batch_rows(D)` points; every state
+    passes DensityMatrix's checks before any point is verified, as if each
+    were wrapped on its own.
     """
     times = [float(t) for t in grid]
     if len(times) < 3:
@@ -113,17 +112,29 @@ def trajectory_report(
 
     f_emb = embed_battery_op(f, s)
     gate = np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL
-    apply = _propagator_factory(h)
+    dec = eig_decompose(h.total())
 
-    states = [DensityMatrix(apply(rho0.mat, t)) for t in times]
-    mean_f = []
-    purity = []
-    reports = []
-    for state in states:
-        rho_w = partial_trace_to_battery(state, s)
-        mean_f.append(expectation(rho_w, f))
-        purity.append(rho_w.purity())
-        reports.append(verify_instance(state, f, h.v, s))
+    size = batch_rows(s.dim)
+    batches = []
+    failed = None
+    for start in range(0, len(times), size):
+        block = np.array(times[start : start + size])
+        n = len(block)
+        rows = RowErrors(n)
+        states, _ = density_stack(rows, _evolved(dec, rho0.mat, block))
+        rows.raise_first()
+        batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
+        # a later chunk's DensityMatrix error outranks this chunk's first
+        # verification error (states are checked before points are verified)
+        failed = failed or next((e for e in batch.errors if e is not None), None)
+        batches.append(batch)
+    if failed is not None:
+        raise failed
+
+    reports = [b.row(i) for b in batches for i in range(len(b.power))]
+    mean_f = [x for b in batches for x in b.moments.mean_f.tolist()]
+    purity = [x for b in batches for x in b.moments.purity_w.tolist()]
 
     records = []
     for i, t in enumerate(times):

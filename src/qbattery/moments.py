@@ -19,26 +19,79 @@ unsymmetrized; the two sandwich traces above are complex conjugates of each
 other, which is exactly what the Re[Cov^2] term records. ``verify_instance``
 recomputes every link of this chain and raises if any of them fails its
 tolerance, so a clean report certifies the algebra numerically.
+
+``verify_batch`` is the one implementation of the chain: it runs over stacks
+of instances and records each row's first failed check instead of raising.
+``verify_instance``, ``compute_moments``, ``charging_power`` and
+``decomposition_terms`` are one-row calls of it (or of its moment stage,
+``moment_batch``).
 """
 
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
+from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names bench/tracer.py patches here
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     NumericalIntegrityError,
+    RowErrors,
     TensorStructure,
-    commutator,
+    antihermitian_stack,
+    density_stack,
     embed_battery_op,
-    expectation,
+    expectation_stack,
+    hermitian_stack,
+    kron_identity,
     matrix_sqrt,
-    partial_trace_to_battery,
+    partial_trace_stack,
+    sqrt_stack,
+    trace_product,
 )
 
 VAR_CLAMP_TOL = 1e-10
+
+# Callers stack instances in batches of at most this many complex entries per
+# stacked (N, D, D) operand: large enough to amortise numpy's per-call cost at
+# small D, small enough that D = 64 batches stay a few hundred kilobytes.
+BATCH_ENTRIES = 2**14
+
+
+def batch_rows(dim: int) -> int:
+    """Instances per batch at total dimension `dim` (see BATCH_ENTRIES)."""
+    return max(1, BATCH_ENTRIES // (dim * dim))
+
+
+def _moment_checks(rows: RowErrors, var_f, var_v, cov):
+    """MomentSet's checks over arrays; returns the variances with round-off below 0 clamped."""
+    clamped = []
+    for name, var in (("var_f", var_f), ("var_v", var_v)):
+        rows.record(var < -VAR_CLAMP_TOL, lambda i: NumericalIntegrityError(
+            f"{name} = {float(var[i])!r} below -{VAR_CLAMP_TOL}"))
+        clamped.append(np.where(var < 0.0, 0.0, var))
+    var_f, var_v = clamped
+    product = var_f * var_v
+    cov_sq = np.abs(cov) ** 2
+    rows.record(product < cov_sq - 1e-9 * (1.0 + product), lambda i: NumericalIntegrityError(
+        "covariance inequality violated: "
+        f"var_f*var_v = {float(product[i])!r} < |cov|^2 = {float(cov_sq[i])!r}"))
+    return var_f, var_v
+
+
+def _report_checks(rows: RowErrors, power, power_sq, bound, slack, ratio) -> None:
+    """PowerBoundReport's checks over arrays."""
+    rows.record(np.abs(power_sq - power**2) > 1e-10 * (1.0 + power_sq),
+                lambda i: NumericalIntegrityError("power_sq is not the square of power"))
+    rows.record(slack < -1e-9 * (1.0 + bound), lambda i: NumericalIntegrityError(
+        f"negative slack {float(slack[i])!r} against bound {float(bound[i])!r}"))
+    rows.record(~((0.0 <= ratio) & (ratio <= 1.0 + 1e-9)), lambda i: NumericalIntegrityError(
+        f"saturation ratio {float(ratio[i])!r} outside [0, 1]"))
+
+
+def _row(*values) -> list:
+    return [np.array([x]) for x in values]
 
 
 @dataclass(frozen=True)
@@ -52,18 +105,11 @@ class MomentSet:
     cov: complex
 
     def __post_init__(self):
-        for name in ("var_f", "var_v"):
-            value = getattr(self, name)
-            if value < -VAR_CLAMP_TOL:
-                raise NumericalIntegrityError(f"{name} = {value!r} below -{VAR_CLAMP_TOL}")
-            if value < 0.0:
-                object.__setattr__(self, name, 0.0)
-        product = self.var_f * self.var_v
-        if product < abs(self.cov) ** 2 - 1e-9 * (1.0 + product):
-            raise NumericalIntegrityError(
-                "covariance inequality violated: "
-                f"var_f*var_v = {product!r} < |cov|^2 = {abs(self.cov) ** 2!r}"
-            )
+        rows = RowErrors(1)
+        var_f, var_v = _moment_checks(rows, *_row(self.var_f, self.var_v, self.cov))
+        rows.raise_first()
+        object.__setattr__(self, "var_f", float(var_f[0]))
+        object.__setattr__(self, "var_v", float(var_v[0]))
 
     def to_dict(self) -> dict:
         return {
@@ -90,17 +136,63 @@ class PowerBoundReport:
     saturation_ratio: float
 
     def __post_init__(self):
-        if abs(self.power_sq - self.power**2) > 1e-10 * (1.0 + self.power_sq):
-            raise NumericalIntegrityError("power_sq is not the square of power")
-        if self.slack < -1e-9 * (1.0 + self.corrected_bound):
-            raise NumericalIntegrityError(
-                f"negative slack {self.slack!r} against bound {self.corrected_bound!r}"
-            )
-        if not (0.0 <= self.saturation_ratio <= 1.0 + 1e-9):
-            raise NumericalIntegrityError(f"saturation ratio {self.saturation_ratio!r} outside [0, 1]")
+        rows = RowErrors(1)
+        _report_checks(rows, *_row(self.power, self.power_sq, self.corrected_bound,
+                                   self.slack, self.saturation_ratio))
+        rows.raise_first()
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+class MomentBatch(NamedTuple):
+    """Moments of a stack of instances, one entry per row, and each row's first failed check.
+
+    `purity_w` is Tr(rho_W^2) of the reduced battery state.
+    """
+
+    mean_f: np.ndarray
+    mean_v: np.ndarray
+    var_f: np.ndarray
+    var_v: np.ndarray
+    cov: np.ndarray
+    purity_w: np.ndarray
+    errors: RowErrors
+
+    def row(self, i: int) -> MomentSet:
+        return MomentSet(mean_f=float(self.mean_f[i]), mean_v=float(self.mean_v[i]),
+                         var_f=float(self.var_f[i]), var_v=float(self.var_v[i]),
+                         cov=complex(self.cov[i]))
+
+
+REPORT_FIELDS = ("power", "power_sq", "term_fv", "term_vf", "term_cross",
+                 "corrected_bound", "loose_bound", "slack", "saturation_ratio")
+
+
+class ReportBatch(NamedTuple):
+    """`verify_batch` results: every PowerBoundReport field as an array, plus the moments.
+
+    `errors[i]` is the exception ``verify_instance`` raises for row i alone,
+    or None when every check passed; the values of a failed row mean nothing.
+    """
+
+    moments: MomentBatch
+    power: np.ndarray
+    power_sq: np.ndarray
+    term_fv: np.ndarray
+    term_vf: np.ndarray
+    term_cross: np.ndarray
+    corrected_bound: np.ndarray
+    loose_bound: np.ndarray
+    slack: np.ndarray
+    saturation_ratio: np.ndarray
+
+    @property
+    def errors(self) -> RowErrors:
+        return self.moments.errors
+
+    def row(self, i: int) -> PowerBoundReport:
+        return PowerBoundReport(**{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
 
 
 def delta_operator(a: HermitianOperator, mean: float) -> HermitianOperator:
@@ -108,13 +200,134 @@ def delta_operator(a: HermitianOperator, mean: float) -> HermitianOperator:
     return HermitianOperator(a.mat - mean * np.eye(a.dim, dtype=complex))
 
 
-def _check_dims(rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure):
-    if f.dim != s.d_w:
-        raise DimensionMismatchError(f"battery operator dim {f.dim} != d_w {s.d_w}")
-    if rho.dim != s.dim or v.dim != s.dim:
+def _delta_stack(rows: RowErrors, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    return hermitian_stack(rows, a - mean[:, None, None] * np.eye(a.shape[-1], dtype=complex))
+
+
+def _checked_stacks(rho, f, v, s: TensorStructure):
+    """The three stacks as complex arrays, after the dimension checks."""
+    rho, f, v = (np.asarray(x, dtype=complex) for x in (rho, f, v))
+    if f.shape[1:] != (s.d_w, s.d_w):
+        raise DimensionMismatchError(f"battery operator dim {f.shape[-1]} != d_w {s.d_w}")
+    if rho.shape[1:] != (s.dim, s.dim) or v.shape[1:] != (s.dim, s.dim):
         raise DimensionMismatchError(
-            f"state/interaction dims ({rho.dim}, {v.dim}) != structure dim {s.dim}"
+            f"state/interaction dims ({rho.shape[-1]}, {v.shape[-1]}) != structure dim {s.dim}"
         )
+    if not rho.shape[0] == f.shape[0] == v.shape[0]:
+        raise DimensionMismatchError(f"stack lengths differ: {rho.shape[0]}, {f.shape[0]}, {v.shape[0]}")
+    return rho, f, v
+
+
+def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
+    """The checks and arithmetic of `compute_moments`, in its order; returns (moments, F (x) 1)."""
+    rho_w, purity_w = density_stack(rows, partial_trace_stack(rho, s))
+    mean_f = expectation_stack(rows, rho_w, f)
+    mean_f2 = expectation_stack(rows, rho_w, hermitian_stack(rows, f @ f))
+    mean_v = expectation_stack(rows, rho, v)
+    mean_v2 = expectation_stack(rows, rho, hermitian_stack(rows, v @ v))
+    f_emb = hermitian_stack(rows, kron_identity(f, s.env_dim))
+    cov = trace_product(rho @ f_emb, v) - mean_f * mean_v
+    var_f, var_v = _moment_checks(rows, mean_f2 - mean_f**2, mean_v2 - mean_v**2, cov)
+    moments = MomentBatch(mean_f=mean_f, mean_v=mean_v, var_f=var_f, var_v=var_v, cov=cov,
+                          purity_w=purity_w, errors=rows)
+    return moments, f_emb
+
+
+def saturation_ratio(power_sq, bound):
+    """power^2 / corrected bound, capped at 1 + 1e-9; defined as 0 where the bound is <= 1e-14."""
+    degenerate = bound <= 1e-14
+    return np.where(degenerate, 0.0,
+                    np.minimum(power_sq / np.where(degenerate, 1.0, bound), 1.0 + 1e-9))
+
+
+def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
+    """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
+
+    The moment stage of `verify_batch`, for inputs known to be Hermitian (as
+    the matrices of HermitianOperator and DensityMatrix are).
+    """
+    rho, f, v = _checked_stacks(rho, f, v, s)
+    return _moment_stage(RowErrors(rho.shape[0]), rho, f, v, s)[0]
+
+
+def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
+    """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
+
+    Checks the inputs are Hermitian, then runs every check of the
+    one-instance chain, in its order and at its tolerance, as a mask over the
+    rows: the moments, the power by the commutator route, the same power
+    through the shifted commutator, the square-root decomposition and the
+    bounds. Rows are independent: a row's values and error do not depend on
+    what else is in the stack.
+    """
+    rho, f, v = _checked_stacks(rho, f, v, s)
+    rows = RowErrors(rho.shape[0])
+    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
+    m, f_emb = _moment_stage(rows, rho, f, v, s)
+
+    # P = -i Tr([rho, F (x) 1] V), asserted real
+    lhs = rho @ f_emb
+    lhs -= f_emb @ rho
+    raw = -1j * trace_product(lhs, v)
+    rows.record(np.abs(raw.imag) > 1e-10 * (1.0 + np.abs(raw.real)), lambda i: NumericalIntegrityError(
+        f"charging power has imaginary part {raw.imag[i]:.3e}"))
+    power = raw.real
+
+    # same power through the shifted-commutator route (the dels keep the
+    # peak memory of a D = 64 batch down to a few stacks)
+    df = _delta_stack(rows, f_emb, m.mean_f)
+    del f_emb, lhs
+    dv = _delta_stack(rows, v, m.mean_v)
+    df_dv, dv_df = df @ dv, dv @ df
+    del df, dv
+    raw = -1j * trace_product(rho, antihermitian_stack(rows, df_dv - dv_df))
+    power_delta = raw.real
+    rows.record(np.abs(power - power_delta) > 1e-10 * (1.0 + np.abs(power)),
+                lambda i: NumericalIntegrityError(
+                    "commutator-shift power identity violated: "
+                    f"{float(power[i])!r} vs {float(power_delta[i])!r}"))
+
+    # square-root decomposition, with sr = sqrt(rho) explicit (no cyclic-trace shortcut)
+    power_sq = power * power
+    sr = sqrt_stack(rows, rho)
+    term_fv = np.abs(trace_product(sr @ df_dv, sr)) ** 2
+    term_vf = np.abs(trace_product(sr @ dv_df, sr)) ** 2
+    term_cross = 2.0 * (trace_product(rho, df_dv) ** 2).real
+    total = term_fv + term_vf - term_cross
+    rows.record(np.abs(total - power_sq) > 1e-9 * (1.0 + np.maximum(np.abs(total), power_sq)),
+                lambda i: NumericalIntegrityError(
+                    "square-root decomposition identity violated: "
+                    f"{float(total[i])!r} vs power^2 {float(power_sq[i])!r}"))
+    rows.record(np.abs(term_fv - term_vf) > 1e-9 * (1.0 + np.maximum(term_fv, term_vf)),
+                lambda i: NumericalIntegrityError(
+                    f"conjugate-pair terms differ: {float(term_fv[i])!r} vs {float(term_vf[i])!r}"))
+    rows.record(np.abs(power - 2.0 * m.cov.imag) > 1e-9 * (1.0 + np.abs(power)),
+                lambda i: NumericalIntegrityError(
+                    "power vs 2 Im(cov) identity violated: "
+                    f"{float(power[i])!r} vs {float(2.0 * m.cov.imag[i])!r}"))
+
+    bound = corrected_bound(m)
+    rows.record(bound < -1e-9, lambda i: NumericalIntegrityError(
+        f"corrected bound is negative: {float(bound[i])!r}"))
+    lo = loose_bound(m)
+    rows.record(lo < bound - 1e-9 * (1.0 + np.abs(bound)), lambda i: NumericalIntegrityError(
+        f"loose bound {float(lo[i])!r} below corrected bound {float(bound[i])!r}"))
+    rows.record(power_sq > bound + 1e-9 * (1.0 + bound), lambda i: NumericalIntegrityError(
+        f"power bound violated: power^2 = {float(power_sq[i])!r} > bound = {float(bound[i])!r}"))
+    ratio = saturation_ratio(power_sq, bound)
+    slack = bound - power_sq
+    _report_checks(rows, power, power_sq, bound, slack, ratio)
+    return ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
+                       term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
+                       loose_bound=lo, slack=slack, saturation_ratio=ratio)
+
+
+def _one_instance(rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
+                  s: TensorStructure, kernel=verify_batch):
+    """`kernel` on a one-row stack; raises that row's error, else returns the batch."""
+    batch = kernel(rho.mat[None], f.mat[None], v.mat[None], s)
+    batch.errors.raise_first()
+    return batch
 
 
 def compute_moments(
@@ -126,64 +339,35 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    _check_dims(rho, f, v, s)
-    rho_w = partial_trace_to_battery(rho, s)
-    mean_f = expectation(rho_w, f)
-    mean_f2 = expectation(rho_w, HermitianOperator(f.mat @ f.mat))
-    mean_v = expectation(rho, v)
-    mean_v2 = expectation(rho, HermitianOperator(v.mat @ v.mat))
-    f_emb = embed_battery_op(f, s)
-    cov = complex(np.einsum("ij,jk,ki->", rho.mat, f_emb.mat, v.mat)) - mean_f * mean_v
-    return MomentSet(
-        mean_f=mean_f,
-        mean_v=mean_v,
-        var_f=mean_f2 - mean_f**2,
-        var_v=mean_v2 - mean_v**2,
-        cov=cov,
-    )
+    return _one_instance(rho, f, v, s, moment_batch).row(0)
 
 
 def charging_power(
     rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
 ) -> float:
-    """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
-    _check_dims(rho, f, v, s)
-    f_emb = embed_battery_op(f, s)
-    lhs = rho.mat @ f_emb.mat - f_emb.mat @ rho.mat
-    raw = -1j * np.einsum("ij,ji->", lhs, v.mat)
-    if abs(raw.imag) > 1e-10 * (1.0 + abs(raw.real)):
-        raise NumericalIntegrityError(f"charging power has imaginary part {raw.imag:.3e}")
-    return float(raw.real)
+    """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10 (a one-row `verify_batch`)."""
+    return float(_one_instance(rho, f, v, s).power[0])
 
 
 def decomposition_terms(
     rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
 ) -> tuple[float, float, float]:
-    """The three terms of the square-root decomposition of P^2.
+    """The three terms of the square-root decomposition of P^2 (a one-row `verify_batch`).
 
     Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
     with sr = sqrt(rho) computed explicitly by spectral decomposition; the
     cyclic-trace shortcut is deliberately not taken.
     """
-    _check_dims(rho, f, v, s)
-    rho_w = partial_trace_to_battery(rho, s)
-    mean_f = expectation(rho_w, f)
-    mean_v = expectation(rho, v)
-    df = delta_operator(embed_battery_op(f, s), mean_f)
-    dv = delta_operator(v, mean_v)
-    sr = matrix_sqrt(rho).mat
-    t_fv = np.trace(sr @ df.mat @ dv.mat @ sr)
-    t_vf = np.trace(sr @ dv.mat @ df.mat @ sr)
-    z = np.einsum("ij,jk,ki->", rho.mat, df.mat, dv.mat)
-    return float(abs(t_fv) ** 2), float(abs(t_vf) ** 2), float(2.0 * (z**2).real)
+    batch = _one_instance(rho, f, v, s)
+    return float(batch.term_fv[0]), float(batch.term_vf[0]), float(batch.term_cross[0])
 
 
-def corrected_bound(m: MomentSet) -> float:
-    """Upper bound on P^2: 2 (var_F * var_V - Re[cov^2])."""
+def corrected_bound(m):
+    """Upper bound on P^2: 2 (var_F * var_V - Re[cov^2]), for a MomentSet or a MomentBatch."""
     return 2.0 * (m.var_f * m.var_v - (m.cov**2).real)
 
 
-def loose_bound(m: MomentSet) -> float:
+def loose_bound(m):
     """The weaker comparison bound 4 * var_F * var_V (never below the corrected one)."""
     return 4.0 * m.var_f * m.var_v
 
@@ -193,57 +377,8 @@ def verify_instance(
 ) -> PowerBoundReport:
     """Full verification of one instance: power, moments, decomposition, bounds.
 
-    Raises NumericalIntegrityError naming the violated identity if any link of
-    the chain fails; a returned report means every check passed.
+    A one-row call of `verify_batch`. Raises NumericalIntegrityError naming
+    the violated identity if any link of the chain fails; a returned report
+    means every check passed.
     """
-    m = compute_moments(rho, f, v, s)
-    power = charging_power(rho, f, v, s)
-
-    # same power through the shifted-commutator route
-    df = delta_operator(embed_battery_op(f, s), m.mean_f)
-    dv = delta_operator(v, m.mean_v)
-    raw = -1j * np.einsum("ij,ji->", rho.mat, commutator(df, dv))
-    power_delta = float(raw.real)
-    if abs(power - power_delta) > 1e-10 * (1.0 + abs(power)):
-        raise NumericalIntegrityError(
-            f"commutator-shift power identity violated: {power!r} vs {power_delta!r}"
-        )
-
-    power_sq = power * power
-    term_fv, term_vf, term_cross = decomposition_terms(rho, f, v, s)
-    total = term_fv + term_vf - term_cross
-    if abs(total - power_sq) > 1e-9 * (1.0 + max(abs(total), power_sq)):
-        raise NumericalIntegrityError(
-            f"square-root decomposition identity violated: {total!r} vs power^2 {power_sq!r}"
-        )
-    if abs(term_fv - term_vf) > 1e-9 * (1.0 + max(term_fv, term_vf)):
-        raise NumericalIntegrityError(
-            f"conjugate-pair terms differ: {term_fv!r} vs {term_vf!r}"
-        )
-    if abs(power - 2.0 * m.cov.imag) > 1e-9 * (1.0 + abs(power)):
-        raise NumericalIntegrityError(
-            f"power vs 2 Im(cov) identity violated: {power!r} vs {2.0 * m.cov.imag!r}"
-        )
-
-    bound = corrected_bound(m)
-    if bound < -1e-9:
-        raise NumericalIntegrityError(f"corrected bound is negative: {bound!r}")
-    lo = loose_bound(m)
-    if lo < bound - 1e-9 * (1.0 + abs(bound)):
-        raise NumericalIntegrityError(f"loose bound {lo!r} below corrected bound {bound!r}")
-    if power_sq > bound + 1e-9 * (1.0 + bound):
-        raise NumericalIntegrityError(
-            f"power bound violated: power^2 = {power_sq!r} > bound = {bound!r}"
-        )
-    ratio = 0.0 if bound <= 1e-14 else min(power_sq / bound, 1.0 + 1e-9)
-    return PowerBoundReport(
-        power=power,
-        power_sq=power_sq,
-        term_fv=term_fv,
-        term_vf=term_vf,
-        term_cross=term_cross,
-        corrected_bound=bound,
-        loose_bound=lo,
-        slack=bound - power_sq,
-        saturation_ratio=ratio,
-    )
+    return _one_instance(rho, f, v, s).row(0)

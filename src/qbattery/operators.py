@@ -6,6 +6,9 @@ the full space is a plain left Kronecker product, ``kron(F, eye(env_dim))``.
 
 Everything here is dense and immutable after construction; the intended
 scale is a total dimension D <= 64, where exact eigendecomposition is cheap.
+Each check is written once, over stacks of matrices (N, D, D) that record the
+first failure of every row in `RowErrors`; the one-instance classes and
+functions run the same code on a one-row stack and raise that row's error.
 """
 
 from dataclasses import dataclass
@@ -73,6 +76,93 @@ class TensorStructure:
         return cls(*dims)
 
 
+class RowErrors(list):
+    """The first failed check of each row of a stacked batch, or None for a clean row.
+
+    Batched code runs every check over the whole stack, in the order the
+    one-instance code runs them; a row keeps the error of the first check it
+    fails, which is the exception the one-instance call raises for it.
+    """
+
+    def __init__(self, n: int):
+        super().__init__([None] * n)
+
+    def record(self, bad: np.ndarray, error) -> None:
+        """Rows where `bad` holds fail with `error(i)`, unless an earlier check failed them."""
+        if np.count_nonzero(bad):
+            for i in np.flatnonzero(bad):
+                if self[i] is None:
+                    self[i] = error(i)
+
+    def raise_first(self) -> None:
+        for err in self:
+            if err is not None:
+                raise err
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix in a stack (0 for empty matrices)."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+
+
+def _symmetrized(rows: RowErrors, a: np.ndarray, message: str) -> np.ndarray:
+    """(A + A^dag)/2 per row after the residual check; `a` itself when it is exactly Hermitian."""
+    adj = _adjoint(a)
+    residual = _max_abs(a - adj)
+    rows.record(residual > HERMITICITY_TOL,
+                lambda i: RejectedInputError(message.format(residual[i], HERMITICITY_TOL)))
+    if not np.count_nonzero(residual):
+        return a  # (A + A^dag)/2 would reproduce A bit for bit
+    return (a + adj) / 2.0
+
+
+def hermitian_stack(rows: RowErrors, a: np.ndarray) -> np.ndarray:
+    """HermitianOperator's check and symmetrization over a stack (N, D, D)."""
+    return _symmetrized(rows, a, "matrix is not Hermitian: max|A - A^dag| = {:.3e} > {}")
+
+
+def purity_stack(a: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of each state, as the squared Frobenius norm of its entries."""
+    return (np.abs(a) ** 2).sum(axis=(-2, -1))
+
+
+def density_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DensityMatrix's checks and repairs over a stack; returns (states, purities)."""
+    a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    bad_trace = np.abs(tr - 1.0) > TRACE_INPUT_TOL
+    rows.record(bad_trace, lambda i: RejectedInputError(
+        f"density matrix trace {tr[i]!r} is not 1 within {TRACE_INPUT_TOL}"))
+    a = a / np.where(bad_trace, 1.0, tr)[:, None, None]
+    w, u = np.linalg.eigh(a)
+    w_min = w.min(axis=-1, initial=np.inf)
+    rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
+        f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
+    clamp = w_min < 0.0
+    if clamp.any():
+        u = u[clamp]
+        b = (u * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _adjoint(u)
+        b = (b + _adjoint(b)) / 2.0
+        a[clamp] = b / np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+    p = purity_stack(a)
+    dim = a.shape[-1]
+    rows.record(~((1.0 / dim - 1e-10 <= p) & (p <= 1.0 + 1e-10)), lambda i: NumericalIntegrityError(
+        f"purity {float(p[i])!r} outside [1/{dim}, 1]"))
+    return a, p
+
+
+def _one_row(stack_fn, *mats):
+    """Run a stack function on one matrix per argument; raise its error or return row 0."""
+    rows = RowErrors(1)
+    out = stack_fn(rows, *(m[None] for m in mats))
+    rows.raise_first()
+    return out
+
+
 class HermitianOperator:
     """A dim x dim complex matrix, checked and symmetrized at construction.
 
@@ -84,13 +174,8 @@ class HermitianOperator:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        a = _as_complex_square(mat)
-        residual = np.abs(a - a.conj().T).max() if a.size else 0.0
-        if residual > HERMITICITY_TOL:
-            raise RejectedInputError(
-                f"matrix is not Hermitian: max|A - A^dag| = {residual:.3e} > {HERMITICITY_TOL}"
-            )
-        a = (a + a.conj().T) / 2.0
+        # copied: hermitian_stack hands back exactly Hermitian input as it is
+        a = _one_row(hermitian_stack, _as_complex_square(mat))[0].copy()
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
 
@@ -117,33 +202,9 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        a = _as_complex_square(mat)
-        residual = np.abs(a - a.conj().T).max() if a.size else 0.0
-        if residual > HERMITICITY_TOL:
-            raise RejectedInputError(
-                f"density matrix is not Hermitian: residual {residual:.3e} > {HERMITICITY_TOL}"
-            )
-        a = (a + a.conj().T) / 2.0
-        tr = a.trace().real
-        if abs(tr - 1.0) > TRACE_INPUT_TOL:
-            raise RejectedInputError(f"density matrix trace {tr!r} is not 1 within {TRACE_INPUT_TOL}")
-        a = a / tr
-        w, u = np.linalg.eigh(a)
-        if w.min() < -PSD_TOL:
-            raise NotPositiveSemidefiniteError(
-                f"density matrix has eigenvalue {w.min():.3e} < -{PSD_TOL}"
-            )
-        if w.min() < 0.0:
-            w = np.clip(w, 0.0, None)
-            a = (u * w) @ u.conj().T
-            a = (a + a.conj().T) / 2.0
-            a = a / a.trace().real
+        a = _one_row(density_stack, _as_complex_square(mat))[0][0]
         a.setflags(write=False)
         object.__setattr__(self, "mat", a)
-        p = self.purity()
-        dim = a.shape[0]
-        if not (1.0 / dim - 1e-10 <= p <= 1.0 + 1e-10):
-            raise NumericalIntegrityError(f"purity {p!r} outside [1/{dim}, 1]")
 
     @property
     def dim(self) -> int:
@@ -151,7 +212,7 @@ class DensityMatrix:
 
     def purity(self) -> float:
         """Tr(rho^2), computed as the squared Frobenius norm of the entries."""
-        return float((np.abs(self.mat) ** 2).sum())
+        return float(purity_stack(self.mat))
 
     @classmethod
     def from_ket(cls, psi) -> "DensityMatrix":
@@ -179,81 +240,128 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def eig_decompose(op) -> EigenDecomposition:
-    """Checked Hermitian eigendecomposition A = U diag(w) U^dag.
+def eig_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked Hermitian eigendecomposition of each matrix in a stack: (w, u).
 
     Verifies reconstruction to 1e-9*(1 + max|A|) and column orthonormality
-    to 1e-10 before returning, so callers can rely on the factors blindly.
+    to 1e-10.
+    """
+    w, u = np.linalg.eigh(a)
+    scale = 1.0 + _max_abs(a)
+    recon = (u * w[..., None, :]) @ _adjoint(u)
+    recon -= a  # in place: D = 64 stacks are large
+    recon = _max_abs(recon)
+    rows.record(recon > 1e-9 * scale, lambda i: NumericalIntegrityError(
+        f"eigendecomposition reconstruction error {recon[i]:.3e}"))
+    ortho = _adjoint(u) @ u
+    ortho -= np.eye(a.shape[-1])
+    ortho = _max_abs(ortho)
+    rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
+        f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))
+    return w, u
+
+
+def eig_decompose(op) -> EigenDecomposition:
+    """Checked Hermitian eigendecomposition A = U diag(w) U^dag (see `eig_stack`).
+
+    The checks run before returning, so callers can rely on the factors blindly.
     """
     a = op.mat if isinstance(op, (HermitianOperator, DensityMatrix)) else _as_complex_square(op)
-    w, u = np.linalg.eigh(a)
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-    recon = np.abs((u * w) @ u.conj().T - a).max()
-    if recon > 1e-9 * scale:
-        raise NumericalIntegrityError(f"eigendecomposition reconstruction error {recon:.3e}")
-    ortho = np.abs(u.conj().T @ u - np.eye(a.shape[0])).max()
-    if ortho > 1e-10:
-        raise NumericalIntegrityError(f"eigenvector columns not orthonormal: {ortho:.3e}")
+    w, u = _one_row(eig_stack, a)
+    w, u = w[0], u[0]
     w.setflags(write=False)
     u.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, vectors=u)
+
+
+def kron_identity(f: np.ndarray, env_dim: int) -> np.ndarray:
+    """F (x) identity(env_dim) for each F in a stack (N, d_w, d_w)."""
+    n, d_w = f.shape[0], f.shape[-1]
+    out = np.zeros((n, d_w, env_dim, d_w, env_dim), dtype=complex)
+    for k in range(env_dim):
+        out[:, :, k, :, k] = f
+    return out.reshape(n, d_w * env_dim, d_w * env_dim)
 
 
 def embed_battery_op(f: HermitianOperator, s: TensorStructure) -> HermitianOperator:
     """Lift a battery operator to the full space as F (x) identity on S,B,A."""
     if f.dim != s.d_w:
         raise DimensionMismatchError(f"battery operator dim {f.dim} != d_w {s.d_w}")
-    return HermitianOperator(np.kron(f.mat, np.eye(s.env_dim, dtype=complex)))
+    return HermitianOperator(kron_identity(f.mat[None], s.env_dim)[0])
+
+
+def partial_trace_stack(rho: np.ndarray, s: TensorStructure) -> np.ndarray:
+    """Reduced battery matrix of each state in a stack, tracing out S, B and A."""
+    r = rho.reshape(rho.shape[0], s.d_w, s.env_dim, s.d_w, s.env_dim)
+    return np.einsum("niaja->nij", r)
 
 
 def partial_trace_to_battery(rho: DensityMatrix, s: TensorStructure) -> DensityMatrix:
     """Reduced battery state, tracing out the S, B and A factors."""
     if rho.dim != s.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != structure dim {s.dim}")
-    r = rho.mat.reshape(s.d_w, s.env_dim, s.d_w, s.env_dim)
-    return DensityMatrix(np.einsum("iaja->ij", r))
+    return DensityMatrix(partial_trace_stack(rho.mat[None], s)[0])
+
+
+def sqrt_stack(rows: RowErrors, rho: np.ndarray) -> np.ndarray:
+    """Positive square root of each state in a stack via spectral decomposition.
+
+    Eigenvalues in [-1e-10, 0) are clamped to zero; each root squares back to
+    its state within 1e-9 in max norm (checked).
+    """
+    w, u = eig_stack(rows, rho)
+    w_min = w.min(axis=-1, initial=np.inf)
+    rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
+        f"eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
+    root = (u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(u)
+    root = hermitian_stack(rows, root)
+    err = root @ root
+    err -= rho
+    err = _max_abs(err)
+    rows.record(err > 1e-9, lambda i: NumericalIntegrityError(
+        f"sqrt(rho)^2 deviates from rho by {err[i]:.3e}"))
+    return root
 
 
 def matrix_sqrt(rho: DensityMatrix) -> HermitianOperator:
-    """Positive square root of a state via spectral decomposition.
+    """Positive square root of a state (see `sqrt_stack`)."""
+    return HermitianOperator(_one_row(sqrt_stack, rho.mat)[0])
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; the result squares back
-    to rho within 1e-9 in max norm (checked).
-    """
-    dec = eig_decompose(rho)
-    w = dec.eigenvalues
-    if w.min() < -PSD_TOL:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {w.min():.3e} < -{PSD_TOL}")
-    w = np.clip(w, 0.0, None)
-    u = dec.vectors
-    root = (u * np.sqrt(w)) @ u.conj().T
-    result = HermitianOperator(root)
-    err = np.abs(result.mat @ result.mat - rho.mat).max()
-    if err > 1e-9:
-        raise NumericalIntegrityError(f"sqrt(rho)^2 deviates from rho by {err:.3e}")
-    return result
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(A B) for each pair of matrices in two stacks."""
+    return np.einsum("nij,nji->n", a, b)
+
+
+def expectation_stack(rows: RowErrors, rho: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Re Tr(rho A) per row; the imaginary part must vanish to 1e-10 (both are Hermitian)."""
+    t = trace_product(rho, a)
+    rows.record(np.abs(t.imag) > 1e-10 * (1.0 + np.abs(t.real)), lambda i: NumericalIntegrityError(
+        f"expectation has imaginary part {t.imag[i]:.3e}"))
+    return t.real
 
 
 def expectation(rho: DensityMatrix, a: HermitianOperator) -> float:
-    """Re Tr(rho A); the imaginary part must vanish to 1e-10 (both are Hermitian)."""
+    """Re Tr(rho A) (see `expectation_stack`)."""
     if rho.dim != a.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != operator dim {a.dim}")
-    t = np.einsum("ij,ji->", rho.mat, a.mat)
-    if abs(t.imag) > 1e-10 * (1.0 + abs(t.real)):
-        raise NumericalIntegrityError(f"expectation has imaginary part {t.imag:.3e}")
-    return float(t.real)
+    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
+
+
+def antihermitian_stack(rows: RowErrors, c: np.ndarray) -> np.ndarray:
+    """Check that each commutator in a stack is anti-Hermitian to 1e-10*(1 + max|C|)."""
+    scale = 1.0 + _max_abs(c)
+    residual = _max_abs(c + _adjoint(c))
+    rows.record(residual > 1e-10 * scale, lambda i: NumericalIntegrityError(
+        f"commutator not anti-Hermitian: residual {residual[i]:.3e}"))
+    return c
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     """AB - BA for Hermitian A, B; the result is checked to be anti-Hermitian."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} != {b.dim}")
-    c = a.mat @ b.mat - b.mat @ a.mat
-    scale = 1.0 + (np.abs(c).max() if c.size else 0.0)
-    residual = np.abs(c + c.conj().T).max() if c.size else 0.0
-    if residual > 1e-10 * scale:
-        raise NumericalIntegrityError(f"commutator not anti-Hermitian: residual {residual:.3e}")
-    return c
+    return _one_row(antihermitian_stack, a.mat @ b.mat - b.mat @ a.mat)[0]
 
 
 def to_matrix_literal(mat) -> dict:

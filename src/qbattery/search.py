@@ -21,7 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import SeedSpec
-from .moments import MomentSet, PowerBoundReport, compute_moments, verify_instance
+from .moments import (
+    MomentBatch,
+    MomentSet,
+    PowerBoundReport,
+    compute_moments,
+    corrected_bound,
+    moment_batch,
+    saturation_ratio,
+    verify_instance,
+)
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -99,26 +108,35 @@ class SearchResult:
         }
 
 
-def _hermitian_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    """Pack dim^2 reals into a Hermitian matrix: diagonal, then (re, im) per i<j pair."""
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = x[:dim]
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = x[k] + 1j * x[k + 1]
-            h[j, i] = x[k] - 1j * x[k + 1]
-            k += 2
+def _hermitian_from_params(x: np.ndarray, pack: tuple) -> np.ndarray:
+    """Pack dim^2 reals into a Hermitian matrix: diagonal, then (re, im) per i<j pair.
+
+    `x` may hold one vector or a stack of them (..., dim^2); `pack` is
+    (dim, rows, columns) of the i<j pairs from `_pack`.
+    """
+    dim, iu, ju = pack
+    h = np.zeros(x.shape[:-1] + (dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    h[..., diag, diag] = x[..., :dim]
+    upper = x[..., dim::2] + 1j * x[..., dim + 1 :: 2]
+    h[..., iu, ju] = upper
+    h[..., ju, iu] = upper.conj()
     return h
 
 
+def _pack(dim: int) -> tuple:
+    # np.triu_indices lists the i<j pairs row by row, the order the parameters use
+    iu, ju = np.triu_indices(dim, k=1)
+    return dim, iu, ju
+
+
 def _unit_spectral(h: np.ndarray) -> np.ndarray:
-    r = np.abs(np.linalg.eigvalsh(h)).max() if h.size else 0.0
-    return h / r if r > 0.0 else h
+    r = np.abs(np.linalg.eigvalsh(h)).max(axis=-1, initial=0.0)
+    return h / np.where(r > 0.0, r, 1.0)[..., None, None]
 
 
 class _Parameterization:
-    """Flat real vector <-> (rho, F, V) over one structure.
+    """Flat real vectors <-> (rho, F, V) stacks over one structure.
 
     Layout: state parameters first (2D reals for a pure ket, 2*D*rank for a
     Ginibre factor), then d_w^2 for F, then D^2 for V. F and V come out with
@@ -133,62 +151,45 @@ class _Parameterization:
         self.n_f = s.d_w * s.d_w
         self.n_v = d * d
         self.n_params = self.n_state + self.n_f + self.n_v
+        self.pack_f = _pack(s.d_w)
+        self.pack_v = _pack(d)
 
-    def state_matrix(self, x: np.ndarray) -> np.ndarray | None:
+    def build(self, xs: np.ndarray):
+        """(rho, F, V, valid) for a stack of parameter vectors (K, n_params).
+
+        Rows with a degenerate state parameterization have valid = False and
+        placeholder matrices.
+        """
         d = self.s.dim
-        raw = x[: self.n_state]
-        z = raw[0::2] + 1j * raw[1::2]
+        raw = xs[:, : self.n_state]
+        z = raw[:, 0::2] + 1j * raw[:, 1::2]
         if self.pure_state:
-            norm_sq = float(np.vdot(z, z).real)
-            if norm_sq < 1e-24:
-                return None
-            z = z / np.sqrt(norm_sq)
-            return np.outer(z, z.conj())
-        g = z.reshape(d, d)
-        w = g @ g.conj().T
-        tr = w.trace().real
-        if tr < 1e-24:
-            return None
-        return w / tr
-
-    def build(self, x: np.ndarray):
-        mat = self.state_matrix(x)
-        if mat is None:
-            return None
-        f = _unit_spectral(_hermitian_from_params(x[self.n_state : self.n_state + self.n_f], self.s.d_w))
-        v = _unit_spectral(_hermitian_from_params(x[self.n_state + self.n_f :], self.s.dim))
-        return mat, f, v
+            norm_sq = np.einsum("ki,ki->k", z.conj(), z).real
+            valid = ~(norm_sq < 1e-24)
+            z = z / np.sqrt(np.where(valid, norm_sq, 1.0))[:, None]
+            mat = z[:, :, None] * z.conj()[:, None, :]
+        else:
+            g = z.reshape(-1, d, d)
+            w = g @ g.conj().swapaxes(-1, -2)
+            tr = np.trace(w, axis1=-2, axis2=-1).real
+            valid = ~(tr < 1e-24)
+            mat = w / np.where(valid, tr, 1.0)[:, None, None]
+        f = _unit_spectral(_hermitian_from_params(xs[:, self.n_state : self.n_state + self.n_f], self.pack_f))
+        v = _unit_spectral(_hermitian_from_params(xs[:, self.n_state + self.n_f :], self.pack_v))
+        return mat, f, v, valid
 
 
-def _reduced_purity(rho_mat: np.ndarray, s: TensorStructure) -> float:
-    r = rho_mat.reshape(s.d_w, s.env_dim, s.d_w, s.env_dim)
-    rw = np.einsum("iaja->ij", r)
-    return float((np.abs(rw) ** 2).sum())
+def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.ndarray]:
+    """Moments of the instances a stack of parameter vectors encodes, and which rows count.
 
-
-def _fast_stats(rho_mat: np.ndarray, f: np.ndarray, v: np.ndarray, s: TensorStructure) -> dict:
-    """Moments of a raw (already valid) instance without the wrapper classes.
-
-    Power comes through 2 Im(cov); the identity is confirmed against the
-    commutator route by the invariant suite, and the final candidate is
-    always re-verified through `verify_instance`.
+    A row does not count when its state parameterization is degenerate or a
+    check of the kernel's moment stage fails. Power is taken as 2 Im(cov);
+    the final candidate is always re-verified through `verify_instance`,
+    which computes it by the commutator route as well.
     """
-    d_w, env = s.d_w, s.env_dim
-    r = rho_mat.reshape(d_w, env, d_w, env)
-    rho_w = np.einsum("iaja->ij", r)
-    mean_f = np.einsum("ij,ji->", rho_w, f).real
-    var_f = np.einsum("ij,jk,ki->", rho_w, f, f).real - mean_f**2
-    mean_v = np.einsum("ij,ji->", rho_mat, v).real
-    var_v = np.einsum("ij,jk,ki->", rho_mat, v, v).real - mean_v**2
-    f_emb = np.kron(f, np.eye(env, dtype=complex))
-    cov = np.einsum("ij,jk,ki->", rho_mat, f_emb, v) - mean_f * mean_v
-    return {
-        "var_f": max(var_f, 0.0),
-        "var_v": max(var_v, 0.0),
-        "cov": complex(cov),
-        "power": 2.0 * cov.imag,
-        "purity_w": float((np.abs(rho_w) ** 2).sum()),
-    }
+    mat, f, v, valid = param.build(xs)
+    m = moment_batch(mat, f, v, param.s)
+    return m, valid & np.array([err is None for err in m.errors])
 
 
 @dataclass
@@ -200,37 +201,65 @@ class _RestartOutcome:
     succeeded: bool
 
 
-def _pattern_search(evaluate, x0: np.ndarray, rng: np.random.Generator, budget: int,
+# Moves scored per kernel call. Scoring the next few moves together costs
+# little more than scoring one, because at these sizes the moment stage's
+# time is per call, not per row.
+_LOOKAHEAD = 8
+
+
+def _pattern_search(score, x0: np.ndarray, rng: np.random.Generator, budget: int,
                     step0: float = 0.5, shrink: float = 0.5, patience: int = 10,
                     min_step: float = 1e-12):
     """Single-coordinate pattern search; returns (best_x, best_val, evals, hit_target).
 
-    `evaluate` maps a parameter vector to (value, success_flag); the walk keeps
-    strict improvements only, so the best value is monotone non-increasing.
+    `score` maps a stack of parameter vectors to (values, success flags); the
+    walk keeps strict improvements only, so the best value is monotone
+    non-increasing. The next `_LOOKAHEAD` moves are drawn and scored together
+    as if each were rejected; the walk takes them in order, and after an
+    acceptance it re-scores the moves it drew but did not take from the new
+    point. Its draws, steps, result and evaluation count are therefore those
+    of scoring one move at a time.
     """
     x = x0.copy()
-    value, ok = evaluate(x)
+    values, oks = score(x[None])
+    value, ok = float(values[0]), bool(oks[0])
     evals = 1
     step = step0
     fails = 0
+    moves = []  # drawn (coordinate, sign), not yet taken
     while not ok and evals < budget and step >= min_step:
-        i = int(rng.integers(len(x)))
-        y = x.copy()
-        y[i] += step if rng.random() < 0.5 else -step
-        candidate, ok_candidate = evaluate(y)
-        evals += 1
-        if candidate < value:
-            x, value, ok = y, candidate, ok_candidate
-            fails = 0
-        else:
+        # the step of each of the next moves if every move before it is rejected
+        steps, next_step, next_fails = [], step, fails
+        while len(steps) < min(_LOOKAHEAD, budget - evals) and next_step >= min_step:
+            steps.append(next_step)
+            next_fails += 1
+            if next_fails >= patience:
+                next_step *= shrink
+                next_fails = 0
+        while len(moves) < len(steps):
+            i = int(rng.integers(len(x)))
+            moves.append((i, 1.0 if rng.random() < 0.5 else -1.0))
+        ys = np.repeat(x[None], len(steps), axis=0)
+        for k, ((i, sign), move_step) in enumerate(zip(moves, steps)):
+            ys[k, i] += sign * move_step
+        values, oks = score(ys)
+        taken = 0
+        for y, candidate, ok_candidate in zip(ys, values.tolist(), oks.tolist()):
+            taken += 1
+            evals += 1
+            if candidate < value:
+                x, value, ok = y, candidate, ok_candidate
+                fails = 0
+                break
             fails += 1
             if fails >= patience:
                 step *= shrink
                 fails = 0
+        del moves[:taken]
     return x, value, evals, ok
 
 
-def _run_restarts(config: SearchConfig, param: _Parameterization, evaluate_factory, threads: int = 1):
+def _run_restarts(config: SearchConfig, param: _Parameterization, score, threads: int = 1):
     # A one-evaluation budget degrades to a single restart that scores the
     # seeded start point; the total never exceeds the configured budget.
     effective = min(config.restarts, config.budget)
@@ -241,8 +270,7 @@ def _run_restarts(config: SearchConfig, param: _Parameterization, evaluate_facto
         rngs = [seed.stream(seed.stream_index * _STREAMS_PER_RESTART * config.restarts
                             + r * _STREAMS_PER_RESTART + k).rng() for k in range(2)]
         x0 = rngs[0].standard_normal(param.n_params)
-        evaluate = evaluate_factory()
-        x, value, evals, ok = _pattern_search(evaluate, x0, rngs[1], per_restart)
+        x, value, evals, ok = _pattern_search(score, x0, rngs[1], per_restart)
         return _RestartOutcome(index=r, objective=value, x=x, evaluations=evals, succeeded=ok)
 
     indices = range(effective)
@@ -258,15 +286,14 @@ def _run_restarts(config: SearchConfig, param: _Parameterization, evaluate_facto
 
 def _finalize(config: SearchConfig, param: _Parameterization, winner_x: np.ndarray,
               evaluations: int, succeeded: bool, objective: float) -> SearchResult:
-    built = param.build(winner_x)
-    if built is None:
+    mat, f, v, valid = param.build(winner_x[None])
+    if not valid[0]:
         # The walk never accepts a degenerate point over a finite one, so this
         # would take a measure-zero initial draw.
         raise NumericalIntegrityError("search ended on a degenerate state parameterization")
-    mat, f, v = built
-    rho = DensityMatrix(mat)
-    f_op = HermitianOperator(f)
-    v_op = HermitianOperator(v)
+    rho = DensityMatrix(mat[0])
+    f_op = HermitianOperator(f[0])
+    v_op = HermitianOperator(v[0])
     report = verify_instance(rho, f_op, v_op, config.structure)
     moments = compute_moments(rho, f_op, v_op, config.structure)
     purity_w = partial_trace_to_battery(rho, config.structure).purity()
@@ -298,31 +325,22 @@ def find_zero_power(config: SearchConfig, threads: int = 1) -> SearchResult:
     s = config.structure
     param = _Parameterization(s, pure_state=th.require_entangled)
 
-    def evaluate_factory():
-        def evaluate(x: np.ndarray):
-            built = param.build(x)
-            if built is None:
-                return float("inf"), False
-            mat, f, v = built
-            st = _fast_stats(mat, f, v, s)
-            value = (
-                abs(st["power"])
-                + max(0.0, th.min_var_f - st["var_f"])
-                + max(0.0, th.min_abs_cov - abs(st["cov"]))
-            )
-            ok = (
-                abs(st["power"]) <= th.max_abs_power
-                and st["var_f"] >= th.min_var_f
-                and abs(st["cov"]) >= th.min_abs_cov
-            )
-            if th.require_entangled:
-                value += max(0.0, st["purity_w"] - ENTANGLED_PURITY_CAP)
-                ok = ok and st["purity_w"] <= ENTANGLED_PURITY_CAP
-            return value, ok
+    def score(xs: np.ndarray):
+        m, counts = _moments(param, xs)
+        power = np.abs(2.0 * m.cov.imag)
+        abs_cov = np.abs(m.cov)
+        value = (
+            power
+            + np.maximum(0.0, th.min_var_f - m.var_f)
+            + np.maximum(0.0, th.min_abs_cov - abs_cov)
+        )
+        ok = (power <= th.max_abs_power) & (m.var_f >= th.min_var_f) & (abs_cov >= th.min_abs_cov)
+        if th.require_entangled:
+            value = value + np.maximum(0.0, m.purity_w - ENTANGLED_PURITY_CAP)
+            ok &= m.purity_w <= ENTANGLED_PURITY_CAP
+        return np.where(counts, value, np.inf), ok & counts
 
-        return evaluate
-
-    winner, total_evals = _run_restarts(config, param, evaluate_factory, threads)
+    winner, total_evals = _run_restarts(config, param, score, threads)
     return _finalize(config, param, winner.x, total_evals, winner.succeeded, winner.objective)
 
 
@@ -337,18 +355,10 @@ def find_saturating(config: SearchConfig, threads: int = 1) -> SearchResult:
     s = config.structure
     param = _Parameterization(s, pure_state=True)
 
-    def evaluate_factory():
-        def evaluate(x: np.ndarray):
-            built = param.build(x)
-            if built is None:
-                return float("inf"), False
-            mat, f, v = built
-            st = _fast_stats(mat, f, v, s)
-            bound = 2.0 * (st["var_f"] * st["var_v"] - (st["cov"] ** 2).real)
-            ratio = 0.0 if bound <= 1e-14 else min(st["power"] ** 2 / bound, 1.0)
-            return -ratio, ratio >= SATURATION_SUCCESS
+    def score(xs: np.ndarray):
+        m, counts = _moments(param, xs)
+        ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, corrected_bound(m))
+        return np.where(counts, -ratio, np.inf), (ratio >= SATURATION_SUCCESS) & counts
 
-        return evaluate
-
-    winner, total_evals = _run_restarts(config, param, evaluate_factory, threads)
+    winner, total_evals = _run_restarts(config, param, score, threads)
     return _finalize(config, param, winner.x, total_evals, winner.succeeded, winner.objective)

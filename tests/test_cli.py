@@ -1,8 +1,11 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from qbattery.cli import TRIAL_COLUMNS, main
+from qbattery.cli import TRIAL_COLUMNS, _LeastSlack, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 
 
@@ -77,13 +80,43 @@ def test_verify_rank_restricted(tmp_path):
 
 
 def test_verify_thread_invariant_bytes(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "--dims", "2,2,1,1", "--trials", "40", "--format", "csv"]
-    assert run(*args, "--threads", "1", "--out", str(a)) == 0
-    assert run(*args, "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "a.json.trials.csv").read_bytes() == \
-        (tmp_path / "b.json.trials.csv").read_bytes()
+    cases = [
+        ("--dims", "2,2,1,1", "--trials", "40"),
+        # D = 64 batches hold 4 trials, so 13 trials span four batches
+        ("--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4", "--trials", "13"),
+    ]
+    for n, case in enumerate(cases):
+        payloads = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"c{n}t{threads}.json"
+            args = ["verify", *case, "--format", "csv", "--threads", threads, "--out", str(out)]
+            assert run(*args) == 0
+            payloads.append((out.read_bytes(), Path(f"{out}.trials.csv").read_bytes()))
+        assert payloads[1] == payloads[0]
+        assert payloads[2] == payloads[0]
+
+
+def test_least_slack_case_survives_concurrent_offers():
+    # Chunks offer their least-slack trial from worker threads. Here eight
+    # threads offer interleaved cases, each better than the ones before it,
+    # so every offer writes; a lost update would leave a case other than the
+    # minimum of (slack, trial).
+    cases = [{"trial": i, "report": {"slack": float(20000 - i)}} for i in range(20000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            least = _LeastSlack()
+
+            def offer_every_eighth(k):
+                for case in cases[k::8]:
+                    least.offer(case)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(offer_every_eighth, range(8), timeout=60))
+            assert least.case is cases[-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("argv", [

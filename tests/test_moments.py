@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbattery.ensembles import draw_instance
 from qbattery.moments import (
     MomentSet,
     PowerBoundReport,
@@ -10,12 +11,14 @@ from qbattery.moments import (
     decomposition_terms,
     delta_operator,
     loose_bound,
+    verify_batch,
     verify_instance,
 )
 from qbattery.operators import (
     DensityMatrix,
     HermitianOperator,
     NumericalIntegrityError,
+    RejectedInputError,
     TensorStructure,
     embed_battery_op,
     expectation,
@@ -313,3 +316,117 @@ def test_commuting_interaction_gives_zero_power():
     assert abs(p) <= 1e-12
     assert t_cross == pytest.approx(t_fv + t_vf, abs=1e-9 * (1 + abs(t_cross)))
     assert (t_fv + t_vf - t_cross) == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------- batched kernel
+
+KERNEL_DIMS = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 4, 4)]
+KERNEL_FIELDS = ("power", "power_sq", "term_fv", "term_vf", "term_cross", "corrected_bound",
+                 "loose_bound", "slack", "saturation_ratio")
+MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
+
+
+def reference_chain(rho, f, v, s):
+    """Every quantity of the verification chain for one instance, in plain dense numpy."""
+    env, eye = s.env_dim, np.eye(s.dim)
+    rho_w = np.einsum("iaja->ij", rho.reshape(s.d_w, env, s.d_w, env))
+    rho_w = rho_w / rho_w.trace().real
+    mean_f = np.trace(rho_w @ f).real
+    mean_v = np.trace(rho @ v).real
+    var_f = max(np.trace(rho_w @ f @ f).real - mean_f**2, 0.0)
+    var_v = max(np.trace(rho @ v @ v).real - mean_v**2, 0.0)
+    f_emb = np.kron(f, np.eye(env))
+    cov = np.trace(rho @ f_emb @ v) - mean_f * mean_v
+    power = (-1j * np.trace((rho @ f_emb - f_emb @ rho) @ v)).real
+    df, dv = f_emb - mean_f * eye, v - mean_v * eye
+    w, u = np.linalg.eigh(rho)
+    sr = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    bound = 2.0 * (var_f * var_v - (cov**2).real)
+    return {
+        "mean_f": mean_f, "mean_v": mean_v, "var_f": var_f, "var_v": var_v, "cov": cov,
+        "purity_w": (np.abs(rho_w) ** 2).sum(),
+        "power": power, "power_sq": power**2,
+        "term_fv": abs(np.trace(sr @ df @ dv @ sr)) ** 2,
+        "term_vf": abs(np.trace(sr @ dv @ df @ sr)) ** 2,
+        "term_cross": 2.0 * (np.trace(rho @ df @ dv) ** 2).real,
+        "corrected_bound": bound, "loose_bound": 4.0 * var_f * var_v,
+        "slack": bound - power**2,
+        "saturation_ratio": 0.0 if bound <= 1e-14 else min(power**2 / bound, 1.0 + 1e-9),
+    }
+
+
+def drawn_stacks(s, kind, n, seed=42, rank=None):
+    drawn = [draw_instance(s, kind, seed, i, rank=rank) for i in range(n)]
+    return [np.stack([d[k].mat for d in drawn]) for k in range(3)]
+
+
+def kernel_fields(batch):
+    fields = {k: getattr(batch, k) for k in KERNEL_FIELDS}
+    fields.update({k: getattr(batch.moments, k) for k in MOMENT_FIELDS})
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["haar", "ginibre", "mix"])
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+def test_kernel_matches_per_instance_reference(dims, kind):
+    s = TensorStructure.from_dims(list(dims))
+    rank = max(1, s.dim // 2) if kind != "haar" else None  # Ginibre states below full rank
+    rho, f, v = drawn_stacks(s, kind, 4 if s.dim == 64 else 12, rank=rank)
+    batch = verify_batch(rho, f, v, s)
+    assert batch.errors == [None] * len(rho)
+    got = kernel_fields(batch)
+    for i in range(len(rho)):
+        want = reference_chain(rho[i], f[i], v[i], s)
+        for name, value in want.items():
+            assert abs(got[name][i] - value) <= 1e-12 * max(abs(value), 1.0), (name, i)
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 1, 1), (3, 2, 1, 1), (2, 2, 4, 4)])
+def test_kernel_rows_do_not_depend_on_the_batch(dims):
+    s = TensorStructure.from_dims(list(dims))
+    rho, f, v = drawn_stacks(s, "mix", 7, rank=2)
+    whole = kernel_fields(verify_batch(rho, f, v, s))
+    head = kernel_fields(verify_batch(rho[:3], f[:3], v[:3], s))
+    tail = kernel_fields(verify_batch(rho[3:], f[3:], v[3:], s))
+    for name in whole:
+        assert np.array_equal(whole[name], np.concatenate([head[name], tail[name]])), name
+
+
+def test_failing_row_reports_its_own_error_and_spares_the_others():
+    # Shifting F and V by 1e6 I makes the commutator-shift identity fail on
+    # some draws through round-off in <A^2> - <A>^2.
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    shift = 1e6
+    for trial in range(100):
+        rho, f, v, _ = draw_instance(s, "mix", 42, trial)
+        f = HermitianOperator(f.mat + shift * np.eye(2))
+        v = HermitianOperator(v.mat + shift * np.eye(4))
+        try:
+            verify_instance(rho, f, v, s)
+        except NumericalIntegrityError as exc:
+            message = str(exc)
+            break
+    else:
+        pytest.fail("no draw failed")
+    rho_s, f_s, v_s = drawn_stacks(s, "mix", 5)
+    clean = kernel_fields(verify_batch(rho_s, f_s, v_s, s))
+    at = 2
+    batch = verify_batch(np.insert(rho_s, at, rho.mat, axis=0), np.insert(f_s, at, f.mat, axis=0),
+                         np.insert(v_s, at, v.mat, axis=0), s)
+    assert isinstance(batch.errors[at], NumericalIntegrityError)
+    assert str(batch.errors[at]) == message
+    assert [e for i, e in enumerate(batch.errors) if i != at] == [None] * 5
+    for name, values in kernel_fields(batch).items():
+        assert np.array_equal(np.delete(values, at), clean[name]), name
+
+
+def test_kernel_checks_its_inputs_are_hermitian():
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v = drawn_stacks(s, "haar", 3)
+    v[1, 0, 1] += 1e-6
+    batch = verify_batch(rho, f, v, s)
+    assert batch.errors[0] is None and batch.errors[2] is None
+    with pytest.raises(RejectedInputError) as exc:
+        HermitianOperator(v[1])
+    assert type(batch.errors[1]) is RejectedInputError
+    assert str(batch.errors[1]) == str(exc.value)

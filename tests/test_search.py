@@ -7,6 +7,9 @@ from qbattery.operators import RejectedInputError, TensorStructure, partial_trac
 from qbattery.search import (
     SearchConfig,
     SearchThresholds,
+    _hermitian_from_params,
+    _pack,
+    _pattern_search,
     find_saturating,
     find_zero_power,
 )
@@ -153,3 +156,67 @@ def test_result_serializes():
     json.dumps(doc)
     assert set(doc) >= {"rho", "f", "v", "report", "moments", "objective",
                         "evaluations", "succeeded", "battery_purity"}
+
+
+# ---------------------------------------------------------------- internals
+
+def hermitian_from_params_loop(x, dim):
+    h = np.zeros((dim, dim), dtype=complex)
+    h[np.diag_indices(dim)] = x[:dim]
+    k = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            h[i, j] = x[k] + 1j * x[k + 1]
+            h[j, i] = x[k] - 1j * x[k + 1]
+            k += 2
+    return h
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_hermitian_packing_matches_the_loop(dim):
+    xs = np.random.default_rng(dim).standard_normal((5, dim * dim))
+    packed = _hermitian_from_params(xs, _pack(dim))
+    for x, h in zip(xs, packed):
+        assert np.array_equal(h, hermitian_from_params_loop(x, dim))
+        assert np.array_equal(_hermitian_from_params(x, _pack(dim)), h)
+
+
+def pattern_search_one_at_a_time(score, x0, rng, budget, step0=0.5, shrink=0.5, patience=10,
+                                 min_step=1e-12):
+    x = x0.copy()
+    values, oks = score(x[None])
+    value, ok = float(values[0]), bool(oks[0])
+    evals, step, fails = 1, step0, 0
+    while not ok and evals < budget and step >= min_step:
+        i = int(rng.integers(len(x)))
+        y = x.copy()
+        y[i] += step if rng.random() < 0.5 else -step
+        values, oks = score(y[None])
+        evals += 1
+        if values[0] < value:
+            x, value, ok = y, float(values[0]), bool(oks[0])
+            fails = 0
+        else:
+            fails += 1
+            if fails >= patience:
+                step *= shrink
+                fails = 0
+    return x, value, evals, ok
+
+
+@pytest.mark.parametrize("budget, goal", [(1, 1e-3), (7, 1e-3), (100, 1e-3), (5000, 1e-3),
+                                          (5000, 0.0)])
+def test_lookahead_walk_equals_one_move_at_a_time(budget, goal):
+    # Meeting the goal takes many rejections and step halvings; goal 0 is
+    # never met, so that walk ends when its step falls below the minimum.
+    target = np.linspace(-1.0, 1.0, 6)
+
+    def score(xs):
+        values = np.abs(xs - target).sum(axis=1)
+        return values, values < goal
+
+    x0 = np.zeros(6)
+    got = _pattern_search(score, x0, np.random.default_rng(3), budget)
+    want = pattern_search_one_at_a_time(score, x0, np.random.default_rng(3), budget)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
