@@ -23,8 +23,8 @@ tolerance, so a clean report certifies the algebra numerically.
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
 ``verify_instance``, ``compute_moments``, ``charging_power`` and
-``decomposition_terms`` are one-row calls of it (or of its moment stage,
-``moment_batch``).
+``decomposition_terms`` each run the stage of it that they name on a one-row
+stack, so each raises only for the checks of its own part of the chain.
 """
 
 from dataclasses import dataclass, asdict
@@ -218,6 +218,11 @@ def _checked_stacks(rho, f, v, s: TensorStructure):
     return rho, f, v
 
 
+def _embedded(rows: RowErrors, f, s: TensorStructure):
+    """F (x) 1 per row, with embed_battery_op's Hermiticity check."""
+    return hermitian_stack(rows, kron_identity(f, s.env_dim))
+
+
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     """The checks and arithmetic of `compute_moments`, in its order; returns (moments, F (x) 1)."""
     rho_w, purity_w = density_stack(rows, partial_trace_stack(rho, s))
@@ -225,7 +230,7 @@ def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     mean_f2 = expectation_stack(rows, rho_w, hermitian_stack(rows, f @ f))
     mean_v = expectation_stack(rows, rho, v)
     mean_v2 = expectation_stack(rows, rho, hermitian_stack(rows, v @ v))
-    f_emb = hermitian_stack(rows, kron_identity(f, s.env_dim))
+    f_emb = _embedded(rows, f, s)
     cov = trace_product(rho @ f_emb, v) - mean_f * mean_v
     var_f, var_v = _moment_checks(rows, mean_f2 - mean_f**2, mean_v2 - mean_v**2, cov)
     moments = MomentBatch(mean_f=mean_f, mean_v=mean_v, var_f=var_f, var_v=var_v, cov=cov,
@@ -233,53 +238,54 @@ def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     return moments, f_emb
 
 
-def saturation_ratio(power_sq, bound):
-    """power^2 / corrected bound, capped at 1 + 1e-9; defined as 0 where the bound is <= 1e-14."""
-    degenerate = bound <= 1e-14
-    return np.where(degenerate, 0.0,
-                    np.minimum(power_sq / np.where(degenerate, 1.0, bound), 1.0 + 1e-9))
-
-
-def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
-    """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
-
-    The moment stage of `verify_batch`, for inputs known to be Hermitian (as
-    the matrices of HermitianOperator and DensityMatrix are).
-    """
-    rho, f, v = _checked_stacks(rho, f, v, s)
-    return _moment_stage(RowErrors(rho.shape[0]), rho, f, v, s)[0]
-
-
-def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
-    """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
-
-    Checks the inputs are Hermitian, then runs every check of the
-    one-instance chain, in its order and at its tolerance, as a mask over the
-    rows: the moments, the power by the commutator route, the same power
-    through the shifted commutator, the square-root decomposition and the
-    bounds. Rows are independent: a row's values and error do not depend on
-    what else is in the stack.
-    """
-    rho, f, v = _checked_stacks(rho, f, v, s)
-    rows = RowErrors(rho.shape[0])
-    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
-    m, f_emb = _moment_stage(rows, rho, f, v, s)
-
-    # P = -i Tr([rho, F (x) 1] V), asserted real
+def _power_stage(rows: RowErrors, rho, f_emb, v):
+    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10."""
     lhs = rho @ f_emb
     lhs -= f_emb @ rho
     raw = -1j * trace_product(lhs, v)
     rows.record(np.abs(raw.imag) > 1e-10 * (1.0 + np.abs(raw.real)), lambda i: NumericalIntegrityError(
         f"charging power has imaginary part {raw.imag[i]:.3e}"))
-    power = raw.real
+    return raw.real
 
-    # same power through the shifted-commutator route (the dels keep the
-    # peak memory of a D = 64 batch down to a few stacks)
-    df = _delta_stack(rows, f_emb, m.mean_f)
-    del f_emb, lhs
-    dv = _delta_stack(rows, v, m.mean_v)
-    df_dv, dv_df = df @ dv, dv @ df
-    del df, dv
+
+def _shifted_products(rows: RowErrors, f_emb, v, mean_f, mean_v):
+    """(dF dV, dV dF) per row, with dF = F (x) 1 - <F>_W and dV = V - <V>."""
+    df = _delta_stack(rows, f_emb, mean_f)
+    dv = _delta_stack(rows, v, mean_v)
+    return df @ dv, dv @ df
+
+
+def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df):
+    """The three decomposition terms, with sr = sqrt(rho) explicit (no cyclic-trace shortcut)."""
+    sr = sqrt_stack(rows, rho)
+    return (np.abs(trace_product(sr @ df_dv, sr)) ** 2,
+            np.abs(trace_product(sr @ dv_df, sr)) ** 2,
+            2.0 * (trace_product(rho, df_dv) ** 2).real)
+
+
+def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
+    """The checks and arithmetic of `decomposition_terms`: the means, dF, dV and sqrt(rho)."""
+    rho_w, _ = density_stack(rows, partial_trace_stack(rho, s))
+    mean_f = expectation_stack(rows, rho_w, f)
+    mean_v = expectation_stack(rows, rho, v)
+    return _sqrt_terms(rows, rho, *_shifted_products(rows, _embedded(rows, f, s), v, mean_f, mean_v))
+
+
+def saturation_ratio(power_sq, bound, cap=1.0 + 1e-9):
+    """power^2 / corrected bound, capped at `cap`; defined as 0 where the bound is <= 1e-14."""
+    degenerate = bound <= 1e-14
+    return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
+
+
+def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch:
+    """Every check of `verify_instance` over the rows, in its order and at its tolerance."""
+    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
+    m, f_emb = _moment_stage(rows, rho, f, v, s)
+    power = _power_stage(rows, rho, f_emb, v)
+
+    # same power through the shifted-commutator route
+    df_dv, dv_df = _shifted_products(rows, f_emb, v, m.mean_f, m.mean_v)
+    del f_emb  # keeps the peak memory of a D = 64 batch down to a few stacks
     raw = -1j * trace_product(rho, antihermitian_stack(rows, df_dv - dv_df))
     power_delta = raw.real
     rows.record(np.abs(power - power_delta) > 1e-10 * (1.0 + np.abs(power)),
@@ -287,12 +293,8 @@ def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
                     "commutator-shift power identity violated: "
                     f"{float(power[i])!r} vs {float(power_delta[i])!r}"))
 
-    # square-root decomposition, with sr = sqrt(rho) explicit (no cyclic-trace shortcut)
     power_sq = power * power
-    sr = sqrt_stack(rows, rho)
-    term_fv = np.abs(trace_product(sr @ df_dv, sr)) ** 2
-    term_vf = np.abs(trace_product(sr @ dv_df, sr)) ** 2
-    term_cross = 2.0 * (trace_product(rho, df_dv) ** 2).real
+    term_fv, term_vf, term_cross = _sqrt_terms(rows, rho, df_dv, dv_df)
     total = term_fv + term_vf - term_cross
     rows.record(np.abs(total - power_sq) > 1e-9 * (1.0 + np.maximum(np.abs(total), power_sq)),
                 lambda i: NumericalIntegrityError(
@@ -322,12 +324,40 @@ def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
                        loose_bound=lo, slack=slack, saturation_ratio=ratio)
 
 
-def _one_instance(rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
-                  s: TensorStructure, kernel=verify_batch):
-    """`kernel` on a one-row stack; raises that row's error, else returns the batch."""
-    batch = kernel(rho.mat[None], f.mat[None], v.mat[None], s)
-    batch.errors.raise_first()
-    return batch
+def _batch(stage, rho, f, v, s: TensorStructure):
+    rho, f, v = _checked_stacks(rho, f, v, s)
+    return stage(RowErrors(rho.shape[0]), rho, f, v, s)
+
+
+def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
+    """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
+
+    The moment stage of `verify_batch`, for inputs known to be Hermitian (as
+    the matrices of HermitianOperator and DensityMatrix are).
+    """
+    return _batch(_moment_stage, rho, f, v, s)[0]
+
+
+def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
+    """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
+
+    Checks the inputs are Hermitian, then runs every check of the
+    one-instance chain, in its order and at its tolerance, as a mask over the
+    rows: the moments, the power by the commutator route, the same power
+    through the shifted commutator, the square-root decomposition and the
+    bounds. Rows are independent: a row's values and error do not depend on
+    what else is in the stack.
+    """
+    return _batch(_verify_stage, rho, f, v, s)
+
+
+def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
+                  s: TensorStructure):
+    """`stage` on one-row stacks of the instance; raises the row's first failed check."""
+    rows = RowErrors(1)
+    out = stage(rows, *_checked_stacks(rho.mat[None], f.mat[None], v.mat[None], s), s)
+    rows.raise_first()
+    return out
 
 
 def compute_moments(
@@ -339,27 +369,29 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    return _one_instance(rho, f, v, s, moment_batch).row(0)
+    return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
 
 
 def charging_power(
     rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
 ) -> float:
-    """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10 (a one-row `verify_batch`)."""
-    return float(_one_instance(rho, f, v, s).power[0])
+    """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
+    def stage(rows, rho, f, v, s):
+        return _power_stage(rows, rho, _embedded(rows, f, s), v)
+
+    return float(_one_instance(stage, rho, f, v, s)[0])
 
 
 def decomposition_terms(
     rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
 ) -> tuple[float, float, float]:
-    """The three terms of the square-root decomposition of P^2 (a one-row `verify_batch`).
+    """The three terms of the square-root decomposition of P^2.
 
     Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
     with sr = sqrt(rho) computed explicitly by spectral decomposition; the
     cyclic-trace shortcut is deliberately not taken.
     """
-    batch = _one_instance(rho, f, v, s)
-    return float(batch.term_fv[0]), float(batch.term_vf[0]), float(batch.term_cross[0])
+    return tuple(float(t[0]) for t in _one_instance(_terms_stage, rho, f, v, s))
 
 
 def corrected_bound(m):
@@ -381,4 +413,4 @@ def verify_instance(
     the violated identity if any link of the chain fails; a returned report
     means every check passed.
     """
-    return _one_instance(rho, f, v, s).row(0)
+    return _one_instance(_verify_stage, rho, f, v, s).row(0)

@@ -357,7 +357,7 @@ def find_saturating(config: SearchConfig, threads: int = 1) -> SearchResult:
 
     def score(xs: np.ndarray):
         m, counts = _moments(param, xs)
-        ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, corrected_bound(m))
+        ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, corrected_bound(m), cap=1.0)
         return np.where(counts, -ratio, np.inf), (ratio >= SATURATION_SUCCESS) & counts
 
     winner, total_evals = _run_restarts(config, param, score, threads)

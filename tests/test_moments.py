@@ -392,22 +392,27 @@ def test_kernel_rows_do_not_depend_on_the_batch(dims):
         assert np.array_equal(whole[name], np.concatenate([head[name], tail[name]])), name
 
 
-def test_failing_row_reports_its_own_error_and_spares_the_others():
-    # Shifting F and V by 1e6 I makes the commutator-shift identity fail on
-    # some draws through round-off in <A^2> - <A>^2.
-    s = TensorStructure.from_dims([2, 2, 1, 1])
+def shifted_failing_instance(s):
+    """A drawn instance, with F and V shifted by 1e6 I, that `verify_instance` rejects.
+
+    The shift makes the commutator-shift identity fail on some draws through
+    round-off in <A^2> - <A>^2. Returns (rho, F, V, the error message).
+    """
     shift = 1e6
     for trial in range(100):
         rho, f, v, _ = draw_instance(s, "mix", 42, trial)
-        f = HermitianOperator(f.mat + shift * np.eye(2))
-        v = HermitianOperator(v.mat + shift * np.eye(4))
+        f = HermitianOperator(f.mat + shift * np.eye(s.d_w))
+        v = HermitianOperator(v.mat + shift * np.eye(s.dim))
         try:
             verify_instance(rho, f, v, s)
         except NumericalIntegrityError as exc:
-            message = str(exc)
-            break
-    else:
-        pytest.fail("no draw failed")
+            return rho, f, v, str(exc)
+    pytest.fail("no draw failed")
+
+
+def test_failing_row_reports_its_own_error_and_spares_the_others():
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, message = shifted_failing_instance(s)
     rho_s, f_s, v_s = drawn_stacks(s, "mix", 5)
     clean = kernel_fields(verify_batch(rho_s, f_s, v_s, s))
     at = 2
@@ -430,3 +435,16 @@ def test_kernel_checks_its_inputs_are_hermitian():
         HermitianOperator(v[1])
     assert type(batch.errors[1]) is RejectedInputError
     assert str(batch.errors[1]) == str(exc.value)
+
+
+def test_power_and_terms_raise_only_for_their_own_checks():
+    # The shifted instance fails an identity of the full chain, but none of
+    # the checks charging_power and decomposition_terms make themselves.
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, message = shifted_failing_instance(s)
+    assert "commutator-shift" in message
+    want = reference_chain(rho.mat, f.mat, v.mat, s)
+    assert abs(charging_power(rho, f, v, s) - want["power"]) <= 1e-6
+    t_fv, t_vf, t_cross = decomposition_terms(rho, f, v, s)
+    for got, name in ((t_fv, "term_fv"), (t_vf, "term_vf"), (t_cross, "term_cross")):
+        assert abs(got - want[name]) <= 1e-9 * max(abs(want[name]), 1.0), name
