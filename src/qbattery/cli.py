@@ -34,9 +34,10 @@ from .dynamics import (
     trajectory_report,
     trajectory_rows,
 )
-from .ensembles import (
+from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py patches here
     SeedSpec,
     battery_eigenstate_product,
+    draw_batch,
     draw_instance,
     gue_hermitian,
     haar_pure,
@@ -158,15 +159,12 @@ class _LeastSlack:
 
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range,
                   least: _LeastSlack) -> dict:
-    """Draw the chunk's trials in index order, then verify them in one batch.
+    """Draw the chunk's trials as stacks, then verify them in one batch.
 
     Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS order) and
     the violation rows; offers the chunk's clean trial of least slack to `least`.
     """
-    drawn = [draw_instance(structure, kind, seed, i, rank=rank) for i in trials]
-    kinds = [d[3] for d in drawn]
-    stacks = [np.stack([d[k].mat for d in drawn]) for k in range(3)]
-    del drawn  # the stacks hold the same matrices
+    *stacks, kinds = draw_batch(structure, kind, seed, trials, rank=rank)
     batch = verify_batch(*stacks, structure)
     m = batch.moments
     columns = [getattr(batch, name) for name in REPORT_FIELDS]
@@ -448,9 +446,14 @@ def cmd_demo(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(sp, out_required: bool = True, formats=("json", "csv"), default_format="json"):
-    sp.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+def _add_common(sp, out_required: bool = True, formats=("json", "csv"), default_format="json",
+                draws: bool = True):
+    if draws:
+        seed_help, threads_help = "master seed (default 42)", "worker threads (default 1)"
+    else:
+        seed_help = threads_help = "accepted and ignored: draws nothing, runs on one thread"
+    sp.add_argument("--seed", type=int, default=42, help=seed_help)
+    sp.add_argument("--threads", type=int, default=1, help=threads_help)
     if out_required:
         sp.add_argument("--out", required=True, help="output payload path")
     else:
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evolve", help="integrate a scenario and write the trajectory table")
     sp.add_argument("--config", required=True,
                     help="scenario JSON path, or 'exchange' for the built-in model")
-    _add_common(sp, formats=("csv", "json"), default_format="csv")
+    _add_common(sp, formats=("csv", "json"), default_format="csv", draws=False)
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("search", help="optimize for zero-power or bound-saturating instances")

@@ -5,8 +5,15 @@ counter-based generator, so trials are independent of each other and of the
 order in which they are evaluated. Identical keys give bit-identical draws
 on any thread count; the generator choice is part of the package contract
 and must not change between releases.
+
+`draw_batch` draws a list of trials as stacks with one Philox generator,
+re-keyed before each stream to counter 0, key (master_seed, stream_index)
+and an empty buffer, which is the state of a fresh generator with that key;
+it then checks each stack once. The other draws are one-row calls of the
+same code.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +23,11 @@ from .operators import (
     DimensionMismatchError,
     HermitianOperator,
     RejectedInputError,
+    RowErrors,
     TensorStructure,
+    density_stack,
     eig_decompose,
+    hermitian_stack,
 )
 
 
@@ -43,16 +53,57 @@ class SeedSpec:
         return SeedSpec(self.master_seed, index)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+class _Streams:
+    """Standard normals of the streams of one master seed, from one re-keyed Philox generator.
+
+    Each object owns its generator; callers do not share one between threads.
+    """
+
+    def __init__(self, master_seed: int):
+        self._rng = SeedSpec(master_seed).rng()
+        self._state = self._rng.bit_generator.state  # counter 0 and an empty buffer
+
+    def complex_normals(self, streams, shape) -> np.ndarray:
+        """re + 1j * im per stream, re and im its first two standard-normal arrays of `shape`."""
+        parts = np.empty((len(streams), 2, *shape))
+        for k, stream in enumerate(streams):
+            self._state["state"]["key"][1] = stream
+            self._rng.bit_generator.state = self._state
+            self._rng.standard_normal(out=parts[k, 0])
+            self._rng.standard_normal(out=parts[k, 1])
+        return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
+    return _Streams(seed.master_seed).complex_normals([seed.stream_index], shape)
+
+
+def _haar_states(z: np.ndarray) -> np.ndarray:
+    """|psi><psi| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
+    r, i = z.real[:, None, :], z.imag[:, None, :]
+    # np.linalg.norm of one complex vector sums these two real dot products;
+    # the same sums keep each row bit-identical to DensityMatrix.from_ket
+    norm = np.sqrt(r @ r.swapaxes(-1, -2) + i @ i.swapaxes(-1, -2))[:, 0]
+    v = z / norm
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def _ginibre_states(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) per row of g (N, dim, rank)."""
+    w = g @ g.conj().swapaxes(-1, -2)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (M + M^dag) / 2 per row of m (N, dim, dim)."""
+    return scale * (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def haar_pure(dim: int, seed: SeedSpec) -> DensityMatrix:
     """Haar-random pure state |psi><psi| (normalized complex Gaussian vector)."""
     if dim < 1:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
-    psi = _complex_normal(seed.rng(), dim)
-    return DensityMatrix.from_ket(psi)
+    return DensityMatrix(_haar_states(_one_stream(seed, (dim,)))[0])
 
 
 def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
@@ -61,9 +112,7 @@ def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise RejectedInputError(f"rank must be in [1, {dim}], got {rank}")
-    g = _complex_normal(seed.rng(), (dim, rank))
-    w = g @ g.conj().T
-    return DensityMatrix(w / w.trace().real)
+    return DensityMatrix(_ginibre_states(_one_stream(seed, (dim, rank)))[0])
 
 
 def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
@@ -72,8 +121,7 @@ def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not scale > 0:
         raise RejectedInputError(f"scale must be positive, got {scale}")
-    m = _complex_normal(seed.rng(), (dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2.0)
+    return HermitianOperator(_gue_operators(_one_stream(seed, (dim, dim)), scale)[0])
 
 
 @dataclass(frozen=True)
@@ -114,6 +162,50 @@ _STREAMS_PER_TRIAL = 4
 STATE_KINDS = ("haar", "ginibre", "mix")
 
 
+def draw_batch(
+    s: TensorStructure,
+    kind: str,
+    master_seed: int,
+    trials: Sequence[int],
+    rank: int | None = None,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
+
+    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
+    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
+    HermitianOperator's checks; kinds[k] is the state kind it used. A row
+    that fails a check raises the error that drawing the trials one by one
+    would raise first.
+    """
+    if kind not in STATE_KINDS:
+        raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
+    bases = [t * _STREAMS_PER_TRIAL for t in trials]
+    SeedSpec(master_seed, min(bases, default=0))
+    SeedSpec(master_seed, max(bases, default=0) + 2)
+    kinds = [("haar" if t % 2 == 0 else "ginibre") if kind == "mix" else kind for t in trials]
+    rank = s.dim if rank is None else rank
+    if "ginibre" in kinds and not 1 <= rank <= s.dim:
+        raise RejectedInputError(f"rank must be in [1, {s.dim}], got {rank}")
+    if not scale > 0:
+        raise RejectedInputError(f"scale must be positive, got {scale}")
+
+    streams = _Streams(master_seed)
+    rho = np.empty((len(bases), s.dim, s.dim), dtype=complex)
+    for used, states, shape in (("haar", _haar_states, (s.dim,)),
+                                ("ginibre", _ginibre_states, (s.dim, rank))):
+        rows = [k for k, u in enumerate(kinds) if u == used]
+        if rows:
+            rho[rows] = states(streams.complex_normals([bases[k] for k in rows], shape))
+    f = _gue_operators(streams.complex_normals([b + 1 for b in bases], (s.d_w, s.d_w)), scale)
+    v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
+
+    errors = RowErrors(len(bases))
+    rho, f, v = density_stack(errors, rho)[0], hermitian_stack(errors, f), hermitian_stack(errors, v)
+    errors.raise_first()
+    return rho, f, v, kinds
+
+
 def draw_instance(
     s: TensorStructure,
     kind: str,
@@ -126,19 +218,8 @@ def draw_instance(
 
     `kind` picks the state ensemble: "haar" (pure), "ginibre" (mixed, with
     `rank`, full by default), or "mix" (alternating per trial parity). F and V
-    are always Gaussian Hermitian at the given scale.
+    are always Gaussian Hermitian at the given scale. A one-row `draw_batch`.
     """
-    if kind not in STATE_KINDS:
-        raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
-    base = trial * _STREAMS_PER_TRIAL
-    seed = SeedSpec(master_seed)
-    used = kind
-    if kind == "mix":
-        used = "haar" if trial % 2 == 0 else "ginibre"
-    if used == "haar":
-        rho = haar_pure(s.dim, seed.stream(base))
-    else:
-        rho = ginibre_mixed(s.dim, rank if rank is not None else s.dim, seed.stream(base))
-    f = gue_hermitian(s.d_w, scale, seed.stream(base + 1))
-    v = gue_hermitian(s.dim, scale, seed.stream(base + 2))
-    return rho, f, v, used
+    rho, f, v, kinds = draw_batch(s, kind, master_seed, [trial], rank, scale)
+    return (DensityMatrix.wrap_checked(rho[0]), HermitianOperator.wrap_checked(f[0]),
+            HermitianOperator.wrap_checked(v[0]), kinds[0])

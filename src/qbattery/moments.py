@@ -94,6 +94,13 @@ def _row(*values) -> list:
     return [np.array([x]) for x in values]
 
 
+def _checked_row(cls, **fields):
+    """A `cls` holding one row of a stage whose checks it passed; its own checks are not rerun."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """First and second moments of (F, V): means, variances, complex covariance."""
@@ -160,9 +167,10 @@ class MomentBatch(NamedTuple):
     errors: RowErrors
 
     def row(self, i: int) -> MomentSet:
-        return MomentSet(mean_f=float(self.mean_f[i]), mean_v=float(self.mean_v[i]),
-                         var_f=float(self.var_f[i]), var_v=float(self.var_v[i]),
-                         cov=complex(self.cov[i]))
+        """Row i as a MomentSet; only for a row with no error, whose checks already ran."""
+        return _checked_row(MomentSet, mean_f=float(self.mean_f[i]), mean_v=float(self.mean_v[i]),
+                            var_f=float(self.var_f[i]), var_v=float(self.var_v[i]),
+                            cov=complex(self.cov[i]))
 
 
 REPORT_FIELDS = ("power", "power_sq", "term_fv", "term_vf", "term_cross",
@@ -192,7 +200,8 @@ class ReportBatch(NamedTuple):
         return self.moments.errors
 
     def row(self, i: int) -> PowerBoundReport:
-        return PowerBoundReport(**{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
+        """Row i as a PowerBoundReport; only for a row with no error, whose checks already ran."""
+        return _checked_row(PowerBoundReport, **{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
 
 
 def delta_operator(a: HermitianOperator, mean: float) -> HermitianOperator:

@@ -163,7 +163,28 @@ def _one_row(stack_fn, *mats):
     return out
 
 
-class HermitianOperator:
+class _CheckedMatrix:
+    """An immutable matrix `mat` that passed the construction checks of its class."""
+
+    __slots__ = ("mat",)
+
+    def _freeze(self, a: np.ndarray) -> None:
+        a.setflags(write=False)
+        object.__setattr__(self, "mat", a)
+
+    @classmethod
+    def wrap_checked(cls, a: np.ndarray):
+        """Wrap, as it is, a row that this class's stacked check has already passed."""
+        obj = object.__new__(cls)
+        obj._freeze(a)
+        return obj
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+
+class HermitianOperator(_CheckedMatrix):
     """A dim x dim complex matrix, checked and symmetrized at construction.
 
     The residual max|A - A^dag| must not exceed 1e-10; within that window the
@@ -171,17 +192,11 @@ class HermitianOperator:
     accumulated asymmetry.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, mat):
         # copied: hermitian_stack hands back exactly Hermitian input as it is
-        a = _one_row(hermitian_stack, _as_complex_square(mat))[0].copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+        self._freeze(_one_row(hermitian_stack, _as_complex_square(mat))[0].copy())
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianOperator":
@@ -191,7 +206,7 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-class DensityMatrix:
+class DensityMatrix(_CheckedMatrix):
     """Positive semidefinite, unit-trace Hermitian matrix.
 
     Construction symmetrizes, renormalizes the trace, and applies the PSD
@@ -199,16 +214,10 @@ class DensityMatrix:
     from propagation), anything below -1e-10 is rejected as a genuine error.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, mat):
-        a = _one_row(density_stack, _as_complex_square(mat))[0][0]
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+        self._freeze(_one_row(density_stack, _as_complex_square(mat))[0][0])
 
     def purity(self) -> float:
         """Tr(rho^2), computed as the squared Frobenius norm of the entries."""
@@ -266,7 +275,7 @@ def eig_decompose(op) -> EigenDecomposition:
 
     The checks run before returning, so callers can rely on the factors blindly.
     """
-    a = op.mat if isinstance(op, (HermitianOperator, DensityMatrix)) else _as_complex_square(op)
+    a = op.mat if isinstance(op, _CheckedMatrix) else _as_complex_square(op)
     w, u = _one_row(eig_stack, a)
     w, u = w[0], u[0]
     w.setflags(write=False)
@@ -366,7 +375,7 @@ def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
 
 def to_matrix_literal(mat) -> dict:
     """JSON-ready dict {dim, re, im} with row-major entry lists."""
-    a = mat.mat if isinstance(mat, (HermitianOperator, DensityMatrix)) else _as_complex_square(mat)
+    a = mat.mat if isinstance(mat, _CheckedMatrix) else _as_complex_square(mat)
     return {
         "dim": int(a.shape[0]),
         "re": a.real.tolist(),

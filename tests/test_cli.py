@@ -146,6 +146,18 @@ def test_evolve_builtin_csv(tmp_path):
     assert not lines[2].endswith(",")
 
 
+def test_evolve_ignores_seed_and_threads(tmp_path, capsys, monkeypatch):
+    plain, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("evolve", "--config", "exchange", "--out", str(plain)) == 0
+    assert run("evolve", "--config", "exchange", "--seed", "7", "--threads", "3",
+               "--out", str(other)) == 0
+    assert plain.read_bytes() == other.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    assert run("evolve", "--help") == 0
+    assert capsys.readouterr().out.count("accepted and ignored") == 2
+
+
 def test_evolve_scenario_file_json(tmp_path):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(builtin_exchange_scenario(g=1.0, steps=10)))
@@ -259,3 +271,4 @@ def test_no_subcommand():
 def test_unwritable_out(tmp_path):
     assert run("verify", "--dims", "2,1,1,1", "--trials", "1",
                "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")) == 2
+

@@ -1,10 +1,18 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qbattery.ensembles import (
+    STATE_KINDS,
     SeedSpec,
     battery_eigenstate_product,
+    draw_batch,
     draw_instance,
     ginibre_mixed,
     gue_hermitian,
@@ -12,6 +20,7 @@ from qbattery.ensembles import (
 )
 from qbattery.moments import compute_moments, verify_instance
 from qbattery.operators import (
+    DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     RejectedInputError,
@@ -236,3 +245,130 @@ def test_haar_conjugation_invariance_ks():
         plain[i] = np.trace(rho1 @ sz).real
         rotated[i] = np.trace(u @ rho2 @ u.conj().T @ sz).real
     assert stats.ks_2samp(plain, rotated).statistic < 0.05
+
+
+# ---------------------------------------------------------------- batches
+
+def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
+    """v0.1.0's draw of one trial: a fresh Philox per stream, one check per matrix."""
+    def normals(stream, shape):
+        rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def gue(dim, stream):
+        m = normals(stream, (dim, dim))
+        return HermitianOperator(scale * (m + m.conj().T) / 2.0).mat
+
+    base = 4 * trial
+    used = ("haar" if trial % 2 == 0 else "ginibre") if kind == "mix" else kind
+    if used == "haar":
+        rho = DensityMatrix.from_ket(normals(base, s.dim))
+    else:
+        g = normals(base, (s.dim, rank if rank is not None else s.dim))
+        w = g @ g.conj().T
+        rho = DensityMatrix(w / w.trace().real)
+    return rho.mat, gue(s.d_w, base + 1), gue(s.dim, base + 2), used
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_draws(x, y) -> bool:
+    return all(_same_bits(a, b) for a, b in zip(x[:3], y[:3])) and x[3] == y[3]
+
+
+@st.composite
+def _batch_cases(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4)
+                .filter(lambda d: math.prod(d) <= 16))
+    s = TensorStructure.from_dims(dims)
+    kind = draw(st.sampled_from(STATE_KINDS))
+    rank = draw(st.none() | st.integers(1, s.dim))
+    seed = draw(st.integers(0, 2**64 - 1))
+    first = draw(st.integers(0, 10**6))
+    n = draw(st.integers(0, 12))
+    split = draw(st.integers(0, n))
+    scale = draw(st.floats(1e-3, 1e3))
+    return s, kind, rank, scale, seed, range(first, first + n), split
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_cases())
+def test_draw_batch_rows_match_fresh_generator_reference(case):
+    s, kind, rank, scale, seed, trials, _ = case
+    rho, f, v, kinds = draw_batch(s, kind, seed, trials, rank=rank, scale=scale)
+    assert rho.shape == (len(trials), s.dim, s.dim)
+    assert f.shape == (len(trials), s.d_w, s.d_w)
+    assert v.shape == (len(trials), s.dim, s.dim)
+    for k, trial in enumerate(trials):
+        ref = _reference_instance(s, kind, seed, trial, rank, scale)
+        assert _same_draws((rho[k], f[k], v[k], kinds[k]), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_cases())
+def test_draw_batch_equals_its_two_halves(case):
+    s, kind, rank, scale, seed, trials, split = case
+    whole = draw_batch(s, kind, seed, trials, rank=rank, scale=scale)
+    head = draw_batch(s, kind, seed, trials[:split], rank=rank, scale=scale)
+    tail = draw_batch(s, kind, seed, trials[split:], rank=rank, scale=scale)
+    joined = tuple(np.concatenate([a, b]) for a, b in zip(head[:3], tail[:3])) + (head[3] + tail[3],)
+    assert _same_draws(whole, joined)
+
+
+def test_one_instance_draws_are_one_row_batches():
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, kinds = draw_batch(s, "mix", 42, range(4))
+    for k in range(4):
+        got = draw_instance(s, "mix", 42, k)
+        assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]), (rho[k], f[k], v[k], kinds[k]))
+    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, rho[0])
+    assert _same_bits(ginibre_mixed(4, 4, SeedSpec(42, 4)).mat, rho[1])
+    assert _same_bits(gue_hermitian(2, 1.0, SeedSpec(42, 1)).mat, f[0])
+    assert _same_bits(gue_hermitian(4, 1.0, SeedSpec(42, 2)).mat, v[0])
+
+
+def test_draw_batch_rejects_bad_inputs():
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    with pytest.raises(RejectedInputError):
+        draw_batch(s, "uniform", 42, range(3))
+    with pytest.raises(RejectedInputError):
+        draw_batch(s, "mix", 42, range(3), rank=5)
+    with pytest.raises(RejectedInputError):
+        draw_batch(s, "haar", 42, range(3), scale=0.0)
+    with pytest.raises(RejectedInputError):
+        draw_batch(s, "haar", 2**64, range(3))
+    with pytest.raises(RejectedInputError):
+        draw_batch(s, "haar", 42, [-1, 0])
+    # the rank of Ginibre states only matters where one is drawn, as per trial
+    rho, _, _, kinds = draw_batch(s, "mix", 42, [0, 2], rank=5)
+    assert kinds == ["haar", "haar"]
+
+
+def test_draw_batch_from_concurrent_threads_matches_serial():
+    # each call owns its generator; threads switching every microsecond
+    # must not see each other's re-keyed state
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    chunks = [range(k * 40, (k + 1) * 40) for k in range(4)]
+    serial = [draw_batch(s, "mix", 42, c) for c in chunks]
+    results = {k: [] for k in range(len(chunks))}
+
+    def work(k):
+        for _ in range(5):
+            results[k].append(draw_batch(s, "mix", 42, chunks[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(chunks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, want in enumerate(serial):
+        assert len(results[k]) == 5
+        assert all(_same_draws(got, want) for got in results[k])

@@ -448,3 +448,28 @@ def test_power_and_terms_raise_only_for_their_own_checks():
     t_fv, t_vf, t_cross = decomposition_terms(rho, f, v, s)
     for got, name in ((t_fv, "term_fv"), (t_vf, "term_vf"), (t_cross, "term_cross")):
         assert abs(got - want[name]) <= 1e-9 * max(abs(want[name]), 1.0), name
+
+
+def test_one_row_calls_run_each_check_once(monkeypatch):
+    # the stage checks its values; the MomentSet and PowerBoundReport built
+    # from them must not run the same checks a second time
+    import qbattery.moments as moments
+
+    calls = {"_moment_checks": 0, "_report_checks": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(moments, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(moments, name, counted)
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, _ = draw_instance(s, "mix", 42, 3)
+
+    compute_moments(rho, f, v, s)
+    assert calls == {"_moment_checks": 1, "_report_checks": 0}
+    verify_instance(rho, f, v, s)
+    assert calls == {"_moment_checks": 2, "_report_checks": 1}
+    # direct construction stays checked
+    MomentSet(mean_f=0.0, mean_v=0.0, var_f=1.0, var_v=1.0, cov=0j)
+    PowerBoundReport(power=0.0, power_sq=0.0, term_fv=0.0, term_vf=0.0, term_cross=0.0,
+                     corrected_bound=1.0, loose_bound=1.0, slack=1.0, saturation_ratio=0.0)
+    assert calls == {"_moment_checks": 3, "_report_checks": 2}
