@@ -91,7 +91,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out: str, subcommand: str, config: dict, seed: int,
-                    digests: dict, started: float) -> None:
+                    digests: dict, started: float, **telemetry) -> None:
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -99,6 +99,7 @@ def _write_manifest(out: str, subcommand: str, config: dict, seed: int,
         "version": __version__,
         "input_digests": digests,
         "duration_seconds": time.perf_counter() - started,
+        **telemetry,
     }
     Path(out + ".manifest.json").write_bytes(_json_bytes(manifest))
 
@@ -324,9 +325,9 @@ def cmd_search(args) -> int:
         restarts=args.restarts,
     )
     if args.mode == "zero-power":
-        result = find_zero_power(config, threads=args.threads)
+        result = find_zero_power(config)
     else:
-        result = find_saturating(config, threads=args.threads)
+        result = find_saturating(config)
 
     Path(args.out).write_bytes(_json_bytes(result.to_dict()))
     cli_config = {
@@ -340,7 +341,8 @@ def cmd_search(args) -> int:
         "restarts": args.restarts,
         "threads": args.threads,
     }
-    _write_manifest(args.out, "search", cli_config, args.seed, {}, started)
+    _write_manifest(args.out, "search", cli_config, args.seed, {}, started,
+                    restarts=result.restarts, kernel_calls=result.kernel_calls)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
     print(
@@ -447,11 +449,7 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 def _add_common(sp, out_required: bool = True, formats=("json", "csv"), default_format="json",
-                draws: bool = True):
-    if draws:
-        seed_help, threads_help = "master seed (default 42)", "worker threads (default 1)"
-    else:
-        seed_help = threads_help = "accepted and ignored: draws nothing, runs on one thread"
+                seed_help="master seed (default 42)", threads_help="worker threads (default 1)"):
     sp.add_argument("--seed", type=int, default=42, help=seed_help)
     sp.add_argument("--threads", type=int, default=1, help=threads_help)
     if out_required:
@@ -482,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evolve", help="integrate a scenario and write the trajectory table")
     sp.add_argument("--config", required=True,
                     help="scenario JSON path, or 'exchange' for the built-in model")
-    _add_common(sp, formats=("csv", "json"), default_format="csv", draws=False)
+    ignored = "accepted and ignored: draws nothing, runs on one thread"
+    _add_common(sp, formats=("csv", "json"), default_format="csv",
+                seed_help=ignored, threads_help=ignored)
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("search", help="optimize for zero-power or bound-saturating instances")
@@ -494,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--require-entangled", action="store_true", dest="require_entangled")
     sp.add_argument("--budget", type=int, default=100_000, help="max objective evaluations")
     sp.add_argument("--restarts", type=int, default=8)
-    _add_common(sp, formats=("json",))
+    _add_common(sp, formats=("json",),
+                threads_help="accepted and ignored: restarts run in lockstep on one thread")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("demo", help="run a built-in worked case with pass/fail checks")

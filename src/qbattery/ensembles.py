@@ -46,7 +46,9 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         """Fresh Philox generator keyed by (master_seed, stream_index)."""
-        return np.random.Generator(np.random.Philox(key=[self.master_seed, self.stream_index]))
+        # a uint64 array: a plain list casts seeds >= 2**63 through float64, losing low bits
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def stream(self, index: int) -> "SeedSpec":
         """Sibling stream with the same master seed."""

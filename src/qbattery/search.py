@@ -6,8 +6,10 @@ the power squared against its corrected bound. Both run the same optimizer,
 a random-restart pattern search over a flat real parameter vector: perturb
 one coordinate at a time, keep improvements, and halve the step after ten
 consecutive rejections at the current scale. Restarts use independent seeded
-streams and the winner is chosen by (objective, restart index), so a fixed
-config always returns the same result regardless of thread count.
+streams and run in lockstep rounds: each round scores the pending moves of
+every live restart in one kernel call, and each restart takes back its own
+rows, so every walk is the one it would take alone. The winner is chosen by
+(objective, restart index), so a fixed config always returns the same result.
 
 Battery and interaction operators are normalized to unit spectral radius
 inside the parameterization; thresholds are therefore calibrated against
@@ -15,13 +17,12 @@ unit-scale operators (var_f can never exceed 1 on a qubit battery, for
 instance), and scaling an operator up cannot game them.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import SeedSpec
-from .moments import (
+from .moments import (  # noqa: F401  compute_moments, verify_instance: names bench/tracer.py patches here
     MomentBatch,
     MomentSet,
     PowerBoundReport,
@@ -29,6 +30,7 @@ from .moments import (
     corrected_bound,
     moment_batch,
     saturation_ratio,
+    verify_batch,
     verify_instance,
 )
 from .operators import (
@@ -37,7 +39,6 @@ from .operators import (
     NumericalIntegrityError,
     RejectedInputError,
     TensorStructure,
-    partial_trace_to_battery,
     to_matrix_literal,
 )
 
@@ -93,6 +94,9 @@ class SearchResult:
     evaluations: int
     succeeded: bool
     battery_purity: float
+    # manifest telemetry, not in the payload: per-restart summaries and lockstep rounds
+    restarts: tuple = ()
+    kernel_calls: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -184,21 +188,12 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
 
     A row does not count when its state parameterization is degenerate or a
     check of the kernel's moment stage fails. Power is taken as 2 Im(cov);
-    the final candidate is always re-verified through `verify_instance`,
-    which computes it by the commutator route as well.
+    the final candidate is always re-verified through `verify_batch`, which
+    computes it by the commutator route as well.
     """
     mat, f, v, valid = param.build(xs)
     m = moment_batch(mat, f, v, param.s)
     return m, valid & np.array([err is None for err in m.errors])
-
-
-@dataclass
-class _RestartOutcome:
-    index: int
-    objective: float
-    x: np.ndarray
-    evaluations: int
-    succeeded: bool
 
 
 # Moves scored per kernel call. Scoring the next few moves together costs
@@ -207,21 +202,22 @@ class _RestartOutcome:
 _LOOKAHEAD = 8
 
 
-def _pattern_search(score, x0: np.ndarray, rng: np.random.Generator, budget: int,
+def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int,
                     step0: float = 0.5, shrink: float = 0.5, patience: int = 10,
                     min_step: float = 1e-12):
     """Single-coordinate pattern search; returns (best_x, best_val, evals, hit_target).
 
-    `score` maps a stack of parameter vectors to (values, success flags); the
-    walk keeps strict improvements only, so the best value is monotone
-    non-increasing. The next `_LOOKAHEAD` moves are drawn and scored together
-    as if each were rejected; the walk takes them in order, and after an
-    acceptance it re-scores the moves it drew but did not take from the new
-    point. Its draws, steps, result and evaluation count are therefore those
-    of scoring one move at a time.
+    A generator: it yields stacks of parameter vectors and is sent back
+    (values, success flags) for their rows. The walk keeps strict
+    improvements only, so the best value is monotone non-increasing. The
+    next `_LOOKAHEAD` moves are drawn and scored together as if each were
+    rejected; the walk takes them in order, and after an acceptance it
+    re-scores the moves it drew but did not take from the new point. Its
+    draws, steps, result and evaluation count are therefore those of scoring
+    one move at a time.
     """
     x = x0.copy()
-    values, oks = score(x[None])
+    values, oks = yield x[None]
     value, ok = float(values[0]), bool(oks[0])
     evals = 1
     step = step0
@@ -242,7 +238,7 @@ def _pattern_search(score, x0: np.ndarray, rng: np.random.Generator, budget: int
         ys = np.repeat(x[None], len(steps), axis=0)
         for k, ((i, sign), move_step) in enumerate(zip(moves, steps)):
             ys[k, i] += sign * move_step
-        values, oks = score(ys)
+        values, oks = yield ys
         taken = 0
         for y, candidate, ok_candidate in zip(ys, values.tolist(), oks.tolist()):
             taken += 1
@@ -259,34 +255,49 @@ def _pattern_search(score, x0: np.ndarray, rng: np.random.Generator, budget: int
     return x, value, evals, ok
 
 
-def _run_restarts(config: SearchConfig, param: _Parameterization, score, threads: int = 1):
+def _lockstep(walks, score):
+    """Drive `_pattern_search` walks in rounds; returns (each walk's result, in order, rounds).
+
+    A round scores the stacks of every live walk in one `score` call and
+    sends each walk its own rows, so each walk is the one it would take alone.
+    """
+    results, rounds = [None] * len(walks), 0
+    live = [(k, walk, next(walk)) for k, walk in enumerate(walks)]
+    while live:
+        values, oks = score(np.concatenate([stack for _, _, stack in live]))
+        rounds += 1
+        stepped, end = [], 0
+        for k, walk, stack in live:
+            start, end = end, end + len(stack)
+            try:
+                stepped.append((k, walk, walk.send((values[start:end], oks[start:end]))))
+            except StopIteration as done:
+                results[k] = done.value
+        live = stepped
+    return results, rounds
+
+
+def _restart_starts(config: SearchConfig, n_params: int):
+    """(x0, move generator, budget) of each restart, each on its own Philox streams."""
     # A one-evaluation budget degrades to a single restart that scores the
     # seeded start point; the total never exceeds the configured budget.
     effective = min(config.restarts, config.budget)
-    per_restart = config.budget // effective
     seed = config.seed
-
-    def one(r: int) -> _RestartOutcome:
+    starts = []
+    for r in range(effective):
         rngs = [seed.stream(seed.stream_index * _STREAMS_PER_RESTART * config.restarts
                             + r * _STREAMS_PER_RESTART + k).rng() for k in range(2)]
-        x0 = rngs[0].standard_normal(param.n_params)
-        x, value, evals, ok = _pattern_search(score, x0, rngs[1], per_restart)
-        return _RestartOutcome(index=r, objective=value, x=x, evaluations=evals, succeeded=ok)
-
-    indices = range(effective)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, indices))
-    else:
-        outcomes = [one(r) for r in indices]
-    winner = min(outcomes, key=lambda o: (o.objective, o.index))
-    total_evals = sum(o.evaluations for o in outcomes)
-    return winner, total_evals
+        starts.append((rngs[0].standard_normal(n_params), rngs[1], config.budget // effective))
+    return starts
 
 
-def _finalize(config: SearchConfig, param: _Parameterization, winner_x: np.ndarray,
-              evaluations: int, succeeded: bool, objective: float) -> SearchResult:
-    mat, f, v, valid = param.build(winner_x[None])
+def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResult:
+    """Every restart in lockstep; the winner by (objective, restart index), verified in one kernel call."""
+    walks = [_pattern_search(*start) for start in _restart_starts(config, param.n_params)]
+    results, rounds = _lockstep(walks, score)
+    best = min(range(len(results)), key=lambda r: (results[r][1], r))
+    x, objective, _, succeeded = results[best]
+    mat, f, v, valid = param.build(x[None])
     if not valid[0]:
         # The walk never accepts a degenerate point over a finite one, so this
         # would take a measure-zero initial draw.
@@ -294,23 +305,25 @@ def _finalize(config: SearchConfig, param: _Parameterization, winner_x: np.ndarr
     rho = DensityMatrix(mat[0])
     f_op = HermitianOperator(f[0])
     v_op = HermitianOperator(v[0])
-    report = verify_instance(rho, f_op, v_op, config.structure)
-    moments = compute_moments(rho, f_op, v_op, config.structure)
-    purity_w = partial_trace_to_battery(rho, config.structure).purity()
+    batch = verify_batch(rho.mat[None], f_op.mat[None], v_op.mat[None], config.structure)
+    batch.errors.raise_first()
     return SearchResult(
         rho=rho,
         f=f_op,
         v=v_op,
-        report=report,
-        moments=moments,
+        report=batch.row(0),
+        moments=batch.moments.row(0),
         objective=float(objective),
-        evaluations=int(evaluations),
+        evaluations=sum(evals for _, _, evals, _ in results),
         succeeded=bool(succeeded),
-        battery_purity=float(purity_w),
+        battery_purity=float(batch.moments.purity_w[0]),
+        restarts=tuple({"index": r, "objective": value, "evaluations": evals, "succeeded": ok}
+                       for r, (_, value, evals, ok) in enumerate(results)),
+        kernel_calls=rounds,
     )
 
 
-def find_zero_power(config: SearchConfig, threads: int = 1) -> SearchResult:
+def find_zero_power(config: SearchConfig) -> SearchResult:
     """Look for states with var_f and |cov| above thresholds but |power| below one.
 
     A successful result satisfies every threshold; an exhausted budget returns
@@ -340,11 +353,10 @@ def find_zero_power(config: SearchConfig, threads: int = 1) -> SearchResult:
             ok &= m.purity_w <= ENTANGLED_PURITY_CAP
         return np.where(counts, value, np.inf), ok & counts
 
-    winner, total_evals = _run_restarts(config, param, score, threads)
-    return _finalize(config, param, winner.x, total_evals, winner.succeeded, winner.objective)
+    return _search(config, param, score)
 
 
-def find_saturating(config: SearchConfig, threads: int = 1) -> SearchResult:
+def find_saturating(config: SearchConfig) -> SearchResult:
     """Drive the saturation ratio power^2 / corrected_bound toward 1.
 
     Pure global states are searched (the known saturating instances are pure);
@@ -360,5 +372,4 @@ def find_saturating(config: SearchConfig, threads: int = 1) -> SearchResult:
         ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, corrected_bound(m), cap=1.0)
         return np.where(counts, -ratio, np.inf), (ratio >= SATURATION_SUCCESS) & counts
 
-    winner, total_evals = _run_restarts(config, param, score, threads)
-    return _finalize(config, param, winner.x, total_evals, winner.succeeded, winner.objective)
+    return _search(config, param, score)

@@ -219,6 +219,12 @@ def test_search_budget_zero_rejected(tmp_path):
                "--budget", "0", "--out", str(tmp_path / "x.json")) == 2
 
 
+def test_search_help_says_threads_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    assert run("search", "--help") == 0
+    assert "--threads THREADS     accepted and ignored" in capsys.readouterr().out
+
+
 def test_search_thread_invariant_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["search", "--mode", "saturation", "--dims", "2,1,1,1",

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,35 @@ def test_seedspec_stream_is_order_insensitive():
     spec.stream(1).rng().standard_normal(100)  # consuming another stream changes nothing
     late = SeedSpec(7).stream(3).rng().standard_normal(4)
     assert np.array_equal(early, late)
+
+
+def test_seedspec_keeps_the_low_bits_of_seeds_from_2_63():
+    assert not np.array_equal(SeedSpec(2**63).rng().standard_normal(8),
+                              SeedSpec(2**63 + 1000).rng().standard_normal(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 2**63 - 1))
+def test_seedspec_below_2_63_draws_as_a_list_key(seed, stream):
+    # every payload drawn at a seed below 2**63 stays what it was
+    want = np.random.Generator(np.random.Philox(key=[seed, stream])).standard_normal(8)
+    assert SeedSpec(seed, stream).rng().standard_normal(8).tobytes() == want.tobytes()
+
+
+def test_draw_batch_near_2_64_equals_draw_instance_without_warnings():
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (2**64 - 1, 2**64 - 1001):
+            rho, f, v, kinds = draw_batch(s, "mix", seed, range(4))
+            for k in range(4):
+                got = draw_instance(s, "mix", seed, k)
+                assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]),
+                                   (rho[k], f[k], v[k], kinds[k]))
+                assert _same_draws((rho[k], f[k], v[k], kinds[k]),
+                                   _reference_instance(s, "mix", seed, k))
+        assert not np.array_equal(draw_batch(s, "mix", 2**64 - 1, [0])[0],
+                                  draw_batch(s, "mix", 2**64 - 1001, [0])[0])
 
 
 def test_seedspec_rejects_bad_values():
@@ -252,7 +282,7 @@ def test_haar_conjugation_invariance_ks():
 def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
     """v0.1.0's draw of one trial: a fresh Philox per stream, one check per matrix."""
     def normals(stream, shape):
-        rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def gue(dim, stream):
