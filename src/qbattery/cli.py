@@ -36,8 +36,8 @@ from .dynamics import (
 )
 from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py patches here
     SeedSpec,
+    _draw_batch_eig,
     battery_eigenstate_product,
-    draw_batch,
     draw_instance,
     gue_hermitian,
     haar_pure,
@@ -162,11 +162,13 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
                   least: _LeastSlack) -> dict:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
-    Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS order) and
-    the violation rows; offers the chunk's clean trial of least slack to `least`.
+    The states' eigendecomposition from the draw's check is reused for
+    sqrt(rho). Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS
+    order) and the violation rows; offers the chunk's clean trial of least
+    slack to `least`.
     """
-    *stacks, kinds = draw_batch(structure, kind, seed, trials, rank=rank)
-    batch = verify_batch(*stacks, structure)
+    *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
+    batch = verify_batch(*stacks, structure, rho_eig=eig)
     m = batch.moments
     columns = [getattr(batch, name) for name in REPORT_FIELDS]
     columns += [getattr(m, name) for name in _MOMENT_COLUMNS] + [m.cov.real, m.cov.imag]
@@ -500,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("demo", help="run a built-in worked case with pass/fail checks")
     sp.add_argument("--case", required=True, choices=sorted(_DEMO_CASES))
-    _add_common(sp, out_required=False, formats=("text", "json"), default_format="text")
+    _add_common(sp, out_required=False, formats=("text", "json"), default_format="text",
+                threads_help="accepted and ignored: each case is one instance on one thread")
     sp.set_defaults(func=cmd_demo)
     return p
 

@@ -99,7 +99,8 @@ def trajectory_report(
     finite differences exist; endpoints carry dfdt_fd = None. The grid is
     evolved and verified in batches of `batch_rows(D)` points; every state
     passes DensityMatrix's checks before any point is verified, as if each
-    were wrapped on its own.
+    were wrapped on its own, and the eigendecomposition those checks make is
+    the one sqrt(rho) is built from.
     """
     times = [float(t) for t in grid]
     if len(times) < 3:
@@ -121,10 +122,10 @@ def trajectory_report(
         block = np.array(times[start : start + size])
         n = len(block)
         rows = RowErrors(n)
-        states, _ = density_stack(rows, _evolved(dec, rho0.mat, block))
+        states, _, eig = density_stack(rows, _evolved(dec, rho0.mat, block))
         rows.raise_first()
         batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
+                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
         # a later chunk's DensityMatrix error outranks this chunk's first
         # verification error (states are checked before points are verified)
         failed = failed or next((e for e in batch.errors if e is not None), None)

@@ -71,8 +71,7 @@ class _Streams:
         for k, stream in enumerate(streams):
             self._state["state"]["key"][1] = stream
             self._rng.bit_generator.state = self._state
-            self._rng.standard_normal(out=parts[k, 0])
-            self._rng.standard_normal(out=parts[k, 1])
+            self._rng.standard_normal(out=parts[k])  # re, then im: the generator fills in C order
         return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -164,22 +163,9 @@ _STREAMS_PER_TRIAL = 4
 STATE_KINDS = ("haar", "ginibre", "mix")
 
 
-def draw_batch(
-    s: TensorStructure,
-    kind: str,
-    master_seed: int,
-    trials: Sequence[int],
-    rank: int | None = None,
-    scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
-
-    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
-    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
-    HermitianOperator's checks; kinds[k] is the state kind it used. A row
-    that fails a check raises the error that drawing the trials one by one
-    would raise first.
-    """
+def _draw_batch_eig(s: TensorStructure, kind: str, master_seed: int, trials: Sequence[int],
+                    rank: int | None, scale: float):
+    """`draw_batch`, plus the (w, u) eigenpairs of the states that `density_stack` checked."""
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
     bases = [t * _STREAMS_PER_TRIAL for t in trials]
@@ -203,9 +189,29 @@ def draw_batch(
     v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
 
     errors = RowErrors(len(bases))
-    rho, f, v = density_stack(errors, rho)[0], hermitian_stack(errors, f), hermitian_stack(errors, v)
+    rho, _, eig = density_stack(errors, rho)
+    f, v = hermitian_stack(errors, f), hermitian_stack(errors, v)
     errors.raise_first()
-    return rho, f, v, kinds
+    return rho, f, v, kinds, eig
+
+
+def draw_batch(
+    s: TensorStructure,
+    kind: str,
+    master_seed: int,
+    trials: Sequence[int],
+    rank: int | None = None,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
+
+    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
+    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
+    HermitianOperator's checks; kinds[k] is the state kind it used. A row
+    that fails a check raises the error that drawing the trials one by one
+    would raise first.
+    """
+    return _draw_batch_eig(s, kind, master_seed, trials, rank, scale)[:4]
 
 
 def draw_instance(

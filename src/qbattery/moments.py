@@ -25,6 +25,10 @@ of instances and records each row's first failed check instead of raising.
 ``verify_instance``, ``compute_moments``, ``charging_power`` and
 ``decomposition_terms`` each run the stage of it that they name on a one-row
 stack, so each raises only for the checks of its own part of the chain.
+Callers that checked the states themselves (the ensemble draws, the
+trajectories) pass ``verify_batch`` the eigenpairs of that check, so sr is
+built without decomposing each state a second time; rho (F (x) 1) is formed
+once, for the covariance, and reused for the power.
 """
 
 from dataclasses import dataclass, asdict
@@ -233,23 +237,27 @@ def _embedded(rows: RowErrors, f, s: TensorStructure):
 
 
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `compute_moments`, in its order; returns (moments, F (x) 1)."""
-    rho_w, purity_w = density_stack(rows, partial_trace_stack(rho, s))
+    """The checks and arithmetic of `compute_moments`, in its order.
+
+    Returns (moments, F (x) 1, rho (F (x) 1)); the power stage reuses the product.
+    """
+    rho_w, purity_w, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_f2 = expectation_stack(rows, rho_w, hermitian_stack(rows, f @ f))
     mean_v = expectation_stack(rows, rho, v)
     mean_v2 = expectation_stack(rows, rho, hermitian_stack(rows, v @ v))
     f_emb = _embedded(rows, f, s)
-    cov = trace_product(rho @ f_emb, v) - mean_f * mean_v
+    rho_f = rho @ f_emb
+    cov = trace_product(rho_f, v) - mean_f * mean_v
     var_f, var_v = _moment_checks(rows, mean_f2 - mean_f**2, mean_v2 - mean_v**2, cov)
     moments = MomentBatch(mean_f=mean_f, mean_v=mean_v, var_f=var_f, var_v=var_v, cov=cov,
                           purity_w=purity_w, errors=rows)
-    return moments, f_emb
+    return moments, f_emb, rho_f
 
 
-def _power_stage(rows: RowErrors, rho, f_emb, v):
-    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10."""
-    lhs = rho @ f_emb
+def _power_stage(rows: RowErrors, rho, f_emb, v, rho_f):
+    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10; overwrites rho_f = rho (F (x) 1)."""
+    lhs = rho_f
     lhs -= f_emb @ rho
     raw = -1j * trace_product(lhs, v)
     rows.record(np.abs(raw.imag) > 1e-10 * (1.0 + np.abs(raw.real)), lambda i: NumericalIntegrityError(
@@ -264,9 +272,9 @@ def _shifted_products(rows: RowErrors, f_emb, v, mean_f, mean_v):
     return df @ dv, dv @ df
 
 
-def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df):
+def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df, rho_eig=None):
     """The three decomposition terms, with sr = sqrt(rho) explicit (no cyclic-trace shortcut)."""
-    sr = sqrt_stack(rows, rho)
+    sr = sqrt_stack(rows, rho, rho_eig)
     return (np.abs(trace_product(sr @ df_dv, sr)) ** 2,
             np.abs(trace_product(sr @ dv_df, sr)) ** 2,
             2.0 * (trace_product(rho, df_dv) ** 2).real)
@@ -274,23 +282,39 @@ def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df):
 
 def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     """The checks and arithmetic of `decomposition_terms`: the means, dF, dV and sqrt(rho)."""
-    rho_w, _ = density_stack(rows, partial_trace_stack(rho, s))
+    rho_w, _, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
     return _sqrt_terms(rows, rho, *_shifted_products(rows, _embedded(rows, f, s), v, mean_f, mean_v))
 
 
-def saturation_ratio(power_sq, bound, cap=1.0 + 1e-9):
-    """power^2 / corrected bound, capped at `cap`; defined as 0 where the bound is <= 1e-14."""
-    degenerate = bound <= 1e-14
+def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
+    """power^2 / corrected_bound(m), capped at `cap`, for a MomentBatch `m`.
+
+    Defined as 0 where the bound is <= 1e-14 * min(1, <F^2> <V^2>), that is,
+    within round-off of 0 at the scale of F and V: the cutoff shrinks with F
+    and V, so scaling them down leaves the ratio as it is, and it is never
+    above an absolute 1e-14.
+    """
+    bound = corrected_bound(m)
+    scale = (m.var_f + m.mean_f**2) * (m.var_v + m.mean_v**2)
+    degenerate = bound <= 1e-14 * np.minimum(1.0, scale)
     return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
 
 
-def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch:
-    """Every check of `verify_instance` over the rows, in its order and at its tolerance."""
-    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
-    m, f_emb = _moment_stage(rows, rho, f, v, s)
-    power = _power_stage(rows, rho, f_emb, v)
+def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+    """Every check of `verify_instance` over the rows, in its order and at its tolerance.
+
+    `rho_eig` (see `verify_batch`) is used only if the Hermiticity pass hands
+    rho back as it is; otherwise sqrt(rho) decomposes the symmetrized stack.
+    """
+    checked = hermitian_stack(rows, rho)
+    if checked is not rho:
+        rho, rho_eig = checked, None
+    f, v = hermitian_stack(rows, f), hermitian_stack(rows, v)
+    m, f_emb, rho_f = _moment_stage(rows, rho, f, v, s)
+    power = _power_stage(rows, rho, f_emb, v, rho_f)
+    del rho_f
 
     # same power through the shifted-commutator route
     df_dv, dv_df = _shifted_products(rows, f_emb, v, m.mean_f, m.mean_v)
@@ -303,7 +327,7 @@ def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch
                     f"{float(power[i])!r} vs {float(power_delta[i])!r}"))
 
     power_sq = power * power
-    term_fv, term_vf, term_cross = _sqrt_terms(rows, rho, df_dv, dv_df)
+    term_fv, term_vf, term_cross = _sqrt_terms(rows, rho, df_dv, dv_df, rho_eig)
     total = term_fv + term_vf - term_cross
     rows.record(np.abs(total - power_sq) > 1e-9 * (1.0 + np.maximum(np.abs(total), power_sq)),
                 lambda i: NumericalIntegrityError(
@@ -325,7 +349,7 @@ def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch
         f"loose bound {float(lo[i])!r} below corrected bound {float(bound[i])!r}"))
     rows.record(power_sq > bound + 1e-9 * (1.0 + bound), lambda i: NumericalIntegrityError(
         f"power bound violated: power^2 = {float(power_sq[i])!r} > bound = {float(bound[i])!r}"))
-    ratio = saturation_ratio(power_sq, bound)
+    ratio = saturation_ratio(power_sq, m)
     slack = bound - power_sq
     _report_checks(rows, power, power_sq, bound, slack, ratio)
     return ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
@@ -333,9 +357,9 @@ def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch
                        loose_bound=lo, slack=slack, saturation_ratio=ratio)
 
 
-def _batch(stage, rho, f, v, s: TensorStructure):
+def _batch(stage, rho, f, v, s: TensorStructure, **extra):
     rho, f, v = _checked_stacks(rho, f, v, s)
-    return stage(RowErrors(rho.shape[0]), rho, f, v, s)
+    return stage(RowErrors(rho.shape[0]), rho, f, v, s, **extra)
 
 
 def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
@@ -347,7 +371,7 @@ def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     return _batch(_moment_stage, rho, f, v, s)[0]
 
 
-def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
+def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
     Checks the inputs are Hermitian, then runs every check of the
@@ -356,8 +380,12 @@ def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
     through the shifted commutator, the square-root decomposition and the
     bounds. Rows are independent: a row's values and error do not depend on
     what else is in the stack.
+
+    `rho_eig`, internal, is the (w, u) that `density_stack` returned with
+    `rho`: sqrt(rho) is then built from those factors, after `eig_stack`'s
+    checks, instead of from a second eigendecomposition of each state.
     """
-    return _batch(_verify_stage, rho, f, v, s)
+    return _batch(_verify_stage, rho, f, v, s, rho_eig=rho_eig)
 
 
 def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
@@ -386,7 +414,8 @@ def charging_power(
 ) -> float:
     """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
     def stage(rows, rho, f, v, s):
-        return _power_stage(rows, rho, _embedded(rows, f, s), v)
+        f_emb = _embedded(rows, f, s)
+        return _power_stage(rows, rho, f_emb, v, rho @ f_emb)
 
     return float(_one_instance(stage, rho, f, v, s)[0])
 

@@ -9,6 +9,10 @@ scale is a total dimension D <= 64, where exact eigendecomposition is cheap.
 Each check is written once, over stacks of matrices (N, D, D) that record the
 first failure of every row in `RowErrors`; the one-instance classes and
 functions run the same code on a one-row stack and raise that row's error.
+
+A state is decomposed once: `density_stack` returns the eigenpairs its PSD
+check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
+second `eigh`, running all of their own checks on them.
 """
 
 from dataclasses import dataclass
@@ -130,8 +134,13 @@ def purity_stack(a: np.ndarray) -> np.ndarray:
     return (np.abs(a) ** 2).sum(axis=(-2, -1))
 
 
-def density_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DensityMatrix's checks and repairs over a stack; returns (states, purities)."""
+def density_stack(rows: RowErrors, a: np.ndarray):
+    """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
+
+    (w, u) are the eigenpairs of the returned states, for `eig_stack` to check
+    and reuse: eigh's own for a row left as it was, and (clip(w) / t, u) for a
+    row whose eigenvalues were clamped, t being the trace it was divided by.
+    """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     bad_trace = np.abs(tr - 1.0) > TRACE_INPUT_TOL
@@ -144,15 +153,17 @@ def density_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarra
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
     clamp = w_min < 0.0
     if clamp.any():
-        u = u[clamp]
-        b = (u * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _adjoint(u)
+        uc, wc = u[clamp], np.clip(w[clamp], 0.0, None)
+        b = (uc * wc[:, None, :]) @ _adjoint(uc)
         b = (b + _adjoint(b)) / 2.0
-        a[clamp] = b / np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        t = np.trace(b, axis1=-2, axis2=-1).real
+        a[clamp] = b / t[:, None, None]
+        w[clamp] = wc / t[:, None]
     p = purity_stack(a)
     dim = a.shape[-1]
     rows.record(~((1.0 / dim - 1e-10 <= p) & (p <= 1.0 + 1e-10)), lambda i: NumericalIntegrityError(
         f"purity {float(p[i])!r} outside [1/{dim}, 1]"))
-    return a, p
+    return a, p, (w, u)
 
 
 def _one_row(stack_fn, *mats):
@@ -249,13 +260,15 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def eig_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Checked Hermitian eigendecomposition of each matrix in a stack: (w, u).
 
     Verifies reconstruction to 1e-9*(1 + max|A|) and column orthonormality
-    to 1e-10.
+    to 1e-10. `factors`, when given, are (w, u) computed earlier (as
+    `density_stack` returns them) and take the place of a new `eigh`; they
+    pass the same checks.
     """
-    w, u = np.linalg.eigh(a)
+    w, u = np.linalg.eigh(a) if factors is None else factors
     scale = 1.0 + _max_abs(a)
     recon = (u * w[..., None, :]) @ _adjoint(u)
     recon -= a  # in place: D = 64 stacks are large
@@ -312,13 +325,14 @@ def partial_trace_to_battery(rho: DensityMatrix, s: TensorStructure) -> DensityM
     return DensityMatrix(partial_trace_stack(rho.mat[None], s)[0])
 
 
-def sqrt_stack(rows: RowErrors, rho: np.ndarray) -> np.ndarray:
+def sqrt_stack(rows: RowErrors, rho: np.ndarray, factors=None) -> np.ndarray:
     """Positive square root of each state in a stack via spectral decomposition.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; each root squares back to
-    its state within 1e-9 in max norm (checked).
+    its state within 1e-9 in max norm (checked). `factors` are passed on to
+    `eig_stack`.
     """
-    w, u = eig_stack(rows, rho)
+    w, u = eig_stack(rows, rho, factors)
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))

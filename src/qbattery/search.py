@@ -27,7 +27,6 @@ from .moments import (  # noqa: F401  compute_moments, verify_instance: names be
     MomentSet,
     PowerBoundReport,
     compute_moments,
-    corrected_bound,
     moment_batch,
     saturation_ratio,
     verify_batch,
@@ -369,7 +368,7 @@ def find_saturating(config: SearchConfig) -> SearchResult:
 
     def score(xs: np.ndarray):
         m, counts = _moments(param, xs)
-        ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, corrected_bound(m), cap=1.0)
+        ratio = saturation_ratio((2.0 * m.cov.imag) ** 2, m, cap=1.0)
         return np.where(counts, -ratio, np.inf), (ratio >= SATURATION_SUCCESS) & counts
 
     return _search(config, param, score)

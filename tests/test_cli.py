@@ -225,6 +225,12 @@ def test_search_help_says_threads_ignored(capsys, monkeypatch):
     assert "--threads THREADS     accepted and ignored" in capsys.readouterr().out
 
 
+def test_demo_help_says_threads_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    assert run("demo", "--help") == 0
+    assert "--threads THREADS     accepted and ignored" in capsys.readouterr().out
+
+
 def test_search_thread_invariant_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["search", "--mode", "saturation", "--dims", "2,1,1,1",

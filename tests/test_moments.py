@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qbattery.ensembles import draw_instance
+from qbattery.ensembles import (
+    SeedSpec,
+    battery_eigenstate_product,
+    draw_instance,
+    ginibre_mixed,
+    gue_hermitian,
+)
 from qbattery.moments import (
     MomentSet,
     PowerBoundReport,
@@ -109,6 +115,26 @@ def test_eigenstate_instance_all_zero():
     assert abs(m.cov) <= 1e-12
     assert abs(rep.corrected_bound) <= 1e-12
     assert rep.saturation_ratio == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6])
+def test_saturation_ratio_does_not_depend_on_the_scale_of_f_and_v(scale):
+    # the saturating qubit keeps ratio 1 when F and V shrink (bound 4e-16 at
+    # 1e-4); a battery eigenstate product, whose bound is round-off, keeps 0
+    f, v = HermitianOperator(scale * SZ), HermitianOperator(scale * SX)
+    rep = verify_instance(DensityMatrix(np.array([[0.5, -0.5j], [0.5j, 0.5]])), f, v, QUBIT)
+    assert rep.corrected_bound == pytest.approx(4.0 * scale**4, rel=1e-9)
+    assert rep.saturation_ratio == pytest.approx(1.0, abs=1e-9)
+
+    s = TensorStructure.from_dims([3, 2, 1, 1])
+    f = gue_hermitian(3, 1.0, SeedSpec(41))
+    rest = ginibre_mixed(2, 2, SeedSpec(42))
+    for j in range(3):
+        prod = battery_eigenstate_product(f, j, rest, s)
+        v = gue_hermitian(6, 1.0, SeedSpec(43, j))
+        rep = verify_instance(prod.state, HermitianOperator(scale * f.mat),
+                              HermitianOperator(scale * v.mat), s)
+        assert rep.saturation_ratio == 0.0
 
 
 # ---------------------------------------------------------- random sweeps
