@@ -14,6 +14,7 @@ configuration and seed — never on --threads or timing. Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -42,7 +43,7 @@ from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py pa
     gue_hermitian,
     haar_pure,
 )
-from .moments import REPORT_FIELDS, batch_rows, compute_moments, verify_batch, verify_instance
+from .moments import REPORT_FIELDS, _verify_checked, batch_rows, compute_moments, verify_instance
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -168,7 +169,7 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
     slack to `least`.
     """
     *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
-    batch = verify_batch(*stacks, structure, rho_eig=eig)
+    batch = _verify_checked(*stacks, structure, rho_eig=eig)
     m = batch.moments
     columns = [getattr(batch, name) for name in REPORT_FIELDS]
     columns += [getattr(m, name) for name in _MOMENT_COLUMNS] + [m.cov.real, m.cov.imag]
@@ -281,27 +282,24 @@ def cmd_evolve(args) -> int:
         rho0, hspec, f, grid = parse_scenario(doc)
         config_doc = str(path)
 
-    records = trajectory_report(rho0, hspec, f, grid)
+    trajectory = trajectory_report(rho0, hspec, f, grid)
 
     if args.format == "json":
-        docs = [
-            dict(zip(TRAJECTORY_COLUMNS, (float(v) if v else None for v in row)))
-            for row in trajectory_rows(records)
-        ]
-        payload = _json_bytes(docs)
+        columns = trajectory.columns()
+        payload = _json_bytes([dict(zip(TRAJECTORY_COLUMNS, values)) for values in zip(*columns)])
     else:
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        lines.extend(",".join(row) for row in trajectory_rows(records))
+        lines.extend(",".join(row) for row in trajectory_rows(trajectory))
         payload = ("\n".join(lines) + "\n").encode()
     Path(args.out).write_bytes(payload)
 
     config = {"config": config_doc, "format": args.format, "threads": args.threads}
     _write_manifest(args.out, "evolve", config, args.seed, digests, started)
 
-    max_power = max(abs(r.report.power) for r in records)
-    min_purity = min(r.battery_purity for r in records)
+    max_power = float(np.abs(trajectory.report.power).max())
+    min_purity = float(trajectory.battery_purity.min())
     print(
-        f"evolve: {len(records)} points, max |power| = {max_power:.6g}, "
+        f"evolve: {len(trajectory)} points, max |power| = {max_power:.6g}, "
         f"min battery purity = {min_purity:.6g} -> {args.out}"
     )
     return 0
@@ -462,7 +460,9 @@ def _add_common(sp, out_required: bool = True, formats=("json", "csv"), default_
                     help=f"payload format (default {default_format})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="qbattery",
         description="Charging-power bound verification, dynamics, and counterexample search.",
@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="state ensemble; operators are always GUE (default gue-ops)")
     sp.add_argument("--rank", type=int, default=None, help="Ginibre state rank (default full)")
     _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("evolve", help="integrate a scenario and write the trajectory table")
     sp.add_argument("--config", required=True,
@@ -485,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     ignored = "accepted and ignored: draws nothing, runs on one thread"
     _add_common(sp, formats=("csv", "json"), default_format="csv",
                 seed_help=ignored, threads_help=ignored)
-    sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("search", help="optimize for zero-power or bound-saturating instances")
     sp.add_argument("--mode", required=True, choices=["zero-power", "saturation"])
@@ -498,24 +496,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=8)
     _add_common(sp, formats=("json",),
                 threads_help="accepted and ignored: restarts run in lockstep on one thread")
-    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("demo", help="run a built-in worked case with pass/fail checks")
     sp.add_argument("--case", required=True, choices=sorted(_DEMO_CASES))
     _add_common(sp, out_required=False, formats=("text", "json"), default_format="text",
+                seed_help="master seed (default 42); only the eigenstate case draws, "
+                          "its environment state and V",
                 threads_help="accepted and ignored: each case is one instance on one thread")
-    sp.set_defaults(func=cmd_demo)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # looked up when it runs, not when the cached parser was built, so that
+    # a cmd_* function patched later (bench/tracer.py wraps them) is the one called
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except RejectedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

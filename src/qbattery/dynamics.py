@@ -7,15 +7,23 @@ evaluated with the interaction V alone. When H0 commutes with the embedded
 battery operator the power equals d<F>/dt, and trajectories carry a central
 finite-difference estimate of that derivative for cross-checking; when it
 does not commute the comparison is meaningless and the records say so.
+
+`trajectory_report` returns a `Trajectory`: the grid, the verification
+kernel's arrays over it and the finite differences, kept as columns from the
+kernel to the output. It is a read-only sequence of `TrajectoryRecord`s,
+each built only when it is indexed; `trajectory_rows` formats the CSV rows
+straight from the columns.
 """
 
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PowerBoundReport, batch_rows, verify_batch
+from .moments import PowerBoundReport, ReportBatch, _verify_checked, batch_rows, concat_batches
 from .moments import verify_instance  # noqa: F401  a name bench/tracer.py patches here
 from .operators import (
     DensityMatrix,
@@ -54,6 +62,14 @@ class HamiltonianSpec:
         return HermitianOperator(self.h0.mat + self.v.mat)
 
 
+# TrajectoryRecord's bound on the battery purity
+_PURITY_MAX = 1.0 + 1e-9
+
+
+def _purity_error(purity: float) -> RejectedInputError:
+    return RejectedInputError(f"battery purity {purity!r} above 1")
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """State of the verification chain at one grid time."""
@@ -66,8 +82,68 @@ class TrajectoryRecord:
     power_tracks_dfdt: bool
 
     def __post_init__(self):
-        if self.battery_purity > 1.0 + 1e-9:
-            raise RejectedInputError(f"battery purity {self.battery_purity!r} above 1")
+        if self.battery_purity > _PURITY_MAX:
+            raise _purity_error(self.battery_purity)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """A verified trajectory as columns, one entry per grid point.
+
+    `t` is the grid, `report` the kernel's ReportBatch over it (its moments
+    hold <F>_W and the battery purity), `dfdt_fd` the central differences of
+    <F>_W at the interior points, and `power_tracks_dfdt` whether [F (x) 1, H0]
+    vanishes, so that P is d<F>/dt. Every array is read-only. As a sequence it
+    holds one TrajectoryRecord per grid point, built when it is indexed; a
+    slice is a list of records, and it equals a list or Trajectory of equal
+    records, as the list it replaced did.
+    """
+
+    t: np.ndarray
+    report: ReportBatch
+    dfdt_fd: np.ndarray
+    power_tracks_dfdt: bool
+
+    @property
+    def mean_f(self) -> np.ndarray:
+        return self.report.moments.mean_f
+
+    @property
+    def battery_purity(self) -> np.ndarray:
+        return self.report.moments.purity_w
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError(f"trajectory index {index} out of range for {n} points")
+        i %= n
+        return TrajectoryRecord(
+            t=float(self.t[i]),
+            report=self.report.row(i),
+            mean_f=float(self.mean_f[i]),
+            battery_purity=float(self.battery_purity[i]),
+            dfdt_fd=float(self.dfdt_fd[i - 1]) if 0 < i < n - 1 else None,
+            power_tracks_dfdt=self.power_tracks_dfdt,
+        )
+
+    def __eq__(self, other):
+        # equal, as the list of records it replaced, to a list or trajectory of equal records
+        if isinstance(other, (list, Trajectory)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def columns(self) -> list[list]:
+        """The TRAJECTORY_COLUMNS as lists of floats; dFdt_fd is None at both endpoints."""
+        r = self.report
+        values = (self.t, r.power, r.power_sq, r.corrected_bound, r.loose_bound, r.slack,
+                  r.saturation_ratio, self.mean_f, self.battery_purity)
+        return [x.tolist() for x in values] + [[None, *self.dfdt_fd.tolist(), None]]
 
 
 def _evolved(dec: EigenDecomposition, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -92,7 +168,7 @@ def trajectory_report(
     h: HamiltonianSpec,
     f: HermitianOperator,
     grid,
-) -> list[TrajectoryRecord]:
+) -> Trajectory:
     """Evolve rho0 along the time grid and verify the bound chain at every point.
 
     The grid must be strictly increasing with at least 3 points so the interior
@@ -100,32 +176,37 @@ def trajectory_report(
     evolved and verified in batches of `batch_rows(D)` points; every state
     passes DensityMatrix's checks before any point is verified, as if each
     were wrapped on its own, and the eigendecomposition those checks make is
-    the one sqrt(rho) is built from.
+    the one sqrt(rho) is built from. The first failed check of the earliest
+    failing point raises; then a battery purity above 1 + 1e-9 does, as
+    TrajectoryRecord's check would.
+
+    Returns a `Trajectory`: the kernel's arrays over the whole grid, which
+    index as one TrajectoryRecord per point.
     """
-    times = [float(t) for t in grid]
+    times = np.array([float(t) for t in grid])
     if len(times) < 3:
         raise RejectedInputError(f"grid needs at least 3 points, got {len(times)}")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if np.any(times[1:] <= times[:-1]):
         raise RejectedInputError("grid times must be strictly increasing")
     s = h.structure
     if rho0.dim != s.dim:
         raise DimensionMismatchError(f"state dim {rho0.dim} != structure dim {s.dim}")
 
     f_emb = embed_battery_op(f, s)
-    gate = np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL
+    gate = bool(np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL)
     dec = eig_decompose(h.total())
 
     size = batch_rows(s.dim)
     batches = []
     failed = None
     for start in range(0, len(times), size):
-        block = np.array(times[start : start + size])
+        block = times[start : start + size]
         n = len(block)
         rows = RowErrors(n)
         states, _, eig = density_stack(rows, _evolved(dec, rho0.mat, block))
         rows.raise_first()
-        batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
+        batch = _verify_checked(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                                np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
         # a later chunk's DensityMatrix error outranks this chunk's first
         # verification error (states are checked before points are verified)
         failed = failed or next((e for e in batch.errors if e is not None), None)
@@ -133,27 +214,17 @@ def trajectory_report(
     if failed is not None:
         raise failed
 
-    reports = [b.row(i) for b in batches for i in range(len(b.power))]
-    mean_f = [x for b in batches for x in b.moments.mean_f.tolist()]
-    purity = [x for b in batches for x in b.moments.purity_w.tolist()]
-
-    records = []
-    for i, t in enumerate(times):
-        if 0 < i < len(times) - 1:
-            fd = (mean_f[i + 1] - mean_f[i - 1]) / (times[i + 1] - times[i - 1])
-        else:
-            fd = None
-        records.append(
-            TrajectoryRecord(
-                t=t,
-                report=reports[i],
-                mean_f=mean_f[i],
-                battery_purity=purity[i],
-                dfdt_fd=fd,
-                power_tracks_dfdt=gate,
-            )
-        )
-    return records
+    report = concat_batches(batches)
+    purity = report.moments.purity_w
+    over = np.flatnonzero(purity > _PURITY_MAX)
+    if over.size:
+        raise _purity_error(float(purity[over[0]]))
+    mean_f = report.moments.mean_f
+    fd = (mean_f[2:] - mean_f[:-2]) / (times[2:] - times[:-2])
+    # every array: the report's fields after its moments, the moments' before their errors
+    for a in (times, fd, *report[1:], *report.moments[:-1]):
+        a.setflags(write=False)
+    return Trajectory(t=times, report=report, dfdt_fd=fd, power_tracks_dfdt=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +384,19 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def trajectory_rows(records: list[TrajectoryRecord]):
-    """Yield CSV rows matching TRAJECTORY_COLUMNS, floats at 17 significant digits."""
-    for rec in records:
-        r = rec.report
-        values = [
-            rec.t,
-            r.power,
-            r.power_sq,
-            r.corrected_bound,
-            r.loose_bound,
-            r.slack,
-            r.saturation_ratio,
-            rec.mean_f,
-            rec.battery_purity,
-        ]
-        row = [f"{v:.17g}" for v in values]
-        row.append("" if rec.dfdt_fd is None else f"{rec.dfdt_fd:.17g}")
-        yield row
+_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
+_ENDPOINT_ROW = _ROW.rsplit(",", 1)[0] + ","  # dFdt_fd left empty
+
+
+def trajectory_rows(trajectory: Trajectory):
+    """Yield CSV rows matching TRAJECTORY_COLUMNS, floats at 17 significant digits.
+
+    Each row is a list of strings, formatted from the trajectory's columns
+    with one %-format per row; dFdt_fd is "" at both endpoints.
+    """
+    last = len(trajectory) - 1
+    for i, values in enumerate(zip(*trajectory.columns())):
+        if 0 < i < last:
+            yield (_ROW % values).split(",")
+        else:
+            yield (_ENDPOINT_ROW % values[:-1]).split(",")

@@ -25,8 +25,9 @@ of instances and records each row's first failed check instead of raising.
 ``verify_instance``, ``compute_moments``, ``charging_power`` and
 ``decomposition_terms`` each run the stage of it that they name on a one-row
 stack, so each raises only for the checks of its own part of the chain.
-Callers that checked the states themselves (the ensemble draws, the
-trajectories) pass ``verify_batch`` the eigenpairs of that check, so sr is
+Callers that checked the stacks themselves (the ensemble draws, the
+trajectories) go through ``_verify_checked``, which skips the re-check of
+their Hermiticity, and pass it the eigenpairs of their state check, so sr is
 built without decomposing each state a second time; rho (F (x) 1) is formed
 once, for the covariance, and reused for the power.
 """
@@ -305,13 +306,18 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
 def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """Every check of `verify_instance` over the rows, in its order and at its tolerance.
 
-    `rho_eig` (see `verify_batch`) is used only if the Hermiticity pass hands
-    rho back as it is; otherwise sqrt(rho) decomposes the symmetrized stack.
+    The inputs' Hermiticity, then `_chain_stage`. `rho_eig` (see
+    `verify_batch`) is used only if the Hermiticity pass hands rho back as it
+    is; otherwise sqrt(rho) decomposes the symmetrized stack.
     """
     checked = hermitian_stack(rows, rho)
     if checked is not rho:
         rho, rho_eig = checked, None
-    f, v = hermitian_stack(rows, f), hermitian_stack(rows, v)
+    return _chain_stage(rows, rho, hermitian_stack(rows, f), hermitian_stack(rows, v), s, rho_eig)
+
+
+def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+    """The checks of `_verify_stage` after the inputs' Hermiticity, on exactly Hermitian stacks."""
     m, f_emb, rho_f = _moment_stage(rows, rho, f, v, s)
     power = _power_stage(rows, rho, f_emb, v, rho_f)
     del rho_f
@@ -386,6 +392,27 @@ def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     checks, instead of from a second eigendecomposition of each state.
     """
     return _batch(_verify_stage, rho, f, v, s, rho_eig=rho_eig)
+
+
+def _verify_checked(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+    """`verify_batch` on stacks that DensityMatrix's and HermitianOperator's checks passed.
+
+    Such stacks are exactly Hermitian: (A + A^dag)/2 is, and so is an exactly
+    Hermitian matrix divided by a real trace. `verify_batch`'s input check
+    would hand them back as they are, so it is skipped; every check of the
+    chain after it runs. The draws, the trajectory states and the search's
+    final candidate come this way.
+    """
+    return _batch(_chain_stage, rho, f, v, s, rho_eig=rho_eig)
+
+
+def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
+    """The rows of `batches`, in order, as one ReportBatch (new arrays)."""
+    # the moments' arrays come before their errors, the report's after its moments
+    errors = RowErrors(0)
+    errors.extend(e for b in batches for e in b.errors)
+    moments = MomentBatch(*map(np.concatenate, zip(*(b.moments[:-1] for b in batches))), errors)
+    return ReportBatch(moments, *map(np.concatenate, zip(*(b[1:] for b in batches))))
 
 
 def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,

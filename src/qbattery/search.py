@@ -28,8 +28,8 @@ from .moments import (  # noqa: F401  compute_moments, verify_instance: names be
     PowerBoundReport,
     compute_moments,
     moment_batch,
+    _verify_checked,
     saturation_ratio,
-    verify_batch,
     verify_instance,
 )
 from .operators import (
@@ -187,7 +187,7 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
 
     A row does not count when its state parameterization is degenerate or a
     check of the kernel's moment stage fails. Power is taken as 2 Im(cov);
-    the final candidate is always re-verified through `verify_batch`, which
+    the final candidate is always re-verified by the whole kernel chain, which
     computes it by the commutator route as well.
     """
     mat, f, v, valid = param.build(xs)
@@ -304,7 +304,7 @@ def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResu
     rho = DensityMatrix(mat[0])
     f_op = HermitianOperator(f[0])
     v_op = HermitianOperator(v[0])
-    batch = verify_batch(rho.mat[None], f_op.mat[None], v_op.mat[None], config.structure)
+    batch = _verify_checked(rho.mat[None], f_op.mat[None], v_op.mat[None], config.structure)
     batch.errors.raise_first()
     return SearchResult(
         rho=rho,
