@@ -388,15 +388,18 @@ _ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
 _ENDPOINT_ROW = _ROW.rsplit(",", 1)[0] + ","  # dFdt_fd left empty
 
 
+def _trajectory_lines(trajectory: Trajectory):
+    """Yield the CSV lines of the trajectory's rows, one %-format per row (see `trajectory_rows`)."""
+    last = len(trajectory) - 1
+    for i, values in enumerate(zip(*trajectory.columns())):
+        yield _ROW % values if 0 < i < last else _ENDPOINT_ROW % values[:-1]
+
+
 def trajectory_rows(trajectory: Trajectory):
     """Yield CSV rows matching TRAJECTORY_COLUMNS, floats at 17 significant digits.
 
     Each row is a list of strings, formatted from the trajectory's columns
     with one %-format per row; dFdt_fd is "" at both endpoints.
     """
-    last = len(trajectory) - 1
-    for i, values in enumerate(zip(*trajectory.columns())):
-        if 0 < i < last:
-            yield (_ROW % values).split(",")
-        else:
-            yield (_ENDPOINT_ROW % values[:-1]).split(",")
+    for line in _trajectory_lines(trajectory):
+        yield line.split(",")

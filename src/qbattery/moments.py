@@ -30,6 +30,13 @@ trajectories) go through ``_verify_checked``, which skips the re-check of
 their Hermiticity, and pass it the eigenpairs of their state check, so sr is
 built without decomposing each state a second time; rho (F (x) 1) is formed
 once, for the covariance, and reused for the power.
+
+F (x) 1 itself is never formed: F stays a d_w x d_w stack, and each of the
+four products with its lift, rho (F (x) 1), (F (x) 1) rho, dF dV and dV dF
+(dF = (F - <F>_W) (x) 1), is a contraction over the battery index of the
+battery-first space, with a d_w x d_w matrix instead of a D x D one. The
+Hermiticity checks of F (x) 1 and dF run on F and F - <F>_W, whose residuals
+are those of their lifts.
 """
 
 from dataclasses import dataclass, asdict
@@ -49,7 +56,6 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     embed_battery_op,
     expectation_stack,
     hermitian_stack,
-    kron_identity,
     matrix_sqrt,
     partial_trace_stack,
     sqrt_stack,
@@ -218,6 +224,26 @@ def _delta_stack(rows: RowErrors, a: np.ndarray, mean: np.ndarray) -> np.ndarray
     return hermitian_stack(rows, a - mean[:, None, None] * np.eye(a.shape[-1], dtype=complex))
 
 
+def _battery_left(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(F (x) 1) A per row, contracted over the battery index: F (N, d_w, d_w), A (N, D, D)."""
+    n, d = a.shape[0], a.shape[-1]
+    return (f @ a.reshape(n, f.shape[-1], -1)).reshape(n, d, d)
+
+
+def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A (F (x) 1) per row, as ((F^T (x) 1) A^T)^T: from the transposes, not the adjoints, of A and F.
+
+    The same arithmetic as `_battery_left`, so for exactly Hermitian operands
+    the commutator of the two comes out exactly anti-Hermitian, as it did
+    from the dense products. Returned C-contiguous, as the dense product was,
+    so that the traces taken of it sum in the same order: as a transposed
+    view, the raw and shifted powers of F, V + 1e6 I draws disagreed beyond
+    their tolerance 24 times in 300 instead of 15.
+    """
+    at = _battery_left(np.ascontiguousarray(f.swapaxes(-1, -2)), a.swapaxes(-1, -2))
+    return np.ascontiguousarray(at.swapaxes(-1, -2))
+
+
 def _checked_stacks(rho, f, v, s: TensorStructure):
     """The three stacks as complex arrays, after the dimension checks."""
     rho, f, v = (np.asarray(x, dtype=complex) for x in (rho, f, v))
@@ -232,45 +258,41 @@ def _checked_stacks(rho, f, v, s: TensorStructure):
     return rho, f, v
 
 
-def _embedded(rows: RowErrors, f, s: TensorStructure):
-    """F (x) 1 per row, with embed_battery_op's Hermiticity check."""
-    return hermitian_stack(rows, kron_identity(f, s.env_dim))
-
-
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     """The checks and arithmetic of `compute_moments`, in its order.
 
-    Returns (moments, F (x) 1, rho (F (x) 1)); the power stage reuses the product.
+    Returns (moments, F, rho (F (x) 1)), F as the Hermiticity check hands it
+    back; the power stage reuses the product.
     """
     rho_w, purity_w, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_f2 = expectation_stack(rows, rho_w, hermitian_stack(rows, f @ f))
     mean_v = expectation_stack(rows, rho, v)
     mean_v2 = expectation_stack(rows, rho, hermitian_stack(rows, v @ v))
-    f_emb = _embedded(rows, f, s)
-    rho_f = rho @ f_emb
+    f = hermitian_stack(rows, f)  # embed_battery_op's check: F (x) 1 has F's residual
+    rho_f = _battery_right(rho, f)
     cov = trace_product(rho_f, v) - mean_f * mean_v
     var_f, var_v = _moment_checks(rows, mean_f2 - mean_f**2, mean_v2 - mean_v**2, cov)
     moments = MomentBatch(mean_f=mean_f, mean_v=mean_v, var_f=var_f, var_v=var_v, cov=cov,
                           purity_w=purity_w, errors=rows)
-    return moments, f_emb, rho_f
+    return moments, f, rho_f
 
 
-def _power_stage(rows: RowErrors, rho, f_emb, v, rho_f):
+def _power_stage(rows: RowErrors, rho, f, v, rho_f):
     """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10; overwrites rho_f = rho (F (x) 1)."""
     lhs = rho_f
-    lhs -= f_emb @ rho
+    lhs -= _battery_left(f, rho)
     raw = -1j * trace_product(lhs, v)
     rows.record(np.abs(raw.imag) > 1e-10 * (1.0 + np.abs(raw.real)), lambda i: NumericalIntegrityError(
         f"charging power has imaginary part {raw.imag[i]:.3e}"))
     return raw.real
 
 
-def _shifted_products(rows: RowErrors, f_emb, v, mean_f, mean_v):
-    """(dF dV, dV dF) per row, with dF = F (x) 1 - <F>_W and dV = V - <V>."""
-    df = _delta_stack(rows, f_emb, mean_f)
+def _shifted_products(rows: RowErrors, f, v, mean_f, mean_v):
+    """(dF dV, dV dF) per row, with dF = (F - <F>_W) (x) 1 and dV = V - <V>."""
+    df = _delta_stack(rows, f, mean_f)
     dv = _delta_stack(rows, v, mean_v)
-    return df @ dv, dv @ df
+    return _battery_left(df, dv), _battery_right(dv, df)
 
 
 def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df, rho_eig=None):
@@ -286,7 +308,7 @@ def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     rho_w, _, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
-    return _sqrt_terms(rows, rho, *_shifted_products(rows, _embedded(rows, f, s), v, mean_f, mean_v))
+    return _sqrt_terms(rows, rho, *_shifted_products(rows, hermitian_stack(rows, f), v, mean_f, mean_v))
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -318,13 +340,12 @@ def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) 
 
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """The checks of `_verify_stage` after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m, f_emb, rho_f = _moment_stage(rows, rho, f, v, s)
-    power = _power_stage(rows, rho, f_emb, v, rho_f)
-    del rho_f
+    m, f, rho_f = _moment_stage(rows, rho, f, v, s)
+    power = _power_stage(rows, rho, f, v, rho_f)
+    del rho_f  # keeps the peak memory of a D = 64 batch down to a few stacks
 
     # same power through the shifted-commutator route
-    df_dv, dv_df = _shifted_products(rows, f_emb, v, m.mean_f, m.mean_v)
-    del f_emb  # keeps the peak memory of a D = 64 batch down to a few stacks
+    df_dv, dv_df = _shifted_products(rows, f, v, m.mean_f, m.mean_v)
     raw = -1j * trace_product(rho, antihermitian_stack(rows, df_dv - dv_df))
     power_delta = raw.real
     rows.record(np.abs(power - power_delta) > 1e-10 * (1.0 + np.abs(power)),
@@ -441,8 +462,8 @@ def charging_power(
 ) -> float:
     """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
     def stage(rows, rho, f, v, s):
-        f_emb = _embedded(rows, f, s)
-        return _power_stage(rows, rho, f_emb, v, rho @ f_emb)
+        f = hermitian_stack(rows, f)
+        return _power_stage(rows, rho, f, v, _battery_right(rho, f))
 
     return float(_one_instance(stage, rho, f, v, s)[0])
 

@@ -308,6 +308,32 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     assert isinstance(errors[1], RejectedInputError) and "not Hermitian" in str(errors[1])
 
 
+# the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states,
+# F^2, V^2, F, dF, dV and sqrt(rho); F (x) 1 and its shift are checked as F and
+# F - <F>, which have the residuals of their lifts
+KERNEL_CHECK_SHAPES = [(2, 2), (2, 2), (4, 4), (2, 2), (2, 2), (4, 4), (4, 4)]
+
+
+def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
+    assert main(["verify", "--dims", "2,2,1,1", "--trials", "1100",
+                 "--out", str(tmp_path / "o.json")]) == 0
+    want = []
+    for n in (1024, 76):  # two chunks; each draw checks its rho, F and V
+        want += [(n, *shape) for shape in [(4, 4), (2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
+    assert symmetrized_calls == want
+
+
+def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
+    rho0, h, f, _ = exchange_trajectory()
+    symmetrized_calls.clear()
+    trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, 1100))
+    # F (x) 1 for the commutation gate and H0 + V, once; then per chunk the states
+    want = [(1, 4, 4), (1, 4, 4)]
+    for n in (1024, 76):
+        want += [(n, *shape) for shape in [(4, 4)] + KERNEL_CHECK_SHAPES]
+    assert symmetrized_calls == want
+
+
 # ---------------------------------------------------------------- the cached parser
 
 PARSE_SEQUENCE = [
