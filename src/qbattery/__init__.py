@@ -2,120 +2,24 @@
 
 The core objects are a battery-first tensor layout (`TensorStructure`),
 validated operator/state wrappers (`HermitianOperator`, `DensityMatrix`),
-the moment and bound computations (`compute_moments`, `verify_instance`),
-seeded random ensembles, exact unitary trajectory evolution, and a
-derivative-free search for zero-power and bound-saturating instances.
+the full verification of one instance (`verify_instance`) and of a
+trajectory (`trajectory_report`). Everything else, the stacked kernel, the
+seeded ensembles and the search among them, lives in the submodules
+`operators`, `moments`, `ensembles`, `dynamics`, `search` and `cli`.
 """
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    HamiltonianSpec,
-    ScenarioError,
-    TrajectoryRecord,
-    builtin_exchange_scenario,
-    exchange_interaction,
-    ground_excited_state,
-    parse_scenario,
-    propagate,
-    trajectory_report,
-)
-from .ensembles import (
-    BatteryEigenstateProduct,
-    SeedSpec,
-    battery_eigenstate_product,
-    draw_instance,
-    ginibre_mixed,
-    gue_hermitian,
-    haar_pure,
-)
-from .moments import (
-    MomentSet,
-    PowerBoundReport,
-    charging_power,
-    compute_moments,
-    corrected_bound,
-    decomposition_terms,
-    delta_operator,
-    loose_bound,
-    verify_instance,
-)
-from .operators import (
-    DensityMatrix,
-    DimensionMismatchError,
-    EigenDecomposition,
-    HermitianOperator,
-    NotPositiveSemidefiniteError,
-    NumericalIntegrityError,
-    RejectedInputError,
-    TensorStructure,
-    commutator,
-    density_from_literal,
-    eig_decompose,
-    embed_battery_op,
-    expectation,
-    hermitian_from_literal,
-    matrix_from_literal,
-    matrix_sqrt,
-    partial_trace_to_battery,
-    to_matrix_literal,
-)
-from .search import (
-    SearchConfig,
-    SearchResult,
-    SearchThresholds,
-    find_saturating,
-    find_zero_power,
-)
+from .dynamics import trajectory_report
+from .moments import verify_instance
+from .operators import DensityMatrix, HermitianOperator, NumericalIntegrityError, TensorStructure
 
 __all__ = [
     "__version__",
-    "BatteryEigenstateProduct",
     "DensityMatrix",
-    "DimensionMismatchError",
-    "EigenDecomposition",
-    "HamiltonianSpec",
     "HermitianOperator",
-    "MomentSet",
-    "NotPositiveSemidefiniteError",
     "NumericalIntegrityError",
-    "PowerBoundReport",
-    "RejectedInputError",
-    "ScenarioError",
-    "SearchConfig",
-    "SearchResult",
-    "SearchThresholds",
-    "SeedSpec",
     "TensorStructure",
-    "TrajectoryRecord",
-    "battery_eigenstate_product",
-    "builtin_exchange_scenario",
-    "charging_power",
-    "commutator",
-    "compute_moments",
-    "corrected_bound",
-    "decomposition_terms",
-    "delta_operator",
-    "density_from_literal",
-    "draw_instance",
-    "eig_decompose",
-    "embed_battery_op",
-    "exchange_interaction",
-    "expectation",
-    "find_saturating",
-    "find_zero_power",
-    "ginibre_mixed",
-    "ground_excited_state",
-    "gue_hermitian",
-    "haar_pure",
-    "hermitian_from_literal",
-    "loose_bound",
-    "matrix_from_literal",
-    "matrix_sqrt",
-    "parse_scenario",
-    "partial_trace_to_battery",
-    "propagate",
-    "to_matrix_literal",
     "trajectory_report",
     "verify_instance",
 ]

@@ -51,7 +51,9 @@ from .operators import (
     NumericalIntegrityError,
     RejectedInputError,
     TensorStructure,
-    partial_trace_to_battery,
+    _one_row,
+    density_stack,
+    partial_trace_stack,
     to_matrix_literal,
 )
 from .search import (
@@ -459,11 +461,12 @@ def cmd_demo(args) -> int:
     results = [(name, bool(fn(report, moments))) for name, fn in checks]
     all_passed = all(ok for _, ok in results)
 
+    _, purity, _ = _one_row(density_stack, partial_trace_stack(rho.mat[None], s)[0])
     doc = {
         "case": args.case,
         "report": report.to_dict(),
         "moments": moments.to_dict(),
-        "battery_purity": partial_trace_to_battery(rho, s).purity(),
+        "battery_purity": float(purity[0]),
         "checks": [{"name": name, "passed": ok} for name, ok in results],
         "passed": all_passed,
     }
@@ -489,10 +492,20 @@ def cmd_demo(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(sp, out_required: bool = True, formats=("json", "csv"), default_format="json",
                 seed_help="master seed (default 42)", threads_help="worker threads (default 1)"):
     sp.add_argument("--seed", type=int, default=42, help=seed_help)
-    sp.add_argument("--threads", type=int, default=1, help=threads_help)
+    sp.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     if out_required:
         sp.add_argument("--out", required=True, help="output payload path")
     else:

@@ -28,14 +28,14 @@ from .moments import verify_instance  # noqa: F401  a name bench/tracer.py patch
 from .operators import (
     DensityMatrix,
     DimensionMismatchError,
-    EigenDecomposition,
     HermitianOperator,
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _one_row,
     density_from_literal,
     density_stack,
-    eig_decompose,
+    eig_stack,
     embed_battery_op,
     hermitian_from_literal,
 )
@@ -146,21 +146,11 @@ class Trajectory(Sequence):
         return [x.tolist() for x in values] + [[None, *self.dfdt_fd.tolist(), None]]
 
 
-def _evolved(dec: EigenDecomposition, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Stack of U(t) rho0 U(t)^dag over `times`, with U(t) = exp(-i H t) from H's decomposition."""
-    vec = dec.vectors
+def _evolved(w: np.ndarray, vec: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Stack of U(t) rho0 U(t)^dag over `times`, U(t) = exp(-i H t), from H = vec diag(w) vec^dag."""
     core = vec.conj().T @ rho0 @ vec
-    u = vec * np.exp(-1j * np.multiply.outer(times, dec.eigenvalues))[:, None, :]
+    u = vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]
     return u @ core @ u.conj().swapaxes(-1, -2)
-
-
-def propagate(rho0: DensityMatrix, h: HamiltonianSpec, t: float) -> DensityMatrix:
-    """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t)."""
-    if rho0.dim != h.structure.dim:
-        raise DimensionMismatchError(f"state dim {rho0.dim} != structure dim {h.structure.dim}")
-    if not math.isfinite(t):
-        raise RejectedInputError(f"time must be finite, got {t!r}")
-    return DensityMatrix(_evolved(eig_decompose(h.total()), rho0.mat, np.array([t]))[0])
 
 
 def trajectory_report(
@@ -194,7 +184,7 @@ def trajectory_report(
 
     f_emb = embed_battery_op(f, s)
     gate = bool(np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL)
-    dec = eig_decompose(h.total())
+    (w,), (vec,) = _one_row(eig_stack, h.total().mat)
 
     size = batch_rows(s.dim)
     batches = []
@@ -203,7 +193,7 @@ def trajectory_report(
         block = times[start : start + size]
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, _evolved(dec, rho0.mat, block))
+        states, _, eig = density_stack(rows, _evolved(w, vec, rho0.mat, block))
         rows.raise_first()
         batch = _verify_checked(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                                 np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)

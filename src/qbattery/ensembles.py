@@ -25,8 +25,9 @@ from .operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _one_row,
     density_stack,
-    eig_decompose,
+    eig_stack,
     hermitian_stack,
 )
 
@@ -150,11 +151,11 @@ def battery_eigenstate_product(
         raise DimensionMismatchError(f"rest-state dim {rest.dim} != env dim {s.env_dim}")
     if not 0 <= j < s.d_w:
         raise RejectedInputError(f"eigenvector index {j} out of range [0, {s.d_w})")
-    dec = eig_decompose(f)
-    vec = dec.vectors[:, j]
+    (w,), (u,) = _one_row(eig_stack, f.mat)
+    vec = u[:, j]
     proj = np.outer(vec, vec.conj())
     state = DensityMatrix(np.kron(proj, rest.mat))
-    return BatteryEigenstateProduct(state=state, eigenvalue=float(dec.eigenvalues[j]), index=j)
+    return BatteryEigenstateProduct(state=state, eigenvalue=float(w[j]), index=j)
 
 
 # stream index layout: each trial owns four consecutive streams

@@ -34,9 +34,13 @@ once, for the covariance, and reused for the power.
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and each of the
 four products with its lift, rho (F (x) 1), (F (x) 1) rho, dF dV and dV dF
 (dF = (F - <F>_W) (x) 1), is a contraction over the battery index of the
-battery-first space, with a d_w x d_w matrix instead of a D x D one. The
-Hermiticity checks of F (x) 1 and dF run on F and F - <F>_W, whose residuals
-are those of their lifts.
+battery-first space, with a d_w x d_w matrix instead of a D x D one.
+
+The chain checks the Hermiticity of the inputs once, in ``verify_batch``
+(the draws and the one-instance classes check their own), and after that
+only of what it forms: the reduced states, F^2, V^2 and sqrt(rho). It does
+not check F, dF or dV again: a real diagonal shift of an exactly Hermitian
+matrix is exactly Hermitian, so those checks could not fail.
 """
 
 from dataclasses import dataclass, asdict
@@ -215,13 +219,9 @@ class ReportBatch(NamedTuple):
         return _checked_row(PowerBoundReport, **{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
 
 
-def delta_operator(a: HermitianOperator, mean: float) -> HermitianOperator:
-    """Shift an operator by its mean: A - mean * identity."""
-    return HermitianOperator(a.mat - mean * np.eye(a.dim, dtype=complex))
-
-
-def _delta_stack(rows: RowErrors, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    return hermitian_stack(rows, a - mean[:, None, None] * np.eye(a.shape[-1], dtype=complex))
+def _delta_stack(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """A - mean * identity per row: exactly Hermitian when A is, so not checked again."""
+    return a - mean[:, None, None] * np.eye(a.shape[-1], dtype=complex)
 
 
 def _battery_left(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -261,21 +261,19 @@ def _checked_stacks(rho, f, v, s: TensorStructure):
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     """The checks and arithmetic of `compute_moments`, in its order.
 
-    Returns (moments, F, rho (F (x) 1)), F as the Hermiticity check hands it
-    back; the power stage reuses the product.
+    Returns (moments, rho (F (x) 1)); the power stage reuses the product.
     """
     rho_w, purity_w, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_f2 = expectation_stack(rows, rho_w, hermitian_stack(rows, f @ f))
     mean_v = expectation_stack(rows, rho, v)
     mean_v2 = expectation_stack(rows, rho, hermitian_stack(rows, v @ v))
-    f = hermitian_stack(rows, f)  # embed_battery_op's check: F (x) 1 has F's residual
     rho_f = _battery_right(rho, f)
     cov = trace_product(rho_f, v) - mean_f * mean_v
     var_f, var_v = _moment_checks(rows, mean_f2 - mean_f**2, mean_v2 - mean_v**2, cov)
     moments = MomentBatch(mean_f=mean_f, mean_v=mean_v, var_f=var_f, var_v=var_v, cov=cov,
                           purity_w=purity_w, errors=rows)
-    return moments, f, rho_f
+    return moments, rho_f
 
 
 def _power_stage(rows: RowErrors, rho, f, v, rho_f):
@@ -288,10 +286,10 @@ def _power_stage(rows: RowErrors, rho, f, v, rho_f):
     return raw.real
 
 
-def _shifted_products(rows: RowErrors, f, v, mean_f, mean_v):
+def _shifted_products(f, v, mean_f, mean_v):
     """(dF dV, dV dF) per row, with dF = (F - <F>_W) (x) 1 and dV = V - <V>."""
-    df = _delta_stack(rows, f, mean_f)
-    dv = _delta_stack(rows, v, mean_v)
+    df = _delta_stack(f, mean_f)
+    dv = _delta_stack(v, mean_v)
     return _battery_left(df, dv), _battery_right(dv, df)
 
 
@@ -308,7 +306,7 @@ def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     rho_w, _, _ = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
-    return _sqrt_terms(rows, rho, *_shifted_products(rows, hermitian_stack(rows, f), v, mean_f, mean_v))
+    return _sqrt_terms(rows, rho, *_shifted_products(f, v, mean_f, mean_v))
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -340,12 +338,12 @@ def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) 
 
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """The checks of `_verify_stage` after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m, f, rho_f = _moment_stage(rows, rho, f, v, s)
+    m, rho_f = _moment_stage(rows, rho, f, v, s)
     power = _power_stage(rows, rho, f, v, rho_f)
     del rho_f  # keeps the peak memory of a D = 64 batch down to a few stacks
 
     # same power through the shifted-commutator route
-    df_dv, dv_df = _shifted_products(rows, f, v, m.mean_f, m.mean_v)
+    df_dv, dv_df = _shifted_products(f, v, m.mean_f, m.mean_v)
     raw = -1j * trace_product(rho, antihermitian_stack(rows, df_dv - dv_df))
     power_delta = raw.real
     rows.record(np.abs(power - power_delta) > 1e-10 * (1.0 + np.abs(power)),
@@ -392,8 +390,10 @@ def _batch(stage, rho, f, v, s: TensorStructure, **extra):
 def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    The moment stage of `verify_batch`, for inputs known to be Hermitian (as
-    the matrices of HermitianOperator and DensityMatrix are).
+    The moment stage of `verify_batch`. Precondition: rho, F and V are
+    exactly Hermitian, as the matrices of HermitianOperator and DensityMatrix
+    and the draws are; they are not checked again here, only the products
+    F^2 and V^2 and the reduced states are.
     """
     return _batch(_moment_stage, rho, f, v, s)[0]
 
@@ -462,7 +462,6 @@ def charging_power(
 ) -> float:
     """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
     def stage(rows, rho, f, v, s):
-        f = hermitian_stack(rows, f)
         return _power_stage(rows, rho, f, v, _battery_right(rho, f))
 
     return float(_one_instance(stage, rho, f, v, s)[0])

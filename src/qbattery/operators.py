@@ -8,7 +8,14 @@ Everything here is dense and immutable after construction; the intended
 scale is a total dimension D <= 64, where exact eigendecomposition is cheap.
 Each check is written once, over stacks of matrices (N, D, D) that record the
 first failure of every row in `RowErrors`; the one-instance classes and
-functions run the same code on a one-row stack and raise that row's error.
+functions run the same code on a one-row stack and raise that row's error,
+and `_one_row` does the same for any stack function.
+
+The Hermiticity check runs at the boundaries, where a matrix enters: the
+classes' constructors, the stacked draws and `moments.verify_batch`'s input
+pass. A matrix that passed it is exactly Hermitian, since (A + A^dag)/2 is,
+and so is a real diagonal shift or a real multiple of it; code that only
+shifts or scales such a matrix does not check it again.
 
 A state is decomposed once: `density_stack` returns the eigenpairs its PSD
 check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
@@ -167,7 +174,7 @@ def density_stack(rows: RowErrors, a: np.ndarray):
 
 
 def _one_row(stack_fn, *mats):
-    """Run a stack function on one matrix per argument; raise its error or return row 0."""
+    """Run a stack function on one matrix per argument; raise the row's error or return its output."""
     rows = RowErrors(1)
     out = stack_fn(rows, *(m[None] for m in mats))
     rows.raise_first()
@@ -252,14 +259,6 @@ class DensityMatrix(_CheckedMatrix):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6f})"
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix: ascending eigenvalues, unitary columns."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
 def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Checked Hermitian eigendecomposition of each matrix in a stack: (w, u).
 
@@ -283,19 +282,6 @@ def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray,
     return w, u
 
 
-def eig_decompose(op) -> EigenDecomposition:
-    """Checked Hermitian eigendecomposition A = U diag(w) U^dag (see `eig_stack`).
-
-    The checks run before returning, so callers can rely on the factors blindly.
-    """
-    a = op.mat if isinstance(op, _CheckedMatrix) else _as_complex_square(op)
-    w, u = _one_row(eig_stack, a)
-    w, u = w[0], u[0]
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return EigenDecomposition(eigenvalues=w, vectors=u)
-
-
 def kron_identity(f: np.ndarray, env_dim: int) -> np.ndarray:
     """F (x) identity(env_dim) for each F in a stack (N, d_w, d_w)."""
     n, d_w = f.shape[0], f.shape[-1]
@@ -316,13 +302,6 @@ def partial_trace_stack(rho: np.ndarray, s: TensorStructure) -> np.ndarray:
     """Reduced battery matrix of each state in a stack, tracing out S, B and A."""
     r = rho.reshape(rho.shape[0], s.d_w, s.env_dim, s.d_w, s.env_dim)
     return np.einsum("niaja->nij", r)
-
-
-def partial_trace_to_battery(rho: DensityMatrix, s: TensorStructure) -> DensityMatrix:
-    """Reduced battery state, tracing out the S, B and A factors."""
-    if rho.dim != s.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != structure dim {s.dim}")
-    return DensityMatrix(partial_trace_stack(rho.mat[None], s)[0])
 
 
 def sqrt_stack(rows: RowErrors, rho: np.ndarray, factors=None) -> np.ndarray:

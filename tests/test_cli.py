@@ -231,6 +231,21 @@ def test_demo_help_says_threads_ignored(capsys, monkeypatch):
     assert "--threads THREADS     accepted and ignored" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "2,2,1,1", "--threads", "0"],
+    ["verify", "--dims", "2,2,1,1", "--trials", "5", "--threads", "-3"],
+    ["evolve", "--config", "exchange", "--threads", "-1"],
+    ["search", "--mode", "saturation", "--dims", "2,1,1,1", "--threads", "0"],
+    ["demo", "--case", "real-cov", "--threads", "0"],
+    ["verify", "--dims", "2,2,1,1", "--threads", "two"],
+])
+def test_threads_below_one_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "t.json"
+    assert run(*argv, "--out", str(out)) == 2
+    assert "argument --threads: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_thread_invariant_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["search", "--mode", "saturation", "--dims", "2,1,1,1",

@@ -12,10 +12,15 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbattery.cli as cli
 import qbattery.dynamics as dynamics
+import qbattery.ensembles as ensembles
+import qbattery.moments as moments
 import qbattery.operators as operators
+import qbattery.search as search
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import (
     TRAJECTORY_COLUMNS,
@@ -30,15 +35,22 @@ from qbattery.dynamics import (
     trajectory_rows,
 )
 from qbattery.ensembles import SeedSpec, _draw_batch_eig, draw_batch, ginibre_mixed, gue_hermitian
-from qbattery.moments import REPORT_FIELDS, batch_rows, verify_batch
+from qbattery.moments import (
+    REPORT_FIELDS,
+    batch_rows,
+    charging_power,
+    decomposition_terms,
+    verify_batch,
+)
 from qbattery.operators import (
     HermitianOperator,
     NumericalIntegrityError,
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _one_row,
     density_stack,
-    eig_decompose,
+    eig_stack,
     to_matrix_literal,
 )
 
@@ -73,7 +85,7 @@ def reference_rows(doc) -> list[list[str]]:
     """The evolve table, value by value: states in batch_rows(D) chunks through verify_batch."""
     rho0, h, f, grid = parse_scenario(doc)
     s = h.structure
-    dec = eig_decompose(h.total())
+    (w,), (u,) = _one_row(eig_stack, h.total().mat)
     times = [float(t) for t in grid]
     values = []
     size = batch_rows(s.dim)
@@ -81,7 +93,7 @@ def reference_rows(doc) -> list[list[str]]:
         block = np.array(times[start : start + size])
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, dynamics._evolved(dec, rho0.mat, block))
+        states, _, eig = density_stack(rows, dynamics._evolved(w, u, rho0.mat, block))
         batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                              np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
         assert rows == batch.errors == [None] * n
@@ -281,9 +293,9 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: the draw's rho, F and V (3), then the kernel's reduced states,
-    # F^2, V^2, F (x) 1, dF, dV and sqrt(rho) (7); not rho, F and V again
+    # F^2, V^2 and sqrt(rho) (4); not rho, F and V again, nor F, dF and dV
     assert len(cli._trial_chunks(2500, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 10
+    assert len(symmetrized_calls) == 3 * 7
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -291,8 +303,8 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     for points, chunks in ((1001, 1), (2100, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1 and H0 + V once; per chunk the propagated states (1) and the kernel's 7
-        assert len(symmetrized_calls) == 2 + 8 * chunks
+        # F (x) 1 and H0 + V once; per chunk the propagated states (1) and the kernel's 4
+        assert len(symmetrized_calls) == 2 + 5 * chunks
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -300,7 +312,7 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     rho, f, v, _ = draw_batch(s, "mix", 1, range(3))
     symmetrized_calls.clear()
     assert verify_batch(rho, f, v, s).errors == [None] * 3
-    assert len(symmetrized_calls) == 3 + 7
+    assert len(symmetrized_calls) == 3 + 4
     v = v.copy()
     v[1, 0, 1] += 1e-6
     errors = verify_batch(rho, f, v, s).errors
@@ -308,10 +320,22 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     assert isinstance(errors[1], RejectedInputError) and "not Hermitian" in str(errors[1])
 
 
+def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho = ginibre_mixed(4, 4, SeedSpec(5, 0))
+    f, v = gue_hermitian(2, 1.0, SeedSpec(5, 1)), gue_hermitian(4, 1.0, SeedSpec(5, 2))
+    symmetrized_calls.clear()
+    charging_power(rho, f, v, s)
+    assert symmetrized_calls == []  # F (x) 1 is not checked again
+    decomposition_terms(rho, f, v, s)
+    # the reduced state and sqrt(rho); not F, dF or dV
+    assert symmetrized_calls == [(1, 2, 2), (1, 4, 4)]
+
+
 # the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states,
-# F^2, V^2, F, dF, dV and sqrt(rho); F (x) 1 and its shift are checked as F and
-# F - <F>, which have the residuals of their lifts
-KERNEL_CHECK_SHAPES = [(2, 2), (2, 2), (4, 4), (2, 2), (2, 2), (4, 4), (4, 4)]
+# F^2, V^2 and sqrt(rho); F, dF = F - <F> and dV = V - <V> are exactly
+# Hermitian shifts of checked inputs and are not checked again
+KERNEL_CHECK_SHAPES = [(2, 2), (2, 2), (4, 4), (4, 4)]
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
@@ -332,6 +356,37 @@ def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     for n in (1024, 76):
         want += [(n, *shape) for shape in [(4, 4)] + KERNEL_CHECK_SHAPES]
     assert symmetrized_calls == want
+
+
+def exactly_hermitian_stacks(seed, dims, n, scale, pure):
+    """F and V stacks as the kernel is handed them: GUE draws, and the search's parameterization."""
+    s = TensorStructure.from_dims(list(dims))
+    rng = np.random.default_rng(seed)
+    gue = [ensembles._gue_operators(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)),
+                                    scale) for d in (s.d_w, s.dim)]
+    param = search._Parameterization(s, pure_state=pure)
+    _, f, v, _ = param.build(scale * rng.standard_normal((n, param.n_params)))
+    return gue + [f, v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1)]),
+       shifts=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+       scale=st.floats(1e-3, 1e3), pure=st.booleans())
+def test_real_shifts_of_exactly_hermitian_stacks_need_no_check(seed, dims, shifts, scale, pure):
+    # why the kernel does not check dF = F - <F> and dV = V - <V>: the shift keeps
+    # an exactly Hermitian stack exactly Hermitian, for any real shift
+    c = np.array(shifts)
+    for a in exactly_hermitian_stacks(seed, dims, len(c), scale, pure):
+        assert np.abs(a - a.conj().swapaxes(-1, -2)).max() == 0.0
+        shifted = moments._delta_stack(a, c)
+        assert np.array_equal(np.diagonal(shifted, axis1=-2, axis2=-1),
+                              np.diagonal(a, axis1=-2, axis2=-1) - c[:, None])
+        assert np.abs(shifted - shifted.conj().swapaxes(-1, -2)).max() == 0.0
+        rows = RowErrors(len(c))
+        assert operators._symmetrized(rows, shifted, "{} {}") is shifted
+        assert rows == [None] * len(c)
 
 
 # ---------------------------------------------------------------- the cached parser

@@ -5,12 +5,12 @@ import pytest
 
 from qbattery.dynamics import (
     HamiltonianSpec,
+    _evolved,
     ScenarioError,
     builtin_exchange_scenario,
     exchange_interaction,
     ground_excited_state,
     parse_scenario,
-    propagate,
     trajectory_report,
     trajectory_rows,
     TRAJECTORY_COLUMNS,
@@ -21,6 +21,8 @@ from qbattery.operators import (
     HermitianOperator,
     RejectedInputError,
     TensorStructure,
+    _one_row,
+    eig_stack,
     to_matrix_literal,
 )
 
@@ -40,6 +42,12 @@ def exchange_setup(g=1.0):
 
 
 # ---------------------------------------------------------------- propagate
+
+def propagate(rho0, h, t):
+    """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t), as trajectory_report builds it."""
+    (w,), (u,) = _one_row(eig_stack, h.total().mat)
+    return DensityMatrix(_evolved(w, u, rho0.mat, np.array([t]))[0])
+
 
 def test_propagate_t0_is_identity():
     s, h, rho0, _ = exchange_setup()

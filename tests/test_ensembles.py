@@ -26,7 +26,7 @@ from qbattery.operators import (
     HermitianOperator,
     RejectedInputError,
     TensorStructure,
-    partial_trace_to_battery,
+    partial_trace_stack,
 )
 
 
@@ -132,7 +132,7 @@ def test_haar_reduced_battery_purity_average():
     acc = 0.0
     for i in range(n):
         rho = haar_pure(4, SeedSpec(4000, i))
-        acc += partial_trace_to_battery(rho, s).purity()
+        acc += DensityMatrix(partial_trace_stack(rho.mat[None], s)[0]).purity()
     assert abs(acc / n - 0.8) < 0.01
 
 
@@ -200,7 +200,7 @@ def test_battery_eigenstate_product_reduces_to_projector():
     f = HermitianOperator(np.diag([3.0, -1.0]).astype(complex))
     rest = haar_pure(2, SeedSpec(44))
     prod = battery_eigenstate_product(f, 0, rest, s)
-    red = partial_trace_to_battery(prod.state, s)
+    red = DensityMatrix(partial_trace_stack(prod.state.mat[None], s)[0])
     # ascending order: j = 0 is the eigenvalue -1 level, i.e. |1><1|
     assert prod.eigenvalue == pytest.approx(-1.0)
     assert np.allclose(red.mat, np.diag([0.0, 1.0]), atol=1e-12)

@@ -10,12 +10,12 @@ from qbattery.ensembles import (
 )
 from qbattery.moments import (
     MomentSet,
+    _delta_stack,
     PowerBoundReport,
     charging_power,
     compute_moments,
     corrected_bound,
     decomposition_terms,
-    delta_operator,
     loose_bound,
     verify_batch,
     verify_instance,
@@ -215,7 +215,7 @@ def test_delta_operator_centers_mean():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     op = HermitianOperator((a + a.conj().T) / 2)
     mean = expectation(rho, op)
-    shifted = delta_operator(op, mean)
+    shifted = HermitianOperator(_delta_stack(op.mat[None], np.array([mean]))[0])
     assert abs(expectation(rho, shifted)) <= 1e-12
 
 
