@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -163,11 +162,15 @@ def _g17(x: float) -> str:
 # - BLAS on 1 thread: 0.98-1.03 s against 1.49-1.86 s; 1.19-1.71 s against 1.66-2.02 s.
 # - BLAS on 2 threads: 2.68-3.21 s against 1.59-2.85 s; 2.62-3.31 s against 1.75-2.11 s.
 # A measurement with threaded BLAS therefore says nothing against the pool.
-def _map_ordered(fn, items, threads: int):
+def _map_ordered(fn, items, threads: int, take) -> None:
+    """take(fn(item)) for each item in order, on this thread, as each result comes in."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
+            for out in pool.map(fn, items):
+                take(out)
+    else:
+        for item in items:
+            take(fn(item))
 
 
 # ---------------------------------------------------------------- verify
@@ -183,33 +186,13 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-class _LeastSlack:
-    """The clean trial of least slack over every chunk, with its matrices.
-
-    Chunks may run on several threads and offer their own least-slack trial
-    in any order; ties go to the lower trial, so the result is the same for
-    any order.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.case = None
-
-    def offer(self, case: dict) -> None:
-        key = (case["report"]["slack"], case["trial"])
-        with self._lock:
-            if self.case is None or key < (self.case["report"]["slack"], self.case["trial"]):
-                self.case = case
-
-
-def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range,
-                  least: _LeastSlack) -> dict:
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> dict:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
     The states' eigendecomposition from the draw's check is reused for
     sqrt(rho). Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS
-    order) and the violation rows; offers the chunk's clean trial of least
-    slack to `least`.
+    order), the violation rows, and the chunk's clean trial of least slack
+    with its matrices, or None.
     """
     *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
     batch = _verify_checked(*stacks, structure, rho_eig=eig)
@@ -232,15 +215,14 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
             })
         else:
             raise err
-    if worst is not None:
-        least.offer({
-            "trial": trials[worst],
-            "kind": kinds[worst],
-            "report": dict(zip(REPORT_FIELDS, values[worst])),
-            # copies, so that the chunk's stacks can be freed
-            **{name: x[worst].copy() for name, x in zip(_MATRICES, stacks)},
-        })
-    return {"clean": clean, "violations": violations}
+    case = None if worst is None else {
+        "trial": trials[worst],
+        "kind": kinds[worst],
+        "report": dict(zip(REPORT_FIELDS, values[worst])),
+        # copies, so that the chunk's stacks can be freed
+        **{name: x[worst].copy() for name, x in zip(_MATRICES, stacks)},
+    }
+    return {"clean": clean, "violations": violations, "worst": case}
 
 
 def cmd_verify(args) -> int:
@@ -253,15 +235,17 @@ def cmd_verify(args) -> int:
         )
     kind = ENSEMBLES[args.ensemble]
     started = time.perf_counter()
-    least = _LeastSlack()
+    clean, violations, worst = [], [], None
 
-    def one(trials: range) -> dict:
-        return _verify_chunk(structure, kind, args.seed, args.rank, trials, least)
+    def take(chunk: dict) -> None:
+        nonlocal worst  # the clean trial of least (slack, trial) so far
+        clean.extend(chunk["clean"])
+        violations.extend(chunk["violations"])
+        cases = [c for c in (worst, chunk["worst"]) if c is not None]
+        worst = min(cases, key=lambda c: (c["report"]["slack"], c["trial"]), default=None)
 
-    chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
-
-    clean = [row for c in chunks for row in c["clean"]]
-    violations = [row for c in chunks for row in c["violations"]]
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
+    _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads, take)
     summary = {
         "trials": args.trials,
         "violations": len(violations),
@@ -271,7 +255,6 @@ def cmd_verify(args) -> int:
         "worst_case": None,
     }
     if clean:
-        worst = least.case
         summary["max_power_sq"] = max(row[_POWER_SQ] for _, _, row in clean)
         summary["min_slack"] = worst["report"]["slack"]
         summary["mean_saturation_ratio"] = math.fsum(row[_RATIO] for _, _, row in clean) / len(clean)

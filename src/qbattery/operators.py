@@ -11,11 +11,12 @@ first failure of every row in `RowErrors`; the one-instance classes and
 functions run the same code on a one-row stack and raise that row's error,
 and `_one_row` does the same for any stack function.
 
-The Hermiticity check runs at the boundaries, where a matrix enters: the
-classes' constructors, the stacked draws and `moments.verify_batch`'s input
-pass. A matrix that passed it is exactly Hermitian, since (A + A^dag)/2 is,
-and so is a real diagonal shift or a real multiple of it; code that only
-shifts or scales such a matrix does not check it again.
+The Hermiticity check, which also rejects NaN and infinite entries, runs at
+the boundaries, where a matrix enters: the classes' constructors, the stacked
+draws and `moments.verify_batch`'s input pass. A matrix that passed it is
+finite and exactly Hermitian, since (A + A^dag)/2 is, and so is a real
+diagonal shift or a real multiple of it; code that only shifts or scales such
+a matrix does not check it again.
 
 A state is decomposed once: `density_stack` returns the eigenpairs its PSD
 check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
@@ -121,9 +122,19 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(rows: RowErrors, a: np.ndarray, message: str) -> np.ndarray:
-    """(A + A^dag)/2 per row after the residual check; `a` itself when it is exactly Hermitian."""
+    """(A + A^dag)/2 per row after the residual check; `a` itself when it is exactly Hermitian.
+
+    A row with a NaN or infinite entry is rejected and comes back as zeros,
+    which no later step of its batch can fail to decompose.
+    """
     adj = _adjoint(a)
-    residual = _max_abs(a - adj)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: handled below
+        residual = _max_abs(a - adj)
+    if not np.isfinite(residual).all():  # as a NaN or infinite entry makes it
+        bad = ~np.isfinite(a).all(axis=(-2, -1))
+        rows.record(bad, lambda i: RejectedInputError("matrix has a non-finite entry"))
+        a = np.where(bad[:, None, None], 0.0, a)
+        adj, residual = _adjoint(a), np.where(bad, 0.0, residual)
     rows.record(residual > HERMITICITY_TOL,
                 lambda i: RejectedInputError(message.format(residual[i], HERMITICITY_TOL)))
     if not np.count_nonzero(residual):

@@ -1,11 +1,9 @@
 import json
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from qbattery.cli import TRIAL_COLUMNS, _LeastSlack, main
+from qbattery.cli import TRIAL_COLUMNS, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 
 
@@ -96,27 +94,18 @@ def test_verify_thread_invariant_bytes(tmp_path):
         assert payloads[2] == payloads[0]
 
 
-def test_least_slack_case_survives_concurrent_offers():
-    # Chunks offer their least-slack trial from worker threads. Here eight
-    # threads offer interleaved cases, each better than the ones before it,
-    # so every offer writes; a lost update would leave a case other than the
-    # minimum of (slack, trial).
-    cases = [{"trial": i, "report": {"slack": float(20000 - i)}} for i in range(20000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            least = _LeastSlack()
-
-            def offer_every_eighth(k):
-                for case in cases[k::8]:
-                    least.offer(case)
-
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(offer_every_eighth, range(8), timeout=60))
-            assert least.case is cases[-1]
-    finally:
-        sys.setswitchinterval(interval)
+def test_verify_worst_case_is_least_slack_over_chunks(tmp_path):
+    # 2500 trials at D = 4 span three chunks; each offers its own least-slack
+    # trial, and the summary keeps the least (slack, trial) of them
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}.json"
+        assert run("verify", "--dims", "2,2,1,1", "--trials", "2500", "--format", "csv",
+                   "--threads", threads, "--out", str(out)) == 0
+        rows = Path(f"{out}.trials.csv").read_text().splitlines()[1:]
+        slack = TRIAL_COLUMNS.index("slack")
+        want = min((float(r.split(",")[slack]), int(r.split(",")[0])) for r in rows)
+        summary = json.loads(out.read_text())
+        assert (summary["min_slack"], summary["worst_case"]["trial"]) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,6 +179,15 @@ def test_evolve_invalid_scenario(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run("evolve", "--config", str(bad), "--out", str(tmp_path / "t.csv")) == 2
+
+
+def test_evolve_non_finite_operator_is_bad_input(tmp_path, capsys):
+    doc = builtin_exchange_scenario(steps=10)
+    doc["f"]["re"][1][1] = float("nan")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(doc))  # writes the NaN literal, which json.loads reads back
+    assert run("evolve", "--config", str(cfg), "--out", str(tmp_path / "nan.csv")) == 2
+    assert "non-finite entry" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- search

@@ -292,10 +292,10 @@ def symmetrized_calls(monkeypatch):
 def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
                  "--out", str(tmp_path / "o.json")]) == 0
-    # per chunk: the draw's rho, F and V (3), then the kernel's reduced states,
-    # F^2, V^2 and sqrt(rho) (4); not rho, F and V again, nor F, dF and dV
+    # per chunk: the draw's rho, F and V (3), then the kernel's reduced states
+    # and sqrt(rho) (2); not rho, F and V again, nor F, dF and dV
     assert len(cli._trial_chunks(2500, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 7
+    assert len(symmetrized_calls) == 3 * 5
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -303,8 +303,8 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     for points, chunks in ((1001, 1), (2100, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1 and H0 + V once; per chunk the propagated states (1) and the kernel's 4
-        assert len(symmetrized_calls) == 2 + 5 * chunks
+        # F (x) 1 and H0 + V once; per chunk the propagated states (1) and the kernel's 2
+        assert len(symmetrized_calls) == 2 + 3 * chunks
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -312,7 +312,7 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     rho, f, v, _ = draw_batch(s, "mix", 1, range(3))
     symmetrized_calls.clear()
     assert verify_batch(rho, f, v, s).errors == [None] * 3
-    assert len(symmetrized_calls) == 3 + 4
+    assert len(symmetrized_calls) == 3 + 2
     v = v.copy()
     v[1, 0, 1] += 1e-6
     errors = verify_batch(rho, f, v, s).errors
@@ -332,10 +332,10 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
     assert symmetrized_calls == [(1, 2, 2), (1, 4, 4)]
 
 
-# the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states,
-# F^2, V^2 and sqrt(rho); F, dF = F - <F> and dV = V - <V> are exactly
-# Hermitian shifts of checked inputs and are not checked again
-KERNEL_CHECK_SHAPES = [(2, 2), (2, 2), (4, 4), (4, 4)]
+# the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states
+# and sqrt(rho); F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts
+# of checked inputs and are not checked again, and no F^2 or V^2 is formed
+KERNEL_CHECK_SHAPES = [(2, 2), (4, 4)]
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):

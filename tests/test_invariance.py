@@ -1,0 +1,127 @@
+"""Invariances of the verification chain, on drawn instances.
+
+In exact arithmetic P, the variances and the covariance do not change when F
+or V is shifted by a multiple of the identity; they scale as a c, a^2, c^2
+and a c when F -> aF and V -> cV, and the saturation ratio does not change;
+and nothing changes under a unitary on the environment or a change of
+battery basis. The kernel must show this in float64: within the ranges
+below no row is rejected for the size of its operators, and no row is
+falsified by round-off. The exception is a rare row of a c > 10: there the
+identity tolerances' absolute floor, tol * (1 + |x|), no longer scales with
+F and V, and about one row in 1,000 fails one of them.
+
+Round-off is measured against the scale of each quantity: <F^2> for var_F,
+<V^2> for var_V, and sigma = sqrt(<F^2> <V^2>) for P and Cov.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbattery.ensembles import draw_batch
+from qbattery.moments import verify_batch
+from qbattery.operators import RejectedInputError, TensorStructure
+
+ROWS = 16
+instances = st.tuples(
+    st.sampled_from([(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1)]),
+    st.sampled_from(["haar", "ginibre", "mix"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def drawn(case):
+    """(structure, rho, F, V): ROWS seeded draws as stacks."""
+    dims, kind, seed = case
+    s = TensorStructure(*dims)
+    return (s, *draw_batch(s, kind, seed, range(ROWS))[:3])
+
+
+def values(batch):
+    """The values the invariances speak of, and the scales their round-off is measured against."""
+    m = batch.moments
+    f2, v2 = m.var_f + m.mean_f**2, m.var_v + m.mean_v**2
+    return SimpleNamespace(power=batch.power, var_f=m.var_f, var_v=m.var_v, cov=m.cov,
+                           bound=batch.corrected_bound, ratio=batch.saturation_ratio,
+                           f2=f2, v2=v2, sigma=np.sqrt(f2 * v2))
+
+
+def assert_close(got, want, tol, rows=slice(None)):
+    err = np.abs(got - want)[rows]
+    tol = np.broadcast_to(tol, np.shape(got))[rows]
+    assert np.all(err <= tol), f"worst excess {np.max(err / tol)} x tolerance"
+
+
+def conjugated(u, a):
+    return u @ a @ u.conj().swapaxes(-1, -2)
+
+
+def unitaries(rng, n, d, haar):
+    """n Haar-random d x d unitaries, or n identities."""
+    if not haar:
+        return np.broadcast_to(np.eye(d, dtype=complex), (n, d, d))
+    z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=instances, log_a=st.floats(-6.0, 6.0), log_c=st.floats(-6.0, 6.0))
+def test_scaling_f_and_v(case, log_a, log_c):
+    s, rho, f, v = drawn(case)
+    a, c = 10.0**log_a, 10.0**log_c
+    base, scaled = verify_batch(rho, f, v, s), verify_batch(rho, a * f, c * v, s)
+    assert base.errors == [None] * ROWS
+    for err in scaled.errors:
+        assert not isinstance(err, RejectedInputError), err
+        assert err is None or a * c > 10.0, err
+    clean = np.array([err is None for err in scaled.errors])
+    x, y = values(base), values(scaled)
+    assert_close(y.power / (a * c), x.power, 1e-12 * x.sigma, clean)
+    assert_close(y.var_f / a**2, x.var_f, 1e-12 * x.f2, clean)
+    assert_close(y.var_v / c**2, x.var_v, 1e-12 * x.v2, clean)
+    assert_close(np.abs(y.cov) / (a * c), np.abs(x.cov), 1e-12 * x.sigma, clean)
+    # the ratio's round-off grows as the bound, a difference, cancels
+    cancellation = np.divide(x.var_f * x.var_v + np.abs(x.cov) ** 2, x.bound,
+                             out=np.full(ROWS, np.inf), where=x.bound > 0.0)
+    assert_close(y.ratio, x.ratio, 1e-9 * (1.0 + cancellation), clean)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=instances, b=st.floats(-1e4, 1e4), d=st.floats(-1e4, 1e4))
+def test_shifting_f_and_v(case, b, d):
+    s, rho, f, v = drawn(case)
+    base = verify_batch(rho, f, v, s)
+    shifted = verify_batch(rho, f + b * np.eye(s.d_w), v + d * np.eye(s.dim), s)
+    assert base.errors == [None] * ROWS
+    assert shifted.errors == [None] * ROWS
+    x, y = values(base), values(shifted)
+    rtol = 1e-13 * (1.0 + abs(b) + abs(d))
+    assert_close(y.power, x.power, rtol * x.sigma)
+    assert_close(y.var_f, x.var_f, rtol * x.f2)
+    assert_close(y.var_v, x.var_v, rtol * x.v2)
+    assert_close(y.cov, x.cov, rtol * x.sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=instances, seed=st.integers(0, 2**32 - 1),
+       moved=st.sampled_from(["battery", "environment", "both"]))
+def test_local_unitaries(case, seed, moved):
+    # W (x) E with W a change of battery basis and E a unitary on S, B and A:
+    # rho -> U rho U^dag, V -> U V U^dag, F -> W F W^dag, so F (x) 1 -> U (F (x) 1) U^dag
+    s, rho, f, v = drawn(case)
+    rng = np.random.default_rng(seed)
+    w = unitaries(rng, ROWS, s.d_w, moved != "environment")
+    e = unitaries(rng, ROWS, s.env_dim, moved != "battery")
+    u = np.stack([np.kron(wi, ei) for wi, ei in zip(w, e)])
+    base = verify_batch(rho, f, v, s)
+    turned = verify_batch(conjugated(u, rho), conjugated(w, f), conjugated(u, v), s)
+    assert base.errors == [None] * ROWS
+    assert turned.errors == [None] * ROWS
+    x, y = values(base), values(turned)
+    assert_close(y.power, x.power, 1e-12 * x.sigma)
+    assert_close(y.var_f, x.var_f, 1e-12 * x.f2)
+    assert_close(y.var_v, x.var_v, 1e-12 * x.v2)
+    assert_close(y.cov, x.cov, 1e-12 * x.sigma)
+    assert_close(y.bound, x.bound, 1e-12 * x.sigma**2)

@@ -422,7 +422,9 @@ def shifted_failing_instance(s):
     """A drawn instance, with F and V shifted by 1e6 I, that `verify_instance` rejects.
 
     The shift makes the commutator-shift identity fail on some draws through
-    round-off in <A^2> - <A>^2. Returns (rho, F, V, the error message).
+    round-off in the raw commutator Tr([rho, F (x) 1] V), whose two products
+    grow with the shift while their difference does not; the centred route
+    does not see the shift. Returns (rho, F, V, the error message).
     """
     shift = 1e6
     for trial in range(100):
@@ -463,6 +465,24 @@ def test_kernel_checks_its_inputs_are_hermitian():
     assert str(batch.errors[1]) == str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_rejects_non_finite_inputs(bad):
+    # a NaN or an infinity in rho, F or V rejects its own row as bad input;
+    # the other rows come out as they do without it
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v = drawn_stacks(s, "mix", 4)
+    clean = kernel_fields(verify_batch(rho, f, v, s))
+    for k in range(3):
+        stacks = [x.copy() for x in (rho, f, v)]
+        stacks[k][k + 1, 1, 1] = bad
+        batch = verify_batch(*stacks, s)
+        assert type(batch.errors[k + 1]) is RejectedInputError
+        assert "non-finite entry" in str(batch.errors[k + 1])
+        assert [e for i, e in enumerate(batch.errors) if i != k + 1] == [None] * 3
+        for name, values in kernel_fields(batch).items():
+            assert np.array_equal(np.delete(values, k + 1), np.delete(clean[name], k + 1)), name
+
+
 def test_power_and_terms_raise_only_for_their_own_checks():
     # The shifted instance fails an identity of the full chain, but none of
     # the checks charging_power and decomposition_terms make themselves.
@@ -481,21 +501,25 @@ def test_one_row_calls_run_each_check_once(monkeypatch):
     # from them must not run the same checks a second time
     import qbattery.moments as moments
 
-    calls = {"_moment_checks": 0, "_report_checks": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(moments, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(moments, name, counted)
+    # each stage's rows of the check table are evaluated once, in the chain's order
+    calls = []
+    real = moments._run_checks
+
+    def counted(rows, stage, **values):
+        calls.append(stage)
+        return real(rows, stage, **values)
+
+    monkeypatch.setattr(moments, "_run_checks", counted)
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, _ = draw_instance(s, "mix", 42, 3)
 
     compute_moments(rho, f, v, s)
-    assert calls == {"_moment_checks": 1, "_report_checks": 0}
+    assert calls == ["moments"]
     verify_instance(rho, f, v, s)
-    assert calls == {"_moment_checks": 2, "_report_checks": 1}
+    assert calls == ["moments"] + ["moments", "power", "shift", "chain", "report"]
     # direct construction stays checked
+    calls.clear()
     MomentSet(mean_f=0.0, mean_v=0.0, var_f=1.0, var_v=1.0, cov=0j)
     PowerBoundReport(power=0.0, power_sq=0.0, term_fv=0.0, term_vf=0.0, term_cross=0.0,
                      corrected_bound=1.0, loose_bound=1.0, slack=1.0, saturation_ratio=0.0)
-    assert calls == {"_moment_checks": 3, "_report_checks": 2}
+    assert calls == ["moments", "report"]

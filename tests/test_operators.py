@@ -97,6 +97,22 @@ def test_hermitian_identity():
 
 # ---------------------------------------------------------------- density
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+@pytest.mark.parametrize("cls", [HermitianOperator, DensityMatrix])
+def test_non_finite_entries_are_rejected(cls, bad):
+    # on the diagonal, off it, and in both mirrored places, where A - A^dag
+    # takes inf - inf; a matrix of huge finite entries is still only not Hermitian
+    a = np.eye(2, dtype=complex) / 2.0
+    for places in ([(0, 0)], [(0, 1)], [(0, 1), (1, 0)]):
+        b = a.copy()
+        for i, j in places:
+            b[i, j] = bad
+        with pytest.raises(RejectedInputError, match="non-finite entry"):
+            cls(b)
+    with pytest.raises(RejectedInputError, match="not Hermitian"):
+        cls(np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex))
+
+
 def test_density_trace_renormalized_exactly():
     a = random_density(4)
     rho = DensityMatrix(a * (1 + 5e-9))  # inside the input tolerance
