@@ -43,16 +43,14 @@ from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py pa
     gue_hermitian,
     haar_pure,
 )
-from .moments import REPORT_FIELDS, _verify_checked, batch_rows, compute_moments, verify_instance
+from .moments import REPORT_FIELDS, _verify_checked, batch_rows
+from .moments import compute_moments, verify_instance  # noqa: F401  names bench/tracer.py patches here
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     NumericalIntegrityError,
     RejectedInputError,
     TensorStructure,
-    _one_row,
-    density_stack,
-    partial_trace_stack,
     to_matrix_literal,
 )
 from .search import (
@@ -122,22 +120,23 @@ def _json_bytes(obj) -> bytes:
     return (_json_text(obj, "\n") + "\n").encode()
 
 
-def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_manifest(args, started: float, digests=None, config=None, **telemetry) -> None:
+    """Write <out>.manifest.json for the parsed `args`.
 
-
-def _write_manifest(out: str, subcommand: str, config: dict, seed: int,
-                    digests: dict, started: float, **telemetry) -> None:
+    Its config is every parsed argument but the subcommand, --out and --seed
+    (which has its own field), with `config` laid over it.
+    """
+    parsed = {k: v for k, v in vars(args).items() if k not in ("command", "out", "seed")}
     manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
+        "subcommand": args.command,
+        "config": {**parsed, **(config or {})},
+        "seed": args.seed,
         "version": __version__,
-        "input_digests": digests,
+        "input_digests": digests or {},
         "duration_seconds": time.perf_counter() - started,
         **telemetry,
     }
-    Path(out + ".manifest.json").write_bytes(_json_bytes(manifest))
+    Path(args.out + ".manifest.json").write_bytes(_json_bytes(manifest))
 
 
 def _parse_dims(text: str) -> TensorStructure:
@@ -272,15 +271,7 @@ def cmd_verify(args) -> int:
             lines.append(",".join([str(trial), used] + [_g17(x) for x in row]))
         Path(args.out + ".trials.csv").write_bytes(("\n".join(lines) + "\n").encode())
 
-    config = {
-        "dims": args.dims,
-        "trials": args.trials,
-        "ensemble": args.ensemble,
-        "rank": args.rank,
-        "threads": args.threads,
-        "format": args.format,
-    }
-    _write_manifest(args.out, "verify", config, args.seed, {}, started)
+    _write_manifest(args, started)
 
     print(f"verify: {args.trials} trials, {len(violations)} violations -> {args.out}")
     return 0 if not violations else 1
@@ -290,25 +281,18 @@ def cmd_verify(args) -> int:
 
 def cmd_evolve(args) -> int:
     started = time.perf_counter()
-    digests = {}
-    if args.config == "exchange" and not Path(args.config).exists():
-        rho0, hspec, f, grid = parse_scenario(builtin_exchange_scenario())
-        config_doc = "builtin:exchange"
+    path = Path(args.config)
+    if args.config == "exchange" and not path.exists():
+        source, doc, digests = "builtin:exchange", builtin_exchange_scenario(), {}
     else:
-        path = Path(args.config)
+        data = path.read_bytes()  # an OSError exits 2 in main
+        source = str(path)
+        digests = {source: "sha256:" + hashlib.sha256(data).hexdigest()}
         try:
-            text = path.read_text()
-        except OSError as exc:
-            raise RejectedInputError(f"config: cannot read {args.config!r}: {exc}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(data)
+        except ValueError as exc:  # not JSON, or not UTF-8, -16 or -32 text
             raise ScenarioError(f"config: not valid JSON: {exc}") from None
-        digests[str(path)] = _sha256(path)
-        rho0, hspec, f, grid = parse_scenario(doc)
-        config_doc = str(path)
-
-    trajectory = trajectory_report(rho0, hspec, f, grid)
+    trajectory = trajectory_report(*parse_scenario(doc))
 
     if args.format == "json":
         columns = trajectory.columns()
@@ -319,8 +303,7 @@ def cmd_evolve(args) -> int:
         payload = ("\n".join(lines) + "\n").encode()
     Path(args.out).write_bytes(payload)
 
-    config = {"config": config_doc, "format": args.format, "threads": args.threads}
-    _write_manifest(args.out, "evolve", config, args.seed, digests, started)
+    _write_manifest(args, started, digests, {"config": source})
 
     max_power = float(np.abs(trajectory.report.power).max())
     min_purity = float(trajectory.battery_purity.min())
@@ -356,19 +339,7 @@ def cmd_search(args) -> int:
         result = find_saturating(config)
 
     Path(args.out).write_bytes(_json_bytes(result.to_dict()))
-    cli_config = {
-        "dims": args.dims,
-        "mode": args.mode,
-        "min_var_f": args.min_var_f,
-        "min_abs_cov": args.min_abs_cov,
-        "max_abs_power": args.max_abs_power,
-        "require_entangled": args.require_entangled,
-        "budget": args.budget,
-        "restarts": args.restarts,
-        "threads": args.threads,
-    }
-    _write_manifest(args.out, "search", cli_config, args.seed, {}, started,
-                    restarts=result.restarts, kernel_calls=result.kernel_calls)
+    _write_manifest(args, started, restarts=result.restarts, kernel_calls=result.kernel_calls)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
     print(
@@ -439,17 +410,17 @@ _DEMO_CASES = {
 def cmd_demo(args) -> int:
     started = time.perf_counter()
     s, rho, f, v, checks = _DEMO_CASES[args.case](args.seed)
-    report = verify_instance(rho, f, v, s)
-    moments = compute_moments(rho, f, v, s)
+    batch = _verify_checked(rho.mat[None], f.mat[None], v.mat[None], s)
+    batch.errors.raise_first()
+    report, moments = batch.row(0), batch.moments.row(0)
     results = [(name, bool(fn(report, moments))) for name, fn in checks]
     all_passed = all(ok for _, ok in results)
 
-    _, purity, _ = _one_row(density_stack, partial_trace_stack(rho.mat[None], s)[0])
     doc = {
         "case": args.case,
         "report": report.to_dict(),
         "moments": moments.to_dict(),
-        "battery_purity": float(purity[0]),
+        "battery_purity": float(batch.moments.purity_w[0]),
         "checks": [{"name": name, "passed": ok} for name, ok in results],
         "passed": all_passed,
     }
@@ -468,8 +439,7 @@ def cmd_demo(args) -> int:
         print(f"result: {'PASS' if all_passed else 'FAIL'}")
     if args.out:
         Path(args.out).write_bytes(_json_bytes(doc))
-        _write_manifest(args.out, "demo", {"case": args.case, "format": args.format},
-                        args.seed, {}, started)
+        _write_manifest(args, started)
     return 0 if all_passed else 1
 
 

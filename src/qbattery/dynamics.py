@@ -32,6 +32,8 @@ from .operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _is_integer,
+    _is_number,
     _one_row,
     density_from_literal,
     density_stack,
@@ -249,8 +251,66 @@ class ScenarioError(RejectedInputError):
 _EXCHANGE_RE = re.compile(r"^exchange\(([^)]+)\)$")
 
 
-def _scenario_fail(field: str, why: str):
-    raise ScenarioError(f"field '{field}': {why}")
+def _field(name: str, build, *args):
+    """build(*args), its rejection of the input raised as a ScenarioError naming `name`.
+
+    `build` may raise a ScenarioError itself, to name a part of its field.
+    """
+    try:
+        return build(*args)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+        raise ScenarioError(f"field '{name}': {exc}") from None
+
+
+def _h0(doc, s: TensorStructure) -> HermitianOperator:
+    if doc == "zero":
+        return HermitianOperator(np.zeros((s.dim, s.dim), dtype=complex))
+    return hermitian_from_literal(doc)
+
+
+def _interaction(doc, s: TensorStructure) -> HermitianOperator:
+    if not isinstance(doc, str):
+        return hermitian_from_literal(doc)
+    match = _EXCHANGE_RE.match(doc)
+    if not match:
+        raise ValueError(f"unknown named model {doc!r}, expected 'exchange(g)'")
+    try:
+        g = float(match.group(1))
+    except ValueError:
+        raise ValueError(f"coupling {match.group(1)!r} is not a number") from None
+    return exchange_interaction(g, s)
+
+
+def _battery_operator(doc, s: TensorStructure) -> HermitianOperator:
+    f = hermitian_from_literal(doc)
+    if f.dim != s.d_w:
+        raise ValueError(f"dim {f.dim} != battery dim {s.d_w}")
+    return f
+
+
+def _initial_state(doc, s: TensorStructure) -> DensityMatrix:
+    rho0 = ground_excited_state(s) if doc == "ground-excited" else density_from_literal(doc)
+    if rho0.dim != s.dim:
+        raise ValueError(f"dim {rho0.dim} != total dim {s.dim}")
+    return rho0
+
+
+def _grid(doc) -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise TypeError("must be an object {t0, t1, steps}")
+    try:
+        t0, t1, steps = doc["t0"], doc["t1"], doc["steps"]
+        if not (_is_number(t0) and _is_number(t1) and _is_integer(steps)):
+            raise TypeError(f"got t0 {t0!r}, t1 {t1!r}, steps {steps!r}")
+    except (KeyError, TypeError) as exc:
+        raise TypeError(f"needs numeric t0, t1 and integer steps ({exc})") from None
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
+        raise ScenarioError("field 'grid.t1': need finite t0 < t1")
+    if steps < 2:
+        raise ScenarioError("field 'grid.steps': need steps >= 2 (at least 3 grid points)")
+    return np.linspace(t0, t1, steps + 1)
 
 
 def parse_scenario(doc: dict) -> tuple[DensityMatrix, HamiltonianSpec, HermitianOperator, np.ndarray]:
@@ -264,87 +324,23 @@ def parse_scenario(doc: dict) -> tuple[DensityMatrix, HamiltonianSpec, Hermitian
          "f": matrix-literal,
          "rho0": matrix-literal | "ground-excited",
          "grid": {"t0": float, "t1": float, "steps": int}}
+
+    Integers must be JSON integers and numbers JSON numbers: a string, a
+    bool, or a float where an integer is wanted is rejected, never
+    converted. Every error is a ScenarioError that names the field.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     for key in ("structure", "h0", "v", "f", "rho0", "grid"):
         if key not in doc:
-            _scenario_fail(key, "missing")
-
-    try:
-        s = TensorStructure.from_dims(doc["structure"])
-    except (RejectedInputError, TypeError, ValueError) as exc:
-        _scenario_fail("structure", str(exc))
-
-    h0_doc = doc["h0"]
-    if h0_doc == "zero":
-        h0 = HermitianOperator(np.zeros((s.dim, s.dim), dtype=complex))
-    else:
-        try:
-            h0 = hermitian_from_literal(h0_doc)
-        except RejectedInputError as exc:
-            _scenario_fail("h0", str(exc))
-
-    v_doc = doc["v"]
-    if isinstance(v_doc, str):
-        match = _EXCHANGE_RE.match(v_doc)
-        if not match:
-            _scenario_fail("v", f"unknown named model {v_doc!r}, expected 'exchange(g)'")
-        try:
-            g = float(match.group(1))
-        except ValueError:
-            _scenario_fail("v", f"coupling {match.group(1)!r} is not a number")
-        try:
-            v = exchange_interaction(g, s)
-        except RejectedInputError as exc:
-            _scenario_fail("v", str(exc))
-    else:
-        try:
-            v = hermitian_from_literal(v_doc)
-        except RejectedInputError as exc:
-            _scenario_fail("v", str(exc))
-
-    try:
-        f = hermitian_from_literal(doc["f"])
-    except RejectedInputError as exc:
-        _scenario_fail("f", str(exc))
-    if f.dim != s.d_w:
-        _scenario_fail("f", f"dim {f.dim} != battery dim {s.d_w}")
-
-    rho_doc = doc["rho0"]
-    if rho_doc == "ground-excited":
-        try:
-            rho0 = ground_excited_state(s)
-        except RejectedInputError as exc:
-            _scenario_fail("rho0", str(exc))
-    else:
-        try:
-            rho0 = density_from_literal(rho_doc)
-        except RejectedInputError as exc:
-            _scenario_fail("rho0", str(exc))
-    if rho0.dim != s.dim:
-        _scenario_fail("rho0", f"dim {rho0.dim} != total dim {s.dim}")
-
-    grid_doc = doc["grid"]
-    if not isinstance(grid_doc, dict):
-        _scenario_fail("grid", "must be an object {t0, t1, steps}")
-    try:
-        t0 = float(grid_doc["t0"])
-        t1 = float(grid_doc["t1"])
-        steps = int(grid_doc["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        _scenario_fail("grid", f"needs numeric t0, t1 and integer steps ({exc})")
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
-        _scenario_fail("grid.t1", "need finite t0 < t1")
-    if steps < 2:
-        _scenario_fail("grid.steps", "need steps >= 2 (at least 3 grid points)")
-    grid = np.linspace(t0, t1, steps + 1)
-
-    try:
-        h = HamiltonianSpec(h0=h0, v=v, structure=s)
-    except DimensionMismatchError as exc:
-        _scenario_fail("h0/v", str(exc))
-    return rho0, h, f, grid
+            raise ScenarioError(f"field '{key}': missing")
+    s = _field("structure", TensorStructure.from_dims, doc["structure"])
+    h0 = _field("h0", _h0, doc["h0"], s)
+    v = _field("v", _interaction, doc["v"], s)
+    f = _field("f", _battery_operator, doc["f"], s)
+    rho0 = _field("rho0", _initial_state, doc["rho0"], s)
+    grid = _field("grid", _grid, doc["grid"])
+    return rho0, _field("h0/v", HamiltonianSpec, h0, v, s), f, grid
 
 
 def builtin_exchange_scenario(g: float = 1.0, steps: int = 1000) -> dict:

@@ -48,6 +48,16 @@ class NumericalIntegrityError(RuntimeError):
     """A quantity that is exact in real arithmetic failed its tolerance check."""
 
 
+def _is_integer(value) -> bool:
+    """An integer as JSON or numpy writes one: not a bool, float or string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number as JSON or numpy writes one: not a bool or string."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def _as_complex_square(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -67,7 +77,7 @@ class TensorStructure:
     def __post_init__(self):
         for name in ("d_w", "d_s", "d_b", "d_a"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise RejectedInputError(f"{name} must be a positive integer, got {value!r}")
 
     @property
@@ -82,7 +92,8 @@ class TensorStructure:
 
     @classmethod
     def from_dims(cls, dims) -> "TensorStructure":
-        dims = tuple(int(d) for d in dims)
+        """The structure of four integer dimensions (W, S, B, A); nothing is converted."""
+        dims = tuple(dims)
         if len(dims) != 4:
             raise RejectedInputError(f"expected 4 dimensions (W,S,B,A), got {len(dims)}")
         return cls(*dims)
@@ -388,19 +399,28 @@ def to_matrix_literal(mat) -> dict:
 
 
 def matrix_from_literal(obj) -> np.ndarray:
-    """Parse the {dim, re, im} matrix literal format into a complex ndarray."""
+    """Parse the {dim, re, im} matrix literal format into a complex ndarray.
+
+    `dim` must be an integer and every entry a number, as JSON writes them:
+    a string, a bool or a fractional dim is rejected, not converted.
+    """
     if not isinstance(obj, dict):
         raise RejectedInputError(f"matrix literal must be an object, got {type(obj).__name__}")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise RejectedInputError(f"malformed matrix literal: {exc}") from exc
+    if not _is_integer(dim):
+        raise RejectedInputError(f"matrix literal dim must be an integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise RejectedInputError(
             f"matrix literal arrays must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
+    # the float conversion above reads "1.5", true and null; the entries themselves may not be those
+    if not all(_is_number(x) for rows in (obj["re"], obj["im"]) for row in rows for x in row):
+        raise RejectedInputError("matrix literal entries must be numbers")
     return re + 1j * im
 
 

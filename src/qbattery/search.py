@@ -17,6 +17,7 @@ unit-scale operators (var_f can never exceed 1 on a qubit battery, for
 instance), and scaling an operator up cannot game them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,9 @@ class SearchThresholds:
 
     def __post_init__(self):
         for name in ("min_var_f", "min_abs_cov", "max_abs_power"):
-            if getattr(self, name) < 0:
-                raise RejectedInputError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise RejectedInputError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

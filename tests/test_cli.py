@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from qbattery.cli import TRIAL_COLUMNS, main
+from qbattery import cli
+from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 
 
@@ -158,8 +160,7 @@ def test_evolve_scenario_file_json(tmp_path):
     assert docs[0]["dFdt_fd"] is None and docs[-1]["dFdt_fd"] is None
     assert docs[5]["dFdt_fd"] is not None
     manifest = json.loads((tmp_path / "traj.json.manifest.json").read_text())
-    assert str(cfg) in manifest["input_digests"]
-    assert manifest["input_digests"][str(cfg)].startswith("sha256:")
+    assert manifest["input_digests"] == {str(cfg): "sha256:" + hashlib.sha256(cfg.read_bytes()).hexdigest()}
 
 
 def test_evolve_missing_file(tmp_path):
@@ -283,6 +284,26 @@ def test_demo_unknown_case():
     assert run("demo", "--case", "perpetual-motion") == 2
 
 
+@pytest.mark.parametrize("case", ["eigenstate", "saturating", "real-cov"])
+def test_demo_runs_the_kernel_once(monkeypatch, capsys, case):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return verify_checked(*args, **kwargs)
+
+    def not_called(*args):
+        raise AssertionError("a second pass over the instance")
+
+    verify_checked = cli._verify_checked
+    monkeypatch.setattr(cli, "_verify_checked", counted)
+    monkeypatch.setattr(cli, "verify_instance", not_called)
+    monkeypatch.setattr(cli, "compute_moments", not_called)
+    assert run("demo", "--case", case) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert len(calls) == 1 and calls[0][0] == 1
+
+
 # ---------------------------------------------------------------- top level
 
 def test_version_flag():
@@ -297,3 +318,21 @@ def test_unwritable_out(tmp_path):
     assert run("verify", "--dims", "2,1,1,1", "--trials", "1",
                "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")) == 2
 
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dims", "2,1,1,1", "--trials", "3", "--ensemble", "ginibre", "--rank", "1"),
+    ("evolve", "--config", "exchange", "--format", "json", "--threads", "2"),
+    ("search", "--mode", "saturation", "--dims", "2,1,1,1", "--budget", "40", "--restarts", "1"),
+    ("demo", "--case", "real-cov", "--format", "json", "--threads", "3"),
+], ids=lambda argv: argv[0])
+def test_manifest_config_is_every_parsed_argument(tmp_path, argv):
+    out = tmp_path / "payload"
+    argv = [*argv, "--seed", "5", "--out", str(out)]
+    assert run(*argv) in (0, 1)  # a search may stop short of its goal
+    manifest = json.loads((tmp_path / "payload.manifest.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    expected = {k: v for k, v in parsed.items() if k not in ("command", "out", "seed")}
+    if argv[0] == "evolve":
+        expected["config"] = "builtin:exchange"
+    assert manifest["config"] == expected
+    assert (manifest["subcommand"], manifest["seed"]) == (argv[0], 5)

@@ -270,6 +270,25 @@ def test_zero_h0_all_power_zero_when_v_commutes():
     (lambda d: d.update(grid={"t0": 0.0, "t1": 1.0}), "grid"),
     (lambda d: d.update(grid={"t0": 1.0, "t1": 0.0, "steps": 5}), "grid"),
     (lambda d: d.update(grid={"t0": 0.0, "t1": 1.0, "steps": 1}), "grid"),
+    # values a conversion would accept: rejected, not converted
+    pytest.param(lambda d: d.update(structure=[2, 2, 1, 1.9]), "structure", id="structure-float"),
+    pytest.param(lambda d: d.update(structure=["2", "2", "1", "1"]), "structure",
+                 id="structure-strings"),
+    pytest.param(lambda d: d.update(structure="2211"), "structure", id="structure-string"),
+    pytest.param(lambda d: d.update(structure=[2, 2, True, True]), "structure",
+                 id="structure-bools"),
+    pytest.param(lambda d: d.update(grid={"t0": 0.0, "t1": 1.0, "steps": 4.7}), "grid",
+                 id="grid-steps-float"),
+    pytest.param(lambda d: d.update(grid={"t0": "0", "t1": 1.0, "steps": 5}), "grid",
+                 id="grid-t0-string"),
+    pytest.param(lambda d: d.update(grid={"t0": 0.0, "t1": True, "steps": 5}), "grid",
+                 id="grid-t1-bool"),
+    pytest.param(lambda d: d["f"].update(dim=2.9), "f", id="f-dim-float"),
+    pytest.param(lambda d: d["f"].update(dim=True), "f", id="f-dim-bool"),
+    pytest.param(lambda d: d["f"].update(re=[["1.5", 0.0], [0.0, -1.0]]), "f",
+                 id="f-entry-string"),
+    pytest.param(lambda d: d["f"].update(im=[[False, False], [False, False]]), "f",
+                 id="f-entry-bool"),
 ])
 def test_scenario_errors_name_the_field(mutate, field):
     doc = scenario_doc()
@@ -277,6 +296,56 @@ def test_scenario_errors_name_the_field(mutate, field):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert field in str(err.value)
+
+
+def _eye_literal(n, scale=1.0):
+    return to_matrix_literal(scale * np.eye(n))
+
+
+# the exact text of each rejection: how the fields are read must not change what a user sees
+@pytest.mark.parametrize("change, message", [
+    ({"structure": [2, 2, 1]}, "field 'structure': expected 4 dimensions (W,S,B,A), got 3"),
+    ({"structure": [2, 0, 1, 1]}, "field 'structure': d_s must be a positive integer, got 0"),
+    ({"structure": 5}, "field 'structure': 'int' object is not iterable"),
+    ({"h0": "bogus"}, "field 'h0': matrix literal must be an object, got str"),
+    ({"h0": to_matrix_literal(np.triu(np.ones((4, 4))))},
+     "field 'h0': matrix is not Hermitian: max|A - A^dag| = 1.000e+00 > 1e-10"),
+    ({"v": "exchange(oops)"}, "field 'v': coupling 'oops' is not a number"),
+    ({"v": "ising(1)"}, "field 'v': unknown named model 'ising(1)', expected 'exchange(g)'"),
+    ({"structure": [3, 2, 1, 1]}, "field 'v': exchange model needs d_w = d_s = 2"),
+    ({"f": _eye_literal(4)}, "field 'f': dim 4 != battery dim 2"),
+    ({"f": {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}}, "field 'f': malformed matrix literal: 'im'"),
+    ({"f": dict(_eye_literal(2), dim=3)},
+     "field 'f': matrix literal arrays must be 3x3, got re (2, 2) and im (2, 2)"),
+    ({"f": _eye_literal(2, float("nan"))}, "field 'f': matrix has a non-finite entry"),
+    ({"rho0": "no-such-state"}, "field 'rho0': matrix literal must be an object, got str"),
+    ({"rho0": _eye_literal(2, 0.5)}, "field 'rho0': dim 2 != total dim 4"),
+    ({"structure": [3, 2, 1, 1], "v": _eye_literal(6), "f": _eye_literal(3)},
+     "field 'rho0': ground-excited state needs d_w = d_s = 2"),
+    ({"grid": [0.0, 1.0, 5]}, "field 'grid': must be an object {t0, t1, steps}"),
+    ({"grid": {"t0": 0.0, "t1": 1.0}}, "field 'grid': needs numeric t0, t1 and integer steps ('steps')"),
+    ({"grid": {"t0": 1.0, "t1": 0.0, "steps": 5}}, "field 'grid.t1': need finite t0 < t1"),
+    ({"grid": {"t0": float("nan"), "t1": 1.0, "steps": 5}}, "field 'grid.t1': need finite t0 < t1"),
+    ({"grid": {"t0": 0.0, "t1": 1.0, "steps": 1}},
+     "field 'grid.steps': need steps >= 2 (at least 3 grid points)"),
+    ({"h0": _eye_literal(2)}, "field 'h0/v': Hamiltonian dims (2, 4) != structure dim 4"),
+    ({"v": _eye_literal(2)}, "field 'h0/v': Hamiltonian dims (4, 2) != structure dim 4"),
+])
+def test_scenario_error_texts(change, message):
+    doc = scenario_doc()
+    doc.update(change)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
+
+
+def test_scenario_error_texts_outside_the_fields():
+    with pytest.raises(ScenarioError, match="^scenario must be a JSON object$"):
+        parse_scenario([])
+    doc = scenario_doc()
+    del doc["grid"], doc["f"]
+    with pytest.raises(ScenarioError, match="^field 'f': missing$"):
+        parse_scenario(doc)
 
 
 def test_exchange_named_model_parses_coupling():

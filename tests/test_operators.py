@@ -55,7 +55,11 @@ def test_tensor_structure_battery_only():
     assert s.env_dim == 1
 
 
-@pytest.mark.parametrize("dims", [[0, 1, 1, 1], [2, 0, 1, 1], [2, 1, -1, 1], [2, 1, 1]])
+@pytest.mark.parametrize("dims", [
+    [0, 1, 1, 1], [2, 0, 1, 1], [2, 1, -1, 1], [2, 1, 1],
+    # not integers: rejected, not converted
+    [2, 2, 1, 1.9], [2, 2, 1, 1.0], ["2", "2", "1", "1"], "2211", [2, 2, True, True],
+])
 def test_tensor_structure_rejects_bad_dims(dims):
     with pytest.raises(RejectedInputError):
         TensorStructure.from_dims(dims)
@@ -268,6 +272,15 @@ def test_density_literal_roundtrip():
     {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},     # ragged
     "not a dict",
     {"dim": 2, "re": "oops", "im": [[0, 0], [0, 0]]},
+    # what a float conversion would accept: rejected, not converted
+    {"dim": 2.9, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": True, "re": [[1]], "im": [[0]]},
+    {"dim": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2, "re": [["1.5", 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[False, False], [False, False]]},
+    {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]},
+    {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, None], [None, 0]]},
 ])
 def test_matrix_literal_rejects_malformed(bad):
     with pytest.raises(RejectedInputError):

@@ -160,6 +160,24 @@ def test_bad_configs_rejected():
         SearchConfig(structure=QUBIT, mode="saturation", budget=10, seed=SeedSpec(1), restarts=0)
     with pytest.raises(RejectedInputError):
         SearchThresholds(min_var_f=-0.5)
+    for name in ("min_var_f", "min_abs_cov", "max_abs_power"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(RejectedInputError, match=name):
+                SearchThresholds(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_threshold_exits_2_before_searching(tmp_path, capsys, monkeypatch, value):
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(search, "_pattern_search", no_walk)
+    out = tmp_path / "n.json"
+    argv = ["search", "--mode", "zero-power", "--dims", "2,1,1,1", "--min-var-f", value,
+            "--budget", "200", "--restarts", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "min_var_f" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_result_serializes():
