@@ -7,10 +7,11 @@ evolution), ``search`` (zero-power / saturation optimization), and ``demo``
 
 Every file-writing subcommand stores its data payload at --out and a sidecar
 manifest at <out>.manifest.json with the resolved configuration, seed, tool
-version, input digests, and wall-clock duration. Payload bytes depend only on
-configuration and seed — never on --threads or timing. Exit codes: 0 success,
-1 a mathematical claim failed to hold (or a search goal was not reached),
-2 bad input.
+version, input digests, and wall-clock duration. An existing file is
+rewritten in place, never truncated to zero first; no write is atomic or
+fsynced. Payload bytes depend only on configuration and seed — never on
+--threads or timing. Exit codes: 0 success, 1 a mathematical claim failed to
+hold (or a search goal was not reached), 2 bad input.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -120,6 +122,31 @@ def _json_bytes(obj) -> bytes:
     return (_json_text(obj, "\n") + "\n").encode()
 
 
+# ext4 (with its default auto_da_alloc) starts writeback of a file's data when
+# a file that was truncated to 0 is closed, and when a file is renamed over
+# another; see "auto_da_alloc" in the kernel's ext4 admin guide. Median time to
+# rewrite a 1 kB file, 40 rewrites each, on a 2-core host (Linux 6.18, Python
+# 3.11), ext4 against tmpfs (/dev/shm):
+# - open(path, "wb"), which truncates with O_TRUNC: 60-82 ms against 0.004-0.005 ms;
+# - write a temp file, then os.replace over it: 62-81 ms against 0.008-0.010 ms;
+# - unlink, then create: 0.008-0.019 ms against 0.006 ms;
+# - rewrite in place, shrinking only to a non-zero length: 0.004 ms on both.
+def _write_file(path: str, data: bytes) -> None:
+    """Write `data` to `path` in place: created with mode 0o666 & ~umask if missing.
+
+    Unlike open(path, "wb"), the file is never truncated to zero first. It is
+    cut to len(data) only when it was longer, which a character device or a
+    FIFO (size 0) never is. Like open(path, "wb"), it follows symlinks, writes
+    through hard links, and is neither atomic nor fsynced.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        longer = os.fstat(fd).st_size > len(data)
+        fh.write(data)
+        if longer:
+            fh.truncate()
+
+
 def _write_manifest(args, started: float, digests=None, config=None, **telemetry) -> None:
     """Write <out>.manifest.json for the parsed `args`.
 
@@ -136,7 +163,7 @@ def _write_manifest(args, started: float, digests=None, config=None, **telemetry
         "duration_seconds": time.perf_counter() - started,
         **telemetry,
     }
-    Path(args.out + ".manifest.json").write_bytes(_json_bytes(manifest))
+    _write_file(args.out + ".manifest.json", _json_bytes(manifest))
 
 
 def _parse_dims(text: str) -> TensorStructure:
@@ -264,12 +291,12 @@ def cmd_verify(args) -> int:
     if violations:
         summary["worst_case"] = violations[0]
 
-    Path(args.out).write_bytes(_json_bytes(summary))
+    _write_file(args.out, _json_bytes(summary))
     if args.format == "csv":
         lines = [",".join(TRIAL_COLUMNS)]
         for trial, used, row in clean:
             lines.append(",".join([str(trial), used] + [_g17(x) for x in row]))
-        Path(args.out + ".trials.csv").write_bytes(("\n".join(lines) + "\n").encode())
+        _write_file(args.out + ".trials.csv", ("\n".join(lines) + "\n").encode())
 
     _write_manifest(args, started)
 
@@ -301,7 +328,7 @@ def cmd_evolve(args) -> int:
         lines = [",".join(TRAJECTORY_COLUMNS)]
         lines.extend(_trajectory_lines(trajectory))
         payload = ("\n".join(lines) + "\n").encode()
-    Path(args.out).write_bytes(payload)
+    _write_file(args.out, payload)
 
     _write_manifest(args, started, digests, {"config": source})
 
@@ -338,7 +365,7 @@ def cmd_search(args) -> int:
     else:
         result = find_saturating(config)
 
-    Path(args.out).write_bytes(_json_bytes(result.to_dict()))
+    _write_file(args.out, _json_bytes(result.to_dict()))
     _write_manifest(args, started, restarts=result.restarts, kernel_calls=result.kernel_calls)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
@@ -438,7 +465,7 @@ def cmd_demo(args) -> int:
             print(f"  {'PASS' if ok else 'FAIL'}  {name}")
         print(f"result: {'PASS' if all_passed else 'FAIL'}")
     if args.out:
-        Path(args.out).write_bytes(_json_bytes(doc))
+        _write_file(args.out, _json_bytes(doc))
         _write_manifest(args, started)
     return 0 if all_passed else 1
 
