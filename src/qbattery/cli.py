@@ -335,7 +335,7 @@ def cmd_evolve(args) -> int:
     max_power = float(np.abs(trajectory.report.power).max())
     min_purity = float(trajectory.battery_purity.min())
     print(
-        f"evolve: {len(trajectory)} points, max |power| = {max_power:.6g}, "
+        f"evolve: {len(trajectory.t)} points, max |power| = {max_power:.6g}, "
         f"min battery purity = {min_purity:.6g} -> {args.out}"
     )
     return 0

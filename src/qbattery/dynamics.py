@@ -6,24 +6,21 @@ integrator error to disentangle from bound diagnostics. Power is always
 evaluated with the interaction V alone. When H0 commutes with the embedded
 battery operator the power equals d<F>/dt, and trajectories carry a central
 finite-difference estimate of that derivative for cross-checking; when it
-does not commute the comparison is meaningless and the records say so.
+does not commute the comparison is meaningless and the trajectory says so.
 
 `trajectory_report` returns a `Trajectory`: the grid, the verification
-kernel's arrays over it and the finite differences, kept as columns from the
-kernel to the output. It is a read-only sequence of `TrajectoryRecord`s,
-each built only when it is indexed; `trajectory_rows` formats the CSV rows
-straight from the columns.
+kernel's arrays over it and the finite differences, kept as read-only
+columns from the kernel to the output; `trajectory_rows` formats the CSV
+rows straight from them.
 """
 
 import math
-import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PowerBoundReport, ReportBatch, _verify_checked, batch_rows, concat_batches
+from .moments import ReportBatch, _verify_checked, batch_rows, concat_batches
 from .moments import verify_instance  # noqa: F401  a name bench/tracer.py patches here
 from .operators import (
     DensityMatrix,
@@ -64,41 +61,15 @@ class HamiltonianSpec:
         return HermitianOperator(self.h0.mat + self.v.mat)
 
 
-# TrajectoryRecord's bound on the battery purity
-_PURITY_MAX = 1.0 + 1e-9
-
-
-def _purity_error(purity: float) -> RejectedInputError:
-    return RejectedInputError(f"battery purity {purity!r} above 1")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """State of the verification chain at one grid time."""
-
-    t: float
-    report: PowerBoundReport
-    mean_f: float
-    battery_purity: float
-    dfdt_fd: float | None
-    power_tracks_dfdt: bool
-
-    def __post_init__(self):
-        if self.battery_purity > _PURITY_MAX:
-            raise _purity_error(self.battery_purity)
-
-
 @dataclass(frozen=True, eq=False)
-class Trajectory(Sequence):
+class Trajectory:
     """A verified trajectory as columns, one entry per grid point.
 
     `t` is the grid, `report` the kernel's ReportBatch over it (its moments
     hold <F>_W and the battery purity), `dfdt_fd` the central differences of
-    <F>_W at the interior points, and `power_tracks_dfdt` whether [F (x) 1, H0]
-    vanishes, so that P is d<F>/dt. Every array is read-only. As a sequence it
-    holds one TrajectoryRecord per grid point, built when it is indexed; a
-    slice is a list of records, and it equals a list or Trajectory of equal
-    records, as the list it replaced did.
+    <F>_W at the interior points, so one entry shorter at each end, and
+    `power_tracks_dfdt` whether [F (x) 1, H0] vanishes, so that P is d<F>/dt.
+    Every array is read-only.
     """
 
     t: np.ndarray
@@ -113,32 +84,6 @@ class Trajectory(Sequence):
     @property
     def battery_purity(self) -> np.ndarray:
         return self.report.moments.purity_w
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        i = operator.index(index)
-        if not -n <= i < n:
-            raise IndexError(f"trajectory index {index} out of range for {n} points")
-        i %= n
-        return TrajectoryRecord(
-            t=float(self.t[i]),
-            report=self.report.row(i),
-            mean_f=float(self.mean_f[i]),
-            battery_purity=float(self.battery_purity[i]),
-            dfdt_fd=float(self.dfdt_fd[i - 1]) if 0 < i < n - 1 else None,
-            power_tracks_dfdt=self.power_tracks_dfdt,
-        )
-
-    def __eq__(self, other):
-        # equal, as the list of records it replaced, to a list or trajectory of equal records
-        if isinstance(other, (list, Trajectory)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def columns(self) -> list[list]:
         """The TRAJECTORY_COLUMNS as lists of floats; dFdt_fd is None at both endpoints."""
@@ -163,21 +108,21 @@ def trajectory_report(
 ) -> Trajectory:
     """Evolve rho0 along the time grid and verify the bound chain at every point.
 
-    The grid must be strictly increasing with at least 3 points so the interior
-    finite differences exist; endpoints carry dfdt_fd = None. The grid is
-    evolved and verified in batches of `batch_rows(D)` points; every state
-    passes DensityMatrix's checks before any point is verified, as if each
-    were wrapped on its own, and the eigendecomposition those checks make is
-    the one sqrt(rho) is built from. The first failed check of the earliest
-    failing point raises; then a battery purity above 1 + 1e-9 does, as
-    TrajectoryRecord's check would.
+    The grid must be finite and strictly increasing, with at least 3 points
+    so the interior finite differences exist; `dfdt_fd` has none at the
+    endpoints. The grid is evolved and verified in batches of `batch_rows(D)`
+    points; every state passes DensityMatrix's checks before any point is
+    verified, as if each were wrapped on its own, and the eigendecomposition
+    those checks make is the one sqrt(rho) is built from. The first failed
+    check of the earliest failing point raises.
 
-    Returns a `Trajectory`: the kernel's arrays over the whole grid, which
-    index as one TrajectoryRecord per point.
+    Returns a `Trajectory`: the kernel's arrays over the whole grid.
     """
     times = np.array([float(t) for t in grid])
     if len(times) < 3:
         raise RejectedInputError(f"grid needs at least 3 points, got {len(times)}")
+    if not np.isfinite(times).all():
+        raise RejectedInputError("grid times must be finite")
     if np.any(times[1:] <= times[:-1]):
         raise RejectedInputError("grid times must be strictly increasing")
     s = h.structure
@@ -207,10 +152,6 @@ def trajectory_report(
         raise failed
 
     report = concat_batches(batches)
-    purity = report.moments.purity_w
-    over = np.flatnonzero(purity > _PURITY_MAX)
-    if over.size:
-        raise _purity_error(float(purity[over[0]]))
     mean_f = report.moments.mean_f
     fd = (mean_f[2:] - mean_f[:-2]) / (times[2:] - times[:-2])
     # every array: the report's fields after its moments, the moments' before their errors
@@ -376,7 +317,7 @@ _ENDPOINT_ROW = _ROW.rsplit(",", 1)[0] + ","  # dFdt_fd left empty
 
 def _trajectory_lines(trajectory: Trajectory):
     """Yield the CSV lines of the trajectory's rows, one %-format per row (see `trajectory_rows`)."""
-    last = len(trajectory) - 1
+    last = len(trajectory.t) - 1
     for i, values in enumerate(zip(*trajectory.columns())):
         yield _ROW % values if 0 < i < last else _ENDPOINT_ROW % values[:-1]
 

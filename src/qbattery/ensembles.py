@@ -25,6 +25,7 @@ from .operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _is_integer,
     _one_row,
     density_stack,
     eig_stack,
@@ -42,8 +43,8 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
             value = getattr(self, name)
-            if not 0 <= int(value) < 2**64:
-                raise RejectedInputError(f"{name} must fit in an unsigned 64-bit integer")
+            if not (_is_integer(value) and 0 <= int(value) < 2**64):
+                raise RejectedInputError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
     def rng(self) -> np.random.Generator:
         """Fresh Philox generator keyed by (master_seed, stream_index)."""

@@ -27,22 +27,24 @@ numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
-``verify_instance``, ``compute_moments``, ``charging_power`` and
-``decomposition_terms`` each run the stage of it that they name on a one-row
-stack, so each raises only for the checks of its own part of the chain.
-Callers that checked the stacks themselves (the ensemble draws, the
-trajectories) go through ``_verify_checked``, which skips the re-check of
-their Hermiticity, and pass it the eigenpairs of their state check, so sr is
-built without decomposing each state a second time.
+``verify_instance``, ``compute_moments`` and ``decomposition_terms`` run the
+stage of it that they name on a one-row stack, so each raises only for the
+checks of its own part of the chain. ``MomentBatch.row`` and
+``ReportBatch.row`` hand out a row that passed them as a plain ``MomentSet``
+or ``PowerBoundReport``; those records check nothing themselves. Only
+``verify_batch`` checks that its inputs are Hermitian: callers whose stacks
+passed a boundary check (the one-instance classes, the ensemble draws, the
+trajectories) skip it, and the draws and trajectories pass
+``_verify_checked`` the eigenpairs of their state check, so sr is built
+without decomposing each state a second time.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and each of the
 four products with its lift, rho (F (x) 1), (F (x) 1) rho, dF dV and dV dF,
 is a contraction over the battery index of the battery-first space.
 
-The chain checks the Hermiticity of the inputs once, in ``verify_batch``
-(the draws and the one-instance classes check their own); the reduced
-states and sqrt(rho) are the only products it checks after that. dF and dV
-are real diagonal shifts of exactly Hermitian matrices, so exactly Hermitian.
+The reduced states and sqrt(rho) are the only products the chain checks:
+dF and dV are real diagonal shifts of exactly Hermitian matrices, so exactly
+Hermitian.
 """
 
 from dataclasses import dataclass, asdict
@@ -87,7 +89,7 @@ def batch_rows(dim: int) -> int:
 # of the stage's named arrays, and the message is formatted with the row's
 # values. The report's values are named as its fields (REPORT_FIELDS).
 _CHECKS = (
-    # MomentSet: the variances before their clamp, then the inequality on the clamped ones
+    # the moments: the variances before their clamp, then the inequality on the clamped ones
     ("moments", lambda x: -x.var_f, lambda x: VAR_CLAMP_TOL,
      f"var_f = {{var_f!r}} below -{VAR_CLAMP_TOL}"),
     ("moments", lambda x: -x.var_v, lambda x: VAR_CLAMP_TOL,
@@ -116,7 +118,7 @@ _CHECKS = (
      "loose bound {loose_bound!r} below corrected bound {corrected_bound!r}"),
     ("chain", lambda x: x.power_sq - x.corrected_bound, lambda x: 1e-9 * (1.0 + x.corrected_bound),
      "power bound violated: power^2 = {power_sq!r} > bound = {corrected_bound!r}"),
-    # PowerBoundReport
+    # the report
     ("report", lambda x: np.abs(x.power_sq - x.power**2), lambda x: 1e-10 * (1.0 + x.power_sq),
      "power_sq is not the square of power"),
     ("report", lambda x: -x.slack, lambda x: 1e-9 * (1.0 + x.corrected_bound),
@@ -136,21 +138,6 @@ def _run_checks(rows: RowErrors, stage: str, **values) -> None:
                 message.format(**{k: a[i].item() for k, a in values.items()})))
 
 
-def _moment_checks(rows: RowErrors, var_f, var_v, cov):
-    """The moment rows of `_CHECKS`; returns the variances with round-off below 0 clamped."""
-    clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
-    _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
-                cov_sq=np.abs(cov) ** 2)
-    return clamped_f, clamped_v
-
-
-def _checked_row(cls, **fields):
-    """A `cls` holding one row of a stage whose checks it passed; its own checks are not rerun."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """First and second moments of (F, V): means, variances, complex covariance."""
@@ -160,13 +147,6 @@ class MomentSet:
     var_f: float
     var_v: float
     cov: complex
-
-    def __post_init__(self):
-        rows = RowErrors(1)
-        var_f, var_v = _moment_checks(rows, *(np.array([x]) for x in (self.var_f, self.var_v, self.cov)))
-        rows.raise_first()
-        object.__setattr__(self, "var_f", float(var_f[0]))
-        object.__setattr__(self, "var_v", float(var_v[0]))
 
     def to_dict(self) -> dict:
         return {
@@ -192,11 +172,6 @@ class PowerBoundReport:
     slack: float
     saturation_ratio: float
 
-    def __post_init__(self):
-        rows = RowErrors(1)
-        _run_checks(rows, "report", **{k: np.array([getattr(self, k)]) for k in REPORT_FIELDS})
-        rows.raise_first()
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -217,9 +192,9 @@ class MomentBatch(NamedTuple):
 
     def row(self, i: int) -> MomentSet:
         """Row i as a MomentSet; only for a row with no error, whose checks already ran."""
-        return _checked_row(MomentSet, mean_f=float(self.mean_f[i]), mean_v=float(self.mean_v[i]),
-                            var_f=float(self.var_f[i]), var_v=float(self.var_v[i]),
-                            cov=complex(self.cov[i]))
+        return MomentSet(mean_f=float(self.mean_f[i]), mean_v=float(self.mean_v[i]),
+                         var_f=float(self.var_f[i]), var_v=float(self.var_v[i]),
+                         cov=complex(self.cov[i]))
 
 
 REPORT_FIELDS = ("power", "power_sq", "term_fv", "term_vf", "term_cross",
@@ -250,7 +225,7 @@ class ReportBatch(NamedTuple):
 
     def row(self, i: int) -> PowerBoundReport:
         """Row i as a PowerBoundReport; only for a row with no error, whose checks already ran."""
-        return _checked_row(PowerBoundReport, **{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
+        return PowerBoundReport(**{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
 
 
 def _delta_stack(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -311,12 +286,14 @@ def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     var_f = np.einsum("nk,nik->n", w, np.abs(df @ u) ** 2)
     var_v = trace_product(rho, dv @ dv).real
     cov = trace_product(rho, df_dv)
-    var_f, var_v = _moment_checks(rows, var_f, var_v, cov)
-    return MomentBatch(mean_f, mean_v, var_f, var_v, cov, purity_w, rows), (df, dv, df_dv)
+    clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
+    _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
+                cov_sq=np.abs(cov) ** 2)
+    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows), (df, dv, df_dv)
 
 
-def _power_stage(rows: RowErrors, rho, f, v, s=None):
-    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10 (`s` is not needed)."""
+def _power_stage(rows: RowErrors, rho, f, v):
+    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10."""
     lhs = _battery_right(rho, f)
     lhs -= _battery_left(f, rho)
     raw = -1j * trace_product(lhs, v)
@@ -352,21 +329,8 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
     return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
 
 
-def _verify_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
-    """Every check of `verify_instance` over the rows, in its order and at its tolerance.
-
-    The inputs' Hermiticity, then `_chain_stage`. `rho_eig` (see
-    `verify_batch`) is used only if the Hermiticity pass hands rho back as it
-    is; otherwise sqrt(rho) decomposes the symmetrized stack.
-    """
-    checked = hermitian_stack(rows, rho)
-    if checked is not rho:
-        rho, rho_eig = checked, None
-    return _chain_stage(rows, rho, hermitian_stack(rows, f), hermitian_stack(rows, v), s, rho_eig)
-
-
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
-    """The checks of `_verify_stage` after the inputs' Hermiticity, on exactly Hermitian stacks."""
+    """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
     m, (df, dv, df_dv) = _moment_stage(rows, rho, f, v, s)
     dv_df = _battery_right(dv, df)
     del dv  # one stack fewer alive: 100-row D = 16 batches ~8 % faster (2 cores, OpenBLAS 0.3.31)
@@ -408,8 +372,8 @@ def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
 def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    Checks the inputs are Hermitian, then runs every check of the
-    one-instance chain, in its order and at its tolerance, as a mask over the
+    Checks the inputs are Hermitian, then runs every check of the chain,
+    `_chain_stage`, in its order and at its tolerance, as a mask over the
     rows: the moments, the power by the commutator route, the same power
     through the shifted commutator, the square-root decomposition and the
     bounds. Rows are independent: a row's values and error do not depend on
@@ -417,9 +381,16 @@ def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
 
     `rho_eig`, internal, is the (w, u) that `density_stack` returned with
     `rho`: sqrt(rho) is then built from those factors, after `eig_stack`'s
-    checks, instead of from a second eigendecomposition of each state.
+    checks, instead of from a second eigendecomposition of each state. It is
+    used only if the Hermiticity pass hands rho back as it is; otherwise
+    sqrt(rho) decomposes the symmetrized stack.
     """
-    return _batch(_verify_stage, rho, f, v, s, rho_eig=rho_eig)
+    rho, f, v = _checked_stacks(rho, f, v, s)
+    rows = RowErrors(rho.shape[0])
+    checked = hermitian_stack(rows, rho)
+    if checked is not rho:
+        rho, rho_eig = checked, None
+    return _chain_stage(rows, rho, hermitian_stack(rows, f), hermitian_stack(rows, v), s, rho_eig)
 
 
 def _verify_checked(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
@@ -464,13 +435,6 @@ def compute_moments(
     return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
 
 
-def charging_power(
-    rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
-) -> float:
-    """P = -i Tr([rho, F (x) 1] V), asserted real to 1e-10."""
-    return float(_one_instance(_power_stage, rho, f, v, s)[0])
-
-
 def decomposition_terms(
     rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator, s: TensorStructure
 ) -> tuple[float, float, float]:
@@ -498,8 +462,10 @@ def verify_instance(
 ) -> PowerBoundReport:
     """Full verification of one instance: power, moments, decomposition, bounds.
 
-    A one-row call of `verify_batch`. Raises NumericalIntegrityError naming
-    the violated identity if any link of the chain fails; a returned report
-    means every check passed.
+    A one-row call of the chain `verify_batch` runs after its input check:
+    DensityMatrix and HermitianOperator are exactly Hermitian by
+    construction. Raises NumericalIntegrityError naming the violated identity
+    if any link of the chain fails; a returned report means every check
+    passed.
     """
-    return _one_instance(_verify_stage, rho, f, v, s).row(0)
+    return _one_instance(_chain_stage, rho, f, v, s).row(0)

@@ -7,9 +7,9 @@ the full space is a plain left Kronecker product, ``kron(F, eye(env_dim))``.
 Everything here is dense and immutable after construction; the intended
 scale is a total dimension D <= 64, where exact eigendecomposition is cheap.
 Each check is written once, over stacks of matrices (N, D, D) that record the
-first failure of every row in `RowErrors`; the one-instance classes and
-functions run the same code on a one-row stack and raise that row's error,
-and `_one_row` does the same for any stack function.
+first failure of every row in `RowErrors`; `HermitianOperator`,
+`DensityMatrix` and `matrix_sqrt` run the same code on a one-row stack and
+raise that row's error, and `_one_row` does the same for any stack function.
 
 The Hermiticity check, which also rejects NaN and infinite entries, runs at
 the boundaries, where a matrix enters: the classes' constructors, the stacked
@@ -304,20 +304,11 @@ def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray,
     return w, u
 
 
-def kron_identity(f: np.ndarray, env_dim: int) -> np.ndarray:
-    """F (x) identity(env_dim) for each F in a stack (N, d_w, d_w)."""
-    n, d_w = f.shape[0], f.shape[-1]
-    out = np.zeros((n, d_w, env_dim, d_w, env_dim), dtype=complex)
-    for k in range(env_dim):
-        out[:, :, k, :, k] = f
-    return out.reshape(n, d_w * env_dim, d_w * env_dim)
-
-
 def embed_battery_op(f: HermitianOperator, s: TensorStructure) -> HermitianOperator:
     """Lift a battery operator to the full space as F (x) identity on S,B,A."""
     if f.dim != s.d_w:
         raise DimensionMismatchError(f"battery operator dim {f.dim} != d_w {s.d_w}")
-    return HermitianOperator(kron_identity(f.mat[None], s.env_dim)[0])
+    return HermitianOperator(np.kron(f.mat, np.eye(s.env_dim)))
 
 
 def partial_trace_stack(rho: np.ndarray, s: TensorStructure) -> np.ndarray:
@@ -365,13 +356,6 @@ def expectation_stack(rows: RowErrors, rho: np.ndarray, a: np.ndarray) -> np.nda
     return t.real
 
 
-def expectation(rho: DensityMatrix, a: HermitianOperator) -> float:
-    """Re Tr(rho A) (see `expectation_stack`)."""
-    if rho.dim != a.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != operator dim {a.dim}")
-    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
-
-
 def antihermitian_stack(rows: RowErrors, c: np.ndarray) -> np.ndarray:
     """Check that each commutator in a stack is anti-Hermitian to 1e-10*(1 + max|C|)."""
     scale = 1.0 + _max_abs(c)
@@ -379,13 +363,6 @@ def antihermitian_stack(rows: RowErrors, c: np.ndarray) -> np.ndarray:
     rows.record(residual > 1e-10 * scale, lambda i: NumericalIntegrityError(
         f"commutator not anti-Hermitian: residual {residual[i]:.3e}"))
     return c
-
-
-def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """AB - BA for Hermitian A, B; the result is checked to be anti-Hermitian."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operator dims differ: {a.dim} != {b.dim}")
-    return _one_row(antihermitian_stack, a.mat @ b.mat - b.mat @ a.mat)[0]
 
 
 def to_matrix_literal(mat) -> dict:

@@ -1,14 +1,12 @@
 """Trajectories and sweep tables written from the kernel's arrays.
 
 The payloads must be the bytes a per-value ``f"{x:.17g}"`` formatting of
-`verify_batch`'s results gives; the `Trajectory` sequence must behave as the
-list of records it replaced; the kernel must not re-check stacks that a
-boundary check has just passed.
+`verify_batch`'s results gives; a `Trajectory` holds read-only columns; the
+kernel must not re-check stacks that a boundary check has just passed.
 """
 
 import dataclasses
 import json
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from qbattery.dynamics import (
     TRAJECTORY_COLUMNS,
     HamiltonianSpec,
     Trajectory,
-    TrajectoryRecord,
     builtin_exchange_scenario,
     exchange_interaction,
     ground_excited_state,
@@ -38,9 +35,10 @@ from qbattery.ensembles import SeedSpec, _draw_batch_eig, draw_batch, ginibre_mi
 from qbattery.moments import (
     REPORT_FIELDS,
     batch_rows,
-    charging_power,
+    compute_moments,
     decomposition_terms,
     verify_batch,
+    verify_instance,
 )
 from qbattery.operators import (
     HermitianOperator,
@@ -163,7 +161,7 @@ def test_verify_csv_matches_per_value_formatting(tmp_path):
     assert (tmp_path / "sweep.json.trials.csv").read_bytes() == want.encode()
 
 
-# ---------------------------------------------------------------- the Trajectory sequence
+# ---------------------------------------------------------------- the Trajectory columns
 
 def exchange_trajectory(points=9):
     s = TensorStructure.from_dims([2, 2, 1, 1])
@@ -173,41 +171,23 @@ def exchange_trajectory(points=9):
     return ground_excited_state(s), h, f, np.linspace(0.0, 1.0, points)
 
 
-def test_trajectory_is_a_read_only_sequence_of_records():
+def test_trajectory_is_a_frozen_record_of_read_only_columns():
     traj = trajectory_report(*exchange_trajectory(9))
-    assert isinstance(traj, Trajectory) and isinstance(traj, Sequence)
-    assert len(traj) == 9
-    records = list(traj)
-    assert len(records) == 9 and all(isinstance(r, TrajectoryRecord) for r in records)
-    assert traj[-1] == traj[8] == records[-1]
-    assert traj[-9] == traj[0]
-    assert traj[1:-1] == records[1:-1] and len(traj[1:-1]) == 7
-    assert traj[::-3] == records[::-3]
-    assert traj[0].dfdt_fd is None and traj[-1].dfdt_fd is None
-    assert traj[4].dfdt_fd == float(traj.dfdt_fd[3])
-    for i, rec in enumerate(traj):
-        assert rec.t == float(traj.t[i])
-        assert rec.report.power == float(traj.report.power[i])
-        assert rec.mean_f == float(traj.mean_f[i])
-        assert rec.battery_purity == float(traj.battery_purity[i])
-        assert rec.power_tracks_dfdt is True
+    assert isinstance(traj, Trajectory)
+    assert len(traj.t) == 9 and len(traj.dfdt_fd) == 7
+    assert traj.dfdt_fd[3] == (traj.mean_f[5] - traj.mean_f[3]) / (traj.t[5] - traj.t[3])
+    assert traj.mean_f is traj.report.moments.mean_f
+    assert traj.battery_purity is traj.report.moments.purity_w
+    assert traj.power_tracks_dfdt is True
 
-    # equality is a list's: record by record, against a list or another trajectory
-    assert traj == records and records == traj
-    assert traj == trajectory_report(*exchange_trajectory(9))
-    assert traj != records[:-1] and traj != trajectory_report(*exchange_trajectory(8))
-    assert traj != tuple(records)
+    # a record, not a sequence: no length, no indexing, equal only to itself
     with pytest.raises(TypeError):
-        hash(traj)
+        len(traj)
+    with pytest.raises(TypeError):
+        traj[0]
+    assert traj == traj and traj != trajectory_report(*exchange_trajectory(9))
+    hash(traj)
 
-    with pytest.raises(IndexError):
-        traj[9]
-    with pytest.raises(IndexError):
-        traj[-10]
-    with pytest.raises(TypeError):
-        traj[1.0]
-    with pytest.raises(TypeError):
-        traj[0] = records[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.t = traj.t[::-1]
     for column in (traj.t, traj.dfdt_fd, traj.mean_f, traj.battery_purity,
@@ -220,56 +200,25 @@ def test_trajectory_rows_read_the_columns():
     traj = trajectory_report(*exchange_trajectory(7))
     rows = trajectory_rows(traj)
     assert iter(rows) is rows  # a generator, as the benchmark's tracer drains it
+    r = traj.report
     for i, row in enumerate(rows):
-        rec = traj[i]
-        fd = "" if rec.dfdt_fd is None else g17(rec.dfdt_fd)
-        assert row == [g17(x) for x in (rec.t, rec.report.power, rec.report.power_sq,
-                                         rec.report.corrected_bound, rec.report.loose_bound,
-                                         rec.report.slack, rec.report.saturation_ratio,
-                                         rec.mean_f, rec.battery_purity)] + [fd]
+        fd = g17(traj.dfdt_fd[i - 1]) if 0 < i < 6 else ""
+        assert row == [g17(x[i]) for x in (traj.t, r.power, r.power_sq, r.corrected_bound,
+                                           r.loose_bound, r.slack, r.saturation_ratio,
+                                           traj.mean_f, traj.battery_purity)] + [fd]
 
 
-def test_record_purity_check_raises():
-    rec = trajectory_report(*exchange_trajectory(5))[2]
-    with pytest.raises(RejectedInputError, match="battery purity 1.5 above 1"):
-        dataclasses.replace(rec, battery_purity=1.5)
-    dataclasses.replace(rec, battery_purity=1.0 + 1e-10)  # inside the 1e-9 window
-
-
-def with_purity(monkeypatch, purity_at, kernel_error_at=None):
-    """Patch the trajectory's kernel call to report `purity_at` = {point: purity}."""
+def test_trajectory_raises_the_earliest_kernel_error(monkeypatch):
     real = dynamics._verify_checked
 
     def patched(rho, f, v, s, rho_eig=None):
         batch = real(rho, f, v, s, rho_eig=rho_eig)
-        purity = batch.moments.purity_w.copy()
-        for i, p in purity_at.items():
-            purity[i] = p
-        errors = RowErrors(len(purity))
-        errors[:] = batch.errors
-        if kernel_error_at is not None:
-            errors[kernel_error_at] = NumericalIntegrityError("kernel check failed")
-        return batch._replace(moments=batch.moments._replace(purity_w=purity, errors=errors))
+        for i in (6, 3):
+            batch.errors[i] = NumericalIntegrityError(f"kernel check failed at {i}")
+        return batch
 
     monkeypatch.setattr(dynamics, "_verify_checked", patched)
-
-
-def test_trajectory_purity_check_raises(monkeypatch):
-    with_purity(monkeypatch, {5: 1.0 + 1e-6, 3: 1.25})
-    # the earliest point above 1 + 1e-9 raises, as building the records in order would
-    with pytest.raises(RejectedInputError, match=r"battery purity 1\.25 above 1"):
-        trajectory_report(*exchange_trajectory(9))
-
-
-def test_trajectory_purity_within_window_passes(monkeypatch):
-    with_purity(monkeypatch, {5: 1.0 + 1e-10})
-    traj = trajectory_report(*exchange_trajectory(9))
-    assert traj[5].battery_purity == 1.0 + 1e-10
-
-
-def test_kernel_errors_outrank_the_purity_check(monkeypatch):
-    with_purity(monkeypatch, {2: 1.5}, kernel_error_at=6)
-    with pytest.raises(NumericalIntegrityError, match="kernel check failed"):
+    with pytest.raises(NumericalIntegrityError, match="kernel check failed at 3"):
         trajectory_report(*exchange_trajectory(9))
 
 
@@ -325,11 +274,15 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
     rho = ginibre_mixed(4, 4, SeedSpec(5, 0))
     f, v = gue_hermitian(2, 1.0, SeedSpec(5, 1)), gue_hermitian(4, 1.0, SeedSpec(5, 2))
     symmetrized_calls.clear()
-    charging_power(rho, f, v, s)
+    _one_row(moments._power_stage, rho.mat, f.mat, v.mat)
     assert symmetrized_calls == []  # F (x) 1 is not checked again
-    decomposition_terms(rho, f, v, s)
-    # the reduced state and sqrt(rho); not F, dF or dV
-    assert symmetrized_calls == [(1, 2, 2), (1, 4, 4)]
+    compute_moments(rho, f, v, s)
+    assert symmetrized_calls == [(1, 2, 2)]  # the reduced state
+    # the reduced state and sqrt(rho); not rho, F, V, dF or dV
+    for stage in (decomposition_terms, verify_instance):
+        symmetrized_calls.clear()
+        stage(rho, f, v, s)
+        assert symmetrized_calls == [(1, 2, 2), (1, 4, 4)], stage.__name__
 
 
 # the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states

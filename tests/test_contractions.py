@@ -12,7 +12,7 @@ import pytest
 import qbattery.moments as moments
 import qbattery.operators as operators
 from qbattery.ensembles import draw_batch, draw_instance
-from qbattery.moments import charging_power, decomposition_terms, moment_batch, verify_batch
+from qbattery.moments import decomposition_terms, moment_batch, verify_batch, verify_instance
 from qbattery.operators import TensorStructure
 
 CONTRACTIONS = {
@@ -61,8 +61,8 @@ def no_lift(monkeypatch):
     def lift(*args, **kwargs):
         raise AssertionError("F (x) 1 formed")
 
-    monkeypatch.setattr(operators, "kron_identity", lift)
-    monkeypatch.setattr(moments, "kron_identity", lift, raising=False)
+    monkeypatch.setattr(operators, "embed_battery_op", lift)
+    monkeypatch.setattr(moments, "embed_battery_op", lift)
     monkeypatch.setattr(np, "kron", lift)
 
 
@@ -73,7 +73,8 @@ def test_kernel_never_forms_f_kron_identity(no_lift):
     assert report.errors == [None] * 4
     assert moment_batch(rho, f, v, s).errors == [None] * 4
     rho1, f1, v1, _ = draw_instance(s, "ginibre", 3, 0, rank=4)
-    assert charging_power(rho1, f1, v1, s) == pytest.approx(report.power[0], rel=1e-12, abs=1e-14)
+    assert verify_instance(rho1, f1, v1, s).power == pytest.approx(report.power[0], rel=1e-12,
+                                                                   abs=1e-14)
     terms = decomposition_terms(rho1, f1, v1, s)
     assert terms == pytest.approx((report.term_fv[0], report.term_vf[0], report.term_cross[0]),
                                   rel=1e-12, abs=1e-14)

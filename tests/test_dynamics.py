@@ -91,51 +91,51 @@ def test_exchange_matches_closed_form():
     g = 1.0
     s, h, rho0, f = exchange_setup(g)
     grid = np.linspace(0.0, np.pi, 201)
-    recs = trajectory_report(rho0, h, f, grid)
-    for rec in recs:
-        want_mean = -np.cos(2 * g * rec.t)
-        want_purity = 1.0 - np.sin(2 * g * rec.t) ** 2 / 2.0
-        want_power = 2.0 * g * np.sin(2 * g * rec.t)
-        assert rec.mean_f == pytest.approx(want_mean, abs=1e-12)
-        assert rec.battery_purity == pytest.approx(want_purity, abs=1e-12)
-        assert rec.report.power == pytest.approx(want_power, abs=1e-12)
+    traj = trajectory_report(rho0, h, f, grid)
+    for t, mean_f, purity, power in zip(traj.t, traj.mean_f, traj.battery_purity,
+                                        traj.report.power):
+        want_mean = -np.cos(2 * g * t)
+        want_purity = 1.0 - np.sin(2 * g * t) ** 2 / 2.0
+        want_power = 2.0 * g * np.sin(2 * g * t)
+        assert mean_f == pytest.approx(want_mean, abs=1e-12)
+        assert purity == pytest.approx(want_purity, abs=1e-12)
+        assert power == pytest.approx(want_power, abs=1e-12)
 
 
 def test_exchange_quarter_period_values():
     g = 1.0
     s, h, rho0, f = exchange_setup(g)
     grid = np.linspace(0.0, np.pi, 5)  # includes pi/4 exactly
-    recs = trajectory_report(rho0, h, f, grid)
-    quarter = recs[1]
-    assert quarter.t == pytest.approx(np.pi / 4)
-    assert quarter.report.power == pytest.approx(2.0, abs=1e-9)
-    assert quarter.battery_purity == pytest.approx(0.5, abs=1e-9)
+    traj = trajectory_report(rho0, h, f, grid)
+    assert traj.t[1] == pytest.approx(np.pi / 4)
+    assert traj.report.power[1] == pytest.approx(2.0, abs=1e-9)
+    assert traj.battery_purity[1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_exchange_initial_point_is_eigenstate():
     s, h, rho0, f = exchange_setup()
-    recs = trajectory_report(rho0, h, f, np.linspace(0, 1, 11))
-    assert abs(recs[0].report.power) <= 1e-12
-    assert recs[0].mean_f == pytest.approx(-1.0, abs=1e-12)
-    assert recs[0].battery_purity == pytest.approx(1.0, abs=1e-12)
+    traj = trajectory_report(rho0, h, f, np.linspace(0, 1, 11))
+    assert abs(traj.report.power[0]) <= 1e-12
+    assert traj.mean_f[0] == pytest.approx(-1.0, abs=1e-12)
+    assert traj.battery_purity[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exchange_entanglement_window():
     # strictly inside (0.1, pi/2) the battery is properly mixed
     s, h, rho0, f = exchange_setup()
     grid = np.linspace(0.0, np.pi, 1001)
-    recs = trajectory_report(rho0, h, f, grid)
-    inside = [r for r in recs if 0.1 < r.t < np.pi / 2]
-    assert inside, "window should contain grid points"
-    assert all(r.battery_purity < 1.0 - 1e-6 for r in inside)
+    traj = trajectory_report(rho0, h, f, grid)
+    inside = (0.1 < traj.t) & (traj.t < np.pi / 2)
+    assert inside.any(), "window should contain grid points"
+    assert np.all(traj.battery_purity[inside] < 1.0 - 1e-6)
 
 
 def test_exchange_scale_sets_frequency():
     g = 2.5
     s, h, rho0, f = exchange_setup(g)
     t = 0.37
-    recs = trajectory_report(rho0, h, f, [0.0, t, 2 * t])
-    assert recs[1].mean_f == pytest.approx(-np.cos(2 * g * t), abs=1e-12)
+    traj = trajectory_report(rho0, h, f, [0.0, t, 2 * t])
+    assert traj.mean_f[1] == pytest.approx(-np.cos(2 * g * t), abs=1e-12)
 
 
 # ---------------------------------------------------------------- finite differences
@@ -145,9 +145,10 @@ def test_fd_tracks_power_and_converges():
 
     def max_err(steps):
         grid = np.linspace(0.0, np.pi, steps + 1)
-        recs = trajectory_report(rho0, h, f, grid)
-        assert all(r.power_tracks_dfdt for r in recs)
-        return max(abs(r.report.power - r.dfdt_fd) for r in recs if r.dfdt_fd is not None)
+        traj = trajectory_report(rho0, h, f, grid)
+        assert traj.power_tracks_dfdt
+        # dfdt_fd holds the interior points only
+        return np.abs(traj.report.power[1:-1] - traj.dfdt_fd).max()
 
     e400 = max_err(400)
     e800 = max_err(800)
@@ -157,10 +158,12 @@ def test_fd_tracks_power_and_converges():
 
 def test_fd_endpoints_are_absent():
     s, h, rho0, f = exchange_setup()
-    recs = trajectory_report(rho0, h, f, np.linspace(0, 1, 9))
-    assert recs[0].dfdt_fd is None
-    assert recs[-1].dfdt_fd is None
-    assert all(r.dfdt_fd is not None for r in recs[1:-1])
+    traj = trajectory_report(rho0, h, f, np.linspace(0, 1, 9))
+    assert len(traj.dfdt_fd) == len(traj.t) - 2
+    fd = traj.columns()[-1]
+    assert fd[0] is None
+    assert fd[-1] is None
+    assert all(x is not None for x in fd[1:-1])
 
 
 def test_fd_flag_disabled_when_h0_moves_battery():
@@ -172,8 +175,8 @@ def test_fd_flag_disabled_when_h0_moves_battery():
         v=exchange_interaction(1.0, s),
         structure=s,
     )
-    recs = trajectory_report(ground_excited_state(s), h, HermitianOperator(SZ), np.linspace(0, 1, 9))
-    assert all(not r.power_tracks_dfdt for r in recs)
+    traj = trajectory_report(ground_excited_state(s), h, HermitianOperator(SZ), np.linspace(0, 1, 9))
+    assert not traj.power_tracks_dfdt
 
 
 # ---------------------------------------------------------------- random scenarios
@@ -192,9 +195,8 @@ def test_bound_holds_along_random_trajectories():
                 structure=s,
             )
             f = gue_hermitian(s.d_w, 1.0, SeedSpec(8000 + s.dim, i))
-            recs = trajectory_report(rho0, h, f, np.linspace(0.0, 2.0, 5))
-            for r in recs:
-                assert r.report.power_sq <= r.report.corrected_bound + 1e-9 * (1 + r.report.corrected_bound)
+            r = trajectory_report(rho0, h, f, np.linspace(0.0, 2.0, 5)).report
+            assert np.all(r.power_sq <= r.corrected_bound + 1e-9 * (1 + r.corrected_bound))
 
 
 # ---------------------------------------------------------------- grids and rows
@@ -209,15 +211,28 @@ def test_grid_validation():
         trajectory_report(rho0, h, f, [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_grid_rejects_non_finite_times_before_evolving(bad, at, recwarn):
+    # a NaN passes the strictly-increasing check, as every comparison with it
+    # is false; it must be rejected as such, not evolved into a bad state
+    s, h, rho0, f = exchange_setup()
+    grid = np.linspace(0.0, 1.0, 5)
+    grid[at] = bad
+    with pytest.raises(RejectedInputError, match="^grid times must be finite$"):
+        trajectory_report(rho0, h, f, grid)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_trajectory_rows_shape_and_format():
     s, h, rho0, f = exchange_setup()
-    recs = trajectory_report(rho0, h, f, np.linspace(0, 1, 5))
-    rows = list(trajectory_rows(recs))
+    traj = trajectory_report(rho0, h, f, np.linspace(0, 1, 5))
+    rows = list(trajectory_rows(traj))
     assert len(rows) == 5
     assert all(len(r) == len(TRAJECTORY_COLUMNS) for r in rows)
     assert rows[0][-1] == ""  # endpoint has no finite difference
     # 17-significant-digit floats survive a text round trip exactly
-    assert float(rows[1][1]) == recs[1].report.power
+    assert float(rows[1][1]) == traj.report.power[1]
 
 
 # ---------------------------------------------------------------- scenarios
@@ -241,8 +256,8 @@ def test_scenario_matrix_literals_accepted():
     doc["rho0"] = to_matrix_literal(ground_excited_state(s))
     doc["h0"] = to_matrix_literal(np.zeros((4, 4)))
     rho0, h, f, grid = parse_scenario(doc)
-    recs = trajectory_report(rho0, h, f, grid)
-    assert recs[1].report.power == pytest.approx(2.0 * np.sin(2 * grid[1]), abs=1e-9)
+    traj = trajectory_report(rho0, h, f, grid)
+    assert traj.report.power[1] == pytest.approx(2.0 * np.sin(2 * grid[1]), abs=1e-9)
 
 
 def test_zero_h0_all_power_zero_when_v_commutes():
@@ -256,8 +271,8 @@ def test_zero_h0_all_power_zero_when_v_commutes():
         "grid": {"t0": 0.0, "t1": 1.0, "steps": 4},
     }
     rho0, h, f, grid = parse_scenario(doc)
-    recs = trajectory_report(rho0, h, f, grid)
-    assert all(abs(r.report.power) <= 1e-12 for r in recs)
+    traj = trajectory_report(rho0, h, f, grid)
+    assert np.all(np.abs(traj.report.power) <= 1e-12)
 
 
 @pytest.mark.parametrize("mutate, field", [

@@ -90,6 +90,21 @@ def test_seedspec_rejects_bad_values():
         SeedSpec(1, -2)
 
 
+@pytest.mark.parametrize("value", [1.5, 1.9, 1.0, True, False, "7", None, np.float64(3.0)])
+def test_seedspec_takes_integers_only(value):
+    # a float, a bool or a string would otherwise key the stream of int(value)
+    with pytest.raises(RejectedInputError, match="master_seed must be an unsigned 64-bit integer"):
+        SeedSpec(value)
+    with pytest.raises(RejectedInputError, match="stream_index must be an unsigned 64-bit integer"):
+        SeedSpec(1, value)
+
+
+def test_seedspec_accepts_numpy_unsigned_integers():
+    big = np.uint64(2**64 - 1)
+    assert SeedSpec(big, np.uint64(3)).rng().standard_normal(4).tobytes() == \
+        SeedSpec(2**64 - 1, 3).rng().standard_normal(4).tobytes()
+
+
 # ---------------------------------------------------------------- haar
 
 def test_haar_pure_is_pure_and_reproducible():

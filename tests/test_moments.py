@@ -8,15 +8,17 @@ from qbattery.ensembles import (
     ginibre_mixed,
     gue_hermitian,
 )
+import qbattery.moments as moments
 from qbattery.moments import (
     MomentSet,
-    _delta_stack,
     PowerBoundReport,
-    charging_power,
+    _delta_stack,
+    _power_stage,
     compute_moments,
     corrected_bound,
     decomposition_terms,
     loose_bound,
+    moment_batch,
     verify_batch,
     verify_instance,
 )
@@ -25,9 +27,11 @@ from qbattery.operators import (
     HermitianOperator,
     NumericalIntegrityError,
     RejectedInputError,
+    RowErrors,
     TensorStructure,
+    _one_row,
     embed_battery_op,
-    expectation,
+    expectation_stack,
 )
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -35,6 +39,16 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 QUBIT = TensorStructure.from_dims([2, 1, 1, 1])
+
+
+def charging_power(rho, f, v):
+    """P by the kernel's power stage alone, on one-row stacks; raises only for its own check."""
+    return float(_one_row(_power_stage, rho.mat, f.mat, v.mat)[0])
+
+
+def expectation(rho, a):
+    """Re Tr(rho A) by the kernel's stacked expectation, on one-row stacks."""
+    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
 
 
 def oracle_quantities(rho, f, v):
@@ -182,7 +196,7 @@ def test_identity_chain_random(dims):
     for _ in range(25):
         rho, f, v = random_instance(s, rng)
         m = compute_moments(rho, f, v, s)
-        p = charging_power(rho, f, v, s)
+        p = charging_power(rho, f, v)
         rep = verify_instance(rho, f, v, s)
 
         assert abs(p - 2.0 * m.cov.imag) <= 1e-9 * (1 + abs(p))
@@ -201,7 +215,7 @@ def test_power_formula_against_commutator_trace():
     rng = np.random.default_rng(77)
     for _ in range(20):
         rho, f, v = random_instance(s, rng)
-        p = charging_power(rho, f, v, s)
+        p = charging_power(rho, f, v)
         f_emb = np.kron(f.mat, np.eye(s.env_dim))
         comm = rho.mat @ f_emb - f_emb @ rho.mat
         raw = -1j * np.trace(comm @ v.mat)
@@ -227,43 +241,84 @@ def test_bounds_are_simple_functions_of_moments():
 
 # ---------------------------------------------------------- validation
 
-def test_momentset_clamps_tiny_negative_variance():
-    m = MomentSet(mean_f=0.0, mean_v=0.0, var_f=-5e-11, var_v=1.0, cov=0j)
-    assert m.var_f == 0.0
+def table_errors(stage, **values):
+    """The errors the `stage` rows of the kernel's check table record for one-row values."""
+    rows = RowErrors(1)
+    moments._run_checks(rows, stage, **{k: np.array([x]) for k, x in values.items()})
+    return rows
+
+
+def moment_errors(var_f, var_v, cov):
+    # the moment rows check the variances before their clamp, the inequality after it
+    clamped = max(var_f, 0.0) * max(var_v, 0.0)
+    return table_errors("moments", var_f=var_f, var_v=var_v, product=clamped, cov_sq=abs(cov) ** 2)
+
+
+def test_momentset_clamps_tiny_negative_variance(monkeypatch):
+    # states that are eigenvectors of V: Tr(rho dV dV) comes out as round-off of
+    # either sign, and the MomentSet of a row holds the variance clamped at 0
+    rng = np.random.default_rng(19)
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    raw = []
+    real = moments._run_checks
+
+    def recorded(rows, stage, **values):
+        if stage == "moments":
+            raw.append(values["var_v"].copy())
+        return real(rows, stage, **values)
+
+    monkeypatch.setattr(moments, "_run_checks", recorded)
+    rho, f, v = [], [], []
+    for _ in range(8):
+        _, f_op, v_op = random_instance(s, rng)
+        for ket in np.linalg.eigh(v_op.mat)[1].T:
+            rho.append(DensityMatrix.from_ket(ket).mat)
+            f.append(f_op.mat)
+            v.append(v_op.mat)
+    batch = moment_batch(np.stack(rho), np.stack(f), np.stack(v), s)
+    assert batch.errors == [None] * 32
+    (var_v,) = raw
+    assert (var_v < 0.0).any() and (var_v >= -1e-10).all()
+    for i in range(32):
+        assert batch.row(i).var_v == max(var_v[i], 0.0)
+    assert moment_errors(-5e-11, 1.0, 0j) == [None]
 
 
 def test_momentset_rejects_negative_variance():
-    with pytest.raises(NumericalIntegrityError):
-        MomentSet(mean_f=0.0, mean_v=0.0, var_f=-1e-6, var_v=1.0, cov=0j)
+    (err,) = moment_errors(-1e-6, 1.0, 0j)
+    assert isinstance(err, NumericalIntegrityError) and "var_f = -1e-06 below" in str(err)
 
 
 def test_momentset_rejects_covariance_inequality_breach():
-    with pytest.raises(NumericalIntegrityError):
-        MomentSet(mean_f=0.0, mean_v=0.0, var_f=0.1, var_v=0.1, cov=1.0 + 0j)
+    (err,) = moment_errors(0.1, 0.1, 1.0 + 0j)
+    assert isinstance(err, NumericalIntegrityError) and "covariance inequality" in str(err)
 
 
 def test_report_rejects_inconsistent_square():
-    with pytest.raises(NumericalIntegrityError):
-        PowerBoundReport(
-            power=1.0, power_sq=2.0, term_fv=1.0, term_vf=1.0, term_cross=0.0,
-            corrected_bound=3.0, loose_bound=4.0, slack=1.0, saturation_ratio=0.5,
-        )
+    (err,) = table_errors(
+        "report",
+        power=1.0, power_sq=2.0, term_fv=1.0, term_vf=1.0, term_cross=0.0,
+        corrected_bound=3.0, loose_bound=4.0, slack=1.0, saturation_ratio=0.5,
+    )
+    assert isinstance(err, NumericalIntegrityError)
 
 
 def test_report_rejects_negative_slack():
-    with pytest.raises(NumericalIntegrityError):
-        PowerBoundReport(
-            power=2.0, power_sq=4.0, term_fv=2.0, term_vf=2.0, term_cross=0.0,
-            corrected_bound=3.0, loose_bound=5.0, slack=-1.0, saturation_ratio=1.0,
-        )
+    (err,) = table_errors(
+        "report",
+        power=2.0, power_sq=4.0, term_fv=2.0, term_vf=2.0, term_cross=0.0,
+        corrected_bound=3.0, loose_bound=5.0, slack=-1.0, saturation_ratio=1.0,
+    )
+    assert isinstance(err, NumericalIntegrityError)
 
 
 def test_report_rejects_out_of_range_ratio():
-    with pytest.raises(NumericalIntegrityError):
-        PowerBoundReport(
-            power=1.0, power_sq=1.0, term_fv=0.5, term_vf=0.5, term_cross=0.0,
-            corrected_bound=2.0, loose_bound=3.0, slack=1.0, saturation_ratio=1.5,
-        )
+    (err,) = table_errors(
+        "report",
+        power=1.0, power_sq=1.0, term_fv=0.5, term_vf=0.5, term_cross=0.0,
+        corrected_bound=2.0, loose_bound=3.0, slack=1.0, saturation_ratio=1.5,
+    )
+    assert isinstance(err, NumericalIntegrityError)
 
 
 def test_report_to_dict_is_json_ready():
@@ -292,10 +347,10 @@ def test_shift_invariance():
         f_shift = HermitianOperator(f.mat + c * np.eye(2))
         v_shift = HermitianOperator(v.mat + c * np.eye(4))
         base_m = compute_moments(rho, f, v, s)
-        base_p = charging_power(rho, f, v, s)
+        base_p = charging_power(rho, f, v)
         for f2, v2 in [(f_shift, v), (f, v_shift), (f_shift, v_shift)]:
             m = compute_moments(rho, f2, v2, s)
-            p = charging_power(rho, f2, v2, s)
+            p = charging_power(rho, f2, v2)
             assert p == pytest.approx(base_p, abs=1e-9)
             assert m.var_f == pytest.approx(base_m.var_f, abs=1e-9)
             assert m.var_v == pytest.approx(base_m.var_v, abs=1e-9)
@@ -337,7 +392,7 @@ def test_commuting_interaction_gives_zero_power():
     f = HermitianOperator((mf + mf.conj().T) / 2)
     v = embed_battery_op(f, s)
     rho = DensityMatrix.maximally_mixed(4)
-    p = charging_power(rho, f, v, s)
+    p = charging_power(rho, f, v)
     t_fv, t_vf, t_cross = decomposition_terms(rho, f, v, s)
     assert abs(p) <= 1e-12
     assert t_cross == pytest.approx(t_fv + t_vf, abs=1e-9 * (1 + abs(t_cross)))
@@ -485,23 +540,21 @@ def test_kernel_rejects_non_finite_inputs(bad):
 
 def test_power_and_terms_raise_only_for_their_own_checks():
     # The shifted instance fails an identity of the full chain, but none of
-    # the checks charging_power and decomposition_terms make themselves.
+    # the checks the power stage and decomposition_terms make themselves.
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, message = shifted_failing_instance(s)
     assert "commutator-shift" in message
     want = reference_chain(rho.mat, f.mat, v.mat, s)
-    assert abs(charging_power(rho, f, v, s) - want["power"]) <= 1e-6
+    assert abs(charging_power(rho, f, v) - want["power"]) <= 1e-6
     t_fv, t_vf, t_cross = decomposition_terms(rho, f, v, s)
     for got, name in ((t_fv, "term_fv"), (t_vf, "term_vf"), (t_cross, "term_cross")):
         assert abs(got - want[name]) <= 1e-9 * max(abs(want[name]), 1.0), name
 
 
 def test_one_row_calls_run_each_check_once(monkeypatch):
-    # the stage checks its values; the MomentSet and PowerBoundReport built
-    # from them must not run the same checks a second time
-    import qbattery.moments as moments
-
-    # each stage's rows of the check table are evaluated once, in the chain's order
+    # each stage's rows of the check table are evaluated once, in the chain's
+    # order; the MomentSet and PowerBoundReport built from a row that passed
+    # them check nothing again
     calls = []
     real = moments._run_checks
 
@@ -517,9 +570,8 @@ def test_one_row_calls_run_each_check_once(monkeypatch):
     assert calls == ["moments"]
     verify_instance(rho, f, v, s)
     assert calls == ["moments"] + ["moments", "power", "shift", "chain", "report"]
-    # direct construction stays checked
     calls.clear()
     MomentSet(mean_f=0.0, mean_v=0.0, var_f=1.0, var_v=1.0, cov=0j)
     PowerBoundReport(power=0.0, power_sq=0.0, term_fv=0.0, term_vf=0.0, term_cross=0.0,
                      corrected_bound=1.0, loose_bound=1.0, slack=1.0, saturation_ratio=0.0)
-    assert calls == ["moments", "report"]
+    assert calls == []

@@ -8,12 +8,12 @@ from qbattery.operators import (
     NotPositiveSemidefiniteError,
     RejectedInputError,
     TensorStructure,
-    commutator,
     _one_row,
+    antihermitian_stack,
     density_from_literal,
     eig_stack,
     embed_battery_op,
-    expectation,
+    expectation_stack,
     hermitian_from_literal,
     matrix_from_literal,
     matrix_sqrt,
@@ -22,6 +22,11 @@ from qbattery.operators import (
 )
 
 RNG = np.random.default_rng(1234)
+
+
+def expectation(rho, a):
+    """Re Tr(rho A) of one state and one operator, by the kernel's stacked check."""
+    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
 
 
 def partial_trace_to_battery(rho, s):
@@ -240,7 +245,7 @@ def test_expectation_is_real():
 def test_commutator_antihermitian():
     a = HermitianOperator(random_hermitian(4))
     b = HermitianOperator(random_hermitian(4))
-    c = commutator(a, b)
+    c = _one_row(antihermitian_stack, a.mat @ b.mat - b.mat @ a.mat)[0]
     assert np.allclose(c, -c.conj().T, atol=1e-12)
     assert np.allclose(c, a.mat @ b.mat - b.mat @ a.mat)
 
