@@ -41,6 +41,7 @@ from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py pa
     SeedSpec,
     _draw_batch_eig,
     battery_eigenstate_product,
+    draw_batch,
     draw_instance,
     gue_hermitian,
     haar_pure,
@@ -188,67 +189,34 @@ def _g17(x: float) -> str:
 # - BLAS on 1 thread: 0.98-1.03 s against 1.49-1.86 s; 1.19-1.71 s against 1.66-2.02 s.
 # - BLAS on 2 threads: 2.68-3.21 s against 1.59-2.85 s; 2.62-3.31 s against 1.75-2.11 s.
 # A measurement with threaded BLAS therefore says nothing against the pool.
-def _map_ordered(fn, items, threads: int, take) -> None:
-    """take(fn(item)) for each item in order, on this thread, as each result comes in."""
+def _map_ordered(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], run on `threads` worker threads when more than one."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for out in pool.map(fn, items):
-                take(out)
-    else:
-        for item in items:
-            take(fn(item))
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------- verify
-
-# TRIAL_COLUMNS after "trial" and "kind" are REPORT_FIELDS, these moments, then cov_re, cov_im
-_MOMENT_COLUMNS = ("mean_f", "mean_v", "var_f", "var_v")
-_POWER_SQ, _SLACK, _RATIO = (REPORT_FIELDS.index(k) for k in ("power_sq", "slack", "saturation_ratio"))
-_MATRICES = ("rho", "f", "v")
-
 
 def _trial_chunks(trials: int, dim: int) -> list[range]:
     size = batch_rows(dim)
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> dict:
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
     The states' eigendecomposition from the draw's check is reused for
-    sqrt(rho). Returns the clean rows as (trial, kind, values in TRIAL_COLUMNS
-    order), the violation rows, and the chunk's clean trial of least slack
-    with its matrices, or None.
+    sqrt(rho). Returns the kinds, each row's first failed check, and an
+    (N, 15) array of the values in TRIAL_COLUMNS after "trial" and "kind".
     """
     *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
     batch = _verify_checked(*stacks, structure, rho_eig=eig)
     m = batch.moments
-    columns = [getattr(batch, name) for name in REPORT_FIELDS]
-    columns += [getattr(m, name) for name in _MOMENT_COLUMNS] + [m.cov.real, m.cov.imag]
-    values = np.stack(columns, axis=1).tolist()
-    clean, violations, worst = [], [], None
-    for j, (trial, used, row, err) in enumerate(zip(trials, kinds, values, batch.errors)):
-        if err is None:
-            clean.append((trial, used, row))
-            if worst is None or row[_SLACK] < values[worst][_SLACK]:
-                worst = j
-        elif isinstance(err, NumericalIntegrityError):
-            violations.append({
-                "trial": trial,
-                "kind": used,
-                "violation": str(err),
-                "instance": {name: to_matrix_literal(x[j]) for name, x in zip(_MATRICES, stacks)},
-            })
-        else:
-            raise err
-    case = None if worst is None else {
-        "trial": trials[worst],
-        "kind": kinds[worst],
-        "report": dict(zip(REPORT_FIELDS, values[worst])),
-        # copies, so that the chunk's stacks can be freed
-        **{name: x[worst].copy() for name, x in zip(_MATRICES, stacks)},
-    }
-    return {"clean": clean, "violations": violations, "worst": case}
+    # a ReportBatch holds REPORT_FIELDS after its moments; a MomentBatch starts
+    # with mean_f, mean_v, var_f and var_v
+    return kinds, batch.errors, np.stack([*batch[1:], *m[:4], m.cov.real, m.cov.imag], axis=1)
 
 
 def cmd_verify(args) -> int:
@@ -261,46 +229,53 @@ def cmd_verify(args) -> int:
         )
     kind = ENSEMBLES[args.ensemble]
     started = time.perf_counter()
-    clean, violations, worst = [], [], None
-
-    def take(chunk: dict) -> None:
-        nonlocal worst  # the clean trial of least (slack, trial) so far
-        clean.extend(chunk["clean"])
-        violations.extend(chunk["violations"])
-        cases = [c for c in (worst, chunk["worst"]) if c is not None]
-        worst = min(cases, key=lambda c: (c["report"]["slack"], c["trial"]), default=None)
-
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
-    _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads, take)
+    kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]
+    for chunk in _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads):
+        kinds += chunk[0]
+        errors += chunk[1]
+        values.append(chunk[2])
+    for err in errors:
+        if err is not None and not isinstance(err, NumericalIntegrityError):
+            raise err
+    clean = np.flatnonzero([err is None for err in errors])
+    rows = np.concatenate(values)[clean]
+    column = dict(zip(TRIAL_COLUMNS[2:], rows.T))
+    violations = len(errors) - len(clean)
     summary = {
         "trials": args.trials,
-        "violations": len(violations),
+        "violations": violations,
         "max_power_sq": None,
         "min_slack": None,
         "mean_saturation_ratio": None,
         "worst_case": None,
     }
-    if clean:
-        summary["max_power_sq"] = max(row[_POWER_SQ] for _, _, row in clean)
-        summary["min_slack"] = worst["report"]["slack"]
-        summary["mean_saturation_ratio"] = math.fsum(row[_RATIO] for _, _, row in clean) / len(clean)
-        summary["worst_case"] = {
-            **worst,
-            **{name: to_matrix_literal(worst[name]) for name in _MATRICES},
-        }
+    if len(clean):
+        least = int(np.argmin(column["slack"]))  # the first of equal slacks: the least trial
+        summary["max_power_sq"] = float(column["power_sq"].max())
+        summary["min_slack"] = float(column["slack"][least])
+        summary["mean_saturation_ratio"] = math.fsum(column["saturation_ratio"].tolist()) / len(clean)
+        worst, case = int(clean[least]), {"report": dict(zip(REPORT_FIELDS, rows[least].tolist()))}
     if violations:
-        summary["worst_case"] = violations[0]
+        worst = next(i for i, err in enumerate(errors) if err is not None)
+        case = {"violation": str(errors[worst])}
+    if errors:
+        # a trial's draw depends only on (seed, trial), so its matrices are drawn again
+        stacks = draw_batch(structure, kind, args.seed, [worst], args.rank)[:3]
+        instance = {name: to_matrix_literal(x[0]) for name, x in zip(("rho", "f", "v"), stacks)}
+        case.update({"instance": instance} if violations else instance)
+        summary["worst_case"] = {"trial": worst, "kind": kinds[worst], **case}
 
     _write_file(args.out, _json_bytes(summary))
     if args.format == "csv":
         lines = [",".join(TRIAL_COLUMNS)]
-        for trial, used, row in clean:
-            lines.append(",".join([str(trial), used] + [_g17(x) for x in row]))
+        for trial, row in zip(clean.tolist(), rows.tolist()):
+            lines.append(",".join([str(trial), kinds[trial]] + [_g17(x) for x in row]))
         _write_file(args.out + ".trials.csv", ("\n".join(lines) + "\n").encode())
 
     _write_manifest(args, started)
 
-    print(f"verify: {args.trials} trials, {len(violations)} violations -> {args.out}")
+    print(f"verify: {args.trials} trials, {violations} violations -> {args.out}")
     return 0 if not violations else 1
 
 

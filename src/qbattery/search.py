@@ -39,6 +39,7 @@ from .operators import (
     NumericalIntegrityError,
     RejectedInputError,
     TensorStructure,
+    _is_integer,
     to_matrix_literal,
 )
 
@@ -78,10 +79,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise RejectedInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.budget < 1:
-            raise RejectedInputError(f"budget must be positive, got {self.budget}")
-        if self.restarts < 1:
-            raise RejectedInputError(f"restarts must be positive, got {self.restarts}")
+        for name in ("budget", "restarts"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise RejectedInputError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

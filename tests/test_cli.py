@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from qbattery import cli
+from qbattery import cli, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
+from qbattery.ensembles import draw_batch
+from qbattery.operators import TensorStructure, to_matrix_literal
 
 
 def run(*argv):
@@ -108,6 +110,32 @@ def test_verify_worst_case_is_least_slack_over_chunks(tmp_path):
         want = min((float(r.split(",")[slack]), int(r.split(",")[0])) for r in rows)
         summary = json.loads(out.read_text())
         assert (summary["min_slack"], summary["worst_case"]["trial"]) == want
+
+
+def test_verify_reports_the_first_violation_drawn_again(tmp_path, monkeypatch):
+    # a saturation-ratio check that allows only 0.3 falsifies the claim on some rows
+    *rest, (stage, residual, _, message) = moments._CHECKS
+    assert "saturation ratio" in message
+    monkeypatch.setattr(moments, "_CHECKS", (*rest, (stage, residual, lambda x: 0.3, message)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"v{threads}.json"
+        assert run("verify", "--dims", "2,2,1,1", "--trials", "2500", "--format", "csv",
+                   "--threads", threads, "--out", str(out)) == 1
+        outputs.append((out.read_bytes(), Path(f"{out}.trials.csv").read_bytes()))
+    assert outputs[1] == outputs[0]
+    summary = json.loads(outputs[0][0])
+    clean = [int(r.split(",")[0]) for r in outputs[0][1].decode().splitlines()[1:]]
+    assert 0 < summary["violations"] == 2500 - len(clean)
+    # every violation is counted, and the first one is reported
+    worst = summary["worst_case"]
+    first = min(set(range(2500)) - set(clean))
+    assert worst["trial"] == first
+    assert "saturation ratio" in worst["violation"]
+    rho, f, v, kinds = draw_batch(TensorStructure.from_dims([2, 2, 1, 1]), "mix", 42, [first])
+    assert worst["kind"] == kinds[0]
+    assert worst["instance"] == {"rho": to_matrix_literal(rho[0]), "f": to_matrix_literal(f[0]),
+                                 "v": to_matrix_literal(v[0])}
 
 
 @pytest.mark.parametrize("argv", [

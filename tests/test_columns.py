@@ -242,9 +242,10 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: the draw's rho, F and V (3), then the kernel's reduced states
-    # and sqrt(rho) (2); not rho, F and V again, nor F, dF and dV
+    # and sqrt(rho) (2); not rho, F and V again, nor F, dF and dV; then the
+    # redraw of the reported instance checks its rho, F and V (3)
     assert len(cli._trial_chunks(2500, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 5
+    assert len(symmetrized_calls) == 3 * 5 + 3
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -297,6 +298,7 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
     want = []
     for n in (1024, 76):  # two chunks; each draw checks its rho, F and V
         want += [(n, *shape) for shape in [(4, 4), (2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
+    want += [(1, 4, 4), (1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
     assert symmetrized_calls == want
 
 

@@ -41,8 +41,10 @@ def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, dims, trials, 
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
     argv = ["verify", "--dims", dims, "--trials", str(trials), *extra, "--out", str(tmp_path / "o.json")]
     assert main(argv) == 0
-    # one D x D stack per chunk, in the draw's state check; the rest are reduced battery states
-    assert [x for x in eigh_shapes if x[-1] == s.dim] == chunk_shapes(trials, s.dim)
+    # one D x D stack per chunk, in the draw's state check, then the one-row
+    # redraw of the reported instance; the rest are reduced battery states
+    want = chunk_shapes(trials, s.dim) + [(1, s.dim, s.dim)]
+    assert [x for x in eigh_shapes if x[-1] == s.dim] == want
 
 
 def test_trajectory_decomposes_each_state_once(eigh_shapes):

@@ -166,6 +166,23 @@ def test_bad_configs_rejected():
                 SearchThresholds(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("budget", 2.5), ("budget", np.float64(10.0)), ("budget", "7"), ("budget", True),
+    ("restarts", 1.0), ("restarts", "2"), ("restarts", True), ("restarts", np.int64(0)),
+])
+def test_budget_and_restarts_take_positive_integers_only(name, value):
+    # neither a float that `range` would reject later nor a bool read as 1
+    config = {"budget": 10, "restarts": 1, name: value}
+    with pytest.raises(RejectedInputError, match=name):
+        SearchConfig(structure=QUBIT, mode="saturation", seed=SeedSpec(1), **config)
+
+
+def test_budget_and_restarts_accept_numpy_integers():
+    config = SearchConfig(structure=QUBIT, mode="saturation", budget=np.int64(10),
+                          seed=SeedSpec(1), restarts=np.int64(2))
+    assert find_saturating(config).evaluations <= 10
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_threshold_exits_2_before_searching(tmp_path, capsys, monkeypatch, value):
     def no_walk(*args):
