@@ -2,7 +2,10 @@
 
 The composite evolves under H = H0 + V by unitary conjugation with
 U(t) = exp(-i H t), built from one spectral decomposition of H; there is no
-integrator error to disentangle from bound diagnostics. Power is always
+integrator error to disentangle from bound diagnostics. The initial state is
+decomposed once too: U(t) carries its eigenvectors and leaves its spectrum
+as it is, so the state at every grid point comes with its eigenpairs, which
+the point's checks verify and sqrt(rho) is built from. Power is always
 evaluated with the interaction V alone. When H0 commutes with the embedded
 battery operator the power equals d<F>/dt, and trajectories carry a central
 finite-difference estimate of that derivative for cross-checking; when it
@@ -93,11 +96,16 @@ class Trajectory:
         return [x.tolist() for x in values] + [[None, *self.dfdt_fd.tolist(), None]]
 
 
-def _evolved(w: np.ndarray, vec: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Stack of U(t) rho0 U(t)^dag over `times`, U(t) = exp(-i H t), from H = vec diag(w) vec^dag."""
-    core = vec.conj().T @ rho0 @ vec
-    u = vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]
-    return u @ core @ u.conj().swapaxes(-1, -2)
+def _evolved(w: np.ndarray, vec: np.ndarray, factors, times: np.ndarray):
+    """States U(t) rho0 U(t)^dag over `times` and their eigenpairs (p0, U(t) q0).
+
+    U(t) = exp(-i H t), from H = vec diag(w) vec^dag, and `factors` are the
+    eigenpairs (p0, q0) of rho0: each state is built as (u_t p0) u_t^dag with
+    u_t = U(t) q0, so it has the factors returned, whatever rho0's rank.
+    """
+    p0, q0 = factors
+    u = (vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ (vec.conj().T @ q0)
+    return (u * p0) @ u.conj().swapaxes(-1, -2), (np.broadcast_to(p0, (len(times), len(p0))), u)
 
 
 def trajectory_report(
@@ -110,10 +118,14 @@ def trajectory_report(
 
     The grid must be finite and strictly increasing, with at least 3 points
     so the interior finite differences exist; `dfdt_fd` has none at the
-    endpoints. The grid is evolved and verified in batches of `batch_rows(D)`
-    points; every state passes DensityMatrix's checks before any point is
-    verified, as if each were wrapped on its own, and the eigendecomposition
-    those checks make is the one sqrt(rho) is built from. The first failed
+    endpoints. rho0 is decomposed once, by DensityMatrix's checks, and its
+    eigenpairs (p0, q0) are carried through the evolution: the state at t
+    has the spectrum p0 and the eigenvectors U(t) q0, so no state is
+    decomposed again. The grid is evolved and verified in batches of
+    `batch_rows(D)` points; every state passes DensityMatrix's checks, on its
+    carried eigenvalues, before any point is verified, and `eig_stack`
+    checks at every point that the carried pairs reconstruct the state and
+    are orthonormal before sqrt(rho) is built from them. The first failed
     check of the earliest failing point raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.
@@ -132,6 +144,7 @@ def trajectory_report(
     f_emb = embed_battery_op(f, s)
     gate = bool(np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL)
     (w,), (vec,) = _one_row(eig_stack, h.total().mat)
+    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
 
     size = batch_rows(s.dim)
     batches = []
@@ -140,7 +153,7 @@ def trajectory_report(
         block = times[start : start + size]
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, _evolved(w, vec, rho0.mat, block))
+        states, _, eig = density_stack(rows, *_evolved(w, vec, (p0, q0), block))
         rows.raise_first()
         batch = _verify_checked(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                                 np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)

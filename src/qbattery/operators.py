@@ -20,7 +20,10 @@ a matrix does not check it again.
 
 A state is decomposed once: `density_stack` returns the eigenpairs its PSD
 check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
-second `eigh`, running all of their own checks on them.
+second `eigh`, running all of their own checks on them. `density_stack`
+itself accepts eigenpairs carried from elsewhere, as `dynamics` carries the
+initial state's through the evolution, so that a trajectory decomposes only
+its initial state.
 """
 
 from dataclasses import dataclass
@@ -163,20 +166,29 @@ def purity_stack(a: np.ndarray) -> np.ndarray:
     return (np.abs(a) ** 2).sum(axis=(-2, -1))
 
 
-def density_stack(rows: RowErrors, a: np.ndarray):
+def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
 
     (w, u) are the eigenpairs of the returned states, for `eig_stack` to check
     and reuse: eigh's own for a row left as it was, and (clip(w) / t, u) for a
     row whose eigenvalues were clamped, t being the trace it was divided by.
+    `factors`, when given, are eigenpairs (w, u) of `a` computed earlier, as
+    a unitary evolution carries them; they take the place of the `eigh`, and
+    the PSD check and the clamp run on the given w. Each row's w is divided
+    by the trace the row is divided by, so the factors returned describe the
+    returned, trace-normalised states.
     """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     bad_trace = np.abs(tr - 1.0) > TRACE_INPUT_TOL
     rows.record(bad_trace, lambda i: RejectedInputError(
         f"density matrix trace {tr[i]!r} is not 1 within {TRACE_INPUT_TOL}"))
-    a = a / np.where(bad_trace, 1.0, tr)[:, None, None]
-    w, u = np.linalg.eigh(a)
+    tr = np.where(bad_trace, 1.0, tr)
+    a = a / tr[:, None, None]
+    if factors is None:
+        w, u = np.linalg.eigh(a)
+    else:
+        w, u = factors[0] / tr[:, None], factors[1]
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))

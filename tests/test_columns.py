@@ -84,6 +84,7 @@ def reference_rows(doc) -> list[list[str]]:
     rho0, h, f, grid = parse_scenario(doc)
     s = h.structure
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
+    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
     times = [float(t) for t in grid]
     values = []
     size = batch_rows(s.dim)
@@ -91,7 +92,7 @@ def reference_rows(doc) -> list[list[str]]:
         block = np.array(times[start : start + size])
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, dynamics._evolved(w, u, rho0.mat, block))
+        states, _, eig = density_stack(rows, *dynamics._evolved(w, u, (p0, q0), block))
         batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                              np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
         assert rows == batch.errors == [None] * n
@@ -253,8 +254,8 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     for points, chunks in ((1001, 1), (2100, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1 and H0 + V once; per chunk the propagated states (1) and the kernel's 2
-        assert len(symmetrized_calls) == 2 + 3 * chunks
+        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states (1) and the kernel's 2
+        assert len(symmetrized_calls) == 3 + 3 * chunks
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -306,8 +307,8 @@ def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     rho0, h, f, _ = exchange_trajectory()
     symmetrized_calls.clear()
     trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, 1100))
-    # F (x) 1 for the commutation gate and H0 + V, once; then per chunk the states
-    want = [(1, 4, 4), (1, 4, 4)]
+    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then per chunk the states
+    want = [(1, 4, 4), (1, 4, 4), (1, 4, 4)]
     for n in (1024, 76):
         want += [(n, *shape) for shape in [(4, 4)] + KERNEL_CHECK_SHAPES]
     assert symmetrized_calls == want

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbattery.dynamics import (
     HamiltonianSpec,
@@ -22,6 +23,7 @@ from qbattery.operators import (
     RejectedInputError,
     TensorStructure,
     _one_row,
+    density_stack,
     eig_stack,
     to_matrix_literal,
 )
@@ -46,7 +48,8 @@ def exchange_setup(g=1.0):
 def propagate(rho0, h, t):
     """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t), as trajectory_report builds it."""
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
-    return DensityMatrix(_evolved(w, u, rho0.mat, np.array([t]))[0])
+    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
+    return DensityMatrix(_evolved(w, u, (p0, q0), np.array([t]))[0][0])
 
 
 def test_propagate_t0_is_identity():
@@ -82,6 +85,23 @@ def test_propagate_conserves_energy():
     for t in (0.5, 2.0):
         et = np.trace(propagate(rho0, h, t).mat @ total).real
         assert et == pytest.approx(e0, abs=1e-10)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 8])
+def test_evolved_states_are_u_rho0_u_dag(rank):
+    # built from rho0's eigenpairs, whatever its rank, against scipy's expm
+    s = TensorStructure.from_dims([2, 2, 2, 1])
+    rho0 = ginibre_mixed(8, rank, SeedSpec(66))
+    h = HamiltonianSpec(h0=gue_hermitian(8, 1.0, SeedSpec(67)), v=gue_hermitian(8, 1.0, SeedSpec(68)),
+                        structure=s)
+    (w,), (u,) = _one_row(eig_stack, h.total().mat)
+    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
+    times = np.array([0.0, 0.4, 2.5])
+    states, (p, ut) = _evolved(w, u, (p0, q0), times)
+    for t, state, pt, vt in zip(times, states, p, ut):
+        ev = expm(-1j * t * h.total().mat)
+        assert np.abs(state - ev @ rho0.mat @ ev.conj().T).max() <= 1e-13
+        assert np.abs(vt - ev @ q0).max() <= 1e-13 and np.array_equal(pt, p0)
 
 
 # ---------------------------------------------------------------- exchange model

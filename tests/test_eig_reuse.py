@@ -1,13 +1,35 @@
-"""One eigendecomposition per state: the draw's checked (w, u) feed sqrt(rho) in the kernel."""
+"""One eigendecomposition per state: the draw's checked (w, u) feed sqrt(rho) in the kernel.
+
+A trajectory decomposes only its initial state: U(t) carries rho0's
+eigenpairs to every grid point, where the point's checks verify them.
+"""
 
 import numpy as np
 import pytest
 
+import qbattery.dynamics as dynamics
 from qbattery.cli import main
-from qbattery.dynamics import HamiltonianSpec, exchange_interaction, ground_excited_state, trajectory_report
-from qbattery.ensembles import _draw_batch_eig
+from qbattery.dynamics import (
+    HamiltonianSpec,
+    builtin_exchange_scenario,
+    exchange_interaction,
+    ground_excited_state,
+    parse_scenario,
+    trajectory_report,
+)
+from qbattery.ensembles import SeedSpec, _draw_batch_eig, ginibre_mixed, gue_hermitian
 from qbattery.moments import REPORT_FIELDS, batch_rows, verify_batch
-from qbattery.operators import HermitianOperator, NumericalIntegrityError, TensorStructure
+from qbattery.operators import (
+    HermitianOperator,
+    NotPositiveSemidefiniteError,
+    NumericalIntegrityError,
+    RowErrors,
+    TensorStructure,
+    _one_row,
+    density_stack,
+    eig_stack,
+    to_matrix_literal,
+)
 
 KERNEL_DIMS = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 4, 4)]
 MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
@@ -55,8 +77,8 @@ def test_trajectory_decomposes_each_state_once(eigh_shapes):
     grid = np.linspace(0.0, 3.0, 2100)
     eigh_shapes.clear()  # building rho0 checked it
     trajectory_report(rho0, h, f, grid)
-    # H once, then one stack of propagated states per chunk
-    assert [x for x in eigh_shapes if x[-1] == s.dim] == [(1, 4, 4)] + chunk_shapes(len(grid), 4)
+    # H and rho0 once each; the propagated states carry rho0's eigenpairs
+    assert [x for x in eigh_shapes if x[-1] == s.dim] == [(1, 4, 4), (1, 4, 4)]
 
 
 def batch_values(batch):
@@ -122,3 +144,133 @@ def test_factors_are_ignored_when_rho_is_symmetrized():
     assert with_factors.errors == without.errors == [None] * 3
     for name, values in batch_values(with_factors).items():
         assert np.array_equal(values, batch_values(without)[name]), name
+
+
+# ---------------------------------------------------------------- eigenpairs carried through U(t)
+
+def scenario(dims, rank, steps=40):
+    s = TensorStructure.from_dims(dims)
+    return parse_scenario({
+        "structure": dims,
+        "h0": to_matrix_literal(gue_hermitian(s.dim, 1.0, SeedSpec(17, 0))),
+        "v": to_matrix_literal(gue_hermitian(s.dim, 1.0, SeedSpec(17, 1))),
+        "f": to_matrix_literal(gue_hermitian(s.d_w, 1.0, SeedSpec(17, 2))),
+        "rho0": to_matrix_literal(ginibre_mixed(s.dim, rank, SeedSpec(17, 3))),
+        "grid": {"t0": 0.0, "t1": 3.0, "steps": steps},
+    })
+
+
+# name -> (dims, rank of rho0); the exchange scenario's rho0 is pure
+CARRIED_SCENARIOS = {"exchange": None} | {
+    f"D{np.prod(dims)}-rank{rank}": (dims, rank)
+    for dims in ([2, 1, 1, 1], [2, 2, 1, 1], [3, 2, 1, 1], [2, 2, 2, 1], [2, 2, 2, 2])
+    for rank in sorted({1, min(3, np.prod(dims)), np.prod(dims)})
+}
+
+
+def carried_scenario(name):
+    found = CARRIED_SCENARIOS[name]
+    return parse_scenario(builtin_exchange_scenario(steps=40)) if found is None else scenario(*found)
+
+
+@pytest.mark.parametrize("name", CARRIED_SCENARIOS)
+def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
+    rho0, h, f, grid = carried_scenario(name)
+    s = h.structure
+    traj = trajectory_report(rho0, h, f, grid)
+
+    # the reference: the same states, each decomposed again by density_stack's own eigh
+    (w,), (vec,) = _one_row(eig_stack, h.total().mat)
+    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
+    states, _ = dynamics._evolved(w, vec, (p0, q0), grid)
+    n = len(grid)
+    rows = RowErrors(n)
+    states, _, eig = density_stack(rows, states)
+    want = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                        np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
+    assert rows == want.errors == [None] * n
+    got = batch_values(traj.report)
+    for field, values in batch_values(want).items():
+        diff = np.abs(got[field] - values)
+        assert np.all(diff <= 1e-12 * np.maximum(np.abs(values), 1.0)), field
+
+
+def test_carried_spectrum_is_rho0s(monkeypatch):
+    rho0, h, f, grid = scenario([2, 2, 1, 1], 3)
+    seen = []
+    real = dynamics.density_stack
+
+    def spy(rows, a, factors=None):
+        out = real(rows, a, factors)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(dynamics, "density_stack", spy)
+    trajectory_report(rho0, h, f, grid)
+    (p0, q0), *carried = seen  # rho0's own check first, then one stack per chunk
+    assert len(carried) == 1
+    w, u = carried[0]
+    assert np.abs(w - p0).max() <= 1e-15
+    assert np.count_nonzero(p0[0] > 1e-12) == 3 and p0.min() >= 0.0  # rank 3, clamped
+
+
+def negate_column(u):
+    u[:, 0] = -u[:, 0]
+
+
+def swap_columns(u):
+    u[:, [0, -1]] = u[:, [-1, 0]]
+
+
+def corrupted_evolution(monkeypatch, corrupt, row):
+    real = dynamics._evolved
+
+    def evolved(w, vec, factors, times):
+        states, (p, u) = real(w, vec, factors, times)
+        u = u.copy()
+        corrupt(u[row])
+        return states, (p, u)
+
+    monkeypatch.setattr(dynamics, "_evolved", evolved)
+
+
+@pytest.mark.parametrize("name", ["exchange", "D8-rank3", "D16-rank16"])
+def test_swapped_carried_eigenvectors_raise_the_reconstruction_error(monkeypatch, name):
+    rho0, h, f, grid = carried_scenario(name)
+    corrupted_evolution(monkeypatch, swap_columns, 5)
+    with pytest.raises(NumericalIntegrityError, match="eigendecomposition reconstruction"):
+        trajectory_report(rho0, h, f, grid)
+
+
+def test_a_negated_carried_eigenvector_is_the_same_eigenpair(monkeypatch):
+    # -u_k is an eigenvector wherever u_k is: the pairs still reconstruct the
+    # state, and sqrt(rho), built from u_k u_k^dag, does not change
+    rho0, h, f, grid = carried_scenario("D8-rank8")
+    want = trajectory_report(rho0, h, f, grid)
+    corrupted_evolution(monkeypatch, negate_column, 5)
+    got = trajectory_report(rho0, h, f, grid)
+    for field, values in batch_values(want.report).items():
+        diff = np.abs(batch_values(got.report)[field] - values)
+        assert np.all(diff <= 1e-14 * np.maximum(np.abs(values), 1.0)), field
+
+
+def test_density_stack_judges_psd_on_the_given_eigenvalues():
+    state = np.diag([0.5, 0.5]).astype(complex)[None]  # PSD itself
+    rows = RowErrors(1)
+    density_stack(rows, state, (np.array([[-1e-9, 1.0 + 1e-9]]), np.eye(2)[None]))
+    assert isinstance(rows[0], NotPositiveSemidefiniteError)
+    assert "eigenvalue -1.000e-09" in str(rows[0])
+
+
+def test_density_stack_returns_factors_of_the_returned_state():
+    u = np.linalg.qr(np.array([[1.0, 2.0j, 0.5], [0.3, -1.0, 1.0j], [2.0, 0.1, 1.0]]))[0]
+    for w in ([0.2, 0.3, 0.5 + 1e-9],  # trace 1 + 1e-9: divided by it
+              [-5e-11, 0.4, 0.6 + 5e-11]):  # an eigenvalue in the clamp window
+        w = np.array([w])
+        state = ((u * w) @ u.conj().T)[None]
+        rows = RowErrors(1)
+        out, _, (w_out, u_out) = density_stack(rows, state, (w, u[None]))
+        assert rows == [None]
+        assert w_out.min() >= 0.0 and abs(w_out.sum() - 1.0) <= 1e-15
+        assert np.abs((u_out * w_out[:, None, :]) @ u_out.conj().swapaxes(-1, -2) - out).max() <= 1e-15
+        assert np.abs(np.trace(out[0]) - 1.0) <= 1e-15

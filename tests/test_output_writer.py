@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qbattery.cli as cli
 from qbattery.cli import _write_file, main
 from qbattery.dynamics import builtin_exchange_scenario
 
@@ -47,6 +48,16 @@ def test_writes_through_symlinks_and_hard_links(tmp_path):
     assert target.read_bytes() == hard.read_bytes() == b"new bytes\n"
 
 
+@pytest.mark.parametrize("old_size", [0, 899, 900, 901, 40_000])
+def test_blocks_are_written_in_place_and_cut_only_when_shorter(tmp_path, old_size):
+    path = tmp_path / "out"
+    path.write_bytes(b"\xff" * old_size)
+    blocks = [bytes(range(256)), b"", b"x" * 500, b"\n" * 144]
+    assert sum(map(len, blocks)) == 900
+    _write_file(str(path), iter(blocks))
+    assert path.read_bytes() == b"".join(blocks)
+
+
 def test_dev_null_is_accepted():
     _write_file("/dev/null", b"x" * 900)
     assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
@@ -76,6 +87,9 @@ _REWRITES = {
                    ("verify", "--dims", "2,1,1,1", "--trials", "20", "--format", "csv")),
     "verify-json": (("verify", "--dims", "2,2,1,1", "--trials", "200", "--format", "json"),
                     ("verify", "--dims", "2,1,1,1", "--trials", "20", "--format", "json")),
+    # 20,000 rows in blocks of 4,096 over 9,000: the smaller run ends inside a block
+    "verify-csv-blocks": (("verify", "--dims", "2,1,1,1", "--trials", "20000", "--format", "csv"),
+                          ("verify", "--dims", "2,1,1,1", "--trials", "9000", "--format", "csv")),
     "evolve-csv": (("evolve", "--config", "exchange"),
                    ("evolve", "--config", SHORT)),
     "evolve-json": (("evolve", "--config", "exchange", "--format", "json"),
@@ -115,3 +129,14 @@ def test_rewrite_matches_a_fresh_run_without_truncating(tmp_path, monkeypatch, l
     assert len(after) == len(before)
     assert all(len(old) > len(new) for old, new in zip(before[:-1], after))  # every data file shrank
     assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 1500])
+def test_verify_csv_blocks_join_to_the_same_bytes(tmp_path, monkeypatch, block_rows):
+    argv = ["verify", "--dims", "2,2,1,1", "--trials", "1500", "--format", "csv"]
+    assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    assert main([*argv, "--out", str(tmp_path / "blocks.json")]) == 0
+    one = (tmp_path / "one.json.trials.csv").read_bytes()
+    assert (tmp_path / "blocks.json.trials.csv").read_bytes() == one
+    assert one.count(b"\n") == 1501
