@@ -210,9 +210,11 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
-    The states' eigendecomposition from the draw's check is reused for
-    sqrt(rho). Returns the kinds, each row's first failed check, and an
-    (N, 15) array of the values in TRIAL_COLUMNS after "trial" and "kind".
+    The states' eigenpairs from the draw's check build sqrt(rho): `eigh`'s
+    for `gue-ops` and full-rank Ginibre states, the thin SVD factors of a
+    Haar or rank-deficient Ginibre state's D x r factor otherwise. Returns
+    the kinds, each row's first failed check, and an (N, 15) array of the
+    values in TRIAL_COLUMNS after "trial" and "kind".
     """
     *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
     batch = _verify_checked(*stacks, structure, rho_eig=eig)

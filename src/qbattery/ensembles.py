@@ -11,6 +11,16 @@ re-keyed before each stream to counter 0, key (master_seed, stream_index)
 and an empty buffer, which is the state of a fresh generator with that key;
 it then checks each stack once. The other draws are one-row calls of the
 same code.
+
+A state is drawn as K K^dag / Tr(K K^dag) from a complex Gaussian factor K:
+D x 1 for Haar, D x r for Ginibre at rank r. Where the ensemble gives every
+state a factor of one width r < D (`haar` at D > 1, `ginibre` below full
+rank), the state's eigenpairs come from the thin SVD K = U S W^dag, as
+w = S^2 / sum(S^2) and u = U, and `density_stack` checks the state on them:
+no D x D `eigh` runs, and no round-off eigenvalue below zero is clamped.
+`mix` rows have two widths and full-rank Ginibre factors are square, so
+`eigh` decomposes those states; the choice depends on the ensemble alone,
+never on which trials a batch holds.
 """
 
 from collections.abc import Sequence
@@ -102,11 +112,35 @@ def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
     return scale * (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _thin_eig(k: np.ndarray):
+    """Eigenpairs (w, u) of the states K K^dag / Tr of factors k, or None where K is square.
+
+    k holds one factor K per row: (N, D) for Haar kets, (N, D, r) for
+    Ginibre. Where r < D they come from the thin SVD K = U S W^dag, as
+    w = S^2 / sum(S^2), never negative, and u = U, with r orthonormal
+    columns; a square K's SVD costs no less than `eigh` of its state.
+    """
+    k = k.reshape(*k.shape[:2], -1)
+    if k.shape[-1] >= k.shape[-2]:
+        return None
+    u, sv, _ = np.linalg.svd(k, full_matrices=False)
+    w = sv * sv
+    return w / w.sum(axis=-1, keepdims=True), u
+
+
+def _one_state(states, k: np.ndarray) -> DensityMatrix:
+    """The state of the one-row factor stack k, checked as a `draw_batch` row of its ensemble is."""
+    rows = RowErrors(1)
+    rho = density_stack(rows, states(k), _thin_eig(k))[0][0]
+    rows.raise_first()
+    return DensityMatrix.wrap_checked(rho)
+
+
 def haar_pure(dim: int, seed: SeedSpec) -> DensityMatrix:
     """Haar-random pure state |psi><psi| (normalized complex Gaussian vector)."""
     if dim < 1:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
-    return DensityMatrix(_haar_states(_one_stream(seed, (dim,)))[0])
+    return _one_state(_haar_states, _one_stream(seed, (dim,)))
 
 
 def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
@@ -115,7 +149,7 @@ def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise RejectedInputError(f"rank must be in [1, {dim}], got {rank}")
-    return DensityMatrix(_ginibre_states(_one_stream(seed, (dim, rank)))[0])
+    return _one_state(_ginibre_states, _one_stream(seed, (dim, rank)))
 
 
 def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
@@ -167,7 +201,11 @@ STATE_KINDS = ("haar", "ginibre", "mix")
 
 def _draw_batch_eig(s: TensorStructure, kind: str, master_seed: int, trials: Sequence[int],
                     rank: int | None, scale: float):
-    """`draw_batch`, plus the (w, u) eigenpairs of the states that `density_stack` checked."""
+    """`draw_batch`, plus the (w, u) eigenpairs of the states that `density_stack` checked.
+
+    u has r columns for the thin factors of a rank-deficient ensemble, D for
+    the rest.
+    """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
     bases = [t * _STREAMS_PER_TRIAL for t in trials]
@@ -182,16 +220,20 @@ def _draw_batch_eig(s: TensorStructure, kind: str, master_seed: int, trials: Seq
 
     streams = _Streams(master_seed)
     rho = np.empty((len(bases), s.dim, s.dim), dtype=complex)
+    factors = None
     for used, states, shape in (("haar", _haar_states, (s.dim,)),
                                 ("ginibre", _ginibre_states, (s.dim, rank))):
         rows = [k for k, u in enumerate(kinds) if u == used]
         if rows:
-            rho[rows] = states(streams.complex_normals([bases[k] for k in rows], shape))
+            normals = streams.complex_normals([bases[k] for k in rows], shape)
+            rho[rows] = states(normals)
+            if used == kind:  # every row is of this kind, whatever trials the batch holds
+                factors = _thin_eig(normals)
     f = _gue_operators(streams.complex_normals([b + 1 for b in bases], (s.d_w, s.d_w)), scale)
     v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
 
     errors = RowErrors(len(bases))
-    rho, _, eig = density_stack(errors, rho)
+    rho, _, eig = density_stack(errors, rho, factors)
     f, v = hermitian_stack(errors, f), hermitian_stack(errors, v)
     errors.raise_first()
     return rho, f, v, kinds, eig
@@ -209,9 +251,10 @@ def draw_batch(
 
     Row k holds the matrices of ``draw_instance(s, kind, master_seed,
     trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
-    HermitianOperator's checks; kinds[k] is the state kind it used. A row
-    that fails a check raises the error that drawing the trials one by one
-    would raise first.
+    HermitianOperator's checks (on the thin SVD factors of a rank-deficient
+    ensemble's states; see the module docstring); kinds[k] is the state kind
+    it used. A row that fails a check raises the error that drawing the
+    trials one by one would raise first.
     """
     return _draw_batch_eig(s, kind, master_seed, trials, rank, scale)[:4]
 

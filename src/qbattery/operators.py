@@ -21,9 +21,12 @@ a matrix does not check it again.
 A state is decomposed once: `density_stack` returns the eigenpairs its PSD
 check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
 second `eigh`, running all of their own checks on them. `density_stack`
-itself accepts eigenpairs carried from elsewhere, as `dynamics` carries the
-initial state's through the evolution, so that a trajectory decomposes only
-its initial state.
+itself accepts eigenpairs computed elsewhere: `dynamics` carries the initial
+state's through the evolution, so that a trajectory decomposes only its
+initial state, and the ensembles give a rank-deficient draw K K^dag / Tr the
+thin SVD of its D x r factor K, so that no D x D `eigh` runs for it. Such
+thin factors have r < D orthonormal columns, and every check takes them as
+they are.
 """
 
 from dataclasses import dataclass
@@ -173,7 +176,8 @@ def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     and reuse: eigh's own for a row left as it was, and (clip(w) / t, u) for a
     row whose eigenvalues were clamped, t being the trace it was divided by.
     `factors`, when given, are eigenpairs (w, u) of `a` computed earlier, as
-    a unitary evolution carries them; they take the place of the `eigh`, and
+    a unitary evolution carries them or a thin SVD of a state's factor gives
+    them (u then has r <= D columns); they take the place of the `eigh`, and
     the PSD check and the clamp run on the given w. Each row's w is divided
     by the trace the row is divided by, so the factors returned describe the
     returned, trace-normalised states.
@@ -299,7 +303,9 @@ def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray,
     Verifies reconstruction to 1e-9*(1 + max|A|) and column orthonormality
     to 1e-10. `factors`, when given, are (w, u) computed earlier (as
     `density_stack` returns them) and take the place of a new `eigh`; they
-    pass the same checks.
+    pass the same checks. They may be any factorisation A = U diag(w) U^dag
+    whose r columns are orthonormal, r <= D: the thin factors of a
+    rank-deficient draw are checked against I_r.
     """
     w, u = np.linalg.eigh(a) if factors is None else factors
     scale = 1.0 + _max_abs(a)
@@ -309,7 +315,7 @@ def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray,
     rows.record(recon > 1e-9 * scale, lambda i: NumericalIntegrityError(
         f"eigendecomposition reconstruction error {recon[i]:.3e}"))
     ortho = _adjoint(u) @ u
-    ortho -= np.eye(a.shape[-1])
+    ortho -= np.eye(u.shape[-1])
     ortho = _max_abs(ortho)
     rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
         f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))

@@ -35,38 +35,56 @@ KERNEL_DIMS = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2,
 MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
 
 
-@pytest.fixture
-def eigh_shapes(monkeypatch):
-    """Shapes of the stacks (ndim 3) passed to numpy.linalg.eigh while the test runs."""
+def counted_shapes(monkeypatch, name):
+    """Shapes of the stacks (ndim 3) passed to numpy.linalg.`name` while the test runs."""
     shapes = []
-    eigh = np.linalg.eigh
+    real = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         if np.ndim(a) == 3:
             shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return shapes
 
 
-def chunk_shapes(n, dim):
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    return counted_shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    return counted_shapes(monkeypatch, "svd")
+
+
+def chunk_shapes(n, dim, width=None):
     size = batch_rows(dim)
-    return [(min(size, n - a), dim, dim) for a in range(0, n, size)]
+    return [(min(size, n - a), dim, width or dim) for a in range(0, n, size)]
 
 
 @pytest.mark.parametrize("dims, trials, extra", [
     ("2,2,1,1", 2500, []),
     ("2,2,4,4", 10, ["--ensemble", "ginibre", "--rank", "4"]),
+    ("2,2,1,1", 2500, ["--ensemble", "haar"]),
 ])
-def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, dims, trials, extra):
+def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, svd_shapes, dims, trials, extra):
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
     argv = ["verify", "--dims", dims, "--trials", str(trials), *extra, "--out", str(tmp_path / "o.json")]
     assert main(argv) == 0
-    # one D x D stack per chunk, in the draw's state check, then the one-row
-    # redraw of the reported instance; the rest are reduced battery states
-    want = chunk_shapes(trials, s.dim) + [(1, s.dim, s.dim)]
-    assert [x for x in eigh_shapes if x[-1] == s.dim] == want
+    # each chunk's states are decomposed in the draw's state check, then the
+    # one-row redraw of the reported instance's; the rest are reduced battery states
+    if extra:
+        # rank-deficient states: a thin SVD of their D x r factors, no D x D eigh at all
+        width = int(extra[-1]) if "--rank" in extra else 1
+        assert [x for x in eigh_shapes if x[-1] == s.dim] == []
+        assert svd_shapes == chunk_shapes(trials, s.dim, width) + [(1, s.dim, width)]
+    else:
+        # gue-ops mixes pure and full-rank states: one D x D eigh stack per chunk
+        assert [x for x in eigh_shapes if x[-1] == s.dim] == (chunk_shapes(trials, s.dim)
+                                                              + [(1, s.dim, s.dim)])
+        assert svd_shapes == []
 
 
 def test_trajectory_decomposes_each_state_once(eigh_shapes):
@@ -96,20 +114,22 @@ def test_kernel_with_the_draws_factors_equals_the_kernel_without(dims, kind):
     rho, f, v, _, eig = _draw_batch_eig(s, kind, 42, range(n), rank, 1.0)
     # a row density_stack left as it was carries eigh's own factors of that row
     w, u = np.linalg.eigh(rho)
-    unclamped = np.array([np.array_equal(w[i], eig[0][i]) and np.array_equal(u[i], eig[1][i])
-                          for i in range(n)])
+    own = np.array([np.array_equal(w[i], eig[0][i]) and np.array_equal(u[i], eig[1][i])
+                    for i in range(n)])
     with_factors = verify_batch(rho, f, v, s, rho_eig=eig)
     without = verify_batch(rho, f, v, s)
     assert with_factors.errors == without.errors == [None] * n
     got, want = batch_values(with_factors), batch_values(without)
     for name in want:
-        assert np.array_equal(got[name][unclamped], want[name][unclamped]), name
+        assert np.array_equal(got[name][own], want[name][own]), name
         diff = np.abs(got[name] - want[name])
         assert np.all(diff <= 1e-12 * np.maximum(np.abs(want[name]), 1.0)), name
-    if kind == "haar":
-        assert not unclamped.all()  # rank-1 states: round-off below 0 gets clamped
     if kind == "mix":
-        assert unclamped[1::2].all()  # full-rank Ginibre rows are never clamped
+        assert own[1::2].all()  # full-rank Ginibre rows are never clamped
+    else:
+        # rank-deficient ensembles: the thin SVD factors of every state, r = 1 for Haar
+        assert eig[1].shape == (n, s.dim, 1 if kind == "haar" else rank)
+        assert eig[0].min() >= 0.0
 
 
 def corrupt_swap_columns(w, u):
@@ -132,6 +152,53 @@ def test_corrupted_factor_fails_its_row_through_the_eig_checks(corrupt):
     assert isinstance(batch.errors[1], NumericalIntegrityError)
     assert "eigendecomposition reconstruction" in str(batch.errors[1])
     assert batch.errors[0] is None and batch.errors[2] is None
+
+
+def thin_swap_columns(w, u):
+    u = u.copy()
+    u[1][:, [0, -1]] = u[1][:, [-1, 0]]
+    return w, u
+
+
+def thin_perturb_column(w, u):
+    u = u.copy()
+    u[1, :, 0] += 1e-6
+    return w, u
+
+
+def thin_rescale_column(w, u):
+    # 2 u_0 with w_0 / 4 reconstructs the state bit for bit, but |2 u_0| = 2
+    w, u = w.copy(), u.copy()
+    u[1, :, 0] *= 2.0
+    w[1, 0] /= 4.0
+    return w, u
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (thin_swap_columns, "eigendecomposition reconstruction"),
+    (thin_perturb_column, "eigendecomposition reconstruction"),
+    (thin_rescale_column, "eigenvector columns not orthonormal"),
+])
+def test_corrupted_thin_factor_fails_its_row_through_the_eig_checks(corrupt, message):
+    s = TensorStructure.from_dims([2, 2, 2, 1])
+    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(3), 3, 1.0)
+    assert eig[1].shape == (3, 8, 3)
+    batch = verify_batch(rho, f, v, s, rho_eig=corrupt(*eig))
+    assert isinstance(batch.errors[1], NumericalIntegrityError)
+    assert message in str(batch.errors[1])
+    assert batch.errors[0] is None and batch.errors[2] is None
+
+
+def test_eig_stack_checks_thin_factors_against_the_identity_of_their_width():
+    s = TensorStructure.from_dims([2, 2, 2, 1])
+    rho, _, _, _, (w, u) = _draw_batch_eig(s, "haar", 42, range(2), None, 1.0)
+    rows = RowErrors(2)
+    assert eig_stack(rows, rho, (w, u))[1].shape == (2, 8, 1)
+    assert rows == [None, None]
+    # a D x D identity would take these columns for 7 missing ones
+    rows = RowErrors(2)
+    eig_stack(rows, rho, thin_rescale_column(w, u))
+    assert rows[0] is None and "not orthonormal: 3.000e+00" in str(rows[1])
 
 
 def test_factors_are_ignored_when_rho_is_symmetrized():

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from qbattery.operators import (
     DimensionMismatchError,
     HermitianOperator,
     RejectedInputError,
+    RowErrors,
     TensorStructure,
+    density_stack,
     partial_trace_stack,
 )
 
@@ -294,25 +297,43 @@ def test_haar_conjugation_invariance_ks():
 
 # ---------------------------------------------------------------- batches
 
-def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
-    """v0.1.0's draw of one trial: a fresh Philox per stream, one check per matrix."""
-    def normals(stream, shape):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _fresh_normals(seed, stream, shape):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+
+def _raw_state(s, used, seed, trial, rank=None):
+    """A trial's state K K^dag / Tr before its check, and its factor K (D, r), from a fresh Philox."""
+    if used == "haar":
+        k = _fresh_normals(seed, 4 * trial, s.dim)[:, None]
+        v = k[:, 0] / np.linalg.norm(k)  # DensityMatrix.from_ket's state
+        return np.outer(v, v.conj()), k
+    k = _fresh_normals(seed, 4 * trial, (s.dim, rank if rank is not None else s.dim))
+    w = k @ k.conj().T
+    return w / w.trace().real, k
+
+
+def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
+    """One trial drawn with a fresh Philox per stream and one check per matrix.
+
+    v0.1.0's draw for `mix` and full-rank states. A `haar` or rank-deficient
+    `ginibre` state K K^dag / Tr is checked on the thin SVD of its D x r
+    factor K instead of an eigendecomposition.
+    """
     def gue(dim, stream):
-        m = normals(stream, (dim, dim))
+        m = _fresh_normals(seed, stream, (dim, dim))
         return HermitianOperator(scale * (m + m.conj().T) / 2.0).mat
 
-    base = 4 * trial
     used = ("haar" if trial % 2 == 0 else "ginibre") if kind == "mix" else kind
-    if used == "haar":
-        rho = DensityMatrix.from_ket(normals(base, s.dim))
+    state, k = _raw_state(s, used, seed, trial, rank)
+    if kind == "mix" or k.shape[1] == s.dim:
+        rho = DensityMatrix(state).mat
     else:
-        g = normals(base, (s.dim, rank if rank is not None else s.dim))
-        w = g @ g.conj().T
-        rho = DensityMatrix(w / w.trace().real)
-    return rho.mat, gue(s.d_w, base + 1), gue(s.dim, base + 2), used
+        u, sv, _ = np.linalg.svd(k, full_matrices=False)
+        rows = RowErrors(1)
+        rho = density_stack(rows, state[None], ((sv**2 / (sv**2).sum())[None], u[None]))[0][0]
+        rows.raise_first()
+    return rho, gue(s.d_w, 4 * trial + 1), gue(s.dim, 4 * trial + 2), used
 
 
 def _same_bits(a, b) -> bool:
@@ -368,10 +389,59 @@ def test_one_instance_draws_are_one_row_batches():
     for k in range(4):
         got = draw_instance(s, "mix", 42, k)
         assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]), (rho[k], f[k], v[k], kinds[k]))
-    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, rho[0])
+    # a pure state is a row of the haar ensemble: a mix row of either kind is decomposed by eigh
+    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, draw_batch(s, "haar", 42, [0])[0][0])
     assert _same_bits(ginibre_mixed(4, 4, SeedSpec(42, 4)).mat, rho[1])
     assert _same_bits(gue_hermitian(2, 1.0, SeedSpec(42, 1)).mat, f[0])
     assert _same_bits(gue_hermitian(4, 1.0, SeedSpec(42, 2)).mat, v[0])
+
+
+@pytest.mark.parametrize("dims, rank", [([2, 1, 1, 1], 1), ([2, 2, 1, 1], 3), ([2, 2, 2, 2], 5),
+                                        ([2, 2, 4, 4], 4), ([1, 1, 1, 1], 1)])
+def test_one_state_draws_equal_their_ensembles_batch_rows(dims, rank):
+    # rank-deficient states are checked on their thin factors in both; a
+    # full-rank one (D = 1 here) by eigh in both
+    s = TensorStructure.from_dims(dims)
+    trials = [0, 3, 7]
+    haar, ginibre = (draw_batch(s, kind, 99, trials, rank)[0] for kind in ("haar", "ginibre"))
+    for k, trial in enumerate(trials):
+        assert _same_bits(haar_pure(s.dim, SeedSpec(99, 4 * trial)).mat, haar[k])
+        assert _same_bits(ginibre_mixed(s.dim, rank, SeedSpec(99, 4 * trial)).mat, ginibre[k])
+
+
+def _exact_distance(rho, k) -> float:
+    """max |rho_ij - (K K^dag / Tr(K K^dag))_ij|, the state of factor k (D, r) taken in rationals."""
+    re = [[Fraction(x) for x in row] for row in k.real]
+    im = [[Fraction(x) for x in row] for row in k.imag]
+    dim, width = k.shape
+    tr = sum(re[i][c] ** 2 + im[i][c] ** 2 for i in range(dim) for c in range(width))
+    worst = 0.0
+    for i in range(dim):
+        for j in range(dim):
+            # (K K^dag)_ij = sum_c K_ic conj(K_jc)
+            exact_re = sum(re[i][c] * re[j][c] + im[i][c] * im[j][c] for c in range(width)) / tr
+            exact_im = sum(im[i][c] * re[j][c] - re[i][c] * im[j][c] for c in range(width)) / tr
+            worst = max(worst, abs(complex(float(Fraction(rho[i, j].real) - exact_re),
+                                           float(Fraction(rho[i, j].imag) - exact_im))))
+    return worst
+
+
+@pytest.mark.parametrize("kind, dims, rank", [
+    ("haar", [2, 1, 1, 1], None), ("haar", [2, 2, 1, 1], None), ("haar", [2, 2, 2, 1], None),
+    ("ginibre", [2, 2, 1, 1], 2), ("ginibre", [2, 2, 2, 1], 3), ("ginibre", [2, 2, 2, 2], 3),
+])
+def test_thin_factor_draws_are_no_further_from_the_exact_state(kind, dims, rank):
+    # against the parent route: eigh of the drawn state, round-off eigenvalues
+    # below zero clamped and the state rebuilt from the clamped eigenpairs
+    s = TensorStructure.from_dims(dims)
+    trials = range(0, 40, 5)
+    rho = draw_batch(s, kind, 5, trials, rank)[0]
+    for k, trial in enumerate(trials):
+        state, g = _raw_state(s, kind, 5, trial, rank)
+        rows = RowErrors(1)
+        clamped = density_stack(rows, state[None])[0][0]
+        assert rows == [None]
+        assert _exact_distance(rho[k], g) <= _exact_distance(clamped, g)
 
 
 def test_draw_batch_rejects_bad_inputs():
