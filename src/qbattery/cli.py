@@ -210,8 +210,8 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
-    The states' eigenpairs from the draw's check build sqrt(rho): `eigh`'s
-    for `gue-ops` and full-rank Ginibre states, the thin SVD factors of a
+    The draws' checked eigenpairs build the traces' factor Q = U sqrt(w):
+    `eigh`'s for `gue-ops` and full-rank Ginibre states, the thin SVD of a
     Haar or rank-deficient Ginibre state's D x r factor otherwise. Returns
     the kinds, each row's first failed check, and an (N, 15) array of the
     values in TRIAL_COLUMNS after "trial" and "kind".
@@ -252,6 +252,7 @@ def cmd_verify(args) -> int:
         raise RejectedInputError(
             f"--rank must be in [1, {structure.dim}] for these dims, got {args.rank}"
         )
+    SeedSpec(args.seed)  # rejects a bad seed even when no trial draws with it
     kind = ENSEMBLES[args.ensemble]
     started = time.perf_counter()
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)

@@ -5,7 +5,7 @@ U(t) = exp(-i H t), built from one spectral decomposition of H; there is no
 integrator error to disentangle from bound diagnostics. The initial state is
 decomposed once too: U(t) carries its eigenvectors and leaves its spectrum
 as it is, so the state at every grid point comes with its eigenpairs, which
-the point's checks verify and sqrt(rho) is built from. Power is always
+the point's checks verify and Q = U sqrt(w) is built from. Power is always
 evaluated with the interaction V alone. When H0 commutes with the embedded
 battery operator the power equals d<F>/dt, and trajectories carry a central
 finite-difference estimate of that derivative for cross-checking; when it
@@ -125,7 +125,7 @@ def trajectory_report(
     `batch_rows(D)` points; every state passes DensityMatrix's checks, on its
     carried eigenvalues, before any point is verified, and `eig_stack`
     checks at every point that the carried pairs reconstruct the state and
-    are orthonormal before sqrt(rho) is built from them. The first failed
+    are orthonormal before Q = U sqrt(w) is built from them. The first failed
     check of the earliest failing point raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.

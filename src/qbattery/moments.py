@@ -6,7 +6,7 @@ instantaneous charging power is
     P = -i Tr([rho, F (x) 1] V),
 
 which is real for Hermitian inputs. Writing dF = F - <F>_W and dV = V - <V>,
-the squared power decomposes through the explicit positive root of rho as
+the squared power decomposes through the positive root of rho as
 
     P^2 = |Tr(sr dF dV sr)|^2 + |Tr(sr dV dF sr)|^2 - 2 Re[(Tr(rho dF dV))^2],
 
@@ -21,9 +21,12 @@ var_V = Re Tr(rho dV dV). A shift of F or V by a multiple of the identity
 leaves dF and dV as they are. The two sandwich traces above are complex
 conjugates of each other, which is what the Re[Cov^2] term records. P is
 taken by the raw commutator, the paper's definition, and checked against the
-centred route. Every identity of the chain is a row of one table, `_CHECKS`,
-checked where the chain reaches it; a clean report certifies the algebra
-numerically.
+centred route. The sandwich traces are Tr(Q^dag X Q) on rho's checked
+factor Q = U sqrt(w) (D x r): exact as U^dag U = I_r, with no D x D sqrt(rho),
+and independent of Cov = Tr(rho dF dV), so the decomposition identity still
+checks the factors. Every identity of the chain is a row of one table,
+`_CHECKS`, checked where the chain reaches it; a clean report certifies the
+algebra numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
@@ -35,16 +38,16 @@ or ``PowerBoundReport``; those records check nothing themselves. Only
 ``verify_batch`` checks that its inputs are Hermitian: callers whose stacks
 passed a boundary check (the one-instance classes, the ensemble draws, the
 trajectories) skip it, and the draws and trajectories pass
-``_verify_checked`` the eigenpairs of their state check, so sr is built
+``_verify_checked`` the eigenpairs of their state check, so Q is built
 without decomposing each state a second time.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and each of the
 four products with its lift, rho (F (x) 1), (F (x) 1) rho, dF dV and dV dF,
 is a contraction over the battery index of the battery-first space.
 
-The reduced states and sqrt(rho) are the only products the chain checks:
-dF and dV are real diagonal shifts of exactly Hermitian matrices, so exactly
-Hermitian.
+The reduced states and the state's factors (w, U) are the only products the
+chain checks: dF and dV are real diagonal shifts of exactly Hermitian
+matrices, so exactly Hermitian.
 """
 
 from dataclasses import dataclass, asdict
@@ -54,20 +57,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names bench/tracer.py patches here
+    PSD_TOL,
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
+    NotPositiveSemidefiniteError,
     NumericalIntegrityError,
     RowErrors,
     TensorStructure,
     antihermitian_stack,
     density_stack,
+    eig_stack,
     embed_battery_op,
     expectation_stack,
     hermitian_stack,
     matrix_sqrt,
     partial_trace_stack,
-    sqrt_stack,
     trace_product,
 )
 
@@ -301,18 +306,20 @@ def _power_stage(rows: RowErrors, rho, f, v):
     return raw.real
 
 
-def _sqrt_terms(rows: RowErrors, rho, df_dv, dv_df, cov, rho_eig=None):
-    """The three decomposition terms, with sr = sqrt(rho) explicit (no cyclic-trace shortcut)."""
-    sr = sqrt_stack(rows, rho, rho_eig)
-    return (np.abs(trace_product(sr @ df_dv, sr)) ** 2,
-            np.abs(trace_product(sr @ dv_df, sr)) ** 2,
-            2.0 * (cov**2).real)
+def _sandwich_terms(rows: RowErrors, rho, df_dv, dv_df, cov, rho_eig=None):
+    """The three decomposition terms, each Tr(sr X sr) taken as Tr(Q^dag X Q), Q = U sqrt(w)."""
+    w, u = eig_stack(rows, rho, rho_eig)
+    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
+        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
+    q = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    fv, vf = (np.einsum("nki,nki->n", q.conj(), x @ q) for x in (df_dv, dv_df))
+    return np.abs(fv) ** 2, np.abs(vf) ** 2, 2.0 * (cov**2).real
 
 
 def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `decomposition_terms`: the centred operators and sqrt(rho)."""
+    """The checks and arithmetic of `decomposition_terms`: the centred operators and rho's factor."""
     *_, df, dv, df_dv = _centred(rows, rho, f, v, s)
-    return _sqrt_terms(rows, rho, df_dv, _battery_right(dv, df), trace_product(rho, df_dv))
+    return _sandwich_terms(rows, rho, df_dv, _battery_right(dv, df), trace_product(rho, df_dv))
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -339,7 +346,7 @@ def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -
     _run_checks(rows, "shift", power=power, power_delta=power_delta)
 
     power_sq = power * power
-    term_fv, term_vf, term_cross = _sqrt_terms(rows, rho, df_dv, dv_df, m.cov, rho_eig)
+    term_fv, term_vf, term_cross = _sandwich_terms(rows, rho, df_dv, dv_df, m.cov, rho_eig)
     bound = corrected_bound(m)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
                          term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
@@ -380,10 +387,9 @@ def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     what else is in the stack.
 
     `rho_eig`, internal, is the (w, u) that `density_stack` returned with
-    `rho`: sqrt(rho) is then built from those factors, after `eig_stack`'s
-    checks, instead of from a second eigendecomposition of each state. It is
-    used only if the Hermiticity pass hands rho back as it is; otherwise
-    sqrt(rho) decomposes the symmetrized stack.
+    `rho`: Q = U sqrt(w) is then built from them, after `eig_stack`'s checks,
+    not from a second eigendecomposition. It is used only if the Hermiticity
+    pass hands rho back as it is; otherwise the symmetrized stack is decomposed.
     """
     rho, f, v = _checked_stacks(rho, f, v, s)
     rows = RowErrors(rho.shape[0])
@@ -441,8 +447,10 @@ def decomposition_terms(
     """The three terms of the square-root decomposition of P^2.
 
     Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
-    with sr = sqrt(rho) computed explicitly by spectral decomposition; the
-    cyclic-trace shortcut is deliberately not taken.
+    with sr = sqrt(rho), each sandwich trace taken as Tr(Q^dag X Q) on rho's
+    checked factor Q = U sqrt(w): exact as U^dag U = I_r, and independent of
+    Cov = Tr(rho dF dV), so the decomposition identity still checks the
+    factors. The cyclic-trace shortcut Tr(rho X) is deliberately not taken.
     """
     return tuple(float(t[0]) for t in _one_instance(_terms_stage, rho, f, v, s))
 

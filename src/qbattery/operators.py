@@ -7,9 +7,9 @@ the full space is a plain left Kronecker product, ``kron(F, eye(env_dim))``.
 Everything here is dense and immutable after construction; the intended
 scale is a total dimension D <= 64, where exact eigendecomposition is cheap.
 Each check is written once, over stacks of matrices (N, D, D) that record the
-first failure of every row in `RowErrors`; `HermitianOperator`,
-`DensityMatrix` and `matrix_sqrt` run the same code on a one-row stack and
-raise that row's error, and `_one_row` does the same for any stack function.
+first failure of every row in `RowErrors`; `HermitianOperator` and
+`DensityMatrix` run the same code on a one-row stack and raise that row's
+error, and `_one_row` does the same for any stack function.
 
 The Hermiticity check, which also rejects NaN and infinite entries, runs at
 the boundaries, where a matrix enters: the classes' constructors, the stacked
@@ -19,14 +19,14 @@ diagonal shift or a real multiple of it; code that only shifts or scales such
 a matrix does not check it again.
 
 A state is decomposed once: `density_stack` returns the eigenpairs its PSD
-check computed, and `eig_stack` and `sqrt_stack` accept them in place of a
-second `eigh`, running all of their own checks on them. `density_stack`
-itself accepts eigenpairs computed elsewhere: `dynamics` carries the initial
-state's through the evolution, so that a trajectory decomposes only its
-initial state, and the ensembles give a rank-deficient draw K K^dag / Tr the
-thin SVD of its D x r factor K, so that no D x D `eigh` runs for it. Such
-thin factors have r < D orthonormal columns, and every check takes them as
-they are.
+check computed, and `eig_stack` accepts them in place of a second `eigh`,
+running all of its checks on them (`moments` builds Q = U sqrt(w) from them,
+never a D x D sqrt(rho)). `density_stack` itself accepts eigenpairs computed
+elsewhere: `dynamics` carries the initial state's through the evolution, so
+that a trajectory decomposes only its initial state, and the ensembles give
+a rank-deficient draw K K^dag / Tr the thin SVD of its D x r factor K, so
+that no D x D `eigh` runs for it. Such thin factors have r < D orthonormal
+columns, and every check takes them as they are.
 """
 
 from dataclasses import dataclass
@@ -335,30 +335,20 @@ def partial_trace_stack(rho: np.ndarray, s: TensorStructure) -> np.ndarray:
     return np.einsum("niaja->nij", r)
 
 
-def sqrt_stack(rows: RowErrors, rho: np.ndarray, factors=None) -> np.ndarray:
-    """Positive square root of each state in a stack via spectral decomposition.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; each root squares back to
-    its state within 1e-9 in max norm (checked). `factors` are passed on to
-    `eig_stack`.
-    """
-    w, u = eig_stack(rows, rho, factors)
-    w_min = w.min(axis=-1, initial=np.inf)
-    rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
-        f"eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
-    root = (u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(u)
-    root = hermitian_stack(rows, root)
-    err = root @ root
-    err -= rho
-    err = _max_abs(err)
-    rows.record(err > 1e-9, lambda i: NumericalIntegrityError(
-        f"sqrt(rho)^2 deviates from rho by {err[i]:.3e}"))
-    return root
-
-
 def matrix_sqrt(rho: DensityMatrix) -> HermitianOperator:
-    """Positive square root of a state (see `sqrt_stack`)."""
-    return HermitianOperator(_one_row(sqrt_stack, rho.mat)[0])
+    """Positive square root of a state via spectral decomposition.
+
+    Eigenvalues in [-1e-10, 0) are clamped to zero; the root squares back to
+    its state within 1e-9 in max norm (checked).
+    """
+    w, u = _one_row(eig_stack, rho.mat)
+    if w.min() < -PSD_TOL:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {w.min():.3e} < -{PSD_TOL}")
+    root = HermitianOperator(((u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(u))[0])
+    err = _max_abs(root.mat @ root.mat - rho.mat)
+    if err > 1e-9:
+        raise NumericalIntegrityError(f"sqrt(rho)^2 deviates from rho by {err:.3e}")
+    return root
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -144,6 +144,9 @@ def test_verify_reports_the_first_violation_drawn_again(tmp_path, monkeypatch):
     ("verify", "--dims", "2,1,1,1", "--trials", "-5", "--out", "x.json"),
     ("verify", "--dims", "2,2,1,1", "--rank", "99", "--out", "x.json"),
     ("verify", "--dims", "2,1,1,1", "--ensemble", "bogus", "--out", "x.json"),
+    # the seed is checked before any draw, so with no trials too
+    ("verify", "--dims", "2,1,1,1", "--trials", "0", "--seed", "-1", "--out", "x.json"),
+    ("verify", "--dims", "2,1,1,1", "--trials", "0", "--seed", "18446744073709551616", "--out", "x.json"),
     ("verify", "--dims", "2,1,1,1"),  # --out is required
 ])
 def test_verify_bad_inputs(tmp_path, monkeypatch, argv):

@@ -243,10 +243,10 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: the draw's rho, F and V (3), then the kernel's reduced states
-    # and sqrt(rho) (2); not rho, F and V again, nor F, dF and dV; then the
-    # redraw of the reported instance checks its rho, F and V (3)
+    # (1); not rho, F and V again, nor F, dF and dV, and no sqrt(rho) is formed;
+    # then the redraw of the reported instance checks its rho, F and V (3)
     assert len(cli._trial_chunks(2500, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 5 + 3
+    assert len(symmetrized_calls) == 3 * 4 + 3
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -254,8 +254,8 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     for points, chunks in ((1001, 1), (2100, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states (1) and the kernel's 2
-        assert len(symmetrized_calls) == 3 + 3 * chunks
+        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states (1) and the kernel's 1
+        assert len(symmetrized_calls) == 3 + 2 * chunks
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -263,7 +263,7 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     rho, f, v, _ = draw_batch(s, "mix", 1, range(3))
     symmetrized_calls.clear()
     assert verify_batch(rho, f, v, s).errors == [None] * 3
-    assert len(symmetrized_calls) == 3 + 2
+    assert len(symmetrized_calls) == 3 + 1  # the inputs, then the reduced states
     v = v.copy()
     v[1, 0, 1] += 1e-6
     errors = verify_batch(rho, f, v, s).errors
@@ -280,17 +280,18 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
     assert symmetrized_calls == []  # F (x) 1 is not checked again
     compute_moments(rho, f, v, s)
     assert symmetrized_calls == [(1, 2, 2)]  # the reduced state
-    # the reduced state and sqrt(rho); not rho, F, V, dF or dV
+    # the reduced state; not rho, F, V, dF or dV, and no sqrt(rho) is formed
     for stage in (decomposition_terms, verify_instance):
         symmetrized_calls.clear()
         stage(rho, f, v, s)
-        assert symmetrized_calls == [(1, 2, 2), (1, 4, 4)], stage.__name__
+        assert symmetrized_calls == [(1, 2, 2)], stage.__name__
 
 
 # the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states
-# and sqrt(rho); F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts
-# of checked inputs and are not checked again, and no F^2 or V^2 is formed
-KERNEL_CHECK_SHAPES = [(2, 2), (4, 4)]
+# only; F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts of
+# checked inputs and are not checked again, no F^2 or V^2 is formed, and the
+# sandwich traces take rho's checked factor, not a D x D sqrt(rho)
+KERNEL_CHECK_SHAPES = [(2, 2)]
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):

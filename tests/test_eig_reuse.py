@@ -1,13 +1,18 @@
-"""One eigendecomposition per state: the draw's checked (w, u) feed sqrt(rho) in the kernel.
+"""One eigendecomposition per state: the kernel's sandwich traces take the draw's checked (w, u).
 
-A trajectory decomposes only its initial state: U(t) carries rho0's
-eigenpairs to every grid point, where the point's checks verify them.
+With Q = U sqrt(w) (D x r) and U^dag U = I_r, Tr(sr X sr) = Tr(Q^dag X Q)
+exactly, so the traces need no D x D sqrt(rho); Cov = Tr(rho dF dV) is taken
+on rho itself, a route independent of the factors, which keeps the
+decomposition identity a real check on them. A trajectory decomposes only its
+initial state: U(t) carries rho0's eigenpairs to every grid point, where the
+point's checks verify them.
 """
 
 import numpy as np
 import pytest
 
 import qbattery.dynamics as dynamics
+import qbattery.moments as moments
 from qbattery.cli import main
 from qbattery.dynamics import (
     HamiltonianSpec,
@@ -201,6 +206,26 @@ def test_eig_stack_checks_thin_factors_against_the_identity_of_their_width():
     assert rows[0] is None and "not orthonormal: 3.000e+00" in str(rows[1])
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (2, 2, 2, 2)])
+def test_decomposition_identity_has_a_route_independent_of_the_factors(monkeypatch, dims):
+    # the sandwich traces are taken on rho's factors, Cov = Tr(rho dF dV) on
+    # rho itself: factors with w**2 for w take |Tr(rho dF dV rho)|^2, and the
+    # identity fails. Full-rank rows, since on a pure state w**2 == w.
+    s = TensorStructure.from_dims(list(dims))
+    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(4), None, 1.0)
+    real = moments.eig_stack
+
+    def squared(rows, a, factors=None):
+        w, u = real(rows, a, factors)
+        return w**2, u
+
+    monkeypatch.setattr(moments, "eig_stack", squared)
+    for rho_eig in (eig, None):
+        errors = verify_batch(rho, f, v, s, rho_eig=rho_eig).errors
+        assert all(isinstance(e, NumericalIntegrityError) for e in errors)
+        assert all("square-root decomposition identity violated" in str(e) for e in errors)
+
+
 def test_factors_are_ignored_when_rho_is_symmetrized():
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(3), None, 1.0)
@@ -311,7 +336,7 @@ def test_swapped_carried_eigenvectors_raise_the_reconstruction_error(monkeypatch
 
 def test_a_negated_carried_eigenvector_is_the_same_eigenpair(monkeypatch):
     # -u_k is an eigenvector wherever u_k is: the pairs still reconstruct the
-    # state, and sqrt(rho), built from u_k u_k^dag, does not change
+    # state, and Tr(Q^dag X Q), a sum over k of w_k u_k^dag X u_k, does not change
     rho0, h, f, grid = carried_scenario("D8-rank8")
     want = trajectory_report(rho0, h, f, grid)
     corrupted_evolution(monkeypatch, negate_column, 5)
