@@ -1,32 +1,30 @@
 """Charging power, fluctuation moments, and the covariance-corrected power bound.
 
 For a full state rho, a battery operator F and an interaction V, the
-instantaneous charging power is
-
-    P = -i Tr([rho, F (x) 1] V),
-
-which is real for Hermitian inputs. Writing dF = F - <F>_W and dV = V - <V>,
-the squared power decomposes through the positive root of rho as
-
-    P^2 = |Tr(sr dF dV sr)|^2 + |Tr(sr dV dF sr)|^2 - 2 Re[(Tr(rho dF dV))^2],
-
-with sr = sqrt(rho), and is bounded by
+instantaneous charging power P = -i Tr([rho, F (x) 1] V) is real for
+Hermitian inputs and bounded by
 
     P^2 <= 2 (var_F * var_V - Re[Cov(F,V)^2]).
 
-Every moment is taken of the centred operators, formed once: Cov(F,V) =
-Tr(rho dF dV), kept complex and unsymmetrized; var_F = sum_k w_k |dF u_k|^2
-over the eigenpairs (w_k, u_k) of the reduced state rho_W, never negative;
-var_V = Re Tr(rho dV dV). A shift of F or V by a multiple of the identity
-leaves dF and dV as they are. The two sandwich traces above are complex
-conjugates of each other, which is what the Re[Cov^2] term records. P is
-taken by the raw commutator, the paper's definition, and checked against the
-centred route. The sandwich traces are Tr(Q^dag X Q) on rho's checked
-factor Q = U sqrt(w) (D x r): exact as U^dag U = I_r, with no D x D sqrt(rho),
-and independent of Cov = Tr(rho dF dV), so the decomposition identity still
-checks the factors. Every identity of the chain is a row of one table,
-`_CHECKS`, checked where the chain reaches it; a clean report certifies the
-algebra numerically.
+With dF = F - <F>_W, dV = V - <V>, a factor Q (D x r) of the state,
+rho = Q Q^dag, A = (dF (x) 1) Q, B = dV Q and <X, Y> = Tr(X^dag Y):
+
+    var_V = <B, B>,    Cov(F,V) = Tr(rho dF dV) = <A, B>,    P = 2 Im <A, B>,
+
+so the bound is the Cauchy-Schwarz inequality for A and B. The square-root
+decomposition P^2 = |Tr(sr dF dV sr)|^2 + |Tr(sr dV dF sr)|^2 - 2 Re[Cov^2],
+sr = sqrt(rho), takes its sandwich traces on Q = U sqrt(w) as <A, B> and
+<B, A>, exact as U^dag U = I_r, with no D x D sqrt(rho).
+
+Every moment is taken of the centred operators, so a shift of F or V by a
+multiple of the identity changes none; Cov stays complex and unsymmetrized.
+var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of the reduced state rho_W,
+never negative, <V> = Tr(rho V), and P, by the raw commutator on rho (the
+paper's definition), do not go through Q; the shift check compares P with
+2 Im <A, B>. Besides Q, D x D for a full-rank state, the chain's only D x D
+operands are rho and V, and it forms no product of the two. Every identity of
+the chain is a row of one table, `_CHECKS`, checked where the chain reaches
+it; a clean report certifies the algebra numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
@@ -41,13 +39,13 @@ trajectories) skip it, and the draws and trajectories pass
 ``_verify_checked`` the eigenpairs of their state check, so Q is built
 without decomposing each state a second time.
 
-F (x) 1 itself is never formed: F stays a d_w x d_w stack, and each of the
-four products with its lift, rho (F (x) 1), (F (x) 1) rho, dF dV and dV dF,
-is a contraction over the battery index of the battery-first space.
+F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
+with rho and with Q are contractions over the battery index of the
+battery-first space.
 
 The reduced states and the state's factors (w, U) are the only products the
-chain checks: dF and dV are real diagonal shifts of exactly Hermitian
-matrices, so exactly Hermitian.
+chain checks: dF is a real diagonal shift of an exactly Hermitian matrix, so
+exactly Hermitian.
 """
 
 from dataclasses import dataclass, asdict
@@ -65,7 +63,6 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     NumericalIntegrityError,
     RowErrors,
     TensorStructure,
-    antihermitian_stack,
     density_stack,
     eig_stack,
     embed_battery_op,
@@ -104,18 +101,13 @@ _CHECKS = (
     # P by the raw commutator is real
     ("power", lambda x: np.abs(x.power_imag), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "charging power has imaginary part {power_imag:.3e}"),
-    # the same P by the centred commutator
+    # the same P as 2 Im <A,B> on the factor, the centred route
     ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
     # the square-root decomposition and the bounds
     ("chain", lambda x: np.abs(x.total - x.power_sq),
      lambda x: 1e-9 * (1.0 + np.maximum(np.abs(x.total), x.power_sq)),
      "square-root decomposition identity violated: {total!r} vs power^2 {power_sq!r}"),
-    ("chain", lambda x: np.abs(x.term_fv - x.term_vf),
-     lambda x: 1e-9 * (1.0 + np.maximum(x.term_fv, x.term_vf)),
-     "conjugate-pair terms differ: {term_fv!r} vs {term_vf!r}"),
-    ("chain", lambda x: np.abs(x.power - x.power_cov), lambda x: 1e-9 * (1.0 + np.abs(x.power)),
-     "power vs 2 Im(cov) identity violated: {power!r} vs {power_cov!r}"),
     ("chain", lambda x: -x.corrected_bound, lambda x: 1e-9,
      "corrected bound is negative: {corrected_bound!r}"),
     ("chain", lambda x: x.corrected_bound - x.loose_bound,
@@ -239,9 +231,8 @@ def _delta_stack(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 def _battery_left(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(F (x) 1) A per row, contracted over the battery index: F (N, d_w, d_w), A (N, D, D)."""
-    n, d = a.shape[0], a.shape[-1]
-    return (f @ a.reshape(n, f.shape[-1], -1)).reshape(n, d, d)
+    """(F (x) 1) A per row, contracted over the battery index: F (N, d_w, d_w), A (N, D, k)."""
+    return (f @ a.reshape(a.shape[0], f.shape[-1], -1)).reshape(a.shape)
 
 
 def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -258,6 +249,11 @@ def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(at.swapaxes(-1, -2))
 
 
+def _hs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<A, B> = Tr(A^dag B) per row of two (N, D, r) stacks: their Hilbert-Schmidt product."""
+    return np.einsum("nij,nij->n", a.conj(), b)
+
+
 def _checked_stacks(rho, f, v, s: TensorStructure):
     """The three stacks as complex arrays, after the dimension checks."""
     rho, f, v = (np.asarray(x, dtype=complex) for x in (rho, f, v))
@@ -272,29 +268,41 @@ def _checked_stacks(rho, f, v, s: TensorStructure):
     return rho, f, v
 
 
-def _centred(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """(purity_w, (w, u) of rho_W, mean_f, mean_v, dF, dV, dF dV), after the reduced states' checks."""
-    rho_w, purity_w, eig_w = density_stack(rows, partial_trace_stack(rho, s))
+def _factor(rows: RowErrors, rho, rho_eig=None):
+    """Q = U sqrt(w) (N, D, r) on `eig_stack`'s checked pairs (`rho_eig`, else eigh's), after the PSD check."""
+    w, u = eig_stack(rows, rho, rho_eig)
+    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
+        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
+    return u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure, q=None):
+    """The checks and arithmetic of `compute_moments`, on a factor Q of rho; returns a MomentBatch.
+
+    Q is `q` when given, else eigh's `_factor(rho)`. With A = (dF (x) 1) Q
+    and B = dV Q: var_V = <B,B> and Cov = <A,B>. <F> and
+    var_F = sum_k w_k |dF u_k|^2 are taken on the eigenpairs of rho_W that its
+    check computed, and <V> = Tr(rho V). dV is formed before the product:
+    V Q - <V> Q would cancel a large multiple of I in V, and at V + 1e6 I
+    its 2 Im <A,B> missed the exact P by up to 3e-10, dV Q's by 1.6e-15.
+    """
+    if q is None:
+        q = _factor(rows, rho)
+    rho_w, purity_w, (w, u) = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
-    df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
-    return purity_w, eig_w, mean_f, mean_v, df, dv, _battery_left(df, dv)
-
-
-def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `compute_moments`; returns (moments, (dF, dV, dF dV)).
-
-    var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of rho_W that its check
-    computed, var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
-    """
-    purity_w, (w, u), mean_f, mean_v, df, dv, df_dv = _centred(rows, rho, f, v, s)
+    df = _delta_stack(f, mean_f)
     var_f = np.einsum("nk,nik->n", w, np.abs(df @ u) ** 2)
-    var_v = trace_product(rho, dv @ dv).real
-    cov = trace_product(rho, df_dv)
+    b = _delta_stack(v, mean_v) @ q
+    a = _battery_left(df, q)
+    del q
+    var_v = _hs(b, b).real
+    cov = _hs(a, b)
+    del a, b
     clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
     _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
                 cov_sq=np.abs(cov) ** 2)
-    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows), (df, dv, df_dv)
+    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows)
 
 
 def _power_stage(rows: RowErrors, rho, f, v):
@@ -306,20 +314,10 @@ def _power_stage(rows: RowErrors, rho, f, v):
     return raw.real
 
 
-def _sandwich_terms(rows: RowErrors, rho, df_dv, dv_df, cov, rho_eig=None):
-    """The three decomposition terms, each Tr(sr X sr) taken as Tr(Q^dag X Q), Q = U sqrt(w)."""
-    w, u = eig_stack(rows, rho, rho_eig)
-    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
-        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
-    q = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    fv, vf = (np.einsum("nki,nki->n", q.conj(), x @ q) for x in (df_dv, dv_df))
-    return np.abs(fv) ** 2, np.abs(vf) ** 2, 2.0 * (cov**2).real
-
-
-def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `decomposition_terms`: the centred operators and rho's factor."""
-    *_, df, dv, df_dv = _centred(rows, rho, f, v, s)
-    return _sandwich_terms(rows, rho, df_dv, _battery_right(dv, df), trace_product(rho, df_dv))
+def _terms(cov):
+    """The decomposition's three terms from Cov = <A,B>: |<A,B>|^2, |<B,A>|^2 and 2 Re[Cov^2]."""
+    fv = np.abs(cov) ** 2  # |<B,A>|^2 = |conj(<A,B>)|^2, the same number
+    return fv, fv, 2.0 * (cov**2).real
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -338,23 +336,19 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
 
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m, (df, dv, df_dv) = _moment_stage(rows, rho, f, v, s)
-    dv_df = _battery_right(dv, df)
-    del dv  # one stack fewer alive: 100-row D = 16 batches ~8 % faster (2 cores, OpenBLAS 0.3.31)
+    m = _moment_stage(rows, rho, f, v, s, _factor(rows, rho, rho_eig))
     power = _power_stage(rows, rho, f, v)
-    power_delta = (-1j * trace_product(rho, antihermitian_stack(rows, df_dv - dv_df))).real
-    _run_checks(rows, "shift", power=power, power_delta=power_delta)
+    _run_checks(rows, "shift", power=power, power_delta=2.0 * m.cov.imag)
 
     power_sq = power * power
-    term_fv, term_vf, term_cross = _sandwich_terms(rows, rho, df_dv, dv_df, m.cov, rho_eig)
+    term_fv, term_vf, term_cross = _terms(m.cov)
     bound = corrected_bound(m)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
                          term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
                          loose_bound=loose_bound(m), slack=bound - power_sq,
                          saturation_ratio=saturation_ratio(power_sq, m))
     values = {k: getattr(report, k) for k in REPORT_FIELDS}
-    _run_checks(rows, "chain", total=term_fv + term_vf - term_cross, power_cov=2.0 * m.cov.imag,
-                **values)
+    _run_checks(rows, "chain", total=term_fv + term_vf - term_cross, **values)
     _run_checks(rows, "report", **values)
     return report
 
@@ -364,16 +358,17 @@ def _batch(stage, rho, f, v, s: TensorStructure, **extra):
     return stage(RowErrors(rho.shape[0]), rho, f, v, s, **extra)
 
 
-def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
+def moment_batch(rho, f, v, s: TensorStructure, q=None) -> MomentBatch:
     """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    The moment stage of `verify_batch`, with the same centred formulas.
-    Precondition: rho, F and V are exactly Hermitian, as the matrices of
-    HermitianOperator and DensityMatrix and the draws are; they are not
-    checked again here, and of what the stage forms only the reduced states
-    are.
+    The moment stage of `verify_batch`: var_V and Cov on a factor Q (N,D,r).
+    Given `q`, the caller guarantees rho = Q Q^dag per row, unchecked (the
+    search builds each state from its factor); else Q comes from a checked
+    eigh of each rho. Precondition: rho, F and V are exactly Hermitian, as
+    the matrices of HermitianOperator and DensityMatrix and the draws are;
+    they are not checked again here.
     """
-    return _batch(_moment_stage, rho, f, v, s)[0]
+    return _batch(_moment_stage, rho, f, v, s, q=q)
 
 
 def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
@@ -381,15 +376,15 @@ def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
 
     Checks the inputs are Hermitian, then runs every check of the chain,
     `_chain_stage`, in its order and at its tolerance, as a mask over the
-    rows: the moments, the power by the commutator route, the same power
-    through the shifted commutator, the square-root decomposition and the
-    bounds. Rows are independent: a row's values and error do not depend on
-    what else is in the stack.
+    rows: rho's factor Q = U sqrt(w), the moments on it, the power by the
+    commutator route, the same power as 2 Im <A,B> on Q, the square-root
+    decomposition and the bounds. Rows are independent: a row's values and
+    error do not depend on what else is in the stack.
 
     `rho_eig`, internal, is the (w, u) that `density_stack` returned with
-    `rho`: Q = U sqrt(w) is then built from them, after `eig_stack`'s checks,
-    not from a second eigendecomposition. It is used only if the Hermiticity
-    pass hands rho back as it is; otherwise the symmetrized stack is decomposed.
+    `rho`: Q is then built from them, after `eig_stack`'s checks, not from a
+    second eigendecomposition. It is used only if the Hermiticity pass hands
+    rho back as it is; otherwise the symmetrized stack is decomposed.
     """
     rho, f, v = _checked_stacks(rho, f, v, s)
     rows = RowErrors(rho.shape[0])
@@ -438,7 +433,7 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
+    return _one_instance(_moment_stage, rho, f, v, s).row(0)
 
 
 def decomposition_terms(
@@ -446,13 +441,13 @@ def decomposition_terms(
 ) -> tuple[float, float, float]:
     """The three terms of the square-root decomposition of P^2.
 
-    Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
-    with sr = sqrt(rho), each sandwich trace taken as Tr(Q^dag X Q) on rho's
-    checked factor Q = U sqrt(w): exact as U^dag U = I_r, and independent of
-    Cov = Tr(rho dF dV), so the decomposition identity still checks the
-    factors. The cyclic-trace shortcut Tr(rho X) is deliberately not taken.
+    Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[Cov^2]) with
+    sr = sqrt(rho), each taken by the moment stage on rho's checked factor
+    Q = U sqrt(w): Tr(sr dF dV sr) = <A,B> = Cov and Tr(sr dV dF sr) = <B,A>,
+    exact as U^dag U = I_r. The raw commutator P, which the decomposition
+    identity compares them with, does not go through Q.
     """
-    return tuple(float(t[0]) for t in _one_instance(_terms_stage, rho, f, v, s))
+    return tuple(float(t[0]) for t in _terms(_one_instance(_moment_stage, rho, f, v, s).cov))
 
 
 def corrected_bound(m):

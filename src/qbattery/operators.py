@@ -364,15 +364,6 @@ def expectation_stack(rows: RowErrors, rho: np.ndarray, a: np.ndarray) -> np.nda
     return t.real
 
 
-def antihermitian_stack(rows: RowErrors, c: np.ndarray) -> np.ndarray:
-    """Check that each commutator in a stack is anti-Hermitian to 1e-10*(1 + max|C|)."""
-    scale = 1.0 + _max_abs(c)
-    residual = _max_abs(c + _adjoint(c))
-    rows.record(residual > 1e-10 * scale, lambda i: NumericalIntegrityError(
-        f"commutator not anti-Hermitian: residual {residual[i]:.3e}"))
-    return c
-
-
 def to_matrix_literal(mat) -> dict:
     """JSON-ready dict {dim, re, im} with row-major entry lists."""
     a = mat.mat if isinstance(mat, _CheckedMatrix) else _as_complex_square(mat)

@@ -1,20 +1,26 @@
-"""The decomposition's sandwich terms against an exact rational reference.
+"""The kernel's columns against an exact rational reference.
+
+Every float64 entry of a drawn stack is an exact rational, and so is every
+sum and product of them: the reference takes the traces below in
+`fractions.Fraction` arithmetic, a complex number being a pair of Fractions,
+and so shares none of the kernel's arithmetic. The kernel takes var_V, Cov
+and the sandwich traces as Hilbert-Schmidt products on rho's factor
+Q = U sqrt(w); the reference takes them as traces of products with rho.
 
 By the cyclic trace, Tr(sr dF dV sr) = Tr(rho dF dV), so term_fv is
-|Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. Every float64 entry of a
-drawn stack is an exact rational, and so is every sum and product of them:
-the reference takes both traces, and the means <F>_W and <V> that centre
-them, in `fractions.Fraction` arithmetic, a complex number being a pair of
-Fractions. The kernel takes the terms on rho's factors instead, so this
-checks that route against one that shares none of its arithmetic.
+|Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The accuracy gate takes
+var_V, Cov, the corrected bound, the slack and the saturation ratio of the
+state rho / Tr(rho), whose trace is exactly 1, from the raw moments
+Tr(rho X) / Tr(rho): in exact arithmetic nothing cancels.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbattery.ensembles import _draw_batch_eig
-from qbattery.moments import _verify_checked, verify_batch
+from qbattery.moments import _verify_checked, moment_batch, verify_batch
 from qbattery.operators import TensorStructure
 
 ZERO = Fraction(0)
@@ -85,3 +91,127 @@ def test_sandwich_terms_match_the_exact_traces(dims, kind, rank):
             scale = max(float(max(want)), float(batch.moments.var_f[i] * batch.moments.var_v[i]))
             for got, term in zip((batch.term_fv[i], batch.term_vf[i]), want):
                 assert abs(float(Fraction(float(got)) - term)) <= 1e-13 * scale, (i, got, float(term))
+
+
+def matmul(a, b):
+    """A B."""
+    return [[dot((a[i][k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def exact_columns(rho, f, v, env):
+    """var_v, cov, corrected_bound, slack and saturation_ratio of rho / Tr(rho), exactly.
+
+    cov is a (re, im) pair; P = 2 Im Cov, and saturation_ratio is P^2 / bound.
+    """
+    t = sum(rho[i][i][0] for i in range(len(rho)))
+    d_w = len(f)
+    rho_w = [[(sum(rho[i * env + e][j * env + e][0] for e in range(env)),
+               sum(rho[i * env + e][j * env + e][1] for e in range(env)))
+              for j in range(d_w)] for i in range(d_w)]
+    mean_f = trace_product(rho_w, f)[0] / t
+    mean_v = trace_product(rho, v)[0] / t
+    var_f = trace_product(rho_w, matmul(f, f))[0] / t - mean_f**2
+    var_v = trace_product(rho, matmul(v, v))[0] / t - mean_v**2
+    fv = trace_product(rho, battery_left(f, v, env))
+    cov = (fv[0] / t - mean_f * mean_v, fv[1] / t)
+    bound = 2 * (var_f * var_v - (cov[0] ** 2 - cov[1] ** 2))
+    power_sq = 4 * cov[1] ** 2
+    return {"var_f": var_f, "var_v": var_v, "cov": cov, "corrected_bound": bound,
+            "slack": bound - power_sq, "saturation_ratio": power_sq / bound}
+
+
+def moment_errors(m, i, want):
+    """The error of row i of MomentBatch `m` in var_V, relative to it, and in Cov, to sqrt(var_F var_V)."""
+    cov = complex(m.cov[i])
+    cov_err = abs(complex(float(Fraction(cov.real) - want["cov"][0]),
+                          float(Fraction(cov.imag) - want["cov"][1])))
+    return {"var_v": abs(float(Fraction(float(m.var_v[i])) - want["var_v"])) / float(want["var_v"]),
+            "cov": cov_err / float(want["var_f"] * want["var_v"]) ** 0.5}
+
+
+def column_errors(batch, i, want):
+    """The kernel's error on row i per column, each relative to its own scale.
+
+    var_v relative to itself; Cov to sqrt(var_F var_V), the bound it obeys;
+    the corrected bound and the slack to var_F var_V, of which they are a
+    cancelling difference; the ratio, in [0, 1], absolutely.
+    """
+    product = float(want["var_f"] * want["var_v"])
+    return {
+        **moment_errors(batch.moments, i, want),
+        **{k: abs(float(Fraction(float(getattr(batch, k)[i])) - want[k])) / product
+           for k in ("corrected_bound", "slack")},
+        "saturation_ratio": abs(float(Fraction(float(batch.saturation_ratio[i])) - want["saturation_ratio"])),
+    }
+
+
+# (dims, kind, rank, rows): seed-2024 draws at D = 2, 4 and 8, then Haar rows
+# at D = 2, which saturate the bound
+GATE_FAMILIES = ([(dims, kind, rank, 12) for dims in ((2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1))
+                  for kind, rank in (("mix", None), ("haar", None), ("ginibre", 2))]
+                 + [((2, 1, 1, 1), "haar", None, 200)])
+
+# (max, mean) of each column's error over every row of GATE_FAMILIES and both
+# kernel routes. Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the largest
+# over its default, Haswell, Sandybridge, Nehalem and Zen kernels
+# (OPENBLAS_CORETYPE), rounded up to two digits, max / mean, with var_V and
+# Cov taken as traces with rho, Tr(rho dV dV) and Tr(rho dF dV) (left), and
+# on rho's factor Q, as the kernel takes them (right):
+#   var_v            8.6e-14 / 5.6e-16    3.6e-14 / 5.4e-16
+#   cov              3.7e-15 / 1.9e-16    7.9e-15 / 3.9e-16
+#   corrected_bound  1.7e-13 / 2.1e-15    7.3e-14 / 2.1e-15
+#   slack            1.8e-13 / 2.2e-15    6.8e-14 / 2.2e-15
+#   saturation_ratio 6.5e-12 / 4.3e-14    7.0e-12 / 2.7e-14
+# Each bound is the smallest one-digit number at least 1.1 times the trace
+# route's error, or the factor route's for the three it exceeds, Cov's two
+# and the ratio's largest: Q carries its eigendecomposition's backward error,
+# and Cov taken in long double on the same float64 Q is no more accurate.
+# A bound may only get stricter.
+GATE_BOUNDS = {
+    "var_v": (1e-13, 7e-16),
+    "cov": (9e-15, 5e-16),
+    "corrected_bound": (2e-13, 3e-15),
+    "slack": (2e-13, 3e-15),
+    "saturation_ratio": (8e-12, 5e-14),
+}
+
+
+def gate_errors():
+    """Each column's errors over the gate's rows, by both kernel routes."""
+    errors = {k: [] for k in GATE_BOUNDS}
+    for dims, kind, rank, n in GATE_FAMILIES:
+        s = TensorStructure.from_dims(list(dims))
+        rho, f, v, _, eig = _draw_batch_eig(s, kind, 2024, range(n), rank, 1.0)
+        batches = (_verify_checked(rho, f, v, s, rho_eig=eig), verify_batch(rho, f, v, s))
+        for batch in batches:
+            assert batch.errors == [None] * n
+        for i in range(n):
+            want = exact_columns(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
+            assert want["corrected_bound"] > 0
+            for batch in batches:
+                for k, e in column_errors(batch, i, want).items():
+                    errors[k].append(e)
+    return errors
+
+
+def test_moment_columns_stay_within_the_exact_reference_gate():
+    errors = gate_errors()
+    for name, (max_bound, mean_bound) in GATE_BOUNDS.items():
+        e = np.array(errors[name])
+        assert e.max() <= max_bound, (name, e.max())
+        assert e.mean() <= mean_bound, (name, e.mean())
+
+
+def test_moments_of_shifted_operators_match_the_exact_values():
+    # F and V + 1e6 I: B = dV Q with dV formed first keeps var_V and Cov to
+    # round-off of their own scale (1.4e-15 here); V Q - <V> Q would cancel
+    # the shift in the product and miss by 2e-10
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, _, _ = _draw_batch_eig(s, "mix", 42, range(24), None, 1.0)
+    f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)
+    m = moment_batch(rho, f, v, s)
+    for i in range(24):
+        want = exact_columns(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
+        for name, err in moment_errors(m, i, want).items():
+            assert err <= 1e-13, (name, i, err)

@@ -9,7 +9,6 @@ from qbattery.operators import (
     RejectedInputError,
     TensorStructure,
     _one_row,
-    antihermitian_stack,
     density_from_literal,
     eig_stack,
     embed_battery_op,
@@ -240,14 +239,6 @@ def test_expectation_is_real():
     assert isinstance(val, float)
     # against plain dense arithmetic
     assert abs(val - np.trace(rho.mat @ a.mat).real) <= 1e-12
-
-
-def test_commutator_antihermitian():
-    a = HermitianOperator(random_hermitian(4))
-    b = HermitianOperator(random_hermitian(4))
-    c = _one_row(antihermitian_stack, a.mat @ b.mat - b.mat @ a.mat)[0]
-    assert np.allclose(c, -c.conj().T, atol=1e-12)
-    assert np.allclose(c, a.mat @ b.mat - b.mat @ a.mat)
 
 
 # ---------------------------------------------------------------- literals
