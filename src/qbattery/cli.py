@@ -210,7 +210,7 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
-    The draws' checked eigenpairs build the moments' factor Q = U sqrt(w):
+    The draws' checked eigenpairs build the traces' factor Q = U sqrt(w):
     `eigh`'s for `gue-ops` and full-rank Ginibre states, the thin SVD of a
     Haar or rank-deficient Ginibre state's D x r factor otherwise. Returns
     the kinds, each row's first failed check, and an (N, 15) array of the

@@ -1,30 +1,36 @@
 """Charging power, fluctuation moments, and the covariance-corrected power bound.
 
 For a full state rho, a battery operator F and an interaction V, the
-instantaneous charging power P = -i Tr([rho, F (x) 1] V) is real for
-Hermitian inputs and bounded by
+instantaneous charging power is
+
+    P = -i Tr([rho, F (x) 1] V),
+
+which is real for Hermitian inputs. Writing dF = F - <F>_W and dV = V - <V>,
+the squared power decomposes through the positive root of rho as
+
+    P^2 = |Tr(sr dF dV sr)|^2 + |Tr(sr dV dF sr)|^2 - 2 Re[(Tr(rho dF dV))^2],
+
+with sr = sqrt(rho), and is bounded by
 
     P^2 <= 2 (var_F * var_V - Re[Cov(F,V)^2]).
 
-With dF = F - <F>_W, dV = V - <V>, a factor Q (D x r) of the state,
-rho = Q Q^dag, A = (dF (x) 1) Q, B = dV Q and <X, Y> = Tr(X^dag Y):
+Every moment is taken of the centred operators, formed once: Cov(F,V) =
+Tr(rho dF dV), kept complex and unsymmetrized; var_F = sum_k w_k |dF u_k|^2
+over the eigenpairs (w_k, u_k) of the reduced state rho_W, never negative;
+var_V = Re Tr(rho dV dV). A shift of F or V by a multiple of the identity
+leaves dF and dV as they are. P is taken by the raw commutator, the paper's
+definition, and checked against 2 Im Cov, its value by the centred route.
 
-    var_V = <B, B>,    Cov(F,V) = Tr(rho dF dV) = <A, B>,    P = 2 Im <A, B>,
-
-so the bound is the Cauchy-Schwarz inequality for A and B. The square-root
-decomposition P^2 = |Tr(sr dF dV sr)|^2 + |Tr(sr dV dF sr)|^2 - 2 Re[Cov^2],
-sr = sqrt(rho), takes its sandwich traces on Q = U sqrt(w) as <A, B> and
-<B, A>, exact as U^dag U = I_r, with no D x D sqrt(rho).
-
-Every moment is taken of the centred operators, so a shift of F or V by a
-multiple of the identity changes none; Cov stays complex and unsymmetrized.
-var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of the reduced state rho_W,
-never negative, <V> = Tr(rho V), and P, by the raw commutator on rho (the
-paper's definition), do not go through Q; the shift check compares P with
-2 Im <A, B>. Besides Q, D x D for a full-rank state, the chain's only D x D
-operands are rho and V, and it forms no product of the two. Every identity of
-the chain is a row of one table, `_CHECKS`, checked where the chain reaches
-it; a clean report certifies the algebra numerically.
+The sandwich traces are taken on rho's checked factor Q = U sqrt(w)
+(D x r): with A = (dF (x) 1) Q, B = dV Q and <X, Y> = Tr(X^dag Y),
+Tr(sr dF dV sr) = <A, B> and Tr(sr dV dF sr) = <B, A>, its complex
+conjugate, exact as U^dag U = I_r, with no D x D sqrt(rho). They do not
+go through Cov, so the decomposition identity checks the factors. var_V's
+dV dV is the chain's one product of two D x D stacks: var_V = <B, B> on Q
+would drop it, but moves the saturation ratio of saturating rows further
+from its exact value (ROADMAP item 4). Every identity of the chain is a row
+of one table, `_CHECKS`, checked where the chain reaches it; a clean report
+certifies the algebra numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
@@ -40,12 +46,12 @@ trajectories) skip it, and the draws and trajectories pass
 without decomposing each state a second time.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
-with rho and with Q are contractions over the battery index of the
+with rho, dV and Q are contractions over the battery index of the
 battery-first space.
 
 The reduced states and the state's factors (w, U) are the only products the
-chain checks: dF is a real diagonal shift of an exactly Hermitian matrix, so
-exactly Hermitian.
+chain checks: dF and dV are real diagonal shifts of exactly Hermitian
+matrices, so exactly Hermitian.
 """
 
 from dataclasses import dataclass, asdict
@@ -101,7 +107,7 @@ _CHECKS = (
     # P by the raw commutator is real
     ("power", lambda x: np.abs(x.power_imag), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "charging power has imaginary part {power_imag:.3e}"),
-    # the same P as 2 Im <A,B> on the factor, the centred route
+    # the same P as 2 Im Cov, the centred route
     ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
     # the square-root decomposition and the bounds
@@ -249,11 +255,6 @@ def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(at.swapaxes(-1, -2))
 
 
-def _hs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<A, B> = Tr(A^dag B) per row of two (N, D, r) stacks: their Hilbert-Schmidt product."""
-    return np.einsum("nij,nij->n", a.conj(), b)
-
-
 def _checked_stacks(rho, f, v, s: TensorStructure):
     """The three stacks as complex arrays, after the dimension checks."""
     rho, f, v = (np.asarray(x, dtype=complex) for x in (rho, f, v))
@@ -268,41 +269,28 @@ def _checked_stacks(rho, f, v, s: TensorStructure):
     return rho, f, v
 
 
-def _factor(rows: RowErrors, rho, rho_eig=None):
-    """Q = U sqrt(w) (N, D, r) on `eig_stack`'s checked pairs (`rho_eig`, else eigh's), after the PSD check."""
-    w, u = eig_stack(rows, rho, rho_eig)
-    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
-        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
-    return u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+def _cov(rho, df, dv):
+    """Cov = Tr(rho (dF (x) 1) dV) per row."""
+    return trace_product(rho, _battery_left(df, dv))
 
 
-def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure, q=None):
-    """The checks and arithmetic of `compute_moments`, on a factor Q of rho; returns a MomentBatch.
+def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
+    """The checks and arithmetic of `compute_moments`; returns (moments, (dF, dV)).
 
-    Q is `q` when given, else eigh's `_factor(rho)`. With A = (dF (x) 1) Q
-    and B = dV Q: var_V = <B,B> and Cov = <A,B>. <F> and
-    var_F = sum_k w_k |dF u_k|^2 are taken on the eigenpairs of rho_W that its
-    check computed, and <V> = Tr(rho V). dV is formed before the product:
-    V Q - <V> Q would cancel a large multiple of I in V, and at V + 1e6 I
-    its 2 Im <A,B> missed the exact P by up to 3e-10, dV Q's by 1.6e-15.
+    var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of rho_W that its check
+    computed, var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
     """
-    if q is None:
-        q = _factor(rows, rho)
     rho_w, purity_w, (w, u) = density_stack(rows, partial_trace_stack(rho, s))
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
-    df = _delta_stack(f, mean_f)
+    df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
     var_f = np.einsum("nk,nik->n", w, np.abs(df @ u) ** 2)
-    b = _delta_stack(v, mean_v) @ q
-    a = _battery_left(df, q)
-    del q
-    var_v = _hs(b, b).real
-    cov = _hs(a, b)
-    del a, b
+    var_v = trace_product(rho, dv @ dv).real
+    cov = _cov(rho, df, dv)
     clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
     _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
                 cov_sq=np.abs(cov) ** 2)
-    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows)
+    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows), (df, dv)
 
 
 def _power_stage(rows: RowErrors, rho, f, v):
@@ -314,10 +302,25 @@ def _power_stage(rows: RowErrors, rho, f, v):
     return raw.real
 
 
-def _terms(cov):
-    """The decomposition's three terms from Cov = <A,B>: |<A,B>|^2, |<B,A>|^2 and 2 Re[Cov^2]."""
-    fv = np.abs(cov) ** 2  # |<B,A>|^2 = |conj(<A,B>)|^2, the same number
+def _terms(rows: RowErrors, rho, df, dv, cov, rho_eig=None):
+    """The decomposition's three terms, the sandwich traces on rho's checked factor Q = U sqrt(w).
+
+    Tr(sr dF dV sr) = <A,B> with A = (dF (x) 1) Q and B = dV Q, and
+    Tr(sr dV dF sr) = <B,A> = conj(<A,B>), so the first two terms are one
+    number, |<A,B>|^2; the third is 2 Re[Cov^2].
+    """
+    w, u = eig_stack(rows, rho, rho_eig)
+    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
+        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
+    q = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    fv = np.abs(np.einsum("nij,nij->n", _battery_left(df, q).conj(), dv @ q)) ** 2
     return fv, fv, 2.0 * (cov**2).real
+
+
+def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
+    """The checks and arithmetic of `decomposition_terms`: the moments, then rho's factor."""
+    m, (df, dv) = _moment_stage(rows, rho, f, v, s)
+    return _terms(rows, rho, df, dv, m.cov)
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -336,12 +339,12 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
 
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m = _moment_stage(rows, rho, f, v, s, _factor(rows, rho, rho_eig))
+    m, (df, dv) = _moment_stage(rows, rho, f, v, s)
     power = _power_stage(rows, rho, f, v)
     _run_checks(rows, "shift", power=power, power_delta=2.0 * m.cov.imag)
 
     power_sq = power * power
-    term_fv, term_vf, term_cross = _terms(m.cov)
+    term_fv, term_vf, term_cross = _terms(rows, rho, df, dv, m.cov, rho_eig)
     bound = corrected_bound(m)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
                          term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
@@ -358,17 +361,16 @@ def _batch(stage, rho, f, v, s: TensorStructure, **extra):
     return stage(RowErrors(rho.shape[0]), rho, f, v, s, **extra)
 
 
-def moment_batch(rho, f, v, s: TensorStructure, q=None) -> MomentBatch:
+def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    The moment stage of `verify_batch`: var_V and Cov on a factor Q (N,D,r).
-    Given `q`, the caller guarantees rho = Q Q^dag per row, unchecked (the
-    search builds each state from its factor); else Q comes from a checked
-    eigh of each rho. Precondition: rho, F and V are exactly Hermitian, as
-    the matrices of HermitianOperator and DensityMatrix and the draws are;
-    they are not checked again here.
+    The moment stage of `verify_batch`, with the same centred formulas.
+    Precondition: rho, F and V are exactly Hermitian, as the matrices of
+    HermitianOperator and DensityMatrix and the draws are; they are not
+    checked again here, and of what the stage forms only the reduced states
+    are.
     """
-    return _batch(_moment_stage, rho, f, v, s, q=q)
+    return _batch(_moment_stage, rho, f, v, s)[0]
 
 
 def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
@@ -376,15 +378,14 @@ def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
 
     Checks the inputs are Hermitian, then runs every check of the chain,
     `_chain_stage`, in its order and at its tolerance, as a mask over the
-    rows: rho's factor Q = U sqrt(w), the moments on it, the power by the
-    commutator route, the same power as 2 Im <A,B> on Q, the square-root
-    decomposition and the bounds. Rows are independent: a row's values and
-    error do not depend on what else is in the stack.
+    rows: the moments, the power by the commutator route, the same power as
+    2 Im Cov, the square-root decomposition and the bounds. Rows are independent: a row's values and error do not depend on
+    what else is in the stack.
 
     `rho_eig`, internal, is the (w, u) that `density_stack` returned with
-    `rho`: Q is then built from them, after `eig_stack`'s checks, not from a
-    second eigendecomposition. It is used only if the Hermiticity pass hands
-    rho back as it is; otherwise the symmetrized stack is decomposed.
+    `rho`: Q = U sqrt(w) is then built from them, after `eig_stack`'s checks,
+    not from a second eigendecomposition. It is used only if the Hermiticity
+    pass hands rho back as it is; otherwise the symmetrized stack is decomposed.
     """
     rho, f, v = _checked_stacks(rho, f, v, s)
     rows = RowErrors(rho.shape[0])
@@ -433,7 +434,7 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    return _one_instance(_moment_stage, rho, f, v, s).row(0)
+    return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
 
 
 def decomposition_terms(
@@ -441,13 +442,14 @@ def decomposition_terms(
 ) -> tuple[float, float, float]:
     """The three terms of the square-root decomposition of P^2.
 
-    Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[Cov^2]) with
-    sr = sqrt(rho), each taken by the moment stage on rho's checked factor
-    Q = U sqrt(w): Tr(sr dF dV sr) = <A,B> = Cov and Tr(sr dV dF sr) = <B,A>,
-    exact as U^dag U = I_r. The raw commutator P, which the decomposition
-    identity compares them with, does not go through Q.
+    Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
+    with sr = sqrt(rho), the sandwich traces taken as <A,B> and <B,A> on
+    rho's checked factor Q = U sqrt(w) (`_terms`): exact as U^dag U = I_r,
+    and independent of Cov = Tr(rho dF dV), so the decomposition identity
+    still checks the factors. The cyclic-trace shortcut Tr(rho X) is
+    deliberately not taken.
     """
-    return tuple(float(t[0]) for t in _terms(_one_instance(_moment_stage, rho, f, v, s).cov))
+    return tuple(float(t[0]) for t in _one_instance(_terms_stage, rho, f, v, s))
 
 
 def corrected_bound(m):

@@ -161,11 +161,10 @@ class _Parameterization:
         self.pack_v = _pack(d)
 
     def build(self, xs: np.ndarray):
-        """(rho, Q, F, V, valid) for a stack of parameter vectors (K, n_params).
+        """(rho, F, V, valid) for a stack of parameter vectors (K, n_params).
 
-        rho = Q Q^dag, Q the normalised ket or g / sqrt(Tr g g^dag). Rows with
-        a degenerate state parameterization have valid = False and placeholder
-        matrices.
+        Rows with a degenerate state parameterization have valid = False and
+        placeholder matrices.
         """
         d = self.s.dim
         raw = xs[:, : self.n_state]
@@ -173,19 +172,17 @@ class _Parameterization:
         if self.pure_state:
             norm_sq = np.einsum("ki,ki->k", z.conj(), z).real
             valid = ~(norm_sq < 1e-24)
-            q = (z / np.sqrt(np.where(valid, norm_sq, 1.0))[:, None])[:, :, None]
-            mat = q * q.conj().swapaxes(-1, -2)
+            z = z / np.sqrt(np.where(valid, norm_sq, 1.0))[:, None]
+            mat = z[:, :, None] * z.conj()[:, None, :]
         else:
             g = z.reshape(-1, d, d)
             w = g @ g.conj().swapaxes(-1, -2)
             tr = np.trace(w, axis1=-2, axis2=-1).real
             valid = ~(tr < 1e-24)
-            tr = np.where(valid, tr, 1.0)
-            mat = w / tr[:, None, None]
-            q = g / np.sqrt(tr)[:, None, None]
+            mat = w / np.where(valid, tr, 1.0)[:, None, None]
         f = _unit_spectral(_hermitian_from_params(xs[:, self.n_state : self.n_state + self.n_f], self.pack_f))
         v = _unit_spectral(_hermitian_from_params(xs[:, self.n_state + self.n_f :], self.pack_v))
-        return mat, q, f, v, valid
+        return mat, f, v, valid
 
 
 def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.ndarray]:
@@ -196,8 +193,8 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
     the final candidate is always re-verified by the whole kernel chain, which
     computes it by the commutator route as well.
     """
-    mat, q, f, v, valid = param.build(xs)
-    m = moment_batch(mat, f, v, param.s, q=q)
+    mat, f, v, valid = param.build(xs)
+    m = moment_batch(mat, f, v, param.s)
     return m, valid & np.array([err is None for err in m.errors])
 
 
@@ -302,7 +299,7 @@ def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResu
     results, rounds = _lockstep(walks, score)
     best = min(range(len(results)), key=lambda r: (results[r][1], r))
     x, objective, _, succeeded = results[best]
-    mat, _, f, v, valid = param.build(x[None])
+    mat, f, v, valid = param.build(x[None])
     if not valid[0]:
         # The walk never accepts a degenerate point over a finite one, so this
         # would take a measure-zero initial draw.

@@ -31,7 +31,7 @@ def drawn(dims, kind):
 
 FAMILIES = {
     "generic": lambda: drawn((2, 2, 1, 1), "ginibre"),
-    # pure D = 2 rows: B = dV Q is parallel to A = dF Q, so P^2 = bound
+    # pure D = 2 rows: dF psi and dV psi are both orthogonal to psi, so parallel, and P^2 = bound
     "saturating": lambda: drawn((2, 1, 1, 1), "haar"),
     # rho = (I + sigma_y)/2, F = sigma_z, V = sigma_x: P = 2, P^2 = bound = 4
     "qubit": lambda: (((np.eye(2) + SY) / 2)[None], SZ[None], SX[None],
@@ -65,21 +65,21 @@ def report_field(name, formula):
 MUTATIONS = {
     # var_F with negated weights
     "var_f = ": ("generic", lambda mp: wrap(mp, "density_stack", reduced_weights(-1.0))),
-    # a Hilbert-Schmidt product with the wrong sign: var_V = -<B,B>
-    "var_v = ": ("generic", lambda mp: wrap(mp, "_hs", lambda real: lambda a, b: -real(a, b))),
+    # every trace with rho negated: var_V = -Re Tr(rho dV dV) is the first the table checks
+    "var_v = ": ("generic", lambda mp: wrap(mp, "trace_product", lambda real: lambda a, b: -real(a, b))),
     # var_F on half the weights, where |Cov|^2 = var_F var_V
     "covariance inequality violated": ("saturating",
                                        lambda mp: wrap(mp, "density_stack", reduced_weights(0.5))),
     # the commutator with 2 rho (F (x) 1) for rho (F (x) 1)
     "charging power has imaginary part": (
         "generic", lambda mp: wrap(mp, "_battery_right", lambda real: lambda a, f: 2.0 * real(a, f))),
-    # Cov as <B,A>, the conjugate of <A,B>: 2 Im Cov = -P
+    # Cov as Tr(rho dV dF), the conjugate of Tr(rho dF dV): 2 Im Cov = -P
     "commutator-shift power identity violated": (
-        "generic", lambda mp: wrap(mp, "_hs", lambda real: lambda a, b: real(b, a))),
+        "generic", lambda mp: wrap(mp, "_cov", lambda real: lambda rho, df, dv: real(rho, df, dv).conj())),
     # term_cross as 2 (Re Cov)^2 for 2 Re[Cov^2]
     "square-root decomposition identity violated": (
-        "generic", lambda mp: wrap(mp, "_terms", lambda real: lambda cov: (
-            *real(cov)[:2], 2.0 * cov.real**2))),
+        "generic", lambda mp: wrap(mp, "_terms", lambda real: lambda rows, rho, df, dv, cov, rho_eig=None: (
+            *real(rows, rho, df, dv, cov, rho_eig)[:2], 2.0 * cov.real**2))),
     # the bound with its sign flipped
     "corrected bound is negative": ("generic",
                                     lambda mp: wrap(mp, "corrected_bound", lambda real: lambda m: -real(m))),

@@ -288,8 +288,8 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
 
 
 # the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states
-# only; F and dF = F - <F> are exactly Hermitian shifts of checked inputs and
-# are not checked again, no F^2 or V^2 is formed, and var_V, Cov and the
+# only; F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts of
+# checked inputs and are not checked again, no F^2 or V^2 is formed, and the
 # sandwich traces take rho's checked factor, not a D x D sqrt(rho)
 KERNEL_CHECK_SHAPES = [(2, 2)]
 
@@ -322,7 +322,7 @@ def exactly_hermitian_stacks(seed, dims, n, scale, pure):
     gue = [ensembles._gue_operators(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)),
                                     scale) for d in (s.d_w, s.dim)]
     param = search._Parameterization(s, pure_state=pure)
-    _, _, f, v, _ = param.build(scale * rng.standard_normal((n, param.n_params)))
+    _, f, v, _ = param.build(scale * rng.standard_normal((n, param.n_params)))
     return gue + [f, v]
 
 

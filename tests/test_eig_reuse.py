@@ -1,11 +1,11 @@
-"""One eigendecomposition per state: the kernel's moments take the draw's checked (w, u).
+"""One eigendecomposition per state: the kernel's sandwich traces take the draw's checked (w, u).
 
-var_V, Cov and the sandwich traces are Hilbert-Schmidt products on the factor
-Q = U sqrt(w) (D x r), rho = Q Q^dag, so they need no D x D sqrt(rho); the raw
-commutator P is taken on rho itself, a route independent of the factors,
-which keeps the commutator-shift identity P = 2 Im Cov a real check on them.
-A trajectory decomposes only its initial state: U(t) carries rho0's
-eigenpairs to every grid point, where the point's checks verify them.
+With Q = U sqrt(w) (D x r) and U^dag U = I_r, Tr(sr X sr) = Tr(Q^dag X Q)
+exactly, so the traces need no D x D sqrt(rho); Cov = Tr(rho dF dV) is taken
+on rho itself, a route independent of the factors, which keeps the
+decomposition identity a real check on them. A trajectory decomposes only its
+initial state: U(t) carries rho0's eigenpairs to every grid point, where the
+point's checks verify them.
 """
 
 import numpy as np
@@ -208,11 +208,9 @@ def test_eig_stack_checks_thin_factors_against_the_identity_of_their_width():
 
 @pytest.mark.parametrize("dims", [(2, 2, 1, 1), (2, 2, 2, 2)])
 def test_decomposition_identity_has_a_route_independent_of_the_factors(monkeypatch, dims):
-    # Cov = <A,B> and the sandwich traces are taken on rho's factor Q, the raw
-    # commutator P on rho itself: factors with w**2 for w give the Cov of
-    # another matrix, and the commutator-shift identity, P = 2 Im Cov, fails
-    # before the decomposition identity is reached. Full-rank rows, since on a
-    # pure state w**2 == w.
+    # the sandwich traces are taken on rho's factors, Cov = Tr(rho dF dV) on
+    # rho itself: factors with w**2 for w take |Tr(rho dF dV rho)|^2, and the
+    # identity fails. Full-rank rows, since on a pure state w**2 == w.
     s = TensorStructure.from_dims(list(dims))
     rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(4), None, 1.0)
     real = moments.eig_stack
@@ -225,7 +223,7 @@ def test_decomposition_identity_has_a_route_independent_of_the_factors(monkeypat
     for rho_eig in (eig, None):
         errors = verify_batch(rho, f, v, s, rho_eig=rho_eig).errors
         assert all(isinstance(e, NumericalIntegrityError) for e in errors)
-        assert all("commutator-shift power identity violated" in str(e) for e in errors)
+        assert all("square-root decomposition identity violated" in str(e) for e in errors)
 
 
 def test_factors_are_ignored_when_rho_is_symmetrized():
@@ -338,7 +336,7 @@ def test_swapped_carried_eigenvectors_raise_the_reconstruction_error(monkeypatch
 
 def test_a_negated_carried_eigenvector_is_the_same_eigenpair(monkeypatch):
     # -u_k is an eigenvector wherever u_k is: the pairs still reconstruct the
-    # state, and <A,B>, a sum over k of w_k (dF u_k)^dag dV u_k, does not change
+    # state, and Tr(Q^dag X Q), a sum over k of w_k u_k^dag X u_k, does not change
     rho0, h, f, grid = carried_scenario("D8-rank8")
     want = trajectory_report(rho0, h, f, grid)
     corrupted_evolution(monkeypatch, negate_column, 5)

@@ -3,9 +3,10 @@
 Every float64 entry of a drawn stack is an exact rational, and so is every
 sum and product of them: the reference takes the traces below in
 `fractions.Fraction` arithmetic, a complex number being a pair of Fractions,
-and so shares none of the kernel's arithmetic. The kernel takes var_V, Cov
-and the sandwich traces as Hilbert-Schmidt products on rho's factor
-Q = U sqrt(w); the reference takes them as traces of products with rho.
+and so shares none of the kernel's arithmetic. The kernel takes the sandwich
+traces as Hilbert-Schmidt products on rho's factor Q = U sqrt(w), and var_V
+and Cov as traces with rho; the reference takes all of them as traces of
+products with rho.
 
 By the cyclic trace, Tr(sr dF dV sr) = Tr(rho dF dV), so term_fv is
 |Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The accuracy gate takes
@@ -153,24 +154,20 @@ GATE_FAMILIES = ([(dims, kind, rank, 12) for dims in ((2, 1, 1, 1), (2, 2, 1, 1)
                  + [((2, 1, 1, 1), "haar", None, 200)])
 
 # (max, mean) of each column's error over every row of GATE_FAMILIES and both
-# kernel routes. Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the largest
-# over its default, Haswell, Sandybridge, Nehalem and Zen kernels
-# (OPENBLAS_CORETYPE), rounded up to two digits, max / mean, with var_V and
-# Cov taken as traces with rho, Tr(rho dV dV) and Tr(rho dF dV) (left), and
-# on rho's factor Q, as the kernel takes them (right):
-#   var_v            8.6e-14 / 5.6e-16    3.6e-14 / 5.4e-16
-#   cov              3.7e-15 / 1.9e-16    7.9e-15 / 3.9e-16
-#   corrected_bound  1.7e-13 / 2.1e-15    7.3e-14 / 2.1e-15
-#   slack            1.8e-13 / 2.2e-15    6.8e-14 / 2.2e-15
-#   saturation_ratio 6.5e-12 / 4.3e-14    7.0e-12 / 2.7e-14
-# Each bound is the smallest one-digit number at least 1.1 times the trace
-# route's error, or the factor route's for the three it exceeds, Cov's two
-# and the ratio's largest: Q carries its eigendecomposition's backward error,
-# and Cov taken in long double on the same float64 Q is no more accurate.
+# kernel routes, with var_V and Cov taken as traces with rho, Tr(rho dV dV)
+# and Tr(rho dF dV). Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the
+# largest over its default, Haswell, Sandybridge, Nehalem and Zen kernels
+# (OPENBLAS_CORETYPE), rounded up to two digits:
+#   var_v            8.6e-14 / 5.6e-16
+#   cov              3.7e-15 / 1.9e-16
+#   corrected_bound  1.7e-13 / 2.1e-15
+#   slack            1.8e-13 / 2.2e-15
+#   saturation_ratio 6.5e-12 / 4.3e-14
+# Each bound is the smallest one-digit number at least 1.1 times its error.
 # A bound may only get stricter.
 GATE_BOUNDS = {
     "var_v": (1e-13, 7e-16),
-    "cov": (9e-15, 5e-16),
+    "cov": (5e-15, 3e-16),
     "corrected_bound": (2e-13, 3e-15),
     "slack": (2e-13, 3e-15),
     "saturation_ratio": (8e-12, 5e-14),
@@ -204,9 +201,8 @@ def test_moment_columns_stay_within_the_exact_reference_gate():
 
 
 def test_moments_of_shifted_operators_match_the_exact_values():
-    # F and V + 1e6 I: B = dV Q with dV formed first keeps var_V and Cov to
-    # round-off of their own scale (1.4e-15 here); V Q - <V> Q would cancel
-    # the shift in the product and miss by 2e-10
+    # F and V + 1e6 I: dF and dV are formed before any product, so var_V and
+    # Cov keep to round-off of their own scale, not of the shift's
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, _, _ = _draw_batch_eig(s, "mix", 42, range(24), None, 1.0)
     f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)
