@@ -39,7 +39,6 @@ from .dynamics import (  # noqa: F401  trajectory_rows: a name bench/tracer.py p
 )
 from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py patches here
     SeedSpec,
-    _draw_batch_eig,
     battery_eigenstate_product,
     draw_batch,
     draw_instance,
@@ -210,14 +209,14 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as stacks, then verify them in one batch.
 
-    The draws' checked eigenpairs build the traces' factor Q = U sqrt(w):
-    `eigh`'s for `gue-ops` and full-rank Ginibre states, the thin SVD of a
-    Haar or rank-deficient Ginibre state's D x r factor otherwise. Returns
-    the kinds, each row's first failed check, and an (N, 15) array of the
-    values in TRIAL_COLUMNS after "trial" and "kind".
+    The draws' states passed DensityMatrix's checks (on the thin SVD factors
+    of a Haar or rank-deficient Ginibre state, which `density_stack` checked
+    as they entered), so the kernel skips its input check. Returns the kinds,
+    each row's first failed check, and an (N, 15) array of the values in
+    TRIAL_COLUMNS after "trial" and "kind".
     """
-    *stacks, kinds, eig = _draw_batch_eig(structure, kind, seed, trials, rank, 1.0)
-    batch = _verify_checked(*stacks, structure, rho_eig=eig)
+    *stacks, kinds = draw_batch(structure, kind, seed, trials, rank)
+    batch = _verify_checked(*stacks, structure)
     m = batch.moments
     # a ReportBatch holds REPORT_FIELDS after its moments; a MomentBatch starts
     # with mean_f, mean_v, var_f and var_v

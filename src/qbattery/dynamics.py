@@ -4,12 +4,13 @@ The composite evolves under H = H0 + V by unitary conjugation with
 U(t) = exp(-i H t), built from one spectral decomposition of H; there is no
 integrator error to disentangle from bound diagnostics. The initial state is
 decomposed once too: U(t) carries its eigenvectors and leaves its spectrum
-as it is, so the state at every grid point comes with its eigenpairs, which
-the point's checks verify and Q = U sqrt(w) is built from. Power is always
-evaluated with the interaction V alone. When H0 commutes with the embedded
-battery operator the power equals d<F>/dt, and trajectories carry a central
-finite-difference estimate of that derivative for cross-checking; when it
-does not commute the comparison is meaningless and the trajectory says so.
+as it is, so the state at every grid point comes with its eigenpairs: the
+point's state check verifies them and judges positivity on them. Power is
+always evaluated with the interaction V alone. When H0 commutes with the
+embedded battery operator the power equals d<F>/dt, and trajectories carry a
+central finite-difference estimate of that derivative for cross-checking;
+when it does not commute the comparison is meaningless and the trajectory
+says so.
 
 `trajectory_report` returns a `Trajectory`: the grid, the verification
 kernel's arrays over it and the finite differences, kept as read-only
@@ -123,10 +124,10 @@ def trajectory_report(
     has the spectrum p0 and the eigenvectors U(t) q0, so no state is
     decomposed again. The grid is evolved and verified in batches of
     `batch_rows(D)` points; every state passes DensityMatrix's checks, on its
-    carried eigenvalues, before any point is verified, and `eig_stack`
-    checks at every point that the carried pairs reconstruct the state and
-    are orthonormal before Q = U sqrt(w) is built from them. The first failed
-    check of the earliest failing point raises.
+    carried eigenvalues, before any point is verified, and `density_stack`
+    checks there that the carried pairs reconstruct the state and are
+    orthonormal. The first failed check of the earliest failing point
+    raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.
     """
@@ -153,10 +154,10 @@ def trajectory_report(
         block = times[start : start + size]
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, *_evolved(w, vec, (p0, q0), block))
+        states = density_stack(rows, *_evolved(w, vec, (p0, q0), block))[0]
         rows.raise_first()
         batch = _verify_checked(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                                np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
+                                np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
         # a later chunk's DensityMatrix error outranks this chunk's first
         # verification error (states are checked before points are verified)
         failed = failed or next((e for e in batch.errors if e is not None), None)

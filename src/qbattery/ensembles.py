@@ -16,8 +16,9 @@ A state is drawn as K K^dag / Tr(K K^dag) from a complex Gaussian factor K:
 D x 1 for Haar, D x r for Ginibre at rank r. Where the ensemble gives every
 state a factor of one width r < D (`haar` at D > 1, `ginibre` below full
 rank), the state's eigenpairs come from the thin SVD K = U S W^dag, as
-w = S^2 / sum(S^2) and u = U, and `density_stack` checks the state on them:
-no D x D `eigh` runs, and no round-off eigenvalue below zero is clamped.
+w = S^2 / sum(S^2) and u = U, and `density_stack` checks the state on them
+and checks that they reconstruct it and are orthonormal: no D x D `eigh`
+runs, and no round-off eigenvalue below zero is clamped.
 `mix` rows have two widths and full-rank Ginibre factors are square, so
 `eigh` decomposes those states; the choice depends on the ensemble alone,
 never on which trials a batch holds.
@@ -199,12 +200,22 @@ _STREAMS_PER_TRIAL = 4
 STATE_KINDS = ("haar", "ginibre", "mix")
 
 
-def _draw_batch_eig(s: TensorStructure, kind: str, master_seed: int, trials: Sequence[int],
-                    rank: int | None, scale: float):
-    """`draw_batch`, plus the (w, u) eigenpairs of the states that `density_stack` checked.
+def draw_batch(
+    s: TensorStructure,
+    kind: str,
+    master_seed: int,
+    trials: Sequence[int],
+    rank: int | None = None,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
 
-    u has r columns for the thin factors of a rank-deficient ensemble, D for
-    the rest.
+    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
+    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
+    HermitianOperator's checks (on the thin SVD factors of a rank-deficient
+    ensemble's states; see the module docstring); kinds[k] is the state kind
+    it used. A row that fails a check raises the error that drawing the
+    trials one by one would raise first.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -233,30 +244,10 @@ def _draw_batch_eig(s: TensorStructure, kind: str, master_seed: int, trials: Seq
     v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
 
     errors = RowErrors(len(bases))
-    rho, _, eig = density_stack(errors, rho, factors)
+    rho = density_stack(errors, rho, factors)[0]
     f, v = hermitian_stack(errors, f), hermitian_stack(errors, v)
     errors.raise_first()
-    return rho, f, v, kinds, eig
-
-
-def draw_batch(
-    s: TensorStructure,
-    kind: str,
-    master_seed: int,
-    trials: Sequence[int],
-    rank: int | None = None,
-    scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
-
-    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
-    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
-    HermitianOperator's checks (on the thin SVD factors of a rank-deficient
-    ensemble's states; see the module docstring); kinds[k] is the state kind
-    it used. A row that fails a check raises the error that drawing the
-    trials one by one would raise first.
-    """
-    return _draw_batch_eig(s, kind, master_seed, trials, rank, scale)[:4]
+    return rho, f, v, kinds
 
 
 def draw_instance(

@@ -21,16 +21,14 @@ var_V = Re Tr(rho dV dV). A shift of F or V by a multiple of the identity
 leaves dF and dV as they are. P is taken by the raw commutator, the paper's
 definition, and checked against 2 Im Cov, its value by the centred route.
 
-The sandwich traces are taken on rho's checked factor Q = U sqrt(w)
-(D x r): with A = (dF (x) 1) Q, B = dV Q and <X, Y> = Tr(X^dag Y),
-Tr(sr dF dV sr) = <A, B> and Tr(sr dV dF sr) = <B, A>, its complex
-conjugate, exact as U^dag U = I_r, with no D x D sqrt(rho). They do not
-go through Cov, so the decomposition identity checks the factors. var_V's
-dV dV is the chain's one product of two D x D stacks: var_V = <B, B> on Q
-would drop it, but moves the saturation ratio of saturating rows further
-from its exact value (ROADMAP item 4). Every identity of the chain is a row
-of one table, `_CHECKS`, checked where the chain reaches it; a clean report
-certifies the algebra numerically.
+By the cyclic trace Tr(sr X sr) = Tr(rho X), so Tr(sr dF dV sr) = Cov and
+Tr(sr dV dF sr) = conj(Cov): the decomposition's three terms are |Cov|^2,
+|Cov|^2 and 2 Re[Cov^2], and are taken so. Their sum is 4 (Im Cov)^2, so
+the decomposition holds exactly when P = 2 Im Cov, which the shift row of
+the check table certifies. No square root or eigendecomposition of rho is
+taken. Every identity of the chain is a row of one table, `_CHECKS`,
+checked where the chain reaches it; a clean report certifies the algebra
+numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
@@ -41,17 +39,14 @@ checks of its own part of the chain. ``MomentBatch.row`` and
 or ``PowerBoundReport``; those records check nothing themselves. Only
 ``verify_batch`` checks that its inputs are Hermitian: callers whose stacks
 passed a boundary check (the one-instance classes, the ensemble draws, the
-trajectories) skip it, and the draws and trajectories pass
-``_verify_checked`` the eigenpairs of their state check, so Q is built
-without decomposing each state a second time.
+trajectories) call ``_verify_checked``, which skips it.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
-with rho, dV and Q are contractions over the battery index of the
+with rho and dV are contractions over the battery index of the
 battery-first space.
 
-The reduced states and the state's factors (w, U) are the only products the
-chain checks: dF and dV are real diagonal shifts of exactly Hermitian
-matrices, so exactly Hermitian.
+The reduced states are the only products the chain checks: dF and dV are
+real diagonal shifts of exactly Hermitian matrices, so exactly Hermitian.
 """
 
 from dataclasses import dataclass, asdict
@@ -61,16 +56,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names bench/tracer.py patches here
-    PSD_TOL,
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    NotPositiveSemidefiniteError,
     NumericalIntegrityError,
     RowErrors,
     TensorStructure,
     density_stack,
-    eig_stack,
     embed_battery_op,
     expectation_stack,
     hermitian_stack,
@@ -110,10 +102,7 @@ _CHECKS = (
     # the same P as 2 Im Cov, the centred route
     ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
-    # the square-root decomposition and the bounds
-    ("chain", lambda x: np.abs(x.total - x.power_sq),
-     lambda x: 1e-9 * (1.0 + np.maximum(np.abs(x.total), x.power_sq)),
-     "square-root decomposition identity violated: {total!r} vs power^2 {power_sq!r}"),
+    # the bounds
     ("chain", lambda x: -x.corrected_bound, lambda x: 1e-9,
      "corrected bound is negative: {corrected_bound!r}"),
     ("chain", lambda x: x.corrected_bound - x.loose_bound,
@@ -121,12 +110,7 @@ _CHECKS = (
      "loose bound {loose_bound!r} below corrected bound {corrected_bound!r}"),
     ("chain", lambda x: x.power_sq - x.corrected_bound, lambda x: 1e-9 * (1.0 + x.corrected_bound),
      "power bound violated: power^2 = {power_sq!r} > bound = {corrected_bound!r}"),
-    # the report
-    ("report", lambda x: np.abs(x.power_sq - x.power**2), lambda x: 1e-10 * (1.0 + x.power_sq),
-     "power_sq is not the square of power"),
-    ("report", lambda x: -x.slack, lambda x: 1e-9 * (1.0 + x.corrected_bound),
-     "negative slack {slack!r} against bound {corrected_bound!r}"),
-    # the ratio is its own residual; a negative or NaN ratio is out of range
+    # the report: the ratio is its own residual; a negative or NaN ratio is out of range
     ("report", lambda x: np.where(x.saturation_ratio >= 0.0, x.saturation_ratio, np.inf),
      lambda x: 1.0 + 1e-9, "saturation ratio {saturation_ratio!r} outside [0, 1]"),
 )
@@ -275,7 +259,7 @@ def _cov(rho, df, dv):
 
 
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `compute_moments`; returns (moments, (dF, dV)).
+    """The checks and arithmetic of `compute_moments`.
 
     var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of rho_W that its check
     computed, var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
@@ -290,7 +274,7 @@ def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
     clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
     _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
                 cov_sq=np.abs(cov) ** 2)
-    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows), (df, dv)
+    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows)
 
 
 def _power_stage(rows: RowErrors, rho, f, v):
@@ -302,25 +286,10 @@ def _power_stage(rows: RowErrors, rho, f, v):
     return raw.real
 
 
-def _terms(rows: RowErrors, rho, df, dv, cov, rho_eig=None):
-    """The decomposition's three terms, the sandwich traces on rho's checked factor Q = U sqrt(w).
-
-    Tr(sr dF dV sr) = <A,B> with A = (dF (x) 1) Q and B = dV Q, and
-    Tr(sr dV dF sr) = <B,A> = conj(<A,B>), so the first two terms are one
-    number, |<A,B>|^2; the third is 2 Re[Cov^2].
-    """
-    w, u = eig_stack(rows, rho, rho_eig)
-    rows.record(w.min(axis=-1, initial=np.inf) < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
-        f"eigenvalue {w[i].min():.3e} < -{PSD_TOL}"))
-    q = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    fv = np.abs(np.einsum("nij,nij->n", _battery_left(df, q).conj(), dv @ q)) ** 2
+def _cov_terms(cov):
+    """The decomposition's three terms from Cov: |Cov|^2 twice, then 2 Re[Cov^2]."""
+    fv = np.abs(cov) ** 2
     return fv, fv, 2.0 * (cov**2).real
-
-
-def _terms_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `decomposition_terms`: the moments, then rho's factor."""
-    m, (df, dv) = _moment_stage(rows, rho, f, v, s)
-    return _terms(rows, rho, df, dv, m.cov)
 
 
 def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
@@ -337,28 +306,28 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
     return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
 
 
-def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch:
     """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m, (df, dv) = _moment_stage(rows, rho, f, v, s)
+    m = _moment_stage(rows, rho, f, v, s)
     power = _power_stage(rows, rho, f, v)
     _run_checks(rows, "shift", power=power, power_delta=2.0 * m.cov.imag)
 
     power_sq = power * power
-    term_fv, term_vf, term_cross = _terms(rows, rho, df, dv, m.cov, rho_eig)
+    term_fv, term_vf, term_cross = _cov_terms(m.cov)
     bound = corrected_bound(m)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
                          term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
                          loose_bound=loose_bound(m), slack=bound - power_sq,
                          saturation_ratio=saturation_ratio(power_sq, m))
     values = {k: getattr(report, k) for k in REPORT_FIELDS}
-    _run_checks(rows, "chain", total=term_fv + term_vf - term_cross, **values)
+    _run_checks(rows, "chain", **values)
     _run_checks(rows, "report", **values)
     return report
 
 
-def _batch(stage, rho, f, v, s: TensorStructure, **extra):
+def _batch(stage, rho, f, v, s: TensorStructure):
     rho, f, v = _checked_stacks(rho, f, v, s)
-    return stage(RowErrors(rho.shape[0]), rho, f, v, s, **extra)
+    return stage(RowErrors(rho.shape[0]), rho, f, v, s)
 
 
 def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
@@ -370,32 +339,26 @@ def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     checked again here, and of what the stage forms only the reduced states
     are.
     """
-    return _batch(_moment_stage, rho, f, v, s)[0]
+    return _batch(_moment_stage, rho, f, v, s)
 
 
-def verify_batch(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
     """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
     Checks the inputs are Hermitian, then runs every check of the chain,
     `_chain_stage`, in its order and at its tolerance, as a mask over the
     rows: the moments, the power by the commutator route, the same power as
-    2 Im Cov, the square-root decomposition and the bounds. Rows are independent: a row's values and error do not depend on
-    what else is in the stack.
-
-    `rho_eig`, internal, is the (w, u) that `density_stack` returned with
-    `rho`: Q = U sqrt(w) is then built from them, after `eig_stack`'s checks,
-    not from a second eigendecomposition. It is used only if the Hermiticity
-    pass hands rho back as it is; otherwise the symmetrized stack is decomposed.
+    2 Im Cov, which certifies the square-root decomposition, and the bounds.
+    Rows are independent: a row's values and error do not depend on what
+    else is in the stack.
     """
     rho, f, v = _checked_stacks(rho, f, v, s)
     rows = RowErrors(rho.shape[0])
-    checked = hermitian_stack(rows, rho)
-    if checked is not rho:
-        rho, rho_eig = checked, None
-    return _chain_stage(rows, rho, hermitian_stack(rows, f), hermitian_stack(rows, v), s, rho_eig)
+    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
+    return _chain_stage(rows, rho, f, v, s)
 
 
-def _verify_checked(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
+def _verify_checked(rho, f, v, s: TensorStructure) -> ReportBatch:
     """`verify_batch` on stacks that DensityMatrix's and HermitianOperator's checks passed.
 
     Such stacks are exactly Hermitian: (A + A^dag)/2 is, and so is an exactly
@@ -404,7 +367,7 @@ def _verify_checked(rho, f, v, s: TensorStructure, rho_eig=None) -> ReportBatch:
     chain after it runs. The draws, the trajectory states and the search's
     final candidate come this way.
     """
-    return _batch(_chain_stage, rho, f, v, s, rho_eig=rho_eig)
+    return _batch(_chain_stage, rho, f, v, s)
 
 
 def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
@@ -434,7 +397,7 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
+    return _one_instance(_moment_stage, rho, f, v, s).row(0)
 
 
 def decomposition_terms(
@@ -443,13 +406,12 @@ def decomposition_terms(
     """The three terms of the square-root decomposition of P^2.
 
     Returns (|Tr(sr dF dV sr)|^2, |Tr(sr dV dF sr)|^2, 2 Re[(Tr(rho dF dV))^2])
-    with sr = sqrt(rho), the sandwich traces taken as <A,B> and <B,A> on
-    rho's checked factor Q = U sqrt(w) (`_terms`): exact as U^dag U = I_r,
-    and independent of Cov = Tr(rho dF dV), so the decomposition identity
-    still checks the factors. The cyclic-trace shortcut Tr(rho X) is
-    deliberately not taken.
+    with sr = sqrt(rho), taken from the moment stage's Cov = Tr(rho dF dV)
+    as (|Cov|^2, |Cov|^2, 2 Re[Cov^2]) by the cyclic trace (see the module
+    docstring); raises only for the moment stage's checks.
     """
-    return tuple(float(t[0]) for t in _one_instance(_terms_stage, rho, f, v, s))
+    m = _one_instance(_moment_stage, rho, f, v, s)
+    return tuple(float(t[0]) for t in _cov_terms(m.cov))
 
 
 def corrected_bound(m):

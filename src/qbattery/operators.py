@@ -18,15 +18,15 @@ finite and exactly Hermitian, since (A + A^dag)/2 is, and so is a real
 diagonal shift or a real multiple of it; code that only shifts or scales such
 a matrix does not check it again.
 
-A state is decomposed once: `density_stack` returns the eigenpairs its PSD
-check computed, and `eig_stack` accepts them in place of a second `eigh`,
-running all of its checks on them (`moments` builds Q = U sqrt(w) from them,
-never a D x D sqrt(rho)). `density_stack` itself accepts eigenpairs computed
-elsewhere: `dynamics` carries the initial state's through the evolution, so
-that a trajectory decomposes only its initial state, and the ensembles give
-a rank-deficient draw K K^dag / Tr the thin SVD of its D x r factor K, so
-that no D x D `eigh` runs for it. Such thin factors have r < D orthonormal
-columns, and every check takes them as they are.
+A state is decomposed at most once. `density_stack` judges positivity on
+eigenpairs: `eigh`'s own, or eigenpairs computed elsewhere that it is given.
+`dynamics` carries the initial state's through the evolution, so that a
+trajectory decomposes only its initial state, and the ensembles give a
+rank-deficient draw K K^dag / Tr the thin SVD of its D x r factor K, so that
+no D x D `eigh` runs for it. Given eigenpairs are checked where they enter:
+`density_stack` runs `eig_stack`'s reconstruction and orthonormality checks
+on them, so a corrupted factor fails its row there. Thin factors have r < D
+orthonormal columns, and every check takes them as they are.
 """
 
 from dataclasses import dataclass
@@ -172,15 +172,16 @@ def purity_stack(a: np.ndarray) -> np.ndarray:
 def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
 
-    (w, u) are the eigenpairs of the returned states, for `eig_stack` to check
-    and reuse: eigh's own for a row left as it was, and (clip(w) / t, u) for a
-    row whose eigenvalues were clamped, t being the trace it was divided by.
-    `factors`, when given, are eigenpairs (w, u) of `a` computed earlier, as
-    a unitary evolution carries them or a thin SVD of a state's factor gives
-    them (u then has r <= D columns); they take the place of the `eigh`, and
-    the PSD check and the clamp run on the given w. Each row's w is divided
-    by the trace the row is divided by, so the factors returned describe the
-    returned, trace-normalised states.
+    (w, u) are the eigenpairs of the returned states: eigh's own for a row
+    left as it was, and (clip(w) / t, u) for a row whose eigenvalues were
+    clamped, t being the trace it was divided by. `factors`, when given, are
+    eigenpairs (w, u) of `a` computed earlier, as a unitary evolution carries
+    them or a thin SVD of a state's factor gives them (u then has r <= D
+    columns); they take the place of the `eigh`. Each row's w is divided by
+    the trace the row is divided by; the PSD check runs on that w, then
+    `eig_stack`'s reconstruction and orthonormality checks on (w, u), then
+    the clamp. So the factors returned describe the returned,
+    trace-normalised states. `eigh`'s own pairs are not checked.
     """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
     tr = np.trace(a, axis1=-2, axis2=-1).real
@@ -196,6 +197,8 @@ def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
+    if factors is not None:
+        eig_stack(rows, a, (w, u))
     clamp = w_min < 0.0
     if clamp.any():
         uc, wc = u[clamp], np.clip(w[clamp], 0.0, None)
@@ -301,15 +304,18 @@ def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray,
     """Checked Hermitian eigendecomposition of each matrix in a stack: (w, u).
 
     Verifies reconstruction to 1e-9*(1 + max|A|) and column orthonormality
-    to 1e-10. `factors`, when given, are (w, u) computed earlier (as
-    `density_stack` returns them) and take the place of a new `eigh`; they
-    pass the same checks. They may be any factorisation A = U diag(w) U^dag
-    whose r columns are orthonormal, r <= D: the thin factors of a
-    rank-deficient draw are checked against I_r.
+    to 1e-10. `factors`, when given, are (w, u) computed elsewhere and take
+    the place of a new `eigh`; they pass the same checks. This is how
+    `density_stack` checks the factors it is given where they enter. They
+    may be any factorisation A = U diag(w) U^dag whose r columns are
+    orthonormal, r <= D: the thin factors of a rank-deficient draw are
+    checked against I_r. A real u, an orthogonal basis, is checked against
+    a complex A as it is.
     """
     w, u = np.linalg.eigh(a) if factors is None else factors
     scale = 1.0 + _max_abs(a)
     recon = (u * w[..., None, :]) @ _adjoint(u)
+    recon = recon.astype(np.result_type(recon, a), copy=False)
     recon -= a  # in place: D = 64 stacks are large
     recon = _max_abs(recon)
     rows.record(recon > 1e-9 * scale, lambda i: NumericalIntegrityError(

@@ -31,7 +31,7 @@ from qbattery.dynamics import (
     trajectory_report,
     trajectory_rows,
 )
-from qbattery.ensembles import SeedSpec, _draw_batch_eig, draw_batch, ginibre_mixed, gue_hermitian
+from qbattery.ensembles import SeedSpec, draw_batch, ginibre_mixed, gue_hermitian
 from qbattery.moments import (
     REPORT_FIELDS,
     batch_rows,
@@ -92,9 +92,9 @@ def reference_rows(doc) -> list[list[str]]:
         block = np.array(times[start : start + size])
         n = len(block)
         rows = RowErrors(n)
-        states, _, eig = density_stack(rows, *dynamics._evolved(w, u, (p0, q0), block))
+        states = density_stack(rows, *dynamics._evolved(w, u, (p0, q0), block))[0]
         batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
+                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
         assert rows == batch.errors == [None] * n
         for i in range(n):
             values.append([float(getattr(batch, k)[i]) for k in TABLE_REPORT_FIELDS]
@@ -148,8 +148,8 @@ def test_verify_csv_matches_per_value_formatting(tmp_path):
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
     lines = [",".join(TRIAL_COLUMNS)]
     for chunk in cli._trial_chunks(trials, s.dim):
-        rho, f, v, kinds, eig = _draw_batch_eig(s, "mix", seed, chunk, None, 1.0)
-        batch = verify_batch(rho, f, v, s, rho_eig=eig)
+        rho, f, v, kinds = draw_batch(s, "mix", seed, chunk)
+        batch = verify_batch(rho, f, v, s)
         m = batch.moments
         columns = {k: getattr(batch, k) for k in REPORT_FIELDS}
         columns.update(mean_f=m.mean_f, mean_v=m.mean_v, var_f=m.var_f, var_v=m.var_v,
@@ -212,8 +212,8 @@ def test_trajectory_rows_read_the_columns():
 def test_trajectory_raises_the_earliest_kernel_error(monkeypatch):
     real = dynamics._verify_checked
 
-    def patched(rho, f, v, s, rho_eig=None):
-        batch = real(rho, f, v, s, rho_eig=rho_eig)
+    def patched(rho, f, v, s):
+        batch = real(rho, f, v, s)
         for i in (6, 3):
             batch.errors[i] = NumericalIntegrityError(f"kernel check failed at {i}")
         return batch
@@ -290,7 +290,7 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
 # the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states
 # only; F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts of
 # checked inputs and are not checked again, no F^2 or V^2 is formed, and the
-# sandwich traces take rho's checked factor, not a D x D sqrt(rho)
+# sandwich traces come from Cov, with no D x D sqrt(rho)
 KERNEL_CHECK_SHAPES = [(2, 2)]
 
 

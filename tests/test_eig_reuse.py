@@ -1,18 +1,18 @@
-"""One eigendecomposition per state: the kernel's sandwich traces take the draw's checked (w, u).
+"""At most one eigendecomposition per state, and given eigenpairs are checked where they enter.
 
-With Q = U sqrt(w) (D x r) and U^dag U = I_r, Tr(sr X sr) = Tr(Q^dag X Q)
-exactly, so the traces need no D x D sqrt(rho); Cov = Tr(rho dF dV) is taken
-on rho itself, a route independent of the factors, which keeps the
-decomposition identity a real check on them. A trajectory decomposes only its
-initial state: U(t) carries rho0's eigenpairs to every grid point, where the
-point's checks verify them.
+A drawn state is decomposed once, by `eigh` or, for a rank-deficient
+ensemble, by the thin SVD of its D x r factor; the kernel decomposes no full
+state. A trajectory decomposes only its initial state: U(t) carries rho0's
+eigenpairs to every grid point. `density_stack` checks eigenpairs it is
+given, the thin factors and the carried pairs, for reconstruction and
+orthonormality, so a corrupted factor fails its row there.
 """
 
 import numpy as np
 import pytest
 
 import qbattery.dynamics as dynamics
-import qbattery.moments as moments
+import qbattery.ensembles as ensembles
 from qbattery.cli import main
 from qbattery.dynamics import (
     HamiltonianSpec,
@@ -22,7 +22,7 @@ from qbattery.dynamics import (
     parse_scenario,
     trajectory_report,
 )
-from qbattery.ensembles import SeedSpec, _draw_batch_eig, ginibre_mixed, gue_hermitian
+from qbattery.ensembles import SeedSpec, draw_batch, ginibre_mixed, gue_hermitian
 from qbattery.moments import REPORT_FIELDS, batch_rows, verify_batch
 from qbattery.operators import (
     HermitianOperator,
@@ -36,7 +36,6 @@ from qbattery.operators import (
     to_matrix_literal,
 )
 
-KERNEL_DIMS = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 4, 4)]
 MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
 
 
@@ -110,31 +109,19 @@ def batch_values(batch):
     return values
 
 
-@pytest.mark.parametrize("kind", ["haar", "ginibre", "mix"])
-@pytest.mark.parametrize("dims", KERNEL_DIMS)
-def test_kernel_with_the_draws_factors_equals_the_kernel_without(dims, kind):
-    s = TensorStructure.from_dims(list(dims))
-    rank = max(1, s.dim // 2) if kind == "ginibre" else None  # Ginibre states below full rank
-    n = 4 if s.dim == 64 else 12
-    rho, f, v, _, eig = _draw_batch_eig(s, kind, 42, range(n), rank, 1.0)
-    # a row density_stack left as it was carries eigh's own factors of that row
-    w, u = np.linalg.eigh(rho)
-    own = np.array([np.array_equal(w[i], eig[0][i]) and np.array_equal(u[i], eig[1][i])
-                    for i in range(n)])
-    with_factors = verify_batch(rho, f, v, s, rho_eig=eig)
-    without = verify_batch(rho, f, v, s)
-    assert with_factors.errors == without.errors == [None] * n
-    got, want = batch_values(with_factors), batch_values(without)
-    for name in want:
-        assert np.array_equal(got[name][own], want[name][own]), name
-        diff = np.abs(got[name] - want[name])
-        assert np.all(diff <= 1e-12 * np.maximum(np.abs(want[name]), 1.0)), name
-    if kind == "mix":
-        assert own[1::2].all()  # full-rank Ginibre rows are never clamped
-    else:
-        # rank-deficient ensembles: the thin SVD factors of every state, r = 1 for Haar
-        assert eig[1].shape == (n, s.dim, 1 if kind == "haar" else rank)
-        assert eig[0].min() >= 0.0
+def drawn_thin_factors(s, kind, n, rank=None):
+    """The drawn states of `trials` 0..n-1 at seed 42, and the thin eigenpairs of their drawn K."""
+    shape = (s.dim,) if kind == "haar" else (s.dim, rank)
+    trials = [ensembles._STREAMS_PER_TRIAL * t for t in range(n)]
+    k = ensembles._Streams(42).complex_normals(trials, shape)
+    return draw_batch(s, kind, 42, range(n), rank)[0], ensembles._thin_eig(k)
+
+
+def state_errors(rho, factors):
+    """Each row's first failed check of `density_stack` on the given factors."""
+    rows = RowErrors(len(rho))
+    density_stack(rows, rho, factors)
+    return rows
 
 
 def corrupt_swap_columns(w, u):
@@ -152,11 +139,11 @@ def corrupt_eigenvalue(w, u):
 @pytest.mark.parametrize("corrupt", [corrupt_swap_columns, corrupt_eigenvalue])
 def test_corrupted_factor_fails_its_row_through_the_eig_checks(corrupt):
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(3), None, 1.0)
-    batch = verify_batch(rho, f, v, s, rho_eig=corrupt(*eig))
-    assert isinstance(batch.errors[1], NumericalIntegrityError)
-    assert "eigendecomposition reconstruction" in str(batch.errors[1])
-    assert batch.errors[0] is None and batch.errors[2] is None
+    rho = draw_batch(s, "ginibre", 42, range(3))[0]
+    errors = state_errors(rho, corrupt(*np.linalg.eigh(rho)))
+    assert isinstance(errors[1], NumericalIntegrityError)
+    assert "eigendecomposition reconstruction" in str(errors[1])
+    assert errors[0] is None and errors[2] is None
 
 
 def thin_swap_columns(w, u):
@@ -186,17 +173,18 @@ def thin_rescale_column(w, u):
 ])
 def test_corrupted_thin_factor_fails_its_row_through_the_eig_checks(corrupt, message):
     s = TensorStructure.from_dims([2, 2, 2, 1])
-    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(3), 3, 1.0)
+    rho, eig = drawn_thin_factors(s, "ginibre", 3, 3)
     assert eig[1].shape == (3, 8, 3)
-    batch = verify_batch(rho, f, v, s, rho_eig=corrupt(*eig))
-    assert isinstance(batch.errors[1], NumericalIntegrityError)
-    assert message in str(batch.errors[1])
-    assert batch.errors[0] is None and batch.errors[2] is None
+    assert state_errors(rho, eig) == [None] * 3
+    errors = state_errors(rho, corrupt(*eig))
+    assert isinstance(errors[1], NumericalIntegrityError)
+    assert message in str(errors[1])
+    assert errors[0] is None and errors[2] is None
 
 
 def test_eig_stack_checks_thin_factors_against_the_identity_of_their_width():
     s = TensorStructure.from_dims([2, 2, 2, 1])
-    rho, _, _, _, (w, u) = _draw_batch_eig(s, "haar", 42, range(2), None, 1.0)
+    rho, (w, u) = drawn_thin_factors(s, "haar", 2)
     rows = RowErrors(2)
     assert eig_stack(rows, rho, (w, u))[1].shape == (2, 8, 1)
     assert rows == [None, None]
@@ -206,36 +194,14 @@ def test_eig_stack_checks_thin_factors_against_the_identity_of_their_width():
     assert rows[0] is None and "not orthonormal: 3.000e+00" in str(rows[1])
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (2, 2, 2, 2)])
-def test_decomposition_identity_has_a_route_independent_of_the_factors(monkeypatch, dims):
-    # the sandwich traces are taken on rho's factors, Cov = Tr(rho dF dV) on
-    # rho itself: factors with w**2 for w take |Tr(rho dF dV rho)|^2, and the
-    # identity fails. Full-rank rows, since on a pure state w**2 == w.
-    s = TensorStructure.from_dims(list(dims))
-    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(4), None, 1.0)
-    real = moments.eig_stack
-
-    def squared(rows, a, factors=None):
-        w, u = real(rows, a, factors)
-        return w**2, u
-
-    monkeypatch.setattr(moments, "eig_stack", squared)
-    for rho_eig in (eig, None):
-        errors = verify_batch(rho, f, v, s, rho_eig=rho_eig).errors
-        assert all(isinstance(e, NumericalIntegrityError) for e in errors)
-        assert all("square-root decomposition identity violated" in str(e) for e in errors)
-
-
-def test_factors_are_ignored_when_rho_is_symmetrized():
-    s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _, eig = _draw_batch_eig(s, "ginibre", 42, range(3), None, 1.0)
-    rho = rho.copy()
-    rho[0, 0, 1] += 1e-13  # inside the Hermiticity window: the kernel symmetrizes it
-    with_factors = verify_batch(rho, f, v, s, rho_eig=corrupt_eigenvalue(*eig))
-    without = verify_batch(rho, f, v, s)
-    assert with_factors.errors == without.errors == [None] * 3
-    for name, values in batch_values(with_factors).items():
-        assert np.array_equal(values, batch_values(without)[name]), name
+def test_eig_stack_takes_a_real_orthogonal_basis():
+    state = np.diag([0.25, 0.75]).astype(complex)[None]
+    rows = RowErrors(2)
+    eig_stack(rows, np.concatenate([state, state]),
+              (np.array([[0.25, 0.75]] * 2), np.stack([np.eye(2), np.eye(2)[:, ::-1]])))
+    assert rows[0] is None
+    assert isinstance(rows[1], NumericalIntegrityError)
+    assert "eigendecomposition reconstruction" in str(rows[1])
 
 
 # ---------------------------------------------------------------- eigenpairs carried through U(t)
@@ -277,9 +243,9 @@ def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
     states, _ = dynamics._evolved(w, vec, (p0, q0), grid)
     n = len(grid)
     rows = RowErrors(n)
-    states, _, eig = density_stack(rows, states)
+    states = density_stack(rows, states)[0]
     want = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                        np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s, rho_eig=eig)
+                        np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
     assert rows == want.errors == [None] * n
     got = batch_values(traj.report)
     for field, values in batch_values(want).items():

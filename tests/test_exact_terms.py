@@ -3,13 +3,12 @@
 Every float64 entry of a drawn stack is an exact rational, and so is every
 sum and product of them: the reference takes the traces below in
 `fractions.Fraction` arithmetic, a complex number being a pair of Fractions,
-and so shares none of the kernel's arithmetic. The kernel takes the sandwich
-traces as Hilbert-Schmidt products on rho's factor Q = U sqrt(w), and var_V
-and Cov as traces with rho; the reference takes all of them as traces of
-products with rho.
+and so shares none of the kernel's arithmetic.
 
 By the cyclic trace, Tr(sr dF dV sr) = Tr(rho dF dV), so term_fv is
-|Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The accuracy gate takes
+|Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The kernel takes both as
+|Cov|^2 of its Cov = Tr(rho dF dV); the reference takes the two traces
+separately, each as a trace of products with rho. The accuracy gate takes
 var_V, Cov, the corrected bound, the slack and the saturation ratio of the
 state rho / Tr(rho), whose trace is exactly 1, from the raw moments
 Tr(rho X) / Tr(rho): in exact arithmetic nothing cancels.
@@ -20,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbattery.ensembles import _draw_batch_eig
-from qbattery.moments import _verify_checked, moment_batch, verify_batch
+from qbattery.ensembles import draw_batch
+from qbattery.moments import moment_batch, verify_batch
 from qbattery.operators import TensorStructure
 
 ZERO = Fraction(0)
@@ -83,15 +82,14 @@ def exact_terms(rho, f, v, env):
 @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1)])
 def test_sandwich_terms_match_the_exact_traces(dims, kind, rank):
     s = TensorStructure.from_dims(list(dims))
-    rho, f, v, _, eig = _draw_batch_eig(s, kind, 2024, range(6), rank, 1.0)
-    # the draws' own factors, as verify passes them, and a fresh eigh of each state
-    for batch in (_verify_checked(rho, f, v, s, rho_eig=eig), verify_batch(rho, f, v, s)):
-        assert batch.errors == [None] * 6
-        for i in range(6):
-            want = exact_terms(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
-            scale = max(float(max(want)), float(batch.moments.var_f[i] * batch.moments.var_v[i]))
-            for got, term in zip((batch.term_fv[i], batch.term_vf[i]), want):
-                assert abs(float(Fraction(float(got)) - term)) <= 1e-13 * scale, (i, got, float(term))
+    rho, f, v, _ = draw_batch(s, kind, 2024, range(6), rank)
+    batch = verify_batch(rho, f, v, s)
+    assert batch.errors == [None] * 6
+    for i in range(6):
+        want = exact_terms(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
+        scale = max(float(max(want)), float(batch.moments.var_f[i] * batch.moments.var_v[i]))
+        for got, term in zip((batch.term_fv[i], batch.term_vf[i]), want):
+            assert abs(float(Fraction(float(got)) - term)) <= 1e-13 * scale, (i, got, float(term))
 
 
 def matmul(a, b):
@@ -153,9 +151,9 @@ GATE_FAMILIES = ([(dims, kind, rank, 12) for dims in ((2, 1, 1, 1), (2, 2, 1, 1)
                   for kind, rank in (("mix", None), ("haar", None), ("ginibre", 2))]
                  + [((2, 1, 1, 1), "haar", None, 200)])
 
-# (max, mean) of each column's error over every row of GATE_FAMILIES and both
-# kernel routes, with var_V and Cov taken as traces with rho, Tr(rho dV dV)
-# and Tr(rho dF dV). Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the
+# (max, mean) of each column's error over every row of GATE_FAMILIES, with
+# var_V and Cov taken as traces with rho, Tr(rho dV dV) and Tr(rho dF dV).
+# Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the
 # largest over its default, Haswell, Sandybridge, Nehalem and Zen kernels
 # (OPENBLAS_CORETYPE), rounded up to two digits:
 #   var_v            8.6e-14 / 5.6e-16
@@ -175,20 +173,18 @@ GATE_BOUNDS = {
 
 
 def gate_errors():
-    """Each column's errors over the gate's rows, by both kernel routes."""
+    """Each column's errors over the gate's rows."""
     errors = {k: [] for k in GATE_BOUNDS}
     for dims, kind, rank, n in GATE_FAMILIES:
         s = TensorStructure.from_dims(list(dims))
-        rho, f, v, _, eig = _draw_batch_eig(s, kind, 2024, range(n), rank, 1.0)
-        batches = (_verify_checked(rho, f, v, s, rho_eig=eig), verify_batch(rho, f, v, s))
-        for batch in batches:
-            assert batch.errors == [None] * n
+        rho, f, v, _ = draw_batch(s, kind, 2024, range(n), rank)
+        batch = verify_batch(rho, f, v, s)
+        assert batch.errors == [None] * n
         for i in range(n):
             want = exact_columns(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
             assert want["corrected_bound"] > 0
-            for batch in batches:
-                for k, e in column_errors(batch, i, want).items():
-                    errors[k].append(e)
+            for k, e in column_errors(batch, i, want).items():
+                errors[k].append(e)
     return errors
 
 
@@ -204,7 +200,7 @@ def test_moments_of_shifted_operators_match_the_exact_values():
     # F and V + 1e6 I: dF and dV are formed before any product, so var_V and
     # Cov keep to round-off of their own scale, not of the shift's
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _, _ = _draw_batch_eig(s, "mix", 42, range(24), None, 1.0)
+    rho, f, v, _ = draw_batch(s, "mix", 42, range(24))
     f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)
     m = moment_batch(rho, f, v, s)
     for i in range(24):

@@ -6,9 +6,10 @@ and a c when F -> aF and V -> cV, and the saturation ratio does not change;
 and nothing changes under a unitary on the environment or a change of
 battery basis. The kernel must show this in float64: within the ranges
 below no row is rejected for the size of its operators, and no row is
-falsified by round-off. The exception is a rare row of a c > 10: there the
-identity tolerances' absolute floor, tol * (1 + |x|), no longer scales with
-F and V, and about one row in 1,000 fails one of them.
+falsified by round-off. The exception is a rare row of a c > 10 whose power
+is small against a c: there the shift row's absolute floor,
+1e-10 * (1 + |P|), no longer scales with F and V, and about one row in
+40,000 (a and c log-uniform in 1e-6...1e6) fails it.
 
 Round-off is measured against the scale of each quantity: <F^2> for var_F,
 <V^2> for var_V, and sigma = sqrt(<F^2> <V^2>) for P and Cov.
@@ -86,6 +87,18 @@ def test_scaling_f_and_v(case, log_a, log_c):
     cancellation = np.divide(x.var_f * x.var_v + np.abs(x.cov) ** 2, x.bound,
                              out=np.full(ROWS, np.inf), where=x.bound > 0.0)
     assert_close(y.ratio, x.ratio, 1e-9 * (1.0 + cancellation), clean)
+
+
+def test_scaling_f_and_v_up_falsifies_no_row():
+    # a and c log-uniform on [1, 1e6]: the decomposition's terms grow as
+    # (a c)^2 and are taken from Cov, and none of these rows fails a check
+    rng = np.random.default_rng(9)
+    for dims in ((2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 2, 1, 1)):
+        s = TensorStructure(*dims)
+        rho, f, v, _ = draw_batch(s, "mix", 9, range(2500))
+        a, c = 10.0 ** rng.uniform(0.0, 6.0, (2, 2500, 1, 1))
+        errors = verify_batch(rho, a * f, c * v, s).errors
+        assert [(i, e) for i, e in enumerate(errors) if e is not None] == [], dims
 
 
 @settings(max_examples=80, deadline=None)

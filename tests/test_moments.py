@@ -294,24 +294,6 @@ def test_momentset_rejects_covariance_inequality_breach():
     assert isinstance(err, NumericalIntegrityError) and "covariance inequality" in str(err)
 
 
-def test_report_rejects_inconsistent_square():
-    (err,) = table_errors(
-        "report",
-        power=1.0, power_sq=2.0, term_fv=1.0, term_vf=1.0, term_cross=0.0,
-        corrected_bound=3.0, loose_bound=4.0, slack=1.0, saturation_ratio=0.5,
-    )
-    assert isinstance(err, NumericalIntegrityError)
-
-
-def test_report_rejects_negative_slack():
-    (err,) = table_errors(
-        "report",
-        power=2.0, power_sq=4.0, term_fv=2.0, term_vf=2.0, term_cross=0.0,
-        corrected_bound=3.0, loose_bound=5.0, slack=-1.0, saturation_ratio=1.0,
-    )
-    assert isinstance(err, NumericalIntegrityError)
-
-
 def test_report_rejects_out_of_range_ratio():
     (err,) = table_errors(
         "report",
