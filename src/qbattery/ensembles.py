@@ -13,15 +13,18 @@ it then checks each stack once. The other draws are one-row calls of the
 same code.
 
 A state is drawn as K K^dag / Tr(K K^dag) from a complex Gaussian factor K:
-D x 1 for Haar, D x r for Ginibre at rank r. Where the ensemble gives every
-state a factor of one width r < D (`haar` at D > 1, `ginibre` below full
-rank), the state's eigenpairs come from the thin SVD K = U S W^dag, as
-w = S^2 / sum(S^2) and u = U, and `density_stack` checks the state on them
-and checks that they reconstruct it and are orthonormal: no D x D `eigh`
-runs, and no round-off eigenvalue below zero is clamped.
-`mix` rows have two widths and full-rank Ginibre factors are square, so
-`eigh` decomposes those states; the choice depends on the ensemble alone,
-never on which trials a batch holds.
+D x 1 for Haar, D x r for Ginibre at rank r; `mix` draws trial t as `haar`
+for even t and as `ginibre` for odd t. Each kind's rows are checked as a
+stack of their own, on the cheapest exact decomposition of their factor, so
+a `mix` row is its kind's ensemble row bit for bit. Where K is thin (r < D),
+the state's eigenpairs come from the thin SVD K = U S W^dag, as
+w = S^2 / sum(S^2) and u = U, which at r = 1 is w = 1 and u = K / |K|, no
+SVD run; `density_stack` checks the state on them and checks that they
+reconstruct it and are orthonormal: no D x D `eigh` runs, and no round-off
+eigenvalue below zero is clamped. Where K is square, `eigvalsh` gives the
+eigenvalues and `eigh` runs only for a state whose smallest one is below
+1e-12, the only states its PSD check or clamp can act on. The route depends
+on the trial's kind alone, never on which trials a batch holds.
 """
 
 from collections.abc import Sequence
@@ -36,6 +39,7 @@ from .operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
+    _EIGENVALUES_ONLY,
     _is_integer,
     _one_row,
     density_stack,
@@ -85,20 +89,26 @@ class _Streams:
             self._state["state"]["key"][1] = stream
             self._rng.bit_generator.state = self._state
             self._rng.standard_normal(out=parts[k])  # re, then im: the generator fills in C order
-        return parts[:, 0] + 1j * parts[:, 1]
+        z = np.empty((len(streams), *shape), dtype=complex)
+        z.real, z.imag = parts[:, 0], parts[:, 1]  # the bits of re + 1j * im, in one pass
+        return z
 
 
 def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
     return _Streams(seed.master_seed).complex_normals([seed.stream_index], shape)
 
 
-def _haar_states(z: np.ndarray) -> np.ndarray:
-    """|psi><psi| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
+def _unit_kets(z: np.ndarray) -> np.ndarray:
+    """z / |z| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
     r, i = z.real[:, None, :], z.imag[:, None, :]
     # np.linalg.norm of one complex vector sums these two real dot products;
     # the same sums keep each row bit-identical to DensityMatrix.from_ket
-    norm = np.sqrt(r @ r.swapaxes(-1, -2) + i @ i.swapaxes(-1, -2))[:, 0]
-    v = z / norm
+    return z / np.sqrt(r @ r.swapaxes(-1, -2) + i @ i.swapaxes(-1, -2))[:, 0]
+
+
+def _haar_states(z: np.ndarray) -> np.ndarray:
+    """|psi><psi| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
+    v = _unit_kets(z)
     return v[:, :, None] * v.conj()[:, None, :]
 
 
@@ -109,30 +119,38 @@ def _ginibre_states(g: np.ndarray) -> np.ndarray:
 
 
 def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
-    """scale * (M + M^dag) / 2 per row of m (N, dim, dim)."""
-    return scale * (m + m.conj().swapaxes(-1, -2)) / 2.0
+    """scale * (M + M^dag) / 2 per row of m (N, dim, dim).
+
+    Halving is exact, so one product by scale / 2 rounds as scale * X / 2 does.
+    """
+    return (m + m.conj().swapaxes(-1, -2)) * (scale / 2.0)
 
 
-def _thin_eig(k: np.ndarray):
-    """Eigenpairs (w, u) of the states K K^dag / Tr of factors k, or None where K is square.
+def _state_factors(k: np.ndarray):
+    """What `density_stack` takes for the states K K^dag / Tr of the factors k.
 
     k holds one factor K per row: (N, D) for Haar kets, (N, D, r) for
-    Ginibre. Where r < D they come from the thin SVD K = U S W^dag, as
-    w = S^2 / sum(S^2), never negative, and u = U, with r orthonormal
-    columns; a square K's SVD costs no less than `eigh` of its state.
+    Ginibre. Where r < D, the states' eigenpairs (w, u) from the thin SVD
+    K = U S W^dag, as w = S^2 / sum(S^2), never negative, and u = U, with r
+    orthonormal columns; at r = 1 that is w = 1 and u = K / |K|, taken
+    without the SVD. A square K's SVD costs no less than `eigh` of its
+    state, and no caller keeps a drawn state's eigenvectors, so for a square
+    K the states are checked on their eigenvalues alone.
     """
     k = k.reshape(*k.shape[:2], -1)
     if k.shape[-1] >= k.shape[-2]:
-        return None
+        return _EIGENVALUES_ONLY
+    if k.shape[-1] == 1:
+        return np.ones((len(k), 1)), _unit_kets(k[..., 0])[..., None]
     u, sv, _ = np.linalg.svd(k, full_matrices=False)
     w = sv * sv
     return w / w.sum(axis=-1, keepdims=True), u
 
 
 def _one_state(states, k: np.ndarray) -> DensityMatrix:
-    """The state of the one-row factor stack k, checked as a `draw_batch` row of its ensemble is."""
+    """The state of the one-row factor stack k, checked as a `draw_batch` row of its kind is."""
     rows = RowErrors(1)
-    rho = density_stack(rows, states(k), _thin_eig(k))[0][0]
+    rho = density_stack(rows, states(k), _state_factors(k))[0][0]
     rows.raise_first()
     return DensityMatrix.wrap_checked(rho)
 
@@ -212,10 +230,10 @@ def draw_batch(
 
     Row k holds the matrices of ``draw_instance(s, kind, master_seed,
     trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
-    HermitianOperator's checks (on the thin SVD factors of a rank-deficient
-    ensemble's states; see the module docstring); kinds[k] is the state kind
-    it used. A row that fails a check raises the error that drawing the
-    trials one by one would raise first.
+    HermitianOperator's checks (each kind's states on their own factors; see
+    the module docstring); kinds[k] is the state kind it used. A row that
+    fails a check raises the error that drawing the trials one by one would
+    raise first.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -231,20 +249,18 @@ def draw_batch(
 
     streams = _Streams(master_seed)
     rho = np.empty((len(bases), s.dim, s.dim), dtype=complex)
-    factors = None
+    errors = RowErrors(len(bases))
     for used, states, shape in (("haar", _haar_states, (s.dim,)),
                                 ("ginibre", _ginibre_states, (s.dim, rank))):
         rows = [k for k, u in enumerate(kinds) if u == used]
         if rows:
             normals = streams.complex_normals([bases[k] for k in rows], shape)
-            rho[rows] = states(normals)
-            if used == kind:  # every row is of this kind, whatever trials the batch holds
-                factors = _thin_eig(normals)
+            checked = RowErrors(len(rows))
+            rho[rows] = density_stack(checked, states(normals), _state_factors(normals))[0]
+            for k, err in zip(rows, checked):
+                errors[k] = err
     f = _gue_operators(streams.complex_normals([b + 1 for b in bases], (s.d_w, s.d_w)), scale)
     v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
-
-    errors = RowErrors(len(bases))
-    rho = density_stack(errors, rho, factors)[0]
     f, v = hermitian_stack(errors, f), hermitian_stack(errors, v)
     errors.raise_first()
     return rho, f, v, kinds

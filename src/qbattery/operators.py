@@ -22,11 +22,14 @@ A state is decomposed at most once. `density_stack` judges positivity on
 eigenpairs: `eigh`'s own, or eigenpairs computed elsewhere that it is given.
 `dynamics` carries the initial state's through the evolution, so that a
 trajectory decomposes only its initial state, and the ensembles give a
-rank-deficient draw K K^dag / Tr the thin SVD of its D x r factor K, so that
-no D x D `eigh` runs for it. Given eigenpairs are checked where they enter:
-`density_stack` runs `eig_stack`'s reconstruction and orthonormality checks
-on them, so a corrupted factor fails its row there. Thin factors have r < D
-orthonormal columns, and every check takes them as they are.
+draw K K^dag / Tr with a thin D x r factor K the thin SVD of K (K / |K| at
+r = 1), so that no D x D `eigh` runs for it. A draw with a square K, whose
+eigenvectors no caller uses, is judged on `eigvalsh`'s eigenvalues, with
+`eigh` only for a state whose smallest eigenvalue is below 1e-12. Given
+eigenpairs are checked where they enter: `density_stack` runs `eig_stack`'s
+reconstruction and orthonormality checks on them, so a corrupted factor
+fails its row there. Thin factors have r < D orthonormal columns, and every
+check takes them as they are.
 """
 
 from dataclasses import dataclass
@@ -169,6 +172,14 @@ def purity_stack(a: np.ndarray) -> np.ndarray:
     return (np.abs(a) ** 2).sum(axis=(-2, -1))
 
 
+# A state whose smallest `eigvalsh` eigenvalue is at least this has no `eigh`
+# eigenvalue below zero: both solvers are backward stable, so on a state they
+# differ by O(D eps), under 1.5e-14 at D = 64.
+_EIGH_BELOW = 1e-12
+# `density_stack`'s `factors` for states whose eigenvectors no caller uses
+_EIGENVALUES_ONLY = object()
+
+
 def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
 
@@ -182,6 +193,11 @@ def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     `eig_stack`'s reconstruction and orthonormality checks on (w, u), then
     the clamp. So the factors returned describe the returned,
     trace-normalised states. `eigh`'s own pairs are not checked.
+
+    `factors` = _EIGENVALUES_ONLY is for states whose eigenvectors the caller
+    does not use: w comes from `eigvalsh`, `eigh` runs only on the rows whose
+    smallest eigenvalue is below 1e-12 and takes their w, so every PSD error
+    and clamp is the one `eigh` gives, and u is returned as None.
     """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
     tr = np.trace(a, axis1=-2, axis2=-1).real
@@ -190,18 +206,25 @@ def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
         f"density matrix trace {tr[i]!r} is not 1 within {TRACE_INPUT_TOL}"))
     tr = np.where(bad_trace, 1.0, tr)
     a = a / tr[:, None, None]
-    if factors is None:
+    given = factors is not None and factors is not _EIGENVALUES_ONLY
+    vectors = slice(None)  # the rows whose eigenvectors u holds
+    if given:
+        w, u = factors[0] / tr[:, None], factors[1]
+    elif factors is None:
         w, u = np.linalg.eigh(a)
     else:
-        w, u = factors[0] / tr[:, None], factors[1]
+        w, u = np.linalg.eigvalsh(a), None
+        vectors = w.min(axis=-1, initial=np.inf) < _EIGH_BELOW
+        if vectors.any():
+            w[vectors], u = np.linalg.eigh(a[vectors])
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
-    if factors is not None:
+    if given:
         eig_stack(rows, a, (w, u))
     clamp = w_min < 0.0
     if clamp.any():
-        uc, wc = u[clamp], np.clip(w[clamp], 0.0, None)
+        uc, wc = u[clamp[vectors]], np.clip(w[clamp], 0.0, None)
         b = (uc * wc[:, None, :]) @ _adjoint(uc)
         b = (b + _adjoint(b)) / 2.0
         t = np.trace(b, axis1=-2, axis2=-1).real
@@ -211,7 +234,7 @@ def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
     dim = a.shape[-1]
     rows.record(~((1.0 / dim - 1e-10 <= p) & (p <= 1.0 + 1e-10)), lambda i: NumericalIntegrityError(
         f"purity {float(p[i])!r} outside [1/{dim}, 1]"))
-    return a, p, (w, u)
+    return a, p, (w, None if factors is _EIGENVALUES_ONLY else u)
 
 
 def _one_row(stack_fn, *mats):

@@ -242,11 +242,12 @@ def symmetrized_calls(monkeypatch):
 def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
                  "--out", str(tmp_path / "o.json")]) == 0
-    # per chunk: the draw's rho, F and V (3), then the kernel's reduced states
-    # (1); not rho, F and V again, nor F, dF and dV, and no sqrt(rho) is formed;
-    # then the redraw of the reported instance checks its rho, F and V (3)
+    # per chunk: the draw's pure and mixed states (2), F and V (2), then the
+    # kernel's reduced states (1); not rho, F and V again, nor F, dF and dV,
+    # and no sqrt(rho) is formed; then the redraw of the reported instance
+    # checks its rho, F and V (3)
     assert len(cli._trial_chunks(2500, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 4 + 3
+    assert len(symmetrized_calls) == 3 * 5 + 3
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -298,8 +299,9 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", "1100",
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
-    for n in (1024, 76):  # two chunks; each draw checks its rho, F and V
-        want += [(n, *shape) for shape in [(4, 4), (2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
+    for n in (1024, 76):  # two chunks; each draw checks its pure and mixed states, F and V
+        want += [(n // 2, 4, 4), (n // 2, 4, 4)]
+        want += [(n, *shape) for shape in [(2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
     want += [(1, 4, 4), (1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
     assert symmetrized_calls == want
 

@@ -1,12 +1,15 @@
 """At most one eigendecomposition per state, and given eigenpairs are checked where they enter.
 
-A drawn state is decomposed once, by `eigh` or, for a rank-deficient
-ensemble, by the thin SVD of its D x r factor; the kernel decomposes no full
+A drawn state is decomposed once: on its thin D x r factor where r < D
+(the unit ket itself at r = 1), else by `eigvalsh`, with `eigh` only for a
+row whose smallest eigenvalue is below 1e-12; the kernel decomposes no full
 state. A trajectory decomposes only its initial state: U(t) carries rho0's
 eigenpairs to every grid point. `density_stack` checks eigenpairs it is
 given, the thin factors and the carried pairs, for reconstruction and
 orthonormality, so a corrupted factor fails its row there.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -63,9 +66,17 @@ def svd_shapes(monkeypatch):
     return counted_shapes(monkeypatch, "svd")
 
 
-def chunk_shapes(n, dim, width=None):
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    return counted_shapes(monkeypatch, "eigvalsh")
+
+
+def chunk_shapes(n, dim, width=None, trials=None):
+    """The stack shape of each verify chunk's rows, or of its `trials` rows among them."""
     size = batch_rows(dim)
-    return [(min(size, n - a), dim, width or dim) for a in range(0, n, size)]
+    chunks = [range(a, min(a + size, n)) for a in range(0, n, size)]
+    return [(len(c if trials is None else [t for t in c if trials(t)]), dim, width or dim)
+            for c in chunks]
 
 
 @pytest.mark.parametrize("dims, trials, extra", [
@@ -73,22 +84,30 @@ def chunk_shapes(n, dim, width=None):
     ("2,2,4,4", 10, ["--ensemble", "ginibre", "--rank", "4"]),
     ("2,2,1,1", 2500, ["--ensemble", "haar"]),
 ])
-def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, svd_shapes, dims, trials, extra):
+def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, svd_shapes, eigvalsh_shapes,
+                                           dims, trials, extra):
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
-    argv = ["verify", "--dims", dims, "--trials", str(trials), *extra, "--out", str(tmp_path / "o.json")]
-    assert main(argv) == 0
+    out = tmp_path / "o.json"
+    assert main(["verify", "--dims", dims, "--trials", str(trials), *extra, "--out", str(out)]) == 0
     # each chunk's states are decomposed in the draw's state check, then the
-    # one-row redraw of the reported instance's; the rest are reduced battery states
-    if extra:
-        # rank-deficient states: a thin SVD of their D x r factors, no D x D eigh at all
-        width = int(extra[-1]) if "--rank" in extra else 1
-        assert [x for x in eigh_shapes if x[-1] == s.dim] == []
+    # one-row redraw of the reported instance's; the rest are reduced battery
+    # states. No D x D eigh runs: a drawn state's smallest eigenvalue is
+    # below 1e-12 only where its factor is thin.
+    assert [x for x in eigh_shapes if x[-1] == s.dim] == []
+    worst_kind = json.loads(out.read_text())["worst_case"]["kind"]
+    redraw = [(1, s.dim, s.dim)] if worst_kind == "ginibre" else []
+    if "--rank" in extra:
+        # rank-deficient states: a thin SVD of their D x r factors
+        width = int(extra[-1])
         assert svd_shapes == chunk_shapes(trials, s.dim, width) + [(1, s.dim, width)]
+        assert eigvalsh_shapes == []
+    elif extra:
+        # pure states: their unit kets are their eigenvectors, no SVD runs
+        assert svd_shapes == eigvalsh_shapes == []
     else:
-        # gue-ops mixes pure and full-rank states: one D x D eigh stack per chunk
-        assert [x for x in eigh_shapes if x[-1] == s.dim] == (chunk_shapes(trials, s.dim)
-                                                              + [(1, s.dim, s.dim)])
+        # gue-ops: the pure even trials as haar ones, the full-rank odd ones by eigenvalues alone
         assert svd_shapes == []
+        assert eigvalsh_shapes == chunk_shapes(trials, s.dim, trials=lambda t: t % 2) + redraw
 
 
 def test_trajectory_decomposes_each_state_once(eigh_shapes):
@@ -114,7 +133,7 @@ def drawn_thin_factors(s, kind, n, rank=None):
     shape = (s.dim,) if kind == "haar" else (s.dim, rank)
     trials = [ensembles._STREAMS_PER_TRIAL * t for t in range(n)]
     k = ensembles._Streams(42).complex_normals(trials, shape)
-    return draw_batch(s, kind, 42, range(n), rank)[0], ensembles._thin_eig(k)
+    return draw_batch(s, kind, 42, range(n), rank)[0], ensembles._state_factors(k)
 
 
 def state_errors(rho, factors):
@@ -175,6 +194,22 @@ def test_corrupted_thin_factor_fails_its_row_through_the_eig_checks(corrupt, mes
     s = TensorStructure.from_dims([2, 2, 2, 1])
     rho, eig = drawn_thin_factors(s, "ginibre", 3, 3)
     assert eig[1].shape == (3, 8, 3)
+    assert state_errors(rho, eig) == [None] * 3
+    errors = state_errors(rho, corrupt(*eig))
+    assert isinstance(errors[1], NumericalIntegrityError)
+    assert message in str(errors[1])
+    assert errors[0] is None and errors[2] is None
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (thin_perturb_column, "eigendecomposition reconstruction"),
+    (thin_rescale_column, "eigenvector columns not orthonormal"),
+])
+def test_corrupted_unit_ket_factor_fails_its_row_through_the_eig_checks(corrupt, message):
+    # a pure state's factor is its unit ket with weight 1, taken without an SVD
+    s = TensorStructure.from_dims([2, 2, 2, 1])
+    rho, eig = drawn_thin_factors(s, "haar", 3)
+    assert eig[1].shape == (3, 8, 1) and np.array_equal(eig[0], np.ones((3, 1)))
     assert state_errors(rho, eig) == [None] * 3
     errors = state_errors(rho, corrupt(*eig))
     assert isinstance(errors[1], NumericalIntegrityError)

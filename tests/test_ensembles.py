@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import qbattery.ensembles as ensembles
 from qbattery.ensembles import (
     STATE_KINDS,
     SeedSpec,
@@ -25,6 +26,7 @@ from qbattery.operators import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
+    NotPositiveSemidefiniteError,
     RejectedInputError,
     RowErrors,
     TensorStructure,
@@ -316,9 +318,10 @@ def _raw_state(s, used, seed, trial, rank=None):
 def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
     """One trial drawn with a fresh Philox per stream and one check per matrix.
 
-    v0.1.0's draw for `mix` and full-rank states. A `haar` or rank-deficient
-    `ginibre` state K K^dag / Tr is checked on the thin SVD of its D x r
-    factor K instead of an eigendecomposition.
+    v0.1.0's draw for full-rank states, `mix`'s odd rows among them. A pure
+    state (`haar`, `mix`'s even rows) or a rank-deficient `ginibre` state
+    K K^dag / Tr is checked on the thin SVD of its D x r factor K instead
+    of an eigendecomposition.
     """
     def gue(dim, stream):
         m = _fresh_normals(seed, stream, (dim, dim))
@@ -326,7 +329,7 @@ def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
 
     used = ("haar" if trial % 2 == 0 else "ginibre") if kind == "mix" else kind
     state, k = _raw_state(s, used, seed, trial, rank)
-    if kind == "mix" or k.shape[1] == s.dim:
+    if k.shape[1] == s.dim:
         rho = DensityMatrix(state).mat
     else:
         u, sv, _ = np.linalg.svd(k, full_matrices=False)
@@ -389,8 +392,9 @@ def test_one_instance_draws_are_one_row_batches():
     for k in range(4):
         got = draw_instance(s, "mix", 42, k)
         assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]), (rho[k], f[k], v[k], kinds[k]))
-    # a pure state is a row of the haar ensemble: a mix row of either kind is decomposed by eigh
+    # a pure state is a row of the haar ensemble, and so is a mix row of even trial
     assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, draw_batch(s, "haar", 42, [0])[0][0])
+    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, rho[0])
     assert _same_bits(ginibre_mixed(4, 4, SeedSpec(42, 4)).mat, rho[1])
     assert _same_bits(gue_hermitian(2, 1.0, SeedSpec(42, 1)).mat, f[0])
     assert _same_bits(gue_hermitian(4, 1.0, SeedSpec(42, 2)).mat, v[0])
@@ -400,13 +404,90 @@ def test_one_instance_draws_are_one_row_batches():
                                         ([2, 2, 4, 4], 4), ([1, 1, 1, 1], 1)])
 def test_one_state_draws_equal_their_ensembles_batch_rows(dims, rank):
     # rank-deficient states are checked on their thin factors in both; a
-    # full-rank one (D = 1 here) by eigh in both
+    # full-rank one (D = 1 here) on its eigenvalues in both
     s = TensorStructure.from_dims(dims)
     trials = [0, 3, 7]
     haar, ginibre = (draw_batch(s, kind, 99, trials, rank)[0] for kind in ("haar", "ginibre"))
     for k, trial in enumerate(trials):
         assert _same_bits(haar_pure(s.dim, SeedSpec(99, 4 * trial)).mat, haar[k])
         assert _same_bits(ginibre_mixed(s.dim, rank, SeedSpec(99, 4 * trial)).mat, ginibre[k])
+
+
+@pytest.mark.parametrize("rank", [None, 1])
+@pytest.mark.parametrize("seed", [42, 2**64 - 1, 2**64 - 1001])
+@pytest.mark.parametrize("dims", [[1, 1, 1, 1], [2, 1, 1, 1], [2, 2, 2, 2], [2, 2, 4, 4]])
+def test_mix_rows_are_their_kinds_ensemble_rows(dims, seed, rank):
+    # each kind's states are checked on their own factors, whatever else the batch holds
+    s = TensorStructure.from_dims(dims)
+    trials = range(5)
+    mix, haar, ginibre = (draw_batch(s, kind, seed, trials, rank)
+                          for kind in ("mix", "haar", "ginibre"))
+    assert mix[3] == ["haar", "ginibre"] * 2 + ["haar"]
+    for k, trial in enumerate(trials):
+        want = haar if trial % 2 == 0 else ginibre
+        assert _same_draws(tuple(x[k] for x in mix), tuple(x[k] for x in want))
+
+
+@pytest.fixture
+def eigh_minima(monkeypatch):
+    """The smallest eigenvalue of each matrix numpy.linalg.eigh decomposes while the test runs."""
+    minima = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        w, u = real(a, *args, **kwargs)
+        minima.extend(np.atleast_2d(w)[:, 0].tolist())
+        return w, u
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return minima
+
+
+def test_square_factor_with_a_round_off_eigenvalue_is_clamped_as_density_matrix_clamps(
+        monkeypatch, eigh_minima):
+    s = TensorStructure.from_dims([2, 2, 2, 1])
+    trials = range(12)
+    real = ensembles._Streams.complex_normals
+
+    def repeated(self, streams, shape):
+        # every drawn D x D state factor repeats its first column: its state has rank D - 1
+        z = real(self, streams, shape)
+        if shape == (s.dim, s.dim) and streams[0] % 4 == 0:
+            z[:, :, -1] = z[:, :, 0]
+        return z
+
+    monkeypatch.setattr(ensembles._Streams, "complex_normals", repeated)
+    rho = draw_batch(s, "ginibre", 8, trials)[0]
+    # each state's smallest eigenvalue is round-off of zero: eigh decomposed all of them
+    assert len(eigh_minima) == len(trials) and max(map(abs, eigh_minima)) < 1e-15
+    assert min(eigh_minima) < 0.0  # and some were clamped
+    states = ensembles._ginibre_states(ensembles._Streams(8).complex_normals(
+        [4 * t for t in trials], (s.dim, s.dim)))
+    for k in range(len(trials)):
+        assert _same_bits(DensityMatrix(states[k]).mat, rho[k])
+
+
+def test_square_factor_runs_eigh_only_near_zero_and_keeps_the_psd_message(monkeypatch, eigh_minima):
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    draw_batch(s, "ginibre", 8, range(6))
+    assert eigh_minima == []  # no drawn full-rank state has an eigenvalue near zero
+    real = ensembles._ginibre_states
+
+    def shifted(g):
+        # row 1's smallest eigenvalue moves to -1e-6 before renormalising: not PSD
+        a = real(g)
+        a[1] -= (np.linalg.eigvalsh(a[1])[0] + 1e-6) * np.eye(s.dim)
+        a[1] /= a[1].trace().real
+        return a
+
+    monkeypatch.setattr(ensembles, "_ginibre_states", shifted)
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        draw_batch(s, "ginibre", 8, range(6))
+    assert len(eigh_minima) == 1
+    state = shifted(ensembles._Streams(8).complex_normals([0, 4], (s.dim, s.dim)))[1]
+    with pytest.raises(NotPositiveSemidefiniteError) as want:
+        DensityMatrix(state)
+    assert str(err.value) == str(want.value)
 
 
 def _exact_distance(rho, k) -> float:
