@@ -53,6 +53,7 @@ from .operators import (
     NumericalIntegrityError,
     RejectedInputError,
     TensorStructure,
+    _CheckedMatrix,
     to_matrix_literal,
 )
 from .search import (
@@ -85,8 +86,41 @@ TRIAL_COLUMNS = (
 )
 
 
+def _hermitian_reprs(x: np.ndarray) -> list:
+    """Rows of float.__repr__ of each entry of a finite real x with |x| == |x.T|.
+
+    Only the upper triangle, diagonal included, is formatted. An entry below
+    it is +-x[j, i], so its text is its partner's with the leading "-"
+    toggled where their sign bits differ: repr(-y) == "-" + repr(y) for every
+    finite y, signed zeros included.
+    """
+    flip = (np.signbit(x) != np.signbit(x.T)).tolist()
+    text = []
+    for i, row in enumerate(x.tolist()):
+        # x[j, i] for j < i, as row j was written
+        out = [(s[1:] if s[0] == "-" else "-" + s) if f else s
+               for s, f in zip([r[i] for r in text], flip[i])]
+        out += map(float.__repr__, row[i:])
+        text.append(out)
+    return text
+
+
+def _matrix_text(m: _CheckedMatrix, newline: str) -> str:
+    """to_matrix_literal(m) as _json_text writes it, formatting a Hermitian matrix's upper triangle only."""
+    a = m.mat
+    if not (a.size and np.isfinite(a).all() and (a == a.conj().T).all()):
+        return _json_text(to_matrix_literal(m), newline)
+    inner = newline + "  "
+    row, entry = inner + "  ", inner + "    "
+    parts = [f'"dim": {len(a)}']
+    for name, x in (("im", a.imag), ("re", a.real)):
+        rows = ["[" + entry + ("," + entry).join(r) + row + "]" for r in _hermitian_reprs(x)]
+        parts.append(f'"{name}": [' + row + ("," + row).join(rows) + inner + "]")
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+
+
 def _json_text(obj, newline: str) -> str:
-    """`obj` as json.dumps(obj, indent=2, sort_keys=True) writes it, indented as `newline` is."""
+    """`obj` as _json_bytes writes it, indented as `newline` is."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is str:
@@ -105,19 +139,25 @@ def _json_text(obj, newline: str) -> str:
         items = [json.encoder.encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, _CheckedMatrix):
+        return _matrix_text(obj, newline)
     # anything else as the stdlib writes it (its strings hold no raw newline)
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+    return json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal).replace("\n", newline)
 
 
 def _json_bytes(obj) -> bytes:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n", written faster.
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal) + "\n", written faster.
 
-    Byte-identical to the stdlib encoder for every value it accepts, and,
-    like it, raises TypeError for anything else. A list of finite floats is
-    written in one join over float.__repr__, where the stdlib's indenting
-    encoder runs a Python generator per item; finite floats, strings, lists,
-    tuples and dicts with string keys are written here, everything else by
-    the stdlib.
+    Byte-identical to that stdlib call for every value it accepts, and, like
+    it, raises for anything else. A list of finite floats is written in one
+    join over float.__repr__, where the stdlib's indenting encoder runs a
+    Python generator per item. A DensityMatrix or HermitianOperator is
+    written as its to_matrix_literal dict; when its matrix is finite and
+    equal to its conjugate transpose, as checked ones are, only the upper
+    triangle is formatted and each entry below it takes its partner's text,
+    its sign toggled where the two sign bits differ. Finite floats, strings,
+    lists, tuples, dicts with string keys and checked matrices are written
+    here, everything else by the stdlib.
     """
     return (_json_text(obj, "\n") + "\n").encode()
 
@@ -255,8 +295,10 @@ def cmd_verify(args) -> int:
     kind = ENSEMBLES[args.ensemble]
     started = time.perf_counter()
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
+    chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
+    pooled = time.perf_counter()
     kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]
-    for chunk in _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads):
+    for chunk in chunks:
         kinds += chunk[0]
         errors += chunk[1]
         values.append(chunk[2])
@@ -286,16 +328,18 @@ def cmd_verify(args) -> int:
         case = {"violation": str(errors[worst])}
     if errors:
         # a trial's draw depends only on (seed, trial), so its matrices are drawn again
-        stacks = draw_batch(structure, kind, args.seed, [worst], args.rank)[:3]
-        instance = {name: to_matrix_literal(x[0]) for name, x in zip(("rho", "f", "v"), stacks)}
+        rho, f, v, _ = draw_batch(structure, kind, args.seed, [worst], args.rank)
+        instance = {"rho": DensityMatrix.wrap_checked(rho[0]), "f": HermitianOperator.wrap_checked(f[0]),
+                    "v": HermitianOperator.wrap_checked(v[0])}
         case.update({"instance": instance} if violations else instance)
         summary["worst_case"] = {"trial": worst, "kind": kinds[worst], **case}
 
     _write_file(args.out, _json_bytes(summary))
     if args.format == "csv":
         _write_file(args.out + ".trials.csv", _trial_csv(clean.tolist(), kinds, rows))
+    stages = {"chunks": pooled - started, "report": time.perf_counter() - pooled}
 
-    _write_manifest(args, started)
+    _write_manifest(args, started, stage_seconds=stages)
 
     print(f"verify: {args.trials} trials, {violations} violations -> {args.out}")
     return 0 if not violations else 1

@@ -75,8 +75,18 @@ VAR_CLAMP_TOL = 1e-10
 
 # Callers stack instances in batches of at most this many complex entries per
 # stacked (N, D, D) operand: large enough to amortise numpy's per-call cost at
-# small D, small enough that D = 64 batches stay a few hundred kilobytes.
-BATCH_ENTRIES = 2**14
+# small D, small enough that D = 64 batches stay half a megabyte. At D = 64 a
+# batch is 8 rows, so a 60-trial verify runs 8 chunks, not 15 of 4 rows. That
+# gains only at --threads 2, so it is in how the two pool threads share the
+# chunks, not in per-call cost. Median pool phase of 40 `verify --dims 2,2,4,4
+# --ensemble ginibre --rank 4 --trials 60` commands each, interleaved (2-core
+# host, OPENBLAS_NUM_THREADS=1, numpy 2.4.6):
+# - 2**14: 60.0 ms at --threads 1, 47.8 ms at --threads 2;
+# - 2**15: 64.6 ms and 38.2 ms;
+# - 2**16: 73.3 ms and 41.2 ms, and the sweep-wide benchmark's peak RSS rose
+#   from 46.5-46.8 MB (2**14) to 53.2-53.5 MB, against 48.8-48.9 MB at 2**15.
+# The chunk size never changes a payload byte.
+BATCH_ENTRIES = 2**15
 
 
 def batch_rows(dim: int) -> int:

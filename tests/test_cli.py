@@ -61,11 +61,54 @@ def test_verify_manifest_sidecar(tmp_path):
     run("verify", "--dims", "2,1,1,1", "--trials", "5", "--seed", "9", "--out", str(out))
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert set(manifest) == {"subcommand", "config", "seed", "version",
-                             "input_digests", "duration_seconds"}
+                             "input_digests", "duration_seconds", "stage_seconds"}
     assert manifest["subcommand"] == "verify"
     assert manifest["seed"] == 9
     assert manifest["config"]["trials"] == 5
     assert manifest["duration_seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_stage_seconds_leave_the_payload_alone(tmp_path, fmt):
+    # the pool phase and the report after it are timed in the manifest; the
+    # payload bytes are the same at any --threads and on a second run
+    payloads = []
+    for threads in ("1", "2", "2"):
+        out = tmp_path / f"s{len(payloads)}.json"
+        assert run("verify", "--dims", "2,2,2,2", "--trials", "300", "--format", fmt,
+                   "--threads", threads, "--out", str(out)) == 0
+        files = [out, Path(f"{out}.trials.csv")]
+        payloads.append([p.read_bytes() for p in files if p.exists()])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"chunks", "report"}
+        assert all(type(x) is float and x >= 0.0 for x in stages.values())
+        assert sum(stages.values()) <= manifest["duration_seconds"]
+    assert len(payloads[0]) == (2 if fmt == "csv" else 1)
+    assert payloads[1] == payloads[2] == payloads[0]
+
+
+_CHUNKED = {
+    "verify-json-rank4": ("verify", "--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
+                          "--trials", "20", "--format", "json"),
+    "verify-csv-gue-ops": ("verify", "--dims", "2,2,2,2", "--ensemble", "gue-ops",
+                           "--trials", "300", "--format", "csv"),
+    "evolve-csv": ("evolve", "--config", "exchange", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("argv", _CHUNKED.values(), ids=_CHUNKED)
+def test_chunk_size_never_changes_the_payload(tmp_path, monkeypatch, argv):
+    # from one D = 64 trial per chunk (2**10 entries) to every trial in one chunk (2**18)
+    payloads = []
+    for entries in (moments.BATCH_ENTRIES, 2**10, 2**18):
+        monkeypatch.setattr(moments, "BATCH_ENTRIES", entries)
+        out = tmp_path / f"c{entries}.out"
+        assert run(*argv, "--out", str(out)) == 0
+        files = [out, Path(f"{out}.trials.csv")]
+        payloads.append([p.read_bytes() for p in files if p.exists()])
+    assert payloads[1] == payloads[0]
+    assert payloads[2] == payloads[0]
 
 
 @pytest.mark.parametrize("ensemble", ["haar", "ginibre", "gue-ops"])
@@ -99,7 +142,7 @@ def test_verify_thread_invariant_bytes(tmp_path):
 
 
 def test_verify_worst_case_is_least_slack_over_chunks(tmp_path):
-    # 2500 trials at D = 4 span three chunks; each offers its own least-slack
+    # 2500 trials at D = 4 span two chunks; each offers its own least-slack
     # trial, and the summary keeps the least (slack, trial) of them
     for threads in ("1", "2"):
         out = tmp_path / f"w{threads}.json"

@@ -112,7 +112,7 @@ def reference_rows(doc) -> list[list[str]]:
 
 @pytest.mark.parametrize("doc", [
     builtin_exchange_scenario(),
-    random_scenario([2, 2, 2, 1], 600),  # three kernel chunks at D = 8
+    random_scenario([2, 2, 2, 1], batch_rows(8) + 88),  # two kernel chunks at D = 8
 ], ids=["exchange", "random-D8"])
 def test_evolve_payloads_match_per_value_formatting(tmp_path, doc):
     cfg = tmp_path / "scenario.json"
@@ -141,7 +141,7 @@ def test_row_formats_match_per_value_formatting():
 # ---------------------------------------------------------------- verify payload
 
 def test_verify_csv_matches_per_value_formatting(tmp_path):
-    dims, trials, seed = "2,2,1,1", 1500, 5  # two chunks at D = 4
+    dims, trials, seed = "2,2,1,1", batch_rows(4) + 476, 5  # two chunks at D = 4
     out = tmp_path / "sweep.json"
     assert main(["verify", "--dims", dims, "--trials", str(trials), "--seed", str(seed),
                  "--format", "csv", "--out", str(out)]) == 0
@@ -240,19 +240,21 @@ def symmetrized_calls(monkeypatch):
 
 
 def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
-    assert main(["verify", "--dims", "2,2,1,1", "--trials", "2500",
+    trials = 2 * batch_rows(4) + 452  # three chunks at D = 4
+    assert main(["verify", "--dims", "2,2,1,1", "--trials", str(trials),
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: the draw's pure and mixed states (2), F and V (2), then the
     # kernel's reduced states (1); not rho, F and V again, nor F, dF and dV,
     # and no sqrt(rho) is formed; then the redraw of the reported instance
     # checks its rho, F and V (3)
-    assert len(cli._trial_chunks(2500, 4)) == 3
+    assert len(cli._trial_chunks(trials, 4)) == 3
     assert len(symmetrized_calls) == 3 * 5 + 3
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     rho0, h, f, _ = exchange_trajectory()
-    for points, chunks in ((1001, 1), (2100, 3)):
+    size = batch_rows(4)
+    for points, chunks in ((size - 47, 1), (2 * size + 52, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
         # F (x) 1, H0 + V and rho0 once; per chunk the propagated states (1) and the kernel's 1
@@ -296,10 +298,11 @@ KERNEL_CHECK_SHAPES = [(2, 2)]
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
-    assert main(["verify", "--dims", "2,2,1,1", "--trials", "1100",
+    size = batch_rows(4)
+    assert main(["verify", "--dims", "2,2,1,1", "--trials", str(size + 76),
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
-    for n in (1024, 76):  # two chunks; each draw checks its pure and mixed states, F and V
+    for n in (size, 76):  # two chunks; each draw checks its pure and mixed states, F and V
         want += [(n // 2, 4, 4), (n // 2, 4, 4)]
         want += [(n, *shape) for shape in [(2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
     want += [(1, 4, 4), (1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
@@ -309,10 +312,11 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
 def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     rho0, h, f, _ = exchange_trajectory()
     symmetrized_calls.clear()
-    trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, 1100))
+    size = batch_rows(4)
+    trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, size + 76))
     # F (x) 1 for the commutation gate, H0 + V and rho0, once; then per chunk the states
     want = [(1, 4, 4), (1, 4, 4), (1, 4, 4)]
-    for n in (1024, 76):
+    for n in (size, 76):
         want += [(n, *shape) for shape in [(4, 4)] + KERNEL_CHECK_SHAPES]
     assert symmetrized_calls == want
 

@@ -2,16 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbattery.cli as cli
 from qbattery.cli import _json_bytes, main
+from qbattery.operators import DensityMatrix, HermitianOperator, to_matrix_literal
 
 
-def stdlib_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+def stdlib_bytes(obj, default=None) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n").encode()
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
@@ -73,9 +75,70 @@ def test_payloads_and_manifests_equal_the_stdlib_encoder(tmp_path, monkeypatch, 
 
     def checked(obj):
         out = real(obj)
-        written.append(out == stdlib_bytes(obj))
+        written.append(out == stdlib_bytes(obj, default=to_matrix_literal))
         return out
 
     monkeypatch.setattr(cli, "_json_bytes", checked)
     main(argv + ["--out", str(tmp_path / "out.json")])
     assert written == [True, True]  # the payload, then its manifest
+
+
+# ---------------------------------------------------------------- checked matrices
+
+EXTREMES = [5e-324, -5e-324, 1e308, -1e308]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A value-Hermitian matrix (a_ji == conj(a_ij)), wrapped as a checked operator or state.
+
+    GUE draws, or real symmetric ones whose imaginary part is all +0.0; then
+    some entry pairs set to zeros of either sign in either triangle, or to
+    +-5e-324 and +-1e308.
+    """
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        m = a + 1j * rng.standard_normal((n, n))
+        m = (m + m.conj().T) / 2.0
+    else:
+        m = ((a + a.T) / 2.0).astype(complex)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        part = draw(st.sampled_from(["real", "imag"]))
+        if draw(st.booleans()):  # a zero in each triangle, each of either sign
+            upper, lower = draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))
+        elif part == "imag" and i == j:
+            continue  # a diagonal entry is real
+        else:
+            upper = draw(st.sampled_from(EXTREMES))
+            lower = upper if part == "real" else -upper
+        getattr(m, part)[i, j], getattr(m, part)[j, i] = upper, lower
+    assert (m == m.conj().T).all()
+    return draw(st.sampled_from([HermitianOperator, DensityMatrix])).wrap_checked(m)
+
+
+nested_matrices = st.recursive(
+    hermitian_matrices() | floats | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_matrices)
+def test_hermitian_matrices_equal_the_stdlib_encoder(obj):
+    assert _json_bytes(obj) == stdlib_bytes(obj, default=to_matrix_literal)
+
+
+@pytest.mark.parametrize("mat", [
+    np.array([[1.0, 2.0 + 1j], [2.0 + 1j, 3.0]]),  # not Hermitian
+    np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]]),  # nearly Hermitian
+    np.array([[1.0, float("nan")], [float("nan"), 3.0]]),
+    np.array([[float("inf"), 0.0], [0.0, 1.0]]),
+    np.array([[0.5j]]),  # an imaginary diagonal
+], ids=["non-hermitian", "nearly", "nan", "inf", "imaginary-diagonal"])
+def test_matrices_that_are_not_exactly_hermitian_are_written_in_full(mat):
+    obj = {"m": [HermitianOperator.wrap_checked(mat.astype(complex))]}
+    assert _json_bytes(obj) == stdlib_bytes(obj, default=to_matrix_literal)
