@@ -85,6 +85,11 @@ VAR_CLAMP_TOL = 1e-10
 # - 2**15: 64.6 ms and 38.2 ms;
 # - 2**16: 73.3 ms and 41.2 ms, and the sweep-wide benchmark's peak RSS rose
 #   from 46.5-46.8 MB (2**14) to 53.2-53.5 MB, against 48.8-48.9 MB at 2**15.
+# The few ms the pool loses at --threads 1 are about what cli._json_text's
+# upper-triangle writer saves on the same command, so a whole --threads 1
+# command is no slower: 71.2 ms at 2**14 writing every entry, 67.6 ms at
+# 2**15 writing the upper triangle (in process, median of 16 alternating
+# blocks of 15).
 # The chunk size never changes a payload byte.
 BATCH_ENTRIES = 2**15
 

@@ -66,26 +66,11 @@ def test_verify_manifest_sidecar(tmp_path):
     assert manifest["seed"] == 9
     assert manifest["config"]["trials"] == 5
     assert manifest["duration_seconds"] >= 0.0
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_verify_stage_seconds_leave_the_payload_alone(tmp_path, fmt):
-    # the pool phase and the report after it are timed in the manifest; the
-    # payload bytes are the same at any --threads and on a second run
-    payloads = []
-    for threads in ("1", "2", "2"):
-        out = tmp_path / f"s{len(payloads)}.json"
-        assert run("verify", "--dims", "2,2,2,2", "--trials", "300", "--format", fmt,
-                   "--threads", threads, "--out", str(out)) == 0
-        files = [out, Path(f"{out}.trials.csv")]
-        payloads.append([p.read_bytes() for p in files if p.exists()])
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        stages = manifest["stage_seconds"]
-        assert set(stages) == {"chunks", "report"}
-        assert all(type(x) is float and x >= 0.0 for x in stages.values())
-        assert sum(stages.values()) <= manifest["duration_seconds"]
-    assert len(payloads[0]) == (2 if fmt == "csv" else 1)
-    assert payloads[1] == payloads[2] == payloads[0]
+    # the pool phase and the report after it, both inside the whole command's time
+    stages = manifest["stage_seconds"]
+    assert set(stages) == {"chunks", "report"}
+    assert all(type(x) is float and x >= 0.0 for x in stages.values())
+    assert sum(stages.values()) <= manifest["duration_seconds"]
 
 
 _CHUNKED = {
@@ -127,8 +112,9 @@ def test_verify_rank_restricted(tmp_path):
 def test_verify_thread_invariant_bytes(tmp_path):
     cases = [
         ("--dims", "2,2,1,1", "--trials", "40"),
-        # D = 64 batches hold 4 trials, so 13 trials span four batches
-        ("--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4", "--trials", "13"),
+        # one trial past three D = 64 batches spans four of them
+        ("--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
+         "--trials", str(3 * moments.batch_rows(64) + 1)),
     ]
     for n, case in enumerate(cases):
         payloads = []
