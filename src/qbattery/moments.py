@@ -14,21 +14,21 @@ with sr = sqrt(rho), and is bounded by
 
     P^2 <= 2 (var_F * var_V - Re[Cov(F,V)^2]).
 
-Every moment is taken of the centred operators, formed once: Cov(F,V) =
-Tr(rho dF dV), kept complex and unsymmetrized; var_F = sum_k w_k |dF u_k|^2
-over the eigenpairs (w_k, u_k) of the reduced state rho_W, never negative;
-var_V = Re Tr(rho dV dV). A shift of F or V by a multiple of the identity
-leaves dF and dV as they are. P is taken by the raw commutator, the paper's
-definition, and checked against 2 Im Cov, its value by the centred route.
+Every quantity is a trace of the centred operators, formed once: Cov(F,V) =
+Tr(rho dF dV), kept complex and unsymmetrized; var_F = Re Tr(rho_W dF dF)
+in the reduced state rho_W; var_V = Re Tr(rho dV dV); and
+P = -i Tr([rho, dF (x) 1] dV), which is the paper's definition exactly, as
+[rho, cI] = 0. A shift of F or V by a multiple of the identity enters no
+product. P is checked against 2 Im Cov, its value by the covariance.
 
 By the cyclic trace Tr(sr X sr) = Tr(rho X), so Tr(sr dF dV sr) = Cov and
 Tr(sr dV dF sr) = conj(Cov): the decomposition's three terms are |Cov|^2,
 |Cov|^2 and 2 Re[Cov^2], and are taken so. Their sum is 4 (Im Cov)^2, so
 the decomposition holds exactly when P = 2 Im Cov, which the shift row of
-the check table certifies. No square root or eigendecomposition of rho is
-taken. Every identity of the chain is a row of one table, `_CHECKS`,
-checked where the chain reaches it; a clean report certifies the algebra
-numerically.
+the check table certifies. No square root or eigendecomposition of rho or
+rho_W is taken. Every identity of the chain is a row of one table,
+`_CHECKS`, checked where the chain reaches it; a clean report certifies the
+algebra numerically.
 
 ``verify_batch`` is the one implementation of the chain: it runs over stacks
 of instances and records each row's first failed check instead of raising.
@@ -42,10 +42,10 @@ passed a boundary check (the one-instance classes, the ensemble draws, the
 trajectories) call ``_verify_checked``, which skips it.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
-with rho and dV are contractions over the battery index of the
-battery-first space.
+with rho and dV are contractions over the battery index.
 
-The reduced states are the only products the chain checks: dF and dV are
+The chain checks nothing it forms. rho's trace and positivity are checked
+where states enter, and rho_W is rho's partial trace as it is; dF and dV are
 real diagonal shifts of exactly Hermitian matrices, so exactly Hermitian.
 """
 
@@ -62,12 +62,12 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     NumericalIntegrityError,
     RowErrors,
     TensorStructure,
-    density_stack,
     embed_battery_op,
     expectation_stack,
     hermitian_stack,
     matrix_sqrt,
     partial_trace_stack,
+    purity_stack,
     trace_product,
 )
 
@@ -111,10 +111,10 @@ _CHECKS = (
      f"var_v = {{var_v!r}} below -{VAR_CLAMP_TOL}"),
     ("moments", lambda x: x.cov_sq - x.product, lambda x: 1e-9 * (1.0 + x.product),
      "covariance inequality violated: var_f*var_v = {product!r} < |cov|^2 = {cov_sq!r}"),
-    # P by the raw commutator is real
+    # P by the commutator is real
     ("power", lambda x: np.abs(x.power_imag), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "charging power has imaginary part {power_imag:.3e}"),
-    # the same P as 2 Im Cov, the centred route
+    # the same P as 2 Im Cov, by the covariance
     ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
     # the bounds
@@ -246,9 +246,9 @@ def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     The same arithmetic as `_battery_left`, so for exactly Hermitian operands
     the commutator of the two comes out exactly anti-Hermitian, as it did
     from the dense products. Returned C-contiguous, as the dense product was,
-    so that the traces taken of it sum in the same order: as a transposed
-    view, the raw and shifted powers of F, V + 1e6 I draws disagreed beyond
-    their tolerance 24 times in 300 instead of 15.
+    so that the trace taken of it sums in the same order: as a transposed
+    view, P moved in its last bits on 1,225 of 2,000 `mix` rows at D = 4, and
+    its imaginary part at D = 64 grew from 8.0e-16 to 5.2e-15.
     """
     at = _battery_left(np.ascontiguousarray(f.swapaxes(-1, -2)), a.swapaxes(-1, -2))
     return np.ascontiguousarray(at.swapaxes(-1, -2))
@@ -274,29 +274,28 @@ def _cov(rho, df, dv):
 
 
 def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `compute_moments`.
+    """The checks and arithmetic of `compute_moments`; returns the MomentBatch, dF and dV.
 
-    var_F = sum_k w_k |dF u_k|^2 over the eigenpairs of rho_W that its check
-    computed, var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
+    var_F = Re Tr(rho_W dF dF), var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
     """
-    rho_w, purity_w, (w, u) = density_stack(rows, partial_trace_stack(rho, s))
+    rho_w = partial_trace_stack(rho, s)
     mean_f = expectation_stack(rows, rho_w, f)
     mean_v = expectation_stack(rows, rho, v)
     df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
-    var_f = np.einsum("nk,nik->n", w, np.abs(df @ u) ** 2)
+    var_f = trace_product(rho_w, df @ df).real
     var_v = trace_product(rho, dv @ dv).real
     cov = _cov(rho, df, dv)
     clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
     _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
                 cov_sq=np.abs(cov) ** 2)
-    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_w, rows)
+    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_stack(rho_w), rows), df, dv
 
 
-def _power_stage(rows: RowErrors, rho, f, v):
-    """P = -i Tr([rho, F (x) 1] V) per row, asserted real to 1e-10."""
-    lhs = _battery_right(rho, f)
-    lhs -= _battery_left(f, rho)
-    raw = -1j * trace_product(lhs, v)
+def _power_stage(rows: RowErrors, rho, df, dv):
+    """P = -i Tr([rho, dF (x) 1] dV) per row, the paper's P exactly; asserted real to 1e-10."""
+    lhs = _battery_right(rho, df)
+    lhs -= _battery_left(df, rho)
+    raw = -1j * trace_product(lhs, dv)
     _run_checks(rows, "power", power=raw.real, power_imag=raw.imag)
     return raw.real
 
@@ -323,8 +322,8 @@ def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
 
 def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch:
     """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m = _moment_stage(rows, rho, f, v, s)
-    power = _power_stage(rows, rho, f, v)
+    m, df, dv = _moment_stage(rows, rho, f, v, s)
+    power = _power_stage(rows, rho, df, dv)
     _run_checks(rows, "shift", power=power, power_delta=2.0 * m.cov.imag)
 
     power_sq = power * power
@@ -349,20 +348,21 @@ def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
     The moment stage of `verify_batch`, with the same centred formulas.
-    Precondition: rho, F and V are exactly Hermitian, as the matrices of
-    HermitianOperator and DensityMatrix and the draws are; they are not
-    checked again here, and of what the stage forms only the reduced states
-    are.
+    Precondition: rho, F and V are exactly Hermitian, and rho is a state, as
+    the matrices of HermitianOperator and DensityMatrix and the draws are;
+    nothing is checked again here, neither the inputs nor what the stage
+    forms.
     """
-    return _batch(_moment_stage, rho, f, v, s)
+    return _batch(_moment_stage, rho, f, v, s)[0]
 
 
 def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
     """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    Checks the inputs are Hermitian, then runs every check of the chain,
-    `_chain_stage`, in its order and at its tolerance, as a mask over the
-    rows: the moments, the power by the commutator route, the same power as
+    Checks the inputs are Hermitian, not rho's trace or positivity (a row of
+    trace other than 1 is taken as it is), then runs every check of the
+    chain, `_chain_stage`, in its order and at its tolerance, as a mask over
+    the rows: the moments, the power by the commutator, the same power as
     2 Im Cov, which certifies the square-root decomposition, and the bounds.
     Rows are independent: a row's values and error do not depend on what
     else is in the stack.
@@ -412,7 +412,7 @@ def compute_moments(
     covariance in the full state. The covariance is deliberately *not*
     symmetrized.
     """
-    return _one_instance(_moment_stage, rho, f, v, s).row(0)
+    return _one_instance(_moment_stage, rho, f, v, s)[0].row(0)
 
 
 def decomposition_terms(
@@ -425,7 +425,7 @@ def decomposition_terms(
     as (|Cov|^2, |Cov|^2, 2 Re[Cov^2]) by the cyclic trace (see the module
     docstring); raises only for the moment stage's checks.
     """
-    m = _one_instance(_moment_stage, rho, f, v, s)
+    m = _one_instance(_moment_stage, rho, f, v, s)[0]
     return tuple(float(t[0]) for t in _cov_terms(m.cov))
 
 

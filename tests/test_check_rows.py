@@ -28,10 +28,21 @@ def drawn(dims, kind):
     return (*draw_batch(s, kind, 7, range(8))[:3], s)
 
 
+def with_environment(rho, f, v, s):
+    """Qubit instances with a second qubit in |0>, on which V acts as the identity: D = 4, d_w = 2.
+
+    The moments, and so the bound's saturation, are the qubit's.
+    """
+    return (np.kron(rho, np.diag([1.0, 0.0])), f, np.kron(v, np.eye(2)),
+            TensorStructure.from_dims([2, 2, 1, 1]))
+
+
 FAMILIES = {
     "generic": lambda: drawn((2, 2, 1, 1), "ginibre"),
     # pure D = 2 rows: dF psi and dV psi are both orthogonal to psi, so parallel, and P^2 = bound
     "saturating": lambda: drawn((2, 1, 1, 1), "haar"),
+    # the same rows with an environment, so that the battery and the full space differ in size
+    "saturating-env": lambda: with_environment(*drawn((2, 1, 1, 1), "haar")),
     # rho = (I + sigma_y)/2, F = sigma_z, V = sigma_x: P = 2, P^2 = bound = 4
     "qubit": lambda: (((np.eye(2) + SY) / 2)[None], SZ[None], SX[None],
                       TensorStructure.from_dims([2, 1, 1, 1])),
@@ -43,25 +54,26 @@ def wrap(monkeypatch, name, wrong):
     monkeypatch.setattr(moments, name, wrong(getattr(moments, name)))
 
 
-def reduced_weights(scale):
-    """rho_W's eigenvalues times `scale`: var_F = sum_k w_k |dF u_k|^2 on wrong weights."""
+def scaled_traces(scale, battery):
+    """The kernel's traces times `scale`, on the battery space (d_w = 2) or on the full one (D > 2).
+
+    The one trace on the battery space is var_F's, Re Tr(rho_W dF dF); the
+    means are taken by `expectation_stack`, which this leaves as it is.
+    """
     def wrong(real):
-        def density_stack(rows, a, factors=None):
-            a, p, (w, u) = real(rows, a, factors)
-            return a, p, (scale * w, u)
-        return density_stack
+        return lambda a, b: (scale if (a.shape[-1] == 2) == battery else 1.0) * real(a, b)
     return wrong
 
 
 # the start of each _CHECKS row's message -> (the family, the mutation)
 MUTATIONS = {
-    # var_F with negated weights
-    "var_f = ": ("generic", lambda mp: wrap(mp, "density_stack", reduced_weights(-1.0))),
-    # every trace with rho negated: var_V = -Re Tr(rho dV dV) is the first the table checks
-    "var_v = ": ("generic", lambda mp: wrap(mp, "trace_product", lambda real: lambda a, b: -real(a, b))),
-    # var_F on half the weights, where |Cov|^2 = var_F var_V
-    "covariance inequality violated": ("saturating",
-                                       lambda mp: wrap(mp, "density_stack", reduced_weights(0.5))),
+    # var_F negated
+    "var_f = ": ("generic", lambda mp: wrap(mp, "trace_product", scaled_traces(-1.0, battery=True))),
+    # every trace on the full space negated: var_V = -Re Tr(rho dV dV) is the first the table checks
+    "var_v = ": ("generic", lambda mp: wrap(mp, "trace_product", scaled_traces(-1.0, battery=False))),
+    # var_F halved, where |Cov|^2 = var_F var_V
+    "covariance inequality violated": ("saturating-env", lambda mp: wrap(
+        mp, "trace_product", scaled_traces(0.5, battery=True))),
     # the commutator with 2 rho (F (x) 1) for rho (F (x) 1)
     "charging power has imaginary part": (
         "generic", lambda mp: wrap(mp, "_battery_right", lambda real: lambda a, f: 2.0 * real(a, f))),

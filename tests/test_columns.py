@@ -243,12 +243,12 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     trials = 2 * batch_rows(4) + 452  # three chunks at D = 4
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(trials),
                  "--out", str(tmp_path / "o.json")]) == 0
-    # per chunk: the draw's pure and mixed states (2), F and V (2), then the
-    # kernel's reduced states (1); not rho, F and V again, nor F, dF and dV,
+    # per chunk: the draw's pure and mixed states (2), F and V (2); the kernel
+    # checks nothing it forms: not rho, F and V again, nor rho_W, dF and dV,
     # and no sqrt(rho) is formed; then the redraw of the reported instance
     # checks its rho, F and V (3)
     assert len(cli._trial_chunks(trials, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 5 + 3
+    assert len(symmetrized_calls) == 3 * 4 + 3
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
@@ -257,8 +257,8 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
     for points, chunks in ((size - 47, 1), (2 * size + 52, 3)):
         symmetrized_calls.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states (1) and the kernel's 1
-        assert len(symmetrized_calls) == 3 + 2 * chunks
+        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states, and none in the kernel
+        assert len(symmetrized_calls) == 3 + chunks
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -266,7 +266,7 @@ def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     rho, f, v, _ = draw_batch(s, "mix", 1, range(3))
     symmetrized_calls.clear()
     assert verify_batch(rho, f, v, s).errors == [None] * 3
-    assert len(symmetrized_calls) == 3 + 1  # the inputs, then the reduced states
+    assert len(symmetrized_calls) == 3  # the inputs, and nothing the kernel forms
     v = v.copy()
     v[1, 0, 1] += 1e-6
     errors = verify_batch(rho, f, v, s).errors
@@ -281,20 +281,10 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
     symmetrized_calls.clear()
     _one_row(moments._power_stage, rho.mat, f.mat, v.mat)
     assert symmetrized_calls == []  # F (x) 1 is not checked again
-    compute_moments(rho, f, v, s)
-    assert symmetrized_calls == [(1, 2, 2)]  # the reduced state
-    # the reduced state; not rho, F, V, dF or dV, and no sqrt(rho) is formed
-    for stage in (decomposition_terms, verify_instance):
-        symmetrized_calls.clear()
+    # not rho, F, V, rho_W, dF or dV, and no sqrt(rho) is formed
+    for stage in (compute_moments, decomposition_terms, verify_instance):
         stage(rho, f, v, s)
-        assert symmetrized_calls == [(1, 2, 2)], stage.__name__
-
-
-# the kernel's checks after the state's, at D = 4 and d_w = 2: reduced states
-# only; F, dF = F - <F> and dV = V - <V> are exactly Hermitian shifts of
-# checked inputs and are not checked again, no F^2 or V^2 is formed, and the
-# sandwich traces come from Cov, with no D x D sqrt(rho)
-KERNEL_CHECK_SHAPES = [(2, 2)]
+        assert symmetrized_calls == [], stage.__name__
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
@@ -303,8 +293,9 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
     for n in (size, 76):  # two chunks; each draw checks its pure and mixed states, F and V
-        want += [(n // 2, 4, 4), (n // 2, 4, 4)]
-        want += [(n, *shape) for shape in [(2, 2), (4, 4)] + KERNEL_CHECK_SHAPES]
+        # and the kernel checks nothing it forms: rho_W is a partial trace of a
+        # checked state, dF and dV are exactly Hermitian shifts of checked inputs
+        want += [(n // 2, 4, 4), (n // 2, 4, 4), (n, 2, 2), (n, 4, 4)]
     want += [(1, 4, 4), (1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
     assert symmetrized_calls == want
 
@@ -314,10 +305,9 @@ def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     symmetrized_calls.clear()
     size = batch_rows(4)
     trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, size + 76))
-    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then per chunk the states
-    want = [(1, 4, 4), (1, 4, 4), (1, 4, 4)]
-    for n in (size, 76):
-        want += [(n, *shape) for shape in [(4, 4)] + KERNEL_CHECK_SHAPES]
+    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then per chunk the
+    # states, and nothing in the kernel
+    want = [(1, 4, 4), (1, 4, 4), (1, 4, 4)] + [(n, 4, 4) for n in (size, 76)]
     assert symmetrized_calls == want
 
 

@@ -2,14 +2,15 @@
 
 A drawn state is decomposed once: on its thin D x r factor where r < D
 (the unit ket itself at r = 1), else by `eigvalsh`, with `eigh` only for a
-row whose smallest eigenvalue is below 1e-12; the kernel decomposes no full
-state. A trajectory decomposes only its initial state: U(t) carries rho0's
+row whose smallest eigenvalue is below 1e-12; the kernel decomposes
+nothing. A trajectory decomposes only its initial state: U(t) carries rho0's
 eigenpairs to every grid point. `density_stack` checks eigenpairs it is
 given, the thin factors and the carried pairs, for reconstruction and
 orthonormality, so a corrupted factor fails its row there.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from qbattery.operators import (
     eig_stack,
     to_matrix_literal,
 )
+from test_exact_terms import GATE_BOUNDS, exact, exact_columns
 
 MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
 
@@ -90,10 +92,10 @@ def test_verify_decomposes_each_state_once(tmp_path, eigh_shapes, svd_shapes, ei
     out = tmp_path / "o.json"
     assert main(["verify", "--dims", dims, "--trials", str(trials), *extra, "--out", str(out)]) == 0
     # each chunk's states are decomposed in the draw's state check, then the
-    # one-row redraw of the reported instance's; the rest are reduced battery
-    # states. No D x D eigh runs: a drawn state's smallest eigenvalue is
-    # below 1e-12 only where its factor is thin.
-    assert [x for x in eigh_shapes if x[-1] == s.dim] == []
+    # one-row redraw of the reported instance's; the kernel decomposes
+    # nothing. No eigh runs: a drawn state's smallest eigenvalue is below
+    # 1e-12 only where its factor is thin.
+    assert eigh_shapes == []
     worst_kind = json.loads(out.read_text())["worst_case"]["kind"]
     redraw = [(1, s.dim, s.dim)] if worst_kind == "ginibre" else []
     if "--rank" in extra:
@@ -118,8 +120,9 @@ def test_trajectory_decomposes_each_state_once(eigh_shapes):
     grid = np.linspace(0.0, 3.0, 2100)
     eigh_shapes.clear()  # building rho0 checked it
     trajectory_report(rho0, h, f, grid)
-    # H and rho0 once each; the propagated states carry rho0's eigenpairs
-    assert [x for x in eigh_shapes if x[-1] == s.dim] == [(1, 4, 4), (1, 4, 4)]
+    # H and rho0 once each; the propagated states carry rho0's eigenpairs, and
+    # the kernel decomposes nothing
+    assert eigh_shapes == [(1, 4, 4), (1, 4, 4)]
 
 
 def batch_values(batch):
@@ -266,6 +269,12 @@ def carried_scenario(name):
     return parse_scenario(builtin_exchange_scenario(steps=40)) if found is None else scenario(*found)
 
 
+def exact_ratio_error(rho, f, v, s, ratio):
+    """|ratio - the saturation ratio of (rho, F, V)|, the latter taken exactly in Fractions."""
+    want = exact_columns(exact(rho), exact(f), exact(v), s.env_dim)["saturation_ratio"]
+    return abs(float(Fraction(float(ratio)) - want))
+
+
 @pytest.mark.parametrize("name", CARRIED_SCENARIOS)
 def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
     rho0, h, f, grid = carried_scenario(name)
@@ -275,17 +284,29 @@ def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
     # the reference: the same states, each decomposed again by density_stack's own eigh
     (w,), (vec,) = _one_row(eig_stack, h.total().mat)
     _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
-    states, _ = dynamics._evolved(w, vec, (p0, q0), grid)
+    evolved = dynamics._evolved(w, vec, (p0, q0), grid)
     n = len(grid)
     rows = RowErrors(n)
-    states = density_stack(rows, states)[0]
+    states = density_stack(rows, evolved[0])[0]
     want = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                         np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
     assert rows == want.errors == [None] * n
     got = batch_values(traj.report)
     for field, values in batch_values(want).items():
         diff = np.abs(got[field] - values)
-        assert np.all(diff <= 1e-12 * np.maximum(np.abs(values), 1.0)), field
+        close = diff <= 1e-12 * np.maximum(np.abs(values), 1.0)
+        if field == "saturation_ratio" and s.dim <= 4:
+            # The two routes normalise and clamp their states on different
+            # eigenvalues, so the states differ in their last bits; at D <= 4
+            # a ratio near 1 carries that into its 12th digit (at D2-rank1's
+            # point 3 the two states' exact ratios differ by 6.9e-12). There
+            # each route's ratio is held to its own state's exact value.
+            carried = density_stack(RowErrors(n), *evolved)[0]
+            for i in np.flatnonzero(~close):
+                close[i] = all(exact_ratio_error(rho[i], f.mat, h.v.mat, s, ratio[i])
+                               <= GATE_BOUNDS["saturation_ratio"][0]
+                               for rho, ratio in ((carried, got[field]), (states, values)))
+        assert np.all(close), field
 
 
 def test_carried_spectrum_is_rho0s(monkeypatch):

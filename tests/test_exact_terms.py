@@ -9,9 +9,9 @@ By the cyclic trace, Tr(sr dF dV sr) = Tr(rho dF dV), so term_fv is
 |Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The kernel takes both as
 |Cov|^2 of its Cov = Tr(rho dF dV); the reference takes the two traces
 separately, each as a trace of products with rho. The accuracy gate takes
-var_V, Cov, the corrected bound, the slack and the saturation ratio of the
-state rho / Tr(rho), whose trace is exactly 1, from the raw moments
-Tr(rho X) / Tr(rho): in exact arithmetic nothing cancels.
+var_F, var_V, Cov, P = 2 Im Cov, the corrected bound, the slack and the
+saturation ratio of the state rho / Tr(rho), whose trace is exactly 1, from
+the raw moments Tr(rho X) / Tr(rho): in exact arithmetic nothing cancels.
 """
 
 from fractions import Fraction
@@ -99,9 +99,9 @@ def matmul(a, b):
 
 
 def exact_columns(rho, f, v, env):
-    """var_v, cov, corrected_bound, slack and saturation_ratio of rho / Tr(rho), exactly.
+    """var_f, var_v, cov, power, corrected_bound, slack and saturation_ratio of rho / Tr(rho), exactly.
 
-    cov is a (re, im) pair; P = 2 Im Cov, and saturation_ratio is P^2 / bound.
+    cov is a (re, im) pair; power is P = 2 Im Cov, and saturation_ratio is P^2 / bound.
     """
     t = sum(rho[i][i][0] for i in range(len(rho)))
     d_w = len(f)
@@ -116,29 +116,37 @@ def exact_columns(rho, f, v, env):
     cov = (fv[0] / t - mean_f * mean_v, fv[1] / t)
     bound = 2 * (var_f * var_v - (cov[0] ** 2 - cov[1] ** 2))
     power_sq = 4 * cov[1] ** 2
-    return {"var_f": var_f, "var_v": var_v, "cov": cov, "corrected_bound": bound,
+    return {"var_f": var_f, "var_v": var_v, "cov": cov, "power": 2 * cov[1], "corrected_bound": bound,
             "slack": bound - power_sq, "saturation_ratio": power_sq / bound}
 
 
+def relative_error(got, want):
+    """|got - want| / |want| for a float `got` and a Fraction `want`."""
+    return abs(float(Fraction(float(got)) - want)) / abs(float(want))
+
+
 def moment_errors(m, i, want):
-    """The error of row i of MomentBatch `m` in var_V, relative to it, and in Cov, to sqrt(var_F var_V)."""
+    """The error of row i of MomentBatch `m` in each variance, relative to it, and in Cov, to sqrt(var_F var_V)."""
     cov = complex(m.cov[i])
     cov_err = abs(complex(float(Fraction(cov.real) - want["cov"][0]),
                           float(Fraction(cov.imag) - want["cov"][1])))
-    return {"var_v": abs(float(Fraction(float(m.var_v[i])) - want["var_v"])) / float(want["var_v"]),
+    return {"var_f": relative_error(m.var_f[i], want["var_f"]),
+            "var_v": relative_error(m.var_v[i], want["var_v"]),
             "cov": cov_err / float(want["var_f"] * want["var_v"]) ** 0.5}
 
 
 def column_errors(batch, i, want):
     """The kernel's error on row i per column, each relative to its own scale.
 
-    var_v relative to itself; Cov to sqrt(var_F var_V), the bound it obeys;
-    the corrected bound and the slack to var_F var_V, of which they are a
-    cancelling difference; the ratio, in [0, 1], absolutely.
+    The variances relative to themselves; Cov and P to sqrt(var_F var_V),
+    the bound they obey (|P| <= 2 |Cov|); the corrected bound and the slack
+    to var_F var_V, of which they are a cancelling difference; the ratio, in
+    [0, 1], absolutely.
     """
     product = float(want["var_f"] * want["var_v"])
     return {
         **moment_errors(batch.moments, i, want),
+        "power": abs(float(Fraction(float(batch.power[i])) - want["power"])) / product**0.5,
         **{k: abs(float(Fraction(float(getattr(batch, k)[i])) - want[k])) / product
            for k in ("corrected_bound", "slack")},
         "saturation_ratio": abs(float(Fraction(float(batch.saturation_ratio[i])) - want["saturation_ratio"])),
@@ -152,23 +160,28 @@ GATE_FAMILIES = ([(dims, kind, rank, 12) for dims in ((2, 1, 1, 1), (2, 2, 1, 1)
                  + [((2, 1, 1, 1), "haar", None, 200)])
 
 # (max, mean) of each column's error over every row of GATE_FAMILIES, with
-# var_V and Cov taken as traces with rho, Tr(rho dV dV) and Tr(rho dF dV).
+# every moment taken as a trace of the centred operators, Tr(rho_W dF dF),
+# Tr(rho dV dV) and Tr(rho dF dV), and P as -i Tr([rho, dF] dV).
 # Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the
 # largest over its default, Haswell, Sandybridge, Nehalem and Zen kernels
 # (OPENBLAS_CORETYPE), rounded up to two digits:
+#   var_f            5.9e-15 / 2.6e-16
 #   var_v            8.6e-14 / 5.6e-16
 #   cov              3.7e-15 / 1.9e-16
-#   corrected_bound  1.7e-13 / 2.1e-15
-#   slack            1.8e-13 / 2.2e-15
-#   saturation_ratio 6.5e-12 / 4.3e-14
+#   power            1.1e-15 / 1.7e-16
+#   corrected_bound  1.7e-13 / 1.6e-15
+#   slack            1.7e-13 / 1.7e-15
+#   saturation_ratio 3.9e-12 / 2.6e-14
 # Each bound is the smallest one-digit number at least 1.1 times its error.
 # A bound may only get stricter.
 GATE_BOUNDS = {
+    "var_f": (7e-15, 3e-16),
     "var_v": (1e-13, 7e-16),
     "cov": (5e-15, 3e-16),
-    "corrected_bound": (2e-13, 3e-15),
-    "slack": (2e-13, 3e-15),
-    "saturation_ratio": (8e-12, 5e-14),
+    "power": (2e-15, 2e-16),
+    "corrected_bound": (2e-13, 2e-15),
+    "slack": (2e-13, 2e-15),
+    "saturation_ratio": (5e-12, 3e-14),
 }
 
 
@@ -197,8 +210,8 @@ def test_moment_columns_stay_within_the_exact_reference_gate():
 
 
 def test_moments_of_shifted_operators_match_the_exact_values():
-    # F and V + 1e6 I: dF and dV are formed before any product, so var_V and
-    # Cov keep to round-off of their own scale, not of the shift's
+    # F and V + 1e6 I: dF and dV are formed before any product, so var_F,
+    # var_V and Cov keep to round-off of their own scale, not of the shift's
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, _ = draw_batch(s, "mix", 42, range(24))
     f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)

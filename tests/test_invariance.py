@@ -6,10 +6,8 @@ and a c when F -> aF and V -> cV, and the saturation ratio does not change;
 and nothing changes under a unitary on the environment or a change of
 battery basis. The kernel must show this in float64: within the ranges
 below no row is rejected for the size of its operators, and no row is
-falsified by round-off. The exception is a rare row of a c > 10 whose power
-is small against a c: there the shift row's absolute floor,
-1e-10 * (1 + |P|), no longer scales with F and V, and about one row in
-40,000 (a and c log-uniform in 1e-6...1e6) fails it.
+falsified by round-off. (Of 80,000 rows with a and c log-uniform in
+1e-6...1e6, and of 38,400 at its four corners, none failed a check.)
 
 Round-off is measured against the scale of each quantity: <F^2> for var_F,
 <V^2> for var_V, and sigma = sqrt(<F^2> <V^2>) for P and Cov.
@@ -23,7 +21,7 @@ from hypothesis import strategies as st
 
 from qbattery.ensembles import draw_batch
 from qbattery.moments import verify_batch
-from qbattery.operators import RejectedInputError, TensorStructure
+from qbattery.operators import TensorStructure
 
 ROWS = 16
 instances = st.tuples(
@@ -49,9 +47,9 @@ def values(batch):
                            f2=f2, v2=v2, sigma=np.sqrt(f2 * v2))
 
 
-def assert_close(got, want, tol, rows=slice(None)):
-    err = np.abs(got - want)[rows]
-    tol = np.broadcast_to(tol, np.shape(got))[rows]
+def assert_close(got, want, tol):
+    err = np.abs(got - want)
+    tol = np.broadcast_to(tol, np.shape(got))
     assert np.all(err <= tol), f"worst excess {np.max(err / tol)} x tolerance"
 
 
@@ -74,19 +72,16 @@ def test_scaling_f_and_v(case, log_a, log_c):
     a, c = 10.0**log_a, 10.0**log_c
     base, scaled = verify_batch(rho, f, v, s), verify_batch(rho, a * f, c * v, s)
     assert base.errors == [None] * ROWS
-    for err in scaled.errors:
-        assert not isinstance(err, RejectedInputError), err
-        assert err is None or a * c > 10.0, err
-    clean = np.array([err is None for err in scaled.errors])
+    assert scaled.errors == [None] * ROWS
     x, y = values(base), values(scaled)
-    assert_close(y.power / (a * c), x.power, 1e-12 * x.sigma, clean)
-    assert_close(y.var_f / a**2, x.var_f, 1e-12 * x.f2, clean)
-    assert_close(y.var_v / c**2, x.var_v, 1e-12 * x.v2, clean)
-    assert_close(np.abs(y.cov) / (a * c), np.abs(x.cov), 1e-12 * x.sigma, clean)
+    assert_close(y.power / (a * c), x.power, 1e-12 * x.sigma)
+    assert_close(y.var_f / a**2, x.var_f, 1e-12 * x.f2)
+    assert_close(y.var_v / c**2, x.var_v, 1e-12 * x.v2)
+    assert_close(np.abs(y.cov) / (a * c), np.abs(x.cov), 1e-12 * x.sigma)
     # the ratio's round-off grows as the bound, a difference, cancels
     cancellation = np.divide(x.var_f * x.var_v + np.abs(x.cov) ** 2, x.bound,
                              out=np.full(ROWS, np.inf), where=x.bound > 0.0)
-    assert_close(y.ratio, x.ratio, 1e-9 * (1.0 + cancellation), clean)
+    assert_close(y.ratio, x.ratio, 1e-9 * (1.0 + cancellation))
 
 
 def test_scaling_f_and_v_up_falsifies_no_row():
@@ -102,15 +97,18 @@ def test_scaling_f_and_v_up_falsifies_no_row():
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=instances, b=st.floats(-1e4, 1e4), d=st.floats(-1e4, 1e4))
+@given(case=instances, b=st.floats(-1e10, 1e10), d=st.floats(-1e10, 1e10))
 def test_shifting_f_and_v(case, b, d):
+    # F + bI and V + dI round their diagonals at the scale of b and d, and
+    # dF and dV keep that error: the worst of 80,000 rows, under three OpenBLAS
+    # kernels, was 1.2e-15 (1 + |b| + |d|)
     s, rho, f, v = drawn(case)
     base = verify_batch(rho, f, v, s)
     shifted = verify_batch(rho, f + b * np.eye(s.d_w), v + d * np.eye(s.dim), s)
     assert base.errors == [None] * ROWS
     assert shifted.errors == [None] * ROWS
     x, y = values(base), values(shifted)
-    rtol = 1e-13 * (1.0 + abs(b) + abs(d))
+    rtol = 5e-15 * (1.0 + abs(b) + abs(d))
     assert_close(y.power, x.power, rtol * x.sigma)
     assert_close(y.var_f, x.var_f, rtol * x.f2)
     assert_close(y.var_v, x.var_v, rtol * x.v2)

@@ -455,29 +455,36 @@ def test_kernel_rows_do_not_depend_on_the_batch(dims):
         assert np.array_equal(whole[name], np.concatenate([head[name], tail[name]])), name
 
 
-def shifted_failing_instance(s):
-    """A drawn instance, with F and V shifted by 1e6 I, that `verify_instance` rejects.
+def conjugate_cov_of(monkeypatch, state):
+    """Mutate the kernel's Cov to its conjugate Tr(rho dV dF) on the rows whose rho is `state`.
 
-    The shift makes the commutator-shift identity fail on some draws through
-    round-off in the raw commutator Tr([rho, F (x) 1] V), whose two products
-    grow with the shift while their difference does not; the centred route
-    does not see the shift. Returns (rho, F, V, the error message).
+    There 2 Im Cov = -P, so such a row fails the commutator-shift identity
+    wherever P != 0; no other row changes.
     """
-    shift = 1e6
-    for trial in range(100):
-        rho, f, v, _ = draw_instance(s, "mix", 42, trial)
-        f = HermitianOperator(f.mat + shift * np.eye(s.d_w))
-        v = HermitianOperator(v.mat + shift * np.eye(s.dim))
-        try:
-            verify_instance(rho, f, v, s)
-        except NumericalIntegrityError as exc:
-            return rho, f, v, str(exc)
-    pytest.fail("no draw failed")
+    real = moments._cov
+
+    def cov(rho, df, dv):
+        c = real(rho, df, dv)
+        return np.where((rho == state).all(axis=(-2, -1)), c.conj(), c)
+
+    monkeypatch.setattr(moments, "_cov", cov)
 
 
-def test_failing_row_reports_its_own_error_and_spares_the_others():
+def failing_instance(monkeypatch, s):
+    """A drawn instance that `verify_instance` rejects under `conjugate_cov_of`, and its error message.
+
+    Trial 10 at seed 42: not among the trials `drawn_stacks` draws by default.
+    """
+    rho, f, v, _ = draw_instance(s, "mix", 42, 10)
+    conjugate_cov_of(monkeypatch, rho.mat)
+    with pytest.raises(NumericalIntegrityError) as exc:
+        verify_instance(rho, f, v, s)
+    return rho, f, v, str(exc.value)
+
+
+def test_failing_row_reports_its_own_error_and_spares_the_others(monkeypatch):
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, message = shifted_failing_instance(s)
+    rho, f, v, message = failing_instance(monkeypatch, s)
     rho_s, f_s, v_s = drawn_stacks(s, "mix", 5)
     clean = kernel_fields(verify_batch(rho_s, f_s, v_s, s))
     at = 2
@@ -520,11 +527,11 @@ def test_kernel_rejects_non_finite_inputs(bad):
             assert np.array_equal(np.delete(values, k + 1), np.delete(clean[name], k + 1)), name
 
 
-def test_power_and_terms_raise_only_for_their_own_checks():
-    # The shifted instance fails an identity of the full chain, but none of
+def test_power_and_terms_raise_only_for_their_own_checks(monkeypatch):
+    # The mutated instance fails an identity of the full chain, but none of
     # the checks the power stage and decomposition_terms make themselves.
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, message = shifted_failing_instance(s)
+    rho, f, v, message = failing_instance(monkeypatch, s)
     assert "commutator-shift" in message
     want = reference_chain(rho.mat, f.mat, v.mat, s)
     assert abs(charging_power(rho, f, v) - want["power"]) <= 1e-6
