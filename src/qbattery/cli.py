@@ -37,7 +37,7 @@ from .dynamics import (  # noqa: F401  trajectory_rows: a name bench/tracer.py p
     trajectory_report,
     trajectory_rows,
 )
-from .ensembles import (  # noqa: F401  draw_instance: a name bench/tracer.py patches here
+from .ensembles import (
     SeedSpec,
     battery_eigenstate_product,
     draw_batch,
@@ -247,20 +247,27 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 
 
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
-    """Draw the chunk's trials as stacks, then verify them in one batch.
+    """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
-    The draws' states passed DensityMatrix's checks (on the thin SVD factors
-    of a Haar or rank-deficient Ginibre state, which `density_stack` checked
-    as they entered), so the kernel skips its input check. Returns the kinds,
-    each row's first failed check, and an (N, 15) array of the values in
-    TRIAL_COLUMNS after "trial" and "kind".
+    The draws' factors passed `factor_stack`'s checks and F and V
+    HermitianOperator's, so the kernel takes them as they are. Returns the
+    kinds, each row's first failed check, an (N, 15) array of the values in
+    TRIAL_COLUMNS after "trial" and "kind", and the seconds spent drawing
+    and in the kernel.
     """
-    *stacks, kinds = draw_batch(structure, kind, seed, trials, rank)
-    batch = _verify_checked(*stacks, structure)
-    m = batch.moments
-    # a ReportBatch holds REPORT_FIELDS after its moments; a MomentBatch starts
-    # with mean_f, mean_v, var_f and var_v
-    return kinds, batch.errors, np.stack([*batch[1:], *m[:4], m.cov.real, m.cov.imag], axis=1)
+    started = time.perf_counter()
+    groups, kinds = draw_batch(structure, kind, seed, trials, rank)
+    drawn = time.perf_counter()
+    errors, values = [None] * len(kinds), np.empty((len(kinds), len(TRIAL_COLUMNS) - 2))
+    for rows, *stacks in groups:
+        batch = _verify_checked(*stacks, structure)
+        m = batch.moments
+        # a ReportBatch holds REPORT_FIELDS after its moments; a MomentBatch starts
+        # with mean_f, mean_v, var_f and var_v
+        values[rows] = np.stack([*batch[1:], *m[:4], m.cov.real, m.cov.imag], axis=1)
+        for k, err in zip(rows, batch.errors):
+            errors[k] = err
+    return kinds, errors, values, (drawn - started, time.perf_counter() - drawn)
 
 
 # The trials CSV is formatted and written a block of rows at a time. Peak RSS
@@ -302,6 +309,7 @@ def cmd_verify(args) -> int:
         kinds += chunk[0]
         errors += chunk[1]
         values.append(chunk[2])
+    draw, kernel = sum((np.array(chunk[3]) for chunk in chunks), np.zeros(2)).tolist()
     for err in errors:
         if err is not None and not isinstance(err, NumericalIntegrityError):
             raise err
@@ -328,16 +336,17 @@ def cmd_verify(args) -> int:
         case = {"violation": str(errors[worst])}
     if errors:
         # a trial's draw depends only on (seed, trial), so its matrices are drawn again
-        rho, f, v, _ = draw_batch(structure, kind, args.seed, [worst], args.rank)
-        instance = {"rho": DensityMatrix.wrap_checked(rho[0]), "f": HermitianOperator.wrap_checked(f[0]),
-                    "v": HermitianOperator.wrap_checked(v[0])}
+        rho, f, v, _ = draw_instance(structure, kind, args.seed, worst, args.rank)
+        instance = {"rho": rho, "f": f, "v": v}
         case.update({"instance": instance} if violations else instance)
         summary["worst_case"] = {"trial": worst, "kind": kinds[worst], **case}
 
     _write_file(args.out, _json_bytes(summary))
     if args.format == "csv":
         _write_file(args.out + ".trials.csv", _trial_csv(clean.tolist(), kinds, rows))
-    stages = {"chunks": pooled - started, "report": time.perf_counter() - pooled}
+    # draw and kernel: each chunk's seconds in draw_batch and in the kernel, summed over chunks
+    stages = {"chunks": pooled - started, "draw": draw, "kernel": kernel,
+              "report": time.perf_counter() - pooled}
 
     _write_manifest(args, started, stage_seconds=stages)
 
@@ -478,7 +487,7 @@ _DEMO_CASES = {
 def cmd_demo(args) -> int:
     started = time.perf_counter()
     s, rho, f, v, checks = _DEMO_CASES[args.case](args.seed)
-    batch = _verify_checked(rho.mat[None], f.mat[None], v.mat[None], s)
+    batch = _verify_checked(rho.factor[None], f.mat[None], v.mat[None], s)
     batch.errors.raise_first()
     report, moments = batch.row(0), batch.moments.row(0)
     results = [(name, bool(fn(report, moments))) for name, fn in checks]

@@ -3,9 +3,10 @@
 The composite evolves under H = H0 + V by unitary conjugation with
 U(t) = exp(-i H t), built from one spectral decomposition of H; there is no
 integrator error to disentangle from bound diagnostics. The initial state is
-decomposed once too: U(t) carries its eigenvectors and leaves its spectrum
-as it is, so the state at every grid point comes with its eigenpairs: the
-point's state check verifies them and judges positivity on them. Power is
+decomposed once too, as rho0 = q0 diag(p0) q0^dag: U(t) carries its
+eigenvectors and leaves its spectrum as it is, so the state at every grid
+point is handed to the kernel as its factor U(t) q0 sqrt(p0), after a check
+that the carried U(t) q0 are orthonormal. Power is
 always evaluated with the interaction V alone. When H0 commutes with the
 embedded battery operator the power equals d<F>/dt, and trajectories carry a
 central finite-difference estimate of that derivative for cross-checking;
@@ -41,6 +42,7 @@ from .operators import (
     eig_stack,
     embed_battery_op,
     hermitian_from_literal,
+    orthonormal_stack,
 )
 
 COMMUTE_TOL = 1e-10
@@ -97,16 +99,9 @@ class Trajectory:
         return [x.tolist() for x in values] + [[None, *self.dfdt_fd.tolist(), None]]
 
 
-def _evolved(w: np.ndarray, vec: np.ndarray, factors, times: np.ndarray):
-    """States U(t) rho0 U(t)^dag over `times` and their eigenpairs (p0, U(t) q0).
-
-    U(t) = exp(-i H t), from H = vec diag(w) vec^dag, and `factors` are the
-    eigenpairs (p0, q0) of rho0: each state is built as (u_t p0) u_t^dag with
-    u_t = U(t) q0, so it has the factors returned, whatever rho0's rank.
-    """
-    p0, q0 = factors
-    u = (vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ (vec.conj().T @ q0)
-    return (u * p0) @ u.conj().swapaxes(-1, -2), (np.broadcast_to(p0, (len(times), len(p0))), u)
+def _evolved(w: np.ndarray, vec: np.ndarray, q0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """U(t) q0 over `times`, with U(t) = exp(-i H t) from H = vec diag(w) vec^dag."""
+    return (vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ (vec.conj().T @ q0)
 
 
 def trajectory_report(
@@ -121,12 +116,11 @@ def trajectory_report(
     so the interior finite differences exist; `dfdt_fd` has none at the
     endpoints. rho0 is decomposed once, by DensityMatrix's checks, and its
     eigenpairs (p0, q0) are carried through the evolution: the state at t
-    has the spectrum p0 and the eigenvectors U(t) q0, so no state is
-    decomposed again. The grid is evolved and verified in batches of
-    `batch_rows(D)` points; every state passes DensityMatrix's checks, on its
-    carried eigenvalues, before any point is verified, and `density_stack`
-    checks there that the carried pairs reconstruct the state and are
-    orthonormal. The first failed check of the earliest failing point
+    has the spectrum p0 and the eigenvectors U(t) q0, and the kernel takes
+    its factor U(t) q0 sqrt(p0), so no state is formed or decomposed again.
+    The grid is evolved and verified in batches of `batch_rows(D)` points;
+    every point's carried U(t) q0 passes an orthonormality check before any
+    point is verified. The first failed check of the earliest failing point
     raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.
@@ -154,11 +148,12 @@ def trajectory_report(
         block = times[start : start + size]
         n = len(block)
         rows = RowErrors(n)
-        states = density_stack(rows, *_evolved(w, vec, (p0, q0), block))[0]
+        u = _evolved(w, vec, q0, block)
+        orthonormal_stack(rows, u)
         rows.raise_first()
-        batch = _verify_checked(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+        batch = _verify_checked(u * np.sqrt(p0), np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                                 np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
-        # a later chunk's DensityMatrix error outranks this chunk's first
+        # a later chunk's orthonormality error outranks this chunk's first
         # verification error (states are checked before points are verified)
         failed = failed or next((e for e in batch.errors if e is not None), None)
         batches.append(batch)

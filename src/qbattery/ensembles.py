@@ -12,19 +12,15 @@ and an empty buffer, which is the state of a fresh generator with that key;
 it then checks each stack once. The other draws are one-row calls of the
 same code.
 
-A state is drawn as K K^dag / Tr(K K^dag) from a complex Gaussian factor K:
+A state is drawn as its factor Q = K / |K|_F from a complex Gaussian K:
 D x 1 for Haar, D x r for Ginibre at rank r; `mix` draws trial t as `haar`
-for even t and as `ginibre` for odd t. Each kind's rows are checked as a
-stack of their own, on the cheapest exact decomposition of their factor, so
-a `mix` row is its kind's ensemble row bit for bit. Where K is thin (r < D),
-the state's eigenpairs come from the thin SVD K = U S W^dag, as
-w = S^2 / sum(S^2) and u = U, which at r = 1 is w = 1 and u = K / |K|, no
-SVD run; `density_stack` checks the state on them and checks that they
-reconstruct it and are orthonormal: no D x D `eigh` runs, and no round-off
-eigenvalue below zero is clamped. Where K is square, `eigvalsh` gives the
-eigenvalues and `eigh` runs only for a state whose smallest one is below
-1e-12, the only states its PSD check or clamp can act on. The route depends
-on the trial's kind alone, never on which trials a batch holds.
+for even t and as `ginibre` for odd t. Its state Q Q^dag is Hermitian,
+positive semidefinite and of trace |Q|^2 by construction, so `draw_batch`
+checks Q itself (`factor_stack`: finite entries, trace and purity) and
+forms no D x D state: the moment kernel takes Q. Each kind's rows are drawn
+and checked as a stack of their own, so a `mix` row is its kind's ensemble
+row bit for bit. Only `draw_instance` forms a state, Q Q^dag / Tr, through
+`DensityMatrix.from_factor`.
 """
 
 from collections.abc import Sequence
@@ -39,12 +35,12 @@ from .operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
-    _EIGENVALUES_ONLY,
     _is_integer,
     _one_row,
-    density_stack,
     eig_stack,
+    factor_stack,
     hermitian_stack,
+    norm_sq_stack,
 )
 
 
@@ -98,24 +94,9 @@ def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
     return _Streams(seed.master_seed).complex_normals([seed.stream_index], shape)
 
 
-def _unit_kets(z: np.ndarray) -> np.ndarray:
-    """z / |z| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
-    r, i = z.real[:, None, :], z.imag[:, None, :]
-    # np.linalg.norm of one complex vector sums these two real dot products;
-    # the same sums keep each row bit-identical to DensityMatrix.from_ket
-    return z / np.sqrt(r @ r.swapaxes(-1, -2) + i @ i.swapaxes(-1, -2))[:, 0]
-
-
-def _haar_states(z: np.ndarray) -> np.ndarray:
-    """|psi><psi| per row of kets z (N, dim), normalized as DensityMatrix.from_ket does."""
-    v = _unit_kets(z)
-    return v[:, :, None] * v.conj()[:, None, :]
-
-
-def _ginibre_states(g: np.ndarray) -> np.ndarray:
-    """G G^dag / Tr(G G^dag) per row of g (N, dim, rank)."""
-    w = g @ g.conj().swapaxes(-1, -2)
-    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+def _unit_factors(k: np.ndarray) -> np.ndarray:
+    """K / |K|_F per row of factors k (N, D, r)."""
+    return k / np.sqrt(norm_sq_stack(k))[:, None, None]
 
 
 def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
@@ -126,40 +107,11 @@ def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) * (scale / 2.0)
 
 
-def _state_factors(k: np.ndarray):
-    """What `density_stack` takes for the states K K^dag / Tr of the factors k.
-
-    k holds one factor K per row: (N, D) for Haar kets, (N, D, r) for
-    Ginibre. Where r < D, the states' eigenpairs (w, u) from the thin SVD
-    K = U S W^dag, as w = S^2 / sum(S^2), never negative, and u = U, with r
-    orthonormal columns; at r = 1 that is w = 1 and u = K / |K|, taken
-    without the SVD. A square K's SVD costs no less than `eigh` of its
-    state, and no caller keeps a drawn state's eigenvectors, so for a square
-    K the states are checked on their eigenvalues alone.
-    """
-    k = k.reshape(*k.shape[:2], -1)
-    if k.shape[-1] >= k.shape[-2]:
-        return _EIGENVALUES_ONLY
-    if k.shape[-1] == 1:
-        return np.ones((len(k), 1)), _unit_kets(k[..., 0])[..., None]
-    u, sv, _ = np.linalg.svd(k, full_matrices=False)
-    w = sv * sv
-    return w / w.sum(axis=-1, keepdims=True), u
-
-
-def _one_state(states, k: np.ndarray) -> DensityMatrix:
-    """The state of the one-row factor stack k, checked as a `draw_batch` row of its kind is."""
-    rows = RowErrors(1)
-    rho = density_stack(rows, states(k), _state_factors(k))[0][0]
-    rows.raise_first()
-    return DensityMatrix.wrap_checked(rho)
-
-
 def haar_pure(dim: int, seed: SeedSpec) -> DensityMatrix:
     """Haar-random pure state |psi><psi| (normalized complex Gaussian vector)."""
     if dim < 1:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
-    return _one_state(_haar_states, _one_stream(seed, (dim,)))
+    return DensityMatrix.from_factor(_unit_factors(_one_stream(seed, (dim, 1)))[0])
 
 
 def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
@@ -168,7 +120,7 @@ def ginibre_mixed(dim: int, rank: int, seed: SeedSpec) -> DensityMatrix:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise RejectedInputError(f"rank must be in [1, {dim}], got {rank}")
-    return _one_state(_ginibre_states, _one_stream(seed, (dim, rank)))
+    return DensityMatrix.from_factor(_unit_factors(_one_stream(seed, (dim, rank)))[0])
 
 
 def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
@@ -225,15 +177,15 @@ def draw_batch(
     trials: Sequence[int],
     rank: int | None = None,
     scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The seeded instances of `trials` as stacks: (rho (N,D,D), F (N,d_w,d_w), V (N,D,D), kinds).
+) -> tuple[list, list[str]]:
+    """The seeded instances of `trials`, one stack per state kind drawn: (groups, kinds).
 
-    Row k holds the matrices of ``draw_instance(s, kind, master_seed,
-    trials[k], rank, scale)`` bit for bit, through DensityMatrix's and
-    HermitianOperator's checks (each kind's states on their own factors; see
-    the module docstring); kinds[k] is the state kind it used. A row that
-    fails a check raises the error that drawing the trials one by one would
-    raise first.
+    Each group is (rows, Q (n, D, r), F (n, d_w, d_w), V (n, D, D)) for the
+    rows `rows` of `trials` that drew that kind, in trial order; kinds[k] is
+    the state kind of trials[k]. Q is the factor of the state (see the module
+    docstring), checked by `factor_stack`, and F and V passed
+    HermitianOperator's check. A row that fails a check raises the error
+    that drawing the trials one by one would raise first.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -248,22 +200,21 @@ def draw_batch(
         raise RejectedInputError(f"scale must be positive, got {scale}")
 
     streams = _Streams(master_seed)
-    rho = np.empty((len(bases), s.dim, s.dim), dtype=complex)
     errors = RowErrors(len(bases))
-    for used, states, shape in (("haar", _haar_states, (s.dim,)),
-                                ("ginibre", _ginibre_states, (s.dim, rank))):
+    groups = []
+    for used, width in (("haar", 1), ("ginibre", rank)):
         rows = [k for k, u in enumerate(kinds) if u == used]
         if rows:
-            normals = streams.complex_normals([bases[k] for k in rows], shape)
+            keys = [bases[k] for k in rows]
             checked = RowErrors(len(rows))
-            rho[rows] = density_stack(checked, states(normals), _state_factors(normals))[0]
+            q = factor_stack(checked, _unit_factors(streams.complex_normals(keys, (s.dim, width))))
+            f = _gue_operators(streams.complex_normals([b + 1 for b in keys], (s.d_w, s.d_w)), scale)
+            v = _gue_operators(streams.complex_normals([b + 2 for b in keys], (s.dim, s.dim)), scale)
+            groups.append((rows, q, hermitian_stack(checked, f), hermitian_stack(checked, v)))
             for k, err in zip(rows, checked):
                 errors[k] = err
-    f = _gue_operators(streams.complex_normals([b + 1 for b in bases], (s.d_w, s.d_w)), scale)
-    v = _gue_operators(streams.complex_normals([b + 2 for b in bases], (s.dim, s.dim)), scale)
-    f, v = hermitian_stack(errors, f), hermitian_stack(errors, v)
     errors.raise_first()
-    return rho, f, v, kinds
+    return groups, kinds
 
 
 def draw_instance(
@@ -278,8 +229,10 @@ def draw_instance(
 
     `kind` picks the state ensemble: "haar" (pure), "ginibre" (mixed, with
     `rank`, full by default), or "mix" (alternating per trial parity). F and V
-    are always Gaussian Hermitian at the given scale. A one-row `draw_batch`.
+    are always Gaussian Hermitian at the given scale. A one-row `draw_batch`,
+    whose state Q Q^dag / Tr is formed by `DensityMatrix.from_factor`.
     """
-    rho, f, v, kinds = draw_batch(s, kind, master_seed, [trial], rank, scale)
-    return (DensityMatrix.wrap_checked(rho[0]), HermitianOperator.wrap_checked(f[0]),
-            HermitianOperator.wrap_checked(v[0]), kinds[0])
+    groups, (used,) = draw_batch(s, kind, master_seed, [trial], rank, scale)
+    (_, q, f, v), = groups
+    return (DensityMatrix.from_factor(q[0]), HermitianOperator.wrap_checked(f[0]),
+            HermitianOperator.wrap_checked(v[0]), used)

@@ -14,39 +14,47 @@ with sr = sqrt(rho), and is bounded by
 
     P^2 <= 2 (var_F * var_V - Re[Cov(F,V)^2]).
 
-Every quantity is a trace of the centred operators, formed once: Cov(F,V) =
-Tr(rho dF dV), kept complex and unsymmetrized; var_F = Re Tr(rho_W dF dF)
-in the reduced state rho_W; var_V = Re Tr(rho dV dV); and
-P = -i Tr([rho, dF (x) 1] dV), which is the paper's definition exactly, as
-[rho, cI] = 0. A shift of F or V by a multiple of the identity enters no
-product. P is checked against 2 Im Cov, its value by the covariance.
+The kernel takes each state as a factor Q (D x r) of rho = Q Q^dag / t,
+t = |Q|^2, as every caller holds one: a draw's K / |K|_F, an evolved
+U(t) q0 sqrt(p0), a search's parameters, or u sqrt(w) from a
+DensityMatrix's eigenpairs. With A = (dF (x) 1) Q, B = dV Q and
+<X, Y> = Tr(X^dag Y), every moment is an inner product: var_F = |A|^2 / t,
+var_V = |B|^2 / t and Cov(F,V) = Tr(rho dF dV) = <A, B> / t, kept complex
+and unsymmetrized; <F> and the battery purity are taken on the reduced state
+rho_W = Q_W Q_W^dag / t. That costs O(D^2 r) per row, D^3 only where r = D.
+A shift of F or V by a multiple of the identity enters no product.
 
-By the cyclic trace Tr(sr X sr) = Tr(rho X), so Tr(sr dF dV sr) = Cov and
-Tr(sr dV dF sr) = conj(Cov): the decomposition's three terms are |Cov|^2,
-|Cov|^2 and 2 Re[Cov^2], and are taken so. Their sum is 4 (Im Cov)^2, so
-the decomposition holds exactly when P = 2 Im Cov, which the shift row of
-the check table certifies. No square root or eigendecomposition of rho or
-rho_W is taken. Every identity of the chain is a row of one table,
-`_CHECKS`, checked where the chain reaches it; a clean report certifies the
-algebra numerically.
+The bound is Cauchy-Schwarz for A and B: with mu = Cov / var_F,
+var_F var_V - |Cov|^2 = var_F |B - mu A|^2 / t, so
 
-``verify_batch`` is the one implementation of the chain: it runs over stacks
-of instances and records each row's first failed check instead of raising.
-``verify_instance``, ``compute_moments`` and ``decomposition_terms`` run the
-stage of it that they name on a one-row stack, so each raises only for the
-checks of its own part of the chain. ``MomentBatch.row`` and
+    bound = (2 Im Cov)^2 + slack,    slack = 2 var_F |B - mu A|^2 / t,
+
+and neither term is a difference of nearly equal numbers when the bound
+saturates. P is reported as 2 Im Cov. By the cyclic trace Tr(sr X sr) =
+Tr(rho X), so Tr(sr dF dV sr) = Cov and Tr(sr dV dF sr) = conj(Cov): the
+decomposition's three terms are |Cov|^2, |Cov|^2 and 2 Re[Cov^2], and are
+taken so. Their sum is 4 (Im Cov)^2, so the decomposition holds exactly
+when P = 2 Im Cov, which the shift row of the check table certifies against
+P by the commutator on Q, -i (<Q, (dF (x) 1) B> - <Q, dV A>) / t: a second
+route to P that shares no product with <A, B>. No square root or
+eigendecomposition is taken. Every identity of the chain is a row of one
+table, `_CHECKS`, checked where the chain reaches it; a clean report
+certifies the algebra numerically.
+
+``verify_batch`` is the one implementation of the chain over stacks of
+states: it checks them as DensityMatrix does, takes their factors u sqrt(w)
+and records each row's first failed check instead of raising.
+``_verify_checked`` and ``_moments_checked`` run the chain and its moment
+stage on factor stacks whose states passed a boundary check (the draws, the
+trajectories, the search, a DensityMatrix's factor). ``verify_instance``,
+``compute_moments`` and ``decomposition_terms`` run the stage of it that
+they name on a one-row stack of the DensityMatrix's factor, so each raises
+only for the checks of its own part of the chain. ``MomentBatch.row`` and
 ``ReportBatch.row`` hand out a row that passed them as a plain ``MomentSet``
-or ``PowerBoundReport``; those records check nothing themselves. Only
-``verify_batch`` checks that its inputs are Hermitian: callers whose stacks
-passed a boundary check (the one-instance classes, the ensemble draws, the
-trajectories) call ``_verify_checked``, which skips it.
+or ``PowerBoundReport``; those records check nothing themselves.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
-with rho and dV are contractions over the battery index.
-
-The chain checks nothing it forms. rho's trace and positivity are checked
-where states enter, and rho_W is rho's partial trace as it is; dF and dV are
-real diagonal shifts of exactly Hermitian matrices, so exactly Hermitian.
+with Q and B are contractions over the battery index.
 """
 
 from dataclasses import dataclass, asdict
@@ -62,16 +70,16 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     NumericalIntegrityError,
     RowErrors,
     TensorStructure,
+    _adjoint,
+    density_stack,
     embed_battery_op,
     expectation_stack,
     hermitian_stack,
     matrix_sqrt,
-    partial_trace_stack,
-    purity_stack,
-    trace_product,
+    norm_sq_stack,
 )
 
-VAR_CLAMP_TOL = 1e-10
+VAR_TOL = 1e-10
 
 # Callers stack instances in batches of at most this many complex entries per
 # stacked (N, D, D) operand: large enough to amortise numpy's per-call cost at
@@ -102,13 +110,18 @@ def batch_rows(dim: int) -> int:
 # Every identity of the chain, in the order it is checked: (stage, residual,
 # allowed, message). A row fails where residual > allowed; both are functions
 # of the stage's named arrays, and the message is formatted with the row's
-# values. The report's values are named as its fields (REPORT_FIELDS).
+# values. The report's values are named as its fields (REPORT_FIELDS);
+# `commutator_sq` is the square of P by the commutator on Q, and
+# `paper_bound` the bound by the paper's formula, 2 (var_F var_V - Re Cov^2).
+# Two rows would hold by construction on the reported values, as the Gram
+# bound is a sum of non-negative terms and at least (2 Im Cov)^2: the sign of
+# the bound and P^2 <= bound. They take the other route's value instead.
 _CHECKS = (
-    # the moments: the variances before their clamp, then the inequality on the clamped ones
-    ("moments", lambda x: -x.var_f, lambda x: VAR_CLAMP_TOL,
-     f"var_f = {{var_f!r}} below -{VAR_CLAMP_TOL}"),
-    ("moments", lambda x: -x.var_v, lambda x: VAR_CLAMP_TOL,
-     f"var_v = {{var_v!r}} below -{VAR_CLAMP_TOL}"),
+    # the moments: sums of squares, then Cauchy-Schwarz for the three inner products
+    ("moments", lambda x: -x.var_f, lambda x: VAR_TOL,
+     f"var_f = {{var_f!r}} below -{VAR_TOL}"),
+    ("moments", lambda x: -x.var_v, lambda x: VAR_TOL,
+     f"var_v = {{var_v!r}} below -{VAR_TOL}"),
     ("moments", lambda x: x.cov_sq - x.product, lambda x: 1e-9 * (1.0 + x.product),
      "covariance inequality violated: var_f*var_v = {product!r} < |cov|^2 = {cov_sq!r}"),
     # P by the commutator is real
@@ -118,13 +131,13 @@ _CHECKS = (
     ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
      "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
     # the bounds
-    ("chain", lambda x: -x.corrected_bound, lambda x: 1e-9,
-     "corrected bound is negative: {corrected_bound!r}"),
+    ("chain", lambda x: -x.paper_bound, lambda x: 1e-9,
+     "corrected bound is negative: {paper_bound!r}"),
     ("chain", lambda x: x.corrected_bound - x.loose_bound,
      lambda x: 1e-9 * (1.0 + np.abs(x.corrected_bound)),
      "loose bound {loose_bound!r} below corrected bound {corrected_bound!r}"),
-    ("chain", lambda x: x.power_sq - x.corrected_bound, lambda x: 1e-9 * (1.0 + x.corrected_bound),
-     "power bound violated: power^2 = {power_sq!r} > bound = {corrected_bound!r}"),
+    ("chain", lambda x: x.commutator_sq - x.corrected_bound, lambda x: 1e-9 * (1.0 + x.corrected_bound),
+     "power bound violated: power^2 = {commutator_sq!r} > bound = {corrected_bound!r}"),
     # the report: the ratio is its own residual; a negative or NaN ratio is out of range
     ("report", lambda x: np.where(x.saturation_ratio >= 0.0, x.saturation_ratio, np.inf),
      lambda x: 1.0 + 1e-9, "saturation ratio {saturation_ratio!r} outside [0, 1]"),
@@ -181,7 +194,8 @@ class PowerBoundReport:
 class MomentBatch(NamedTuple):
     """Moments of a stack of instances, one entry per row, and each row's first failed check.
 
-    `purity_w` is Tr(rho_W^2) of the reduced battery state.
+    `purity_w` is Tr(rho_W^2) of the reduced battery state, and `slack` the
+    bound's Gram term 2 var_F |B - mu A|^2 / t (see the module docstring).
     """
 
     mean_f: np.ndarray
@@ -190,6 +204,7 @@ class MomentBatch(NamedTuple):
     var_v: np.ndarray
     cov: np.ndarray
     purity_w: np.ndarray
+    slack: np.ndarray
     errors: RowErrors
 
     def row(self, i: int) -> MomentSet:
@@ -240,62 +255,72 @@ def _battery_left(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (f @ a.reshape(a.shape[0], f.shape[-1], -1)).reshape(a.shape)
 
 
-def _battery_right(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A (F (x) 1) per row, as ((F^T (x) 1) A^T)^T: from the transposes, not the adjoints, of A and F.
+def _times(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X Q per row, X (N, D, D) and factors q (N, D, r).
 
-    The same arithmetic as `_battery_left`, so for exactly Hermitian operands
-    the commutator of the two comes out exactly anti-Hermitian, as it did
-    from the dense products. Returned C-contiguous, as the dense product was,
-    so that the trace taken of it sums in the same order: as a transposed
-    view, P moved in its last bits on 1,225 of 2,000 `mix` rows at D = 4, and
-    its imaginary part at D = 64 grew from 8.0e-16 to 5.2e-15.
+    A ket (r = 1) is multiplied by einsum's sums, not BLAS's matrix-vector
+    kernel: on the exact gate's saturating D = 2 rows the AVX-512 kernel put
+    P's largest error at 2.5e-15, einsum and the other OpenBLAS kernels at
+    1.0e-15. At r = 1 the two cost about the same.
     """
-    at = _battery_left(np.ascontiguousarray(f.swapaxes(-1, -2)), a.swapaxes(-1, -2))
-    return np.ascontiguousarray(at.swapaxes(-1, -2))
+    return np.einsum("nij,njk->nik", x, q) if q.shape[-1] == 1 else x @ q
 
 
-def _checked_stacks(rho, f, v, s: TensorStructure):
-    """The three stacks as complex arrays, after the dimension checks."""
-    rho, f, v = (np.asarray(x, dtype=complex) for x in (rho, f, v))
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<A, B> = Tr(A^dag B) per row of two stacks of the same shape."""
+    return np.einsum("nij,nij->n", a.conj(), b)
+
+
+def _checked_stacks(q, f, v, s: TensorStructure):
+    """The three stacks as complex arrays, after the dimension checks; q holds states or factors."""
+    q, f, v = (np.asarray(x, dtype=complex) for x in (q, f, v))
     if f.shape[1:] != (s.d_w, s.d_w):
         raise DimensionMismatchError(f"battery operator dim {f.shape[-1]} != d_w {s.d_w}")
-    if rho.shape[1:] != (s.dim, s.dim) or v.shape[1:] != (s.dim, s.dim):
+    if q.ndim != 3 or q.shape[1] != s.dim or v.shape[1:] != (s.dim, s.dim):
         raise DimensionMismatchError(
-            f"state/interaction dims ({rho.shape[-1]}, {v.shape[-1]}) != structure dim {s.dim}"
+            f"state/interaction dims ({q.shape[-2]}, {v.shape[-1]}) != structure dim {s.dim}"
         )
-    if not rho.shape[0] == f.shape[0] == v.shape[0]:
-        raise DimensionMismatchError(f"stack lengths differ: {rho.shape[0]}, {f.shape[0]}, {v.shape[0]}")
-    return rho, f, v
+    if not q.shape[0] == f.shape[0] == v.shape[0]:
+        raise DimensionMismatchError(f"stack lengths differ: {q.shape[0]}, {f.shape[0]}, {v.shape[0]}")
+    return q, f, v
 
 
-def _cov(rho, df, dv):
-    """Cov = Tr(rho (dF (x) 1) dV) per row."""
-    return trace_product(rho, _battery_left(df, dv))
+def _gram(a, b, t):
+    """(var_F, var_V, Cov) = (|A|^2, |B|^2, <A, B>) / t."""
+    return norm_sq_stack(a) / t, norm_sq_stack(b) / t, _inner(a, b) / t
 
 
-def _moment_stage(rows: RowErrors, rho, f, v, s: TensorStructure):
-    """The checks and arithmetic of `compute_moments`; returns the MomentBatch, dF and dV.
+def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure):
+    """The checks and arithmetic of `compute_moments` on factors q (N, D, r).
 
-    var_F = Re Tr(rho_W dF dF), var_V = Re Tr(rho dV dV) and Cov = Tr(rho dF dV).
+    Returns the MomentBatch and the power stage's operands. With t = |Q|^2,
+    A = (dF (x) 1) Q and B = dV Q: var_F = |A|^2 / t,
+    var_V = |B|^2 / t, Cov = <A, B> / t and slack = 2 var_F |B - mu A|^2 / t
+    with mu = Cov / var_F (0 where var_F = 0, and so A = 0).
     """
-    rho_w = partial_trace_stack(rho, s)
+    t = norm_sq_stack(q)
+    t = np.where(t > 0.0, t, 1.0)  # a zero factor is a row rejected where it entered
+    qw = q.reshape(len(q), s.d_w, -1)
+    rho_w = qw @ _adjoint(qw) / t[:, None, None]
     mean_f = expectation_stack(rows, rho_w, f)
-    mean_v = expectation_stack(rows, rho, v)
+    mean_v = expectation_stack(rows, _adjoint(q), _times(v, q)) / t
     df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
-    var_f = trace_product(rho_w, df @ df).real
-    var_v = trace_product(rho, dv @ dv).real
-    cov = _cov(rho, df, dv)
-    clamped_f, clamped_v = (np.where(var < 0.0, 0.0, var) for var in (var_f, var_v))
-    _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=clamped_f * clamped_v,
+    a, b = _battery_left(df, q), _times(dv, q)
+    var_f, var_v, cov = _gram(a, b, t)
+    mu = cov / np.where(var_f > 0.0, var_f, 1.0)
+    slack = 2.0 * var_f * norm_sq_stack(b - mu[:, None, None] * a) / t
+    _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=var_f * var_v,
                 cov_sq=np.abs(cov) ** 2)
-    return MomentBatch(mean_f, mean_v, clamped_f, clamped_v, cov, purity_stack(rho_w), rows), df, dv
+    m = MomentBatch(mean_f, mean_v, var_f, var_v, cov, norm_sq_stack(rho_w), slack, rows)
+    return m, (t, a, b, df, dv)
 
 
-def _power_stage(rows: RowErrors, rho, df, dv):
-    """P = -i Tr([rho, dF (x) 1] dV) per row, the paper's P exactly; asserted real to 1e-10."""
-    lhs = _battery_right(rho, df)
-    lhs -= _battery_left(df, rho)
-    raw = -1j * trace_product(lhs, dv)
+def _power_stage(rows: RowErrors, q, t, a, b, df, dv):
+    """P = -i Tr([rho, dF (x) 1] dV) by the commutator on Q, -i (<Q, (dF (x) 1) B> - <Q, dV A>) / t.
+
+    The paper's P exactly, as [rho, cI] = 0; asserted real to 1e-10.
+    """
+    raw = -1j * (_inner(q, _battery_left(df, b)) - _inner(q, _times(dv, a))) / t
     _run_checks(rows, "power", power=raw.real, power_imag=raw.imag)
     return raw.real
 
@@ -306,83 +331,101 @@ def _cov_terms(cov):
     return fv, fv, 2.0 * (cov**2).real
 
 
-def saturation_ratio(power_sq, m, cap=1.0 + 1e-9):
-    """power^2 / corrected_bound(m), capped at `cap`, for a MomentBatch `m`.
+def gram_bound(m: MomentBatch):
+    """The corrected bound as (2 Im Cov)^2 + slack, the Gram form, for a MomentBatch."""
+    return (2.0 * m.cov.imag) ** 2 + m.slack
+
+
+def saturation_ratio(power_sq, m: MomentBatch, cap=1.0 + 1e-9):
+    """power^2 / gram_bound(m), capped at `cap`, for a MomentBatch `m`.
 
     Defined as 0 where the bound is <= 1e-14 * min(1, <F^2> <V^2>), that is,
     within round-off of 0 at the scale of F and V: the cutoff shrinks with F
     and V, so scaling them down leaves the ratio as it is, and it is never
     above an absolute 1e-14.
     """
-    bound = corrected_bound(m)
+    bound = gram_bound(m)
     scale = (m.var_f + m.mean_f**2) * (m.var_v + m.mean_v**2)
     degenerate = bound <= 1e-14 * np.minimum(1.0, scale)
     return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
 
 
-def _chain_stage(rows: RowErrors, rho, f, v, s: TensorStructure) -> ReportBatch:
-    """Every check of the chain after the inputs' Hermiticity, on exactly Hermitian stacks."""
-    m, df, dv = _moment_stage(rows, rho, f, v, s)
-    power = _power_stage(rows, rho, df, dv)
-    _run_checks(rows, "shift", power=power, power_delta=2.0 * m.cov.imag)
+def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure) -> ReportBatch:
+    """Every check of the chain after the inputs' boundary checks, on factor stacks q."""
+    m, operands = _moment_stage(rows, q, f, v, s)
+    commutator = _power_stage(rows, q, *operands)
+    power = 2.0 * m.cov.imag
+    _run_checks(rows, "shift", power=commutator, power_delta=power)
 
     power_sq = power * power
     term_fv, term_vf, term_cross = _cov_terms(m.cov)
-    bound = corrected_bound(m)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
-                         term_vf=term_vf, term_cross=term_cross, corrected_bound=bound,
-                         loose_bound=loose_bound(m), slack=bound - power_sq,
+                         term_vf=term_vf, term_cross=term_cross, corrected_bound=gram_bound(m),
+                         loose_bound=loose_bound(m), slack=m.slack,
                          saturation_ratio=saturation_ratio(power_sq, m))
     values = {k: getattr(report, k) for k in REPORT_FIELDS}
-    _run_checks(rows, "chain", **values)
+    _run_checks(rows, "chain", **values, paper_bound=corrected_bound(m),
+                commutator_sq=commutator * commutator)
     _run_checks(rows, "report", **values)
     return report
 
 
-def _batch(stage, rho, f, v, s: TensorStructure):
+def _batch(stage, q, f, v, s: TensorStructure):
+    q, f, v = _checked_stacks(q, f, v, s)
+    return stage(RowErrors(q.shape[0]), q, f, v, s)
+
+
+def _states_batch(stage, rho, f, v, s: TensorStructure):
+    """`stage` on stacks of states after DensityMatrix's and HermitianOperator's checks, on factors u sqrt(w)."""
     rho, f, v = _checked_stacks(rho, f, v, s)
-    return stage(RowErrors(rho.shape[0]), rho, f, v, s)
+    if rho.shape[2] != s.dim:
+        raise DimensionMismatchError(f"state dims {rho.shape[1:]} != structure dim {s.dim}")
+    rows = RowErrors(rho.shape[0])
+    _, _, (w, u) = density_stack(rows, rho)
+    q = u * np.sqrt(w)[:, None, :]
+    return stage(rows, q, hermitian_stack(rows, f), hermitian_stack(rows, v), s)
 
 
 def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
     """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    The moment stage of `verify_batch`, with the same centred formulas.
-    Precondition: rho, F and V are exactly Hermitian, and rho is a state, as
-    the matrices of HermitianOperator and DensityMatrix and the draws are;
-    nothing is checked again here, neither the inputs nor what the stage
-    forms.
+    The moment stage of `verify_batch`, with its input checks: each row of
+    rho passes DensityMatrix's checks and the kernel takes its factor
+    u sqrt(w); F and V pass HermitianOperator's.
     """
-    return _batch(_moment_stage, rho, f, v, s)[0]
+    return _states_batch(_moment_stage, rho, f, v, s)[0]
 
 
 def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
     """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
 
-    Checks the inputs are Hermitian, not rho's trace or positivity (a row of
-    trace other than 1 is taken as it is), then runs every check of the
-    chain, `_chain_stage`, in its order and at its tolerance, as a mask over
-    the rows: the moments, the power by the commutator, the same power as
-    2 Im Cov, which certifies the square-root decomposition, and the bounds.
-    Rows are independent: a row's values and error do not depend on what
-    else is in the stack.
+    Checks each state as DensityMatrix does (Hermiticity, trace, positivity,
+    purity; a round-off eigenvalue below zero is clamped) and F and V as
+    HermitianOperator does, then runs every check of the chain,
+    `_chain_stage`, on the states' factors u sqrt(w), in its order and at
+    its tolerance, as a mask over the rows: the moments, the power by the
+    commutator, the same power as 2 Im Cov, which certifies the square-root
+    decomposition, and the bounds. Rows are independent: a row's values and
+    error do not depend on what else is in the stack.
     """
-    rho, f, v = _checked_stacks(rho, f, v, s)
-    rows = RowErrors(rho.shape[0])
-    rho, f, v = (hermitian_stack(rows, x) for x in (rho, f, v))
-    return _chain_stage(rows, rho, f, v, s)
+    return _states_batch(_chain_stage, rho, f, v, s)
 
 
-def _verify_checked(rho, f, v, s: TensorStructure) -> ReportBatch:
-    """`verify_batch` on stacks that DensityMatrix's and HermitianOperator's checks passed.
+def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
+    """The chain on factor stacks q (N, D, r) whose states, and F and V, passed a boundary check.
 
-    Such stacks are exactly Hermitian: (A + A^dag)/2 is, and so is an exactly
-    Hermitian matrix divided by a real trace. `verify_batch`'s input check
-    would hand them back as they are, so it is skipped; every check of the
-    chain after it runs. The draws, the trajectory states and the search's
-    final candidate come this way.
+    `factor_stack`'s, DensityMatrix's or the trajectory's orthonormality
+    check for q, HermitianOperator's for F and V, which hand back exactly
+    Hermitian matrices. Every check of the chain runs. The draws, the
+    trajectory states, the search's final candidate and the demo come this
+    way.
     """
-    return _batch(_chain_stage, rho, f, v, s)
+    return _batch(_chain_stage, q, f, v, s)
+
+
+def _moments_checked(q, f, v, s: TensorStructure) -> MomentBatch:
+    """The moment stage on factor stacks that passed a boundary check, as in `_verify_checked`: the search's."""
+    return _batch(_moment_stage, q, f, v, s)[0]
 
 
 def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
@@ -396,9 +439,9 @@ def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
 
 def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
                   s: TensorStructure):
-    """`stage` on one-row stacks of the instance; raises the row's first failed check."""
+    """`stage` on one-row stacks of the instance, rho by its factor; raises the row's first failed check."""
     rows = RowErrors(1)
-    out = stage(rows, *_checked_stacks(rho.mat[None], f.mat[None], v.mat[None], s), s)
+    out = stage(rows, *_checked_stacks(rho.factor[None], f.mat[None], v.mat[None], s), s)
     rows.raise_first()
     return out
 
@@ -430,7 +473,7 @@ def decomposition_terms(
 
 
 def corrected_bound(m):
-    """Upper bound on P^2: 2 (var_F * var_V - Re[cov^2]), for a MomentSet or a MomentBatch."""
+    """Upper bound on P^2 by the paper's formula, 2 (var_F * var_V - Re[cov^2]), for a MomentSet or MomentBatch."""
     return 2.0 * (m.var_f * m.var_v - (m.cov**2).real)
 
 
@@ -444,10 +487,9 @@ def verify_instance(
 ) -> PowerBoundReport:
     """Full verification of one instance: power, moments, decomposition, bounds.
 
-    A one-row call of the chain `verify_batch` runs after its input check:
-    DensityMatrix and HermitianOperator are exactly Hermitian by
-    construction. Raises NumericalIntegrityError naming the violated identity
-    if any link of the chain fails; a returned report means every check
-    passed.
+    A one-row call of the chain on rho's factor: DensityMatrix and
+    HermitianOperator passed their checks at construction. Raises
+    NumericalIntegrityError naming the violated identity if any link of the
+    chain fails; a returned report means every check passed.
     """
     return _one_instance(_chain_stage, rho, f, v, s).row(0)

@@ -18,18 +18,13 @@ finite and exactly Hermitian, since (A + A^dag)/2 is, and so is a real
 diagonal shift or a real multiple of it; code that only shifts or scales such
 a matrix does not check it again.
 
-A state is decomposed at most once. `density_stack` judges positivity on
-eigenpairs: `eigh`'s own, or eigenpairs computed elsewhere that it is given.
-`dynamics` carries the initial state's through the evolution, so that a
-trajectory decomposes only its initial state, and the ensembles give a
-draw K K^dag / Tr with a thin D x r factor K the thin SVD of K (K / |K| at
-r = 1), so that no D x D `eigh` runs for it. A draw with a square K, whose
-eigenvectors no caller uses, is judged on `eigvalsh`'s eigenvalues, with
-`eigh` only for a state whose smallest eigenvalue is below 1e-12. Given
-eigenpairs are checked where they enter: `density_stack` runs `eig_stack`'s
-reconstruction and orthonormality checks on them, so a corrupted factor
-fails its row there. Thin factors have r < D orthonormal columns, and every
-check takes them as they are.
+A state enters either as a matrix or as a factor. `density_stack` judges a
+matrix on its `eigh` eigenpairs (w, u), and its factor is u sqrt(w). A
+state drawn or built as Q Q^dag / Tr from a factor Q (D x r) is Hermitian
+and positive semidefinite by construction: `factor_stack` checks Q's
+entries, trace and purity, with DensityMatrix's messages, and decomposes
+nothing. A `DensityMatrix` keeps the factor it was checked on, and the
+moment kernel takes every state as such a factor.
 """
 
 from dataclasses import dataclass
@@ -167,74 +162,78 @@ def hermitian_stack(rows: RowErrors, a: np.ndarray) -> np.ndarray:
     return _symmetrized(rows, a, "matrix is not Hermitian: max|A - A^dag| = {:.3e} > {}")
 
 
-def purity_stack(a: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of each state, as the squared Frobenius norm of its entries."""
-    return (np.abs(a) ** 2).sum(axis=(-2, -1))
+def norm_sq_stack(a: np.ndarray) -> np.ndarray:
+    """|A|^2 = Tr(A^dag A) of each matrix in a stack, as the sum of its entries' squared moduli.
+
+    Tr(rho^2) of a Hermitian rho, and Tr(Q Q^dag) of a factor Q.
+    """
+    return (a.real * a.real + a.imag * a.imag).sum(axis=(-2, -1))
 
 
-# A state whose smallest `eigvalsh` eigenvalue is at least this has no `eigh`
-# eigenvalue below zero: both solvers are backward stable, so on a state they
-# differ by O(D eps), under 1.5e-14 at D = 64.
-_EIGH_BELOW = 1e-12
-# `density_stack`'s `factors` for states whose eigenvectors no caller uses
-_EIGENVALUES_ONLY = object()
+def _check_purity(rows: RowErrors, p: np.ndarray, dim: int) -> None:
+    rows.record(~((1.0 / dim - 1e-10 <= p) & (p <= 1.0 + 1e-10)), lambda i: NumericalIntegrityError(
+        f"purity {float(p[i])!r} outside [1/{dim}, 1]"))
 
 
-def density_stack(rows: RowErrors, a: np.ndarray, factors=None):
+def _check_trace(rows: RowErrors, tr: np.ndarray) -> np.ndarray:
+    """Record the rows whose trace is not 1 within TRACE_INPUT_TOL; returns the traces, 1 on those rows."""
+    bad = np.abs(tr - 1.0) > TRACE_INPUT_TOL
+    rows.record(bad, lambda i: RejectedInputError(
+        f"density matrix trace {tr[i]!r} is not 1 within {TRACE_INPUT_TOL}"))
+    return np.where(bad, 1.0, tr)
+
+
+def density_stack(rows: RowErrors, a: np.ndarray):
     """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
 
     (w, u) are the eigenpairs of the returned states: eigh's own for a row
     left as it was, and (clip(w) / t, u) for a row whose eigenvalues were
-    clamped, t being the trace it was divided by. `factors`, when given, are
-    eigenpairs (w, u) of `a` computed earlier, as a unitary evolution carries
-    them or a thin SVD of a state's factor gives them (u then has r <= D
-    columns); they take the place of the `eigh`. Each row's w is divided by
-    the trace the row is divided by; the PSD check runs on that w, then
-    `eig_stack`'s reconstruction and orthonormality checks on (w, u), then
-    the clamp. So the factors returned describe the returned,
-    trace-normalised states. `eigh`'s own pairs are not checked.
-
-    `factors` = _EIGENVALUES_ONLY is for states whose eigenvectors the caller
-    does not use: w comes from `eigvalsh`, `eigh` runs only on the rows whose
-    smallest eigenvalue is below 1e-12 and takes their w, so every PSD error
-    and clamp is the one `eigh` gives, and u is returned as None.
+    clamped, t being the trace it was divided by. So w is never negative,
+    and u sqrt(w) is a factor of the returned state.
     """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
-    tr = np.trace(a, axis1=-2, axis2=-1).real
-    bad_trace = np.abs(tr - 1.0) > TRACE_INPUT_TOL
-    rows.record(bad_trace, lambda i: RejectedInputError(
-        f"density matrix trace {tr[i]!r} is not 1 within {TRACE_INPUT_TOL}"))
-    tr = np.where(bad_trace, 1.0, tr)
+    tr = _check_trace(rows, np.trace(a, axis1=-2, axis2=-1).real)
     a = a / tr[:, None, None]
-    given = factors is not None and factors is not _EIGENVALUES_ONLY
-    vectors = slice(None)  # the rows whose eigenvectors u holds
-    if given:
-        w, u = factors[0] / tr[:, None], factors[1]
-    elif factors is None:
-        w, u = np.linalg.eigh(a)
-    else:
-        w, u = np.linalg.eigvalsh(a), None
-        vectors = w.min(axis=-1, initial=np.inf) < _EIGH_BELOW
-        if vectors.any():
-            w[vectors], u = np.linalg.eigh(a[vectors])
+    w, u = np.linalg.eigh(a)
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
-    if given:
-        eig_stack(rows, a, (w, u))
     clamp = w_min < 0.0
     if clamp.any():
-        uc, wc = u[clamp[vectors]], np.clip(w[clamp], 0.0, None)
+        uc, wc = u[clamp], np.clip(w[clamp], 0.0, None)
         b = (uc * wc[:, None, :]) @ _adjoint(uc)
         b = (b + _adjoint(b)) / 2.0
         t = np.trace(b, axis1=-2, axis2=-1).real
         a[clamp] = b / t[:, None, None]
         w[clamp] = wc / t[:, None]
-    p = purity_stack(a)
-    dim = a.shape[-1]
-    rows.record(~((1.0 / dim - 1e-10 <= p) & (p <= 1.0 + 1e-10)), lambda i: NumericalIntegrityError(
-        f"purity {float(p[i])!r} outside [1/{dim}, 1]"))
-    return a, p, (w, None if factors is _EIGENVALUES_ONLY else u)
+    p = norm_sq_stack(a)
+    _check_purity(rows, p, a.shape[-1])
+    return a, p, (w, u)
+
+
+def factor_stack(rows: RowErrors, q: np.ndarray) -> np.ndarray:
+    """DensityMatrix's checks of the states Q Q^dag / Tr, over a stack of their factors q (N, D, r).
+
+    Such a state is Hermitian and positive semidefinite by construction, so
+    what is left is checked on Q itself: finite entries, Tr(Q Q^dag) = |Q|^2
+    within TRACE_INPUT_TOL of 1, and the purity |Q^dag Q|^2 / |Q|^4 in
+    [1/D, 1]. No D x D matrix is formed. Returns q, with zeros for a row
+    that has a non-finite entry.
+    """
+    finite = np.isfinite(q).all(axis=(-2, -1))
+    if not finite.all():
+        rows.record(~finite, lambda i: RejectedInputError("matrix has a non-finite entry"))
+        q = np.where(finite[:, None, None], q, 0.0)
+    t = _check_trace(rows, norm_sq_stack(q))
+    _check_purity(rows, norm_sq_stack(_adjoint(q) @ q) / (t * t), q.shape[-2])
+    return q
+
+
+def factor_states(q: np.ndarray) -> np.ndarray:
+    """The states Q Q^dag / Tr of a stack of factors q (N, D, r), exactly Hermitian."""
+    a = q @ _adjoint(q)
+    a = (a + _adjoint(a)) / 2.0
+    return a / np.trace(a, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _one_row(stack_fn, *mats):
@@ -250,9 +249,9 @@ class _CheckedMatrix:
 
     __slots__ = ("mat",)
 
-    def _freeze(self, a: np.ndarray) -> None:
+    def _freeze(self, a: np.ndarray, name: str = "mat") -> None:
         a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
+        object.__setattr__(self, name, a)
 
     @classmethod
     def wrap_checked(cls, a: np.ndarray):
@@ -289,21 +288,34 @@ class HermitianOperator(_CheckedMatrix):
 
 
 class DensityMatrix(_CheckedMatrix):
-    """Positive semidefinite, unit-trace Hermitian matrix.
+    """Positive semidefinite, unit-trace Hermitian matrix, and a factor of it.
 
     Construction symmetrizes, renormalizes the trace, and applies the PSD
     repair policy: eigenvalues in [-1e-10, 0) are clamped to zero (round-off
     from propagation), anything below -1e-10 is rejected as a genuine error.
+    `factor` is u sqrt(w) from the eigenpairs the check computed, or the Q
+    of `from_factor`: a D x r matrix whose factor factor^dag / |factor|^2 is
+    mat to round-off, and which is what the moment kernel takes.
     """
 
-    __slots__ = ()
+    __slots__ = ("factor",)
 
     def __init__(self, mat):
-        self._freeze(_one_row(density_stack, _as_complex_square(mat))[0][0])
+        (a,), _, ((w,), (u,)) = _one_row(density_stack, _as_complex_square(mat))
+        self._freeze(a)
+        self._freeze(u * np.sqrt(w), "factor")
+
+    @classmethod
+    def from_factor(cls, q) -> "DensityMatrix":
+        """The state Q Q^dag / Tr of a factor Q (D x r), checked by `factor_stack`; Q is its factor."""
+        q = _one_row(factor_stack, np.asarray(q, dtype=complex))[0].copy()
+        obj = cls.wrap_checked(factor_states(q[None])[0])
+        obj._freeze(q, "factor")
+        return obj
 
     def purity(self) -> float:
         """Tr(rho^2), computed as the squared Frobenius norm of the entries."""
-        return float(purity_stack(self.mat))
+        return float(norm_sq_stack(self.mat))
 
     @classmethod
     def from_ket(cls, psi) -> "DensityMatrix":
@@ -323,31 +335,24 @@ class DensityMatrix(_CheckedMatrix):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def eig_stack(rows: RowErrors, a: np.ndarray, factors=None) -> tuple[np.ndarray, np.ndarray]:
+def orthonormal_stack(rows: RowErrors, u: np.ndarray) -> None:
+    """Record the rows whose r columns are not orthonormal to 1e-10: max|U^dag U - I_r|."""
+    ortho = _max_abs(_adjoint(u) @ u - np.eye(u.shape[-1]))
+    rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
+        f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))
+
+
+def eig_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked Hermitian eigendecomposition of each matrix in a stack: (w, u).
 
     Verifies reconstruction to 1e-9*(1 + max|A|) and column orthonormality
-    to 1e-10. `factors`, when given, are (w, u) computed elsewhere and take
-    the place of a new `eigh`; they pass the same checks. This is how
-    `density_stack` checks the factors it is given where they enter. They
-    may be any factorisation A = U diag(w) U^dag whose r columns are
-    orthonormal, r <= D: the thin factors of a rank-deficient draw are
-    checked against I_r. A real u, an orthogonal basis, is checked against
-    a complex A as it is.
+    to 1e-10.
     """
-    w, u = np.linalg.eigh(a) if factors is None else factors
-    scale = 1.0 + _max_abs(a)
-    recon = (u * w[..., None, :]) @ _adjoint(u)
-    recon = recon.astype(np.result_type(recon, a), copy=False)
-    recon -= a  # in place: D = 64 stacks are large
-    recon = _max_abs(recon)
-    rows.record(recon > 1e-9 * scale, lambda i: NumericalIntegrityError(
+    w, u = np.linalg.eigh(a)
+    recon = _max_abs((u * w[..., None, :]) @ _adjoint(u) - a)
+    rows.record(recon > 1e-9 * (1.0 + _max_abs(a)), lambda i: NumericalIntegrityError(
         f"eigendecomposition reconstruction error {recon[i]:.3e}"))
-    ortho = _adjoint(u) @ u
-    ortho -= np.eye(u.shape[-1])
-    ortho = _max_abs(ortho)
-    rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
-        f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))
+    orthonormal_stack(rows, u)
     return w, u
 
 

@@ -8,8 +8,11 @@ one coordinate at a time, keep improvements, and halve the step after ten
 consecutive rejections at the current scale. Restarts use independent seeded
 streams and run in lockstep rounds: each round scores the pending moves of
 every live restart in one kernel call, and each restart takes back its own
-rows, so every walk is the one it would take alone. The winner is chosen by
-(objective, restart index), so a fixed config always returns the same result.
+rows, so every walk is the one it would take alone. The winner is the
+lowest-index restart that succeeded, or, when none did, the restart of least
+objective (the lowest index among equals): a fixed config always returns the
+same result, and a last-bit change in the kernel cannot swap one succeeding
+restart for another.
 
 Battery and interaction operators are normalized to unit spectral radius
 inside the parameterization; thresholds are therefore calibrated against
@@ -28,7 +31,7 @@ from .moments import (  # noqa: F401  compute_moments, verify_instance: names be
     MomentSet,
     PowerBoundReport,
     compute_moments,
-    moment_batch,
+    _moments_checked,
     _verify_checked,
     saturation_ratio,
     verify_instance,
@@ -40,6 +43,7 @@ from .operators import (
     RejectedInputError,
     TensorStructure,
     _is_integer,
+    norm_sq_stack,
     to_matrix_literal,
 )
 
@@ -142,10 +146,11 @@ def _unit_spectral(h: np.ndarray) -> np.ndarray:
 
 
 class _Parameterization:
-    """Flat real vectors <-> (rho, F, V) stacks over one structure.
+    """Flat real vectors <-> (Q, F, V) stacks over one structure.
 
-    Layout: state parameters first (2D reals for a pure ket, 2*D*rank for a
-    Ginibre factor), then d_w^2 for F, then D^2 for V. F and V come out with
+    Layout: state parameters first (2D reals for a pure ket, 2*D*D for a
+    Ginibre factor), then d_w^2 for F, then D^2 for V. The state is
+    Q Q^dag for the factor Q = z / |z| or g / |g|_F; F and V come out with
     unit spectral radius.
     """
 
@@ -161,28 +166,19 @@ class _Parameterization:
         self.pack_v = _pack(d)
 
     def build(self, xs: np.ndarray):
-        """(rho, F, V, valid) for a stack of parameter vectors (K, n_params).
+        """(Q, F, V, valid) for a stack of parameter vectors (K, n_params).
 
         Rows with a degenerate state parameterization have valid = False and
-        placeholder matrices.
+        placeholder factors.
         """
-        d = self.s.dim
         raw = xs[:, : self.n_state]
-        z = raw[:, 0::2] + 1j * raw[:, 1::2]
-        if self.pure_state:
-            norm_sq = np.einsum("ki,ki->k", z.conj(), z).real
-            valid = ~(norm_sq < 1e-24)
-            z = z / np.sqrt(np.where(valid, norm_sq, 1.0))[:, None]
-            mat = z[:, :, None] * z.conj()[:, None, :]
-        else:
-            g = z.reshape(-1, d, d)
-            w = g @ g.conj().swapaxes(-1, -2)
-            tr = np.trace(w, axis1=-2, axis2=-1).real
-            valid = ~(tr < 1e-24)
-            mat = w / np.where(valid, tr, 1.0)[:, None, None]
+        z = (raw[:, 0::2] + 1j * raw[:, 1::2]).reshape(len(xs), self.s.dim, -1)
+        norm_sq = norm_sq_stack(z)
+        valid = ~(norm_sq < 1e-24)
+        q = z / np.sqrt(np.where(valid, norm_sq, 1.0))[:, None, None]
         f = _unit_spectral(_hermitian_from_params(xs[:, self.n_state : self.n_state + self.n_f], self.pack_f))
         v = _unit_spectral(_hermitian_from_params(xs[:, self.n_state + self.n_f :], self.pack_v))
-        return mat, f, v, valid
+        return q, f, v, valid
 
 
 def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.ndarray]:
@@ -193,8 +189,8 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
     the final candidate is always re-verified by the whole kernel chain, which
     computes it by the commutator route as well.
     """
-    mat, f, v, valid = param.build(xs)
-    m = moment_batch(mat, f, v, param.s)
+    q, f, v, valid = param.build(xs)
+    m = _moments_checked(q, f, v, param.s)
     return m, valid & np.array([err is None for err in m.errors])
 
 
@@ -294,20 +290,21 @@ def _restart_starts(config: SearchConfig, n_params: int):
 
 
 def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResult:
-    """Every restart in lockstep; the winner by (objective, restart index), verified in one kernel call."""
+    """Every restart in lockstep; the winner (see the module docstring) verified in one kernel call."""
     walks = [_pattern_search(*start) for start in _restart_starts(config, param.n_params)]
     results, rounds = _lockstep(walks, score)
-    best = min(range(len(results)), key=lambda r: (results[r][1], r))
+    # the lowest-index restart that succeeded, else the least objective (the lowest index among equals)
+    best = min(range(len(results)), key=lambda r: (not results[r][3], 0.0 if results[r][3] else results[r][1], r))
     x, objective, _, succeeded = results[best]
-    mat, f, v, valid = param.build(x[None])
+    q, f, v, valid = param.build(x[None])
     if not valid[0]:
         # The walk never accepts a degenerate point over a finite one, so this
         # would take a measure-zero initial draw.
         raise NumericalIntegrityError("search ended on a degenerate state parameterization")
-    rho = DensityMatrix(mat[0])
+    rho = DensityMatrix.from_factor(q[0])
     f_op = HermitianOperator(f[0])
     v_op = HermitianOperator(v[0])
-    batch = _verify_checked(rho.mat[None], f_op.mat[None], v_op.mat[None], config.structure)
+    batch = _verify_checked(rho.factor[None], f_op.mat[None], v_op.mat[None], config.structure)
     batch.errors.raise_first()
     return SearchResult(
         rho=rho,

@@ -7,6 +7,7 @@ library's own verification path.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from qbattery.ensembles import (
     gue_hermitian,
     haar_pure,
 )
-from qbattery.moments import batch_rows, compute_moments, verify_batch, verify_instance
+from qbattery.moments import REPORT_FIELDS, _verify_checked, batch_rows, compute_moments, verify_instance
 from qbattery.operators import DensityMatrix, HermitianOperator, TensorStructure
 from qbattery.search import SearchConfig, SearchThresholds, find_saturating, find_zero_power
+
+from draws import drawn_states
 
 SEED = 42
 TRIALS_PER_STRUCTURE = 10_000
@@ -45,6 +48,18 @@ def _raw_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def _tr(mats: np.ndarray) -> np.ndarray:
     return np.einsum("nii->n", mats)
+
+
+def _verified_in_trial_order(s, trials):
+    """The kernel's report fields over `trials`, each state kind's factors verified as one stack, as verify does."""
+    groups, _ = draw_batch(s, "mix", SEED, trials)
+    out = {}
+    for rows, q, f, v in groups:
+        batch = _verify_checked(q, f, v, s)
+        batch.errors.raise_first()
+        for name in REPORT_FIELDS:
+            out.setdefault(name, np.empty(len(trials)))[rows] = getattr(batch, name)
+    return SimpleNamespace(**out)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +90,8 @@ def sweep():
         size = batch_rows(s.dim)
         for first in range(0, TRIALS_PER_STRUCTURE, size):
             trials = np.arange(first, min(first + size, TRIALS_PER_STRUCTURE))
-            rm, f, vm, _ = draw_batch(s, "mix", SEED, trials.tolist())
-            report = verify_batch(rm, f, vm, s)
-            report.errors.raise_first()
+            report = _verified_in_trial_order(s, trials.tolist())
+            rm, f, vm, _ = drawn_states(s, "mix", SEED, trials.tolist())
 
             fm = np.kron(f, eye_env)  # F (x) 1 per row
             p_raw = (-1j * _tr((rm @ fm - fm @ rm) @ vm)).real

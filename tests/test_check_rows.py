@@ -13,28 +13,28 @@ import pytest
 
 import qbattery.moments as moments
 from qbattery.cli import main
-from qbattery.ensembles import draw_batch
 from qbattery.moments import _verify_checked
 from qbattery.operators import NumericalIntegrityError, TensorStructure
 
+from draws import drawn_factors
+
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def drawn(dims, kind):
-    """Eight drawn rows, as `verify` hands them to the kernel."""
+    """Eight drawn rows, as `verify` hands them to the kernel: factors Q, F and V."""
     s = TensorStructure.from_dims(list(dims))
-    return (*draw_batch(s, kind, 7, range(8))[:3], s)
+    return (*drawn_factors(s, kind, 7, range(8)), s)
 
 
-def with_environment(rho, f, v, s):
+def with_environment(q, f, v, s):
     """Qubit instances with a second qubit in |0>, on which V acts as the identity: D = 4, d_w = 2.
 
     The moments, and so the bound's saturation, are the qubit's.
     """
-    return (np.kron(rho, np.diag([1.0, 0.0])), f, np.kron(v, np.eye(2)),
-            TensorStructure.from_dims([2, 2, 1, 1]))
+    return (np.einsum("nik,j->nijk", q, [1.0, 0.0]).reshape(len(q), 4, -1), f,
+            np.kron(v, np.eye(2)), TensorStructure.from_dims([2, 2, 1, 1]))
 
 
 FAMILIES = {
@@ -43,8 +43,8 @@ FAMILIES = {
     "saturating": lambda: drawn((2, 1, 1, 1), "haar"),
     # the same rows with an environment, so that the battery and the full space differ in size
     "saturating-env": lambda: with_environment(*drawn((2, 1, 1, 1), "haar")),
-    # rho = (I + sigma_y)/2, F = sigma_z, V = sigma_x: P = 2, P^2 = bound = 4
-    "qubit": lambda: (((np.eye(2) + SY) / 2)[None], SZ[None], SX[None],
+    # rho = (I + sigma_y)/2, the state of Q = (1, i) / sqrt(2); F = sigma_z, V = sigma_x: P = 2, P^2 = bound = 4
+    "qubit": lambda: ((np.array([[1.0], [1.0j]]) / np.sqrt(2.0))[None], SZ[None], SX[None],
                       TensorStructure.from_dims([2, 1, 1, 1])),
 }
 
@@ -54,41 +54,39 @@ def wrap(monkeypatch, name, wrong):
     monkeypatch.setattr(moments, name, wrong(getattr(moments, name)))
 
 
-def scaled_traces(scale, battery):
-    """The kernel's traces times `scale`, on the battery space (d_w = 2) or on the full one (D > 2).
-
-    The one trace on the battery space is var_F's, Re Tr(rho_W dF dF); the
-    means are taken by `expectation_stack`, which this leaves as it is.
-    """
+def gram(var_f=1.0, var_v=1.0, conjugate=False):
+    """The inner products (var_F, var_V, Cov) with var_F and var_V scaled, Cov conjugated if asked."""
     def wrong(real):
-        return lambda a, b: (scale if (a.shape[-1] == 2) == battery else 1.0) * real(a, b)
+        def moments_of(a, b, t):
+            f, v, cov = real(a, b, t)
+            return var_f * f, var_v * v, cov.conj() if conjugate else cov
+        return moments_of
     return wrong
 
 
 # the start of each _CHECKS row's message -> (the family, the mutation)
 MUTATIONS = {
     # var_F negated
-    "var_f = ": ("generic", lambda mp: wrap(mp, "trace_product", scaled_traces(-1.0, battery=True))),
-    # every trace on the full space negated: var_V = -Re Tr(rho dV dV) is the first the table checks
-    "var_v = ": ("generic", lambda mp: wrap(mp, "trace_product", scaled_traces(-1.0, battery=False))),
+    "var_f = ": ("generic", lambda mp: wrap(mp, "_gram", gram(var_f=-1.0))),
+    # var_V negated
+    "var_v = ": ("generic", lambda mp: wrap(mp, "_gram", gram(var_v=-1.0))),
     # var_F halved, where |Cov|^2 = var_F var_V
-    "covariance inequality violated": ("saturating-env", lambda mp: wrap(
-        mp, "trace_product", scaled_traces(0.5, battery=True))),
-    # the commutator with 2 rho (F (x) 1) for rho (F (x) 1)
-    "charging power has imaginary part": (
-        "generic", lambda mp: wrap(mp, "_battery_right", lambda real: lambda a, f: 2.0 * real(a, f))),
-    # Cov as Tr(rho dV dF), the conjugate of Tr(rho dF dV): 2 Im Cov = -P
-    "commutator-shift power identity violated": (
-        "generic", lambda mp: wrap(mp, "_cov", lambda real: lambda rho, df, dv: real(rho, df, dv).conj())),
-    # the bound with its sign flipped
+    "covariance inequality violated": ("saturating-env", lambda mp: wrap(mp, "_gram", gram(var_f=0.5))),
+    # the anticommutator for the commutator: <Q, (dF (x) 1) B> taken with -B
+    "charging power has imaginary part": ("generic", lambda mp: wrap(
+        mp, "_power_stage", lambda real: lambda rows, q, t, a, b, df, dv: real(rows, q, t, a, -b, df, dv))),
+    # Cov as <B, A>, the conjugate of <A, B>: 2 Im Cov = -P
+    "commutator-shift power identity violated": ("generic", lambda mp: wrap(
+        mp, "_gram", gram(conjugate=True))),
+    # the paper's form of the bound with its sign flipped
     "corrected bound is negative": ("generic",
                                     lambda mp: wrap(mp, "corrected_bound", lambda real: lambda m: -real(m))),
     # the loose bound without its factor 4
     "loose bound": ("generic",
                     lambda mp: wrap(mp, "loose_bound", lambda real: lambda m: m.var_f * m.var_v)),
-    # the corrected bound without its factor 2
+    # the Gram form of the bound without its factor 2
     "power bound violated": ("saturating",
-                             lambda mp: wrap(mp, "corrected_bound", lambda real: lambda m: real(m) / 2.0)),
+                             lambda mp: wrap(mp, "gram_bound", lambda real: lambda m: real(m) / 2.0)),
     # 2 P^2 / bound, uncapped
     "saturation ratio": ("saturating", lambda mp: wrap(
         mp, "saturation_ratio", lambda real: lambda power_sq, m: real(2.0 * power_sq, m, cap=np.inf))),

@@ -2,12 +2,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qbattery import cli, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
-from qbattery.ensembles import draw_batch
+from qbattery.ensembles import draw_instance
 from qbattery.operators import TensorStructure, to_matrix_literal
 
 
@@ -66,11 +67,14 @@ def test_verify_manifest_sidecar(tmp_path):
     assert manifest["seed"] == 9
     assert manifest["config"]["trials"] == 5
     assert manifest["duration_seconds"] >= 0.0
-    # the pool phase and the report after it, both inside the whole command's time
+    # the pool phase and the report after it, both inside the whole command's time;
+    # the chunks' seconds drawing and in the kernel, on one thread inside the pool phase
     stages = manifest["stage_seconds"]
-    assert set(stages) == {"chunks", "report"}
+    assert set(stages) == {"chunks", "draw", "kernel", "report"}
     assert all(type(x) is float and x >= 0.0 for x in stages.values())
-    assert sum(stages.values()) <= manifest["duration_seconds"]
+    assert stages["chunks"] + stages["report"] <= manifest["duration_seconds"]
+    assert stages["draw"] + stages["kernel"] <= stages["chunks"]
+    assert stages["draw"] > 0.0 and stages["kernel"] > 0.0
 
 
 _CHUNKED = {
@@ -161,10 +165,32 @@ def test_verify_reports_the_first_violation_drawn_again(tmp_path, monkeypatch):
     first = min(set(range(2500)) - set(clean))
     assert worst["trial"] == first
     assert "saturation ratio" in worst["violation"]
-    rho, f, v, kinds = draw_batch(TensorStructure.from_dims([2, 2, 1, 1]), "mix", 42, [first])
-    assert worst["kind"] == kinds[0]
-    assert worst["instance"] == {"rho": to_matrix_literal(rho[0]), "f": to_matrix_literal(f[0]),
-                                 "v": to_matrix_literal(v[0])}
+    rho, f, v, kind = draw_instance(TensorStructure.from_dims([2, 2, 1, 1]), "mix", 42, first)
+    assert worst["kind"] == kind
+    assert worst["instance"] == {"rho": to_matrix_literal(rho), "f": to_matrix_literal(f),
+                                 "v": to_matrix_literal(v)}
+
+
+def literal(obj) -> np.ndarray:
+    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+
+
+@pytest.mark.parametrize("dims", ["2,2,1,1", "2,2,4,4"])
+@pytest.mark.parametrize("ensemble, rank", [("haar", None), ("ginibre", 4), ("gue-ops", None)])
+def test_clean_worst_case_is_draw_instances_matrices(tmp_path, dims, ensemble, rank):
+    # the writer forms the one D x D state of a verify command, as draw_instance
+    # does: its literals are draw_instance's matrices bit for bit
+    out = tmp_path / "w.json"
+    extra = ["--rank", str(rank)] if rank is not None else []
+    assert run("verify", "--dims", dims, "--trials", "9", "--ensemble", ensemble, *extra,
+               "--seed", "5", "--out", str(out)) == 0
+    worst = json.loads(out.read_text())["worst_case"]
+    s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
+    rho, f, v, kind = draw_instance(s, cli.ENSEMBLES[ensemble], 5, worst["trial"], rank)
+    assert worst["kind"] == kind
+    for name, op in (("rho", rho), ("f", f), ("v", v)):
+        assert np.array_equal(literal(worst[name]), op.mat), name
+        assert literal(worst[name]).tobytes() == op.mat.tobytes(), name
 
 
 @pytest.mark.parametrize("argv", [

@@ -52,6 +52,8 @@ from qbattery.operators import (
     to_matrix_literal,
 )
 
+from draws import drawn_states
+
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
                   0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0, float("inf")]
 
@@ -80,7 +82,7 @@ TABLE_REPORT_FIELDS = ("power", "power_sq", "corrected_bound", "loose_bound", "s
 
 
 def reference_rows(doc) -> list[list[str]]:
-    """The evolve table, value by value: states in batch_rows(D) chunks through verify_batch."""
+    """The evolve table, value by value: the states' factors in batch_rows(D) chunks through the kernel."""
     rho0, h, f, grid = parse_scenario(doc)
     s = h.structure
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
@@ -91,11 +93,10 @@ def reference_rows(doc) -> list[list[str]]:
     for start in range(0, len(times), size):
         block = np.array(times[start : start + size])
         n = len(block)
-        rows = RowErrors(n)
-        states = density_stack(rows, *dynamics._evolved(w, u, (p0, q0), block))[0]
-        batch = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                             np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
-        assert rows == batch.errors == [None] * n
+        factors = dynamics._evolved(w, u, q0, block) * np.sqrt(p0)
+        batch = moments._verify_checked(factors, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                                        np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
+        assert batch.errors == [None] * n
         for i in range(n):
             values.append([float(getattr(batch, k)[i]) for k in TABLE_REPORT_FIELDS]
                           + [float(batch.moments.mean_f[i]), float(batch.moments.purity_w[i])])
@@ -148,16 +149,18 @@ def test_verify_csv_matches_per_value_formatting(tmp_path):
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
     lines = [",".join(TRIAL_COLUMNS)]
     for chunk in cli._trial_chunks(trials, s.dim):
-        rho, f, v, kinds = draw_batch(s, "mix", seed, chunk)
-        batch = verify_batch(rho, f, v, s)
-        m = batch.moments
-        columns = {k: getattr(batch, k) for k in REPORT_FIELDS}
-        columns.update(mean_f=m.mean_f, mean_v=m.mean_v, var_f=m.var_f, var_v=m.var_v,
-                       cov_re=m.cov.real, cov_im=m.cov.imag)
-        for j, trial in enumerate(chunk):
-            assert batch.errors[j] is None
-            lines.append(",".join([str(trial), kinds[j]]
-                                  + [g17(float(columns[k][j])) for k in TRIAL_COLUMNS[2:]]))
+        groups, kinds = draw_batch(s, "mix", seed, chunk)
+        text = [None] * len(chunk)
+        for rows, q, f, v in groups:  # each kind's rows in one kernel call
+            batch = moments._verify_checked(q, f, v, s)
+            m = batch.moments
+            columns = {k: getattr(batch, k) for k in REPORT_FIELDS}
+            columns.update(mean_f=m.mean_f, mean_v=m.mean_v, var_f=m.var_f, var_v=m.var_v,
+                           cov_re=m.cov.real, cov_im=m.cov.imag)
+            for j, k in enumerate(rows):
+                assert batch.errors[j] is None
+                text[k] = [g17(float(columns[name][j])) for name in TRIAL_COLUMNS[2:]]
+        lines += [",".join([str(trial), kinds[k]] + text[k]) for k, trial in enumerate(chunk)]
     want = "\n".join(lines) + "\n"
     assert (tmp_path / "sweep.json.trials.csv").read_bytes() == want.encode()
 
@@ -243,27 +246,33 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
     trials = 2 * batch_rows(4) + 452  # three chunks at D = 4
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(trials),
                  "--out", str(tmp_path / "o.json")]) == 0
-    # per chunk: the draw's pure and mixed states (2), F and V (2); the kernel
-    # checks nothing it forms: not rho, F and V again, nor rho_W, dF and dV,
-    # and no sqrt(rho) is formed; then the redraw of the reported instance
-    # checks its rho, F and V (3)
+    # per chunk: F and V of the draw's pure and of its mixed rows (4); the
+    # states are checked on their factors, as their states are Hermitian by
+    # construction, and the kernel checks nothing it forms: not F and V
+    # again, nor dF and dV; then the redraw of the reported instance checks
+    # its F and V (2)
     assert len(cli._trial_chunks(trials, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 4 + 3
+    assert len(symmetrized_calls) == 3 * 4 + 2
 
 
-def test_trajectory_chunk_checks_each_state_once(symmetrized_calls):
+def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch):
     rho0, h, f, _ = exchange_trajectory()
     size = batch_rows(4)
+    checked = []
+    real = dynamics.orthonormal_stack
+    monkeypatch.setattr(dynamics, "orthonormal_stack", lambda rows, u: checked.append(u.shape) or real(rows, u))
     for points, chunks in ((size - 47, 1), (2 * size + 52, 3)):
         symmetrized_calls.clear()
+        checked.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1, H0 + V and rho0 once; per chunk the propagated states, and none in the kernel
-        assert len(symmetrized_calls) == 3 + chunks
+        # F (x) 1, H0 + V and rho0 once; per chunk the carried U(t) q0, and none in the kernel
+        assert len(symmetrized_calls) == 3
+        assert len(checked) == chunks and sum(n for n, *_ in checked) == points
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _ = draw_batch(s, "mix", 1, range(3))
+    rho, f, v, _ = drawn_states(s, "mix", 1, range(3))
     symmetrized_calls.clear()
     assert verify_batch(rho, f, v, s).errors == [None] * 3
     assert len(symmetrized_calls) == 3  # the inputs, and nothing the kernel forms
@@ -279,9 +288,9 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
     rho = ginibre_mixed(4, 4, SeedSpec(5, 0))
     f, v = gue_hermitian(2, 1.0, SeedSpec(5, 1)), gue_hermitian(4, 1.0, SeedSpec(5, 2))
     symmetrized_calls.clear()
-    _one_row(moments._power_stage, rho.mat, f.mat, v.mat)
-    assert symmetrized_calls == []  # F (x) 1 is not checked again
-    # not rho, F, V, rho_W, dF or dV, and no sqrt(rho) is formed
+    _one_row(lambda rows, q, fs, vs: moments._chain_stage(rows, q, fs, vs, s), rho.factor, f.mat, v.mat)
+    assert symmetrized_calls == []  # F (x) 1, dF and dV are not checked again
+    # not rho, F, V, rho_W, dF or dV
     for stage in (compute_moments, decomposition_terms, verify_instance):
         stage(rho, f, v, s)
         assert symmetrized_calls == [], stage.__name__
@@ -292,11 +301,11 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(size + 76),
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
-    for n in (size, 76):  # two chunks; each draw checks its pure and mixed states, F and V
-        # and the kernel checks nothing it forms: rho_W is a partial trace of a
-        # checked state, dF and dV are exactly Hermitian shifts of checked inputs
-        want += [(n // 2, 4, 4), (n // 2, 4, 4), (n, 2, 2), (n, 4, 4)]
-    want += [(1, 4, 4), (1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
+    for n in (size, 76):  # two chunks; each draw checks F and V of its pure, then of its mixed rows
+        # and the kernel checks nothing it forms: dF and dV are exactly
+        # Hermitian shifts of checked inputs
+        want += [(n // 2, 2, 2), (n // 2, 4, 4)] * 2
+    want += [(1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
     assert symmetrized_calls == want
 
 
@@ -305,10 +314,9 @@ def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     symmetrized_calls.clear()
     size = batch_rows(4)
     trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, size + 76))
-    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then per chunk the
-    # states, and nothing in the kernel
-    want = [(1, 4, 4), (1, 4, 4), (1, 4, 4)] + [(n, 4, 4) for n in (size, 76)]
-    assert symmetrized_calls == want
+    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then nothing
+    # per chunk: the states are factors, and the kernel checks nothing it forms
+    assert symmetrized_calls == [(1, 4, 4), (1, 4, 4), (1, 4, 4)]
 
 
 def exactly_hermitian_stacks(seed, dims, n, scale, pure):

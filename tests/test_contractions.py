@@ -11,18 +11,30 @@ import pytest
 
 import qbattery.moments as moments
 import qbattery.operators as operators
-from qbattery.ensembles import draw_batch, draw_instance
-from qbattery.moments import decomposition_terms, moment_batch, verify_batch, verify_instance
-from qbattery.operators import TensorStructure
+from qbattery.ensembles import draw_instance
+from qbattery.moments import (
+    _verify_checked,
+    decomposition_terms,
+    moment_batch,
+    verify_batch,
+    verify_instance,
+)
+from qbattery.operators import TensorStructure, _adjoint
+
+from draws import drawn_factors, drawn_states
 
 CONTRACTIONS = {
     "(F x 1) A": (moments._battery_left, lambda f, a: f @ a),
-    "A (F x 1)": (lambda f, a: moments._battery_right(a, f), lambda f, a: a @ f),
+    # the product on the right is the adjoint of one on the left, as
+    # Cov = <(dF (x) 1) Q, B> takes Q^dag (dF (x) 1)
+    "A (F x 1)": (lambda f, a: _adjoint(moments._battery_left(_adjoint(f), _adjoint(a))),
+                  lambda f, a: a @ f),
 }
 
 
-def complex_stack(rng, n, d):
-    return rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+def complex_stack(rng, n, d, k=None):
+    shape = (n, d, d if k is None else k)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACTIONS))
@@ -43,16 +55,24 @@ def test_contraction_matches_dense_kron(name, d_w, env):
 @pytest.mark.parametrize("d_w", [2, 3])
 @pytest.mark.parametrize("env", [1, 2, 8, 32])
 def test_commutator_of_hermitian_operands_is_anti_hermitian(d_w, env):
-    # both sides are computed, neither is taken as the other's adjoint; on
-    # exactly Hermitian operands they still agree to the last bit
+    # the kernel's commutator on a factor Q, Q^dag [F (x) 1, A] Q, taken as
+    # Q^dag (F (x) 1) (A Q) - Q^dag A ((F (x) 1) Q): both sides are computed,
+    # neither is taken as the other's adjoint, and for Hermitian operands
+    # they are adjoints of each other to round-off, so P comes out real
     rng = np.random.default_rng([d_w, env, 1])
     a = complex_stack(rng, 4, d_w * env)
     f = complex_stack(rng, 4, d_w) + 1e6 * np.eye(d_w)
     a, f = a + a.conj().swapaxes(1, 2), f + f.conj().swapaxes(1, 2)
-    right = moments._battery_right(a, f)
-    assert right.flags.c_contiguous
-    c = right - moments._battery_left(f, a)
-    assert np.array_equal(c, -c.conj().swapaxes(1, 2))
+    q = complex_stack(rng, 4, d_w * env, 3)
+    left = _adjoint(q) @ moments._battery_left(f, a @ q)
+    right = _adjoint(q) @ (a @ moments._battery_left(f, q))
+    c = left - right
+    dense = [qi.conj().T @ (np.kron(fi, np.eye(env)) @ ai - ai @ np.kron(fi, np.eye(env))) @ qi
+             for qi, fi, ai in zip(q, f, a)]
+    scale = (np.linalg.norm(f, axis=(1, 2)) * np.linalg.norm(a, axis=(1, 2))
+             * np.linalg.norm(q, axis=(1, 2)) ** 2)
+    assert np.all(np.abs(c + _adjoint(c)).max(axis=(1, 2)) <= 1e-14 * scale)
+    assert np.all(np.abs(c - np.stack(dense)).max(axis=(1, 2)) <= 1e-14 * scale)
 
 
 @pytest.fixture
@@ -68,13 +88,13 @@ def no_lift(monkeypatch):
 
 def test_kernel_never_forms_f_kron_identity(no_lift):
     s = TensorStructure.from_dims([2, 2, 4, 4])
-    rho, f, v, _ = draw_batch(s, "ginibre", 3, range(4), rank=4)
-    report = verify_batch(rho, f, v, s)
+    q, f, v = drawn_factors(s, "ginibre", 3, range(4), rank=4)
+    report = _verify_checked(q, f, v, s)
     assert report.errors == [None] * 4
+    rho = drawn_states(s, "ginibre", 3, range(4), rank=4)[0]
+    assert verify_batch(rho, f, v, s).errors == [None] * 4
     assert moment_batch(rho, f, v, s).errors == [None] * 4
     rho1, f1, v1, _ = draw_instance(s, "ginibre", 3, 0, rank=4)
-    assert verify_instance(rho1, f1, v1, s).power == pytest.approx(report.power[0], rel=1e-12,
-                                                                   abs=1e-14)
+    assert verify_instance(rho1, f1, v1, s).power == report.power[0]
     terms = decomposition_terms(rho1, f1, v1, s)
-    assert terms == pytest.approx((report.term_fv[0], report.term_vf[0], report.term_cross[0]),
-                                  rel=1e-12, abs=1e-14)
+    assert terms == (report.term_fv[0], report.term_vf[0], report.term_cross[0])

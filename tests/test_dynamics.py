@@ -49,7 +49,8 @@ def propagate(rho0, h, t):
     """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t), as trajectory_report builds it."""
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
     _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
-    return DensityMatrix(_evolved(w, u, (p0, q0), np.array([t]))[0][0])
+    ut = _evolved(w, u, q0, np.array([t]))[0]
+    return DensityMatrix((ut * p0) @ ut.conj().T)
 
 
 def test_propagate_t0_is_identity():
@@ -97,11 +98,11 @@ def test_evolved_states_are_u_rho0_u_dag(rank):
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
     _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
     times = np.array([0.0, 0.4, 2.5])
-    states, (p, ut) = _evolved(w, u, (p0, q0), times)
-    for t, state, pt, vt in zip(times, states, p, ut):
+    for t, vt in zip(times, _evolved(w, u, q0, times)):
         ev = expm(-1j * t * h.total().mat)
+        state = (vt * p0) @ vt.conj().T  # the state of the factor vt sqrt(p0) the kernel takes
         assert np.abs(state - ev @ rho0.mat @ ev.conj().T).max() <= 1e-13
-        assert np.abs(vt - ev @ q0).max() <= 1e-13 and np.array_equal(pt, p0)
+        assert np.abs(vt - ev @ q0).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- exchange model

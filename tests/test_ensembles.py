@@ -26,13 +26,14 @@ from qbattery.operators import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    NotPositiveSemidefiniteError,
     RejectedInputError,
     RowErrors,
     TensorStructure,
     density_stack,
+    factor_states,
     partial_trace_stack,
 )
+from draws import drawn_rows
 
 
 # ---------------------------------------------------------------- seeds
@@ -75,15 +76,13 @@ def test_draw_batch_near_2_64_equals_draw_instance_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (2**64 - 1, 2**64 - 1001):
-            rho, f, v, kinds = draw_batch(s, "mix", seed, range(4))
+            rows = drawn_rows(s, "mix", seed, range(4))
             for k in range(4):
                 got = draw_instance(s, "mix", seed, k)
-                assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]),
-                                   (rho[k], f[k], v[k], kinds[k]))
-                assert _same_draws((rho[k], f[k], v[k], kinds[k]),
-                                   _reference_instance(s, "mix", seed, k))
-        assert not np.array_equal(draw_batch(s, "mix", 2**64 - 1, [0])[0],
-                                  draw_batch(s, "mix", 2**64 - 1001, [0])[0])
+                assert _same_draws((got[0].factor, got[1].mat, got[2].mat, got[3]), rows[k])
+                assert _same_draws(rows[k], _reference_instance(s, "mix", seed, k))
+        assert not np.array_equal(drawn_rows(s, "mix", 2**64 - 1, [0])[0][0],
+                                  drawn_rows(s, "mix", 2**64 - 1001, [0])[0][0])
 
 
 def test_seedspec_rejects_bad_values():
@@ -304,39 +303,26 @@ def _fresh_normals(seed, stream, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _raw_state(s, used, seed, trial, rank=None):
-    """A trial's state K K^dag / Tr before its check, and its factor K (D, r), from a fresh Philox."""
-    if used == "haar":
-        k = _fresh_normals(seed, 4 * trial, s.dim)[:, None]
-        v = k[:, 0] / np.linalg.norm(k)  # DensityMatrix.from_ket's state
-        return np.outer(v, v.conj()), k
-    k = _fresh_normals(seed, 4 * trial, (s.dim, rank if rank is not None else s.dim))
-    w = k @ k.conj().T
-    return w / w.trace().real, k
+def _raw_factor(s, used, seed, trial, rank=None):
+    """A trial's Gaussian state factor K (D, r), from a fresh Philox."""
+    width = 1 if used == "haar" else (rank if rank is not None else s.dim)
+    return _fresh_normals(seed, 4 * trial, (s.dim, width))
 
 
 def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
-    """One trial drawn with a fresh Philox per stream and one check per matrix.
+    """One trial drawn with a fresh Philox per stream and one check per matrix: (Q, F, V, kind).
 
-    v0.1.0's draw for full-rank states, `mix`'s odd rows among them. A pure
-    state (`haar`, `mix`'s even rows) or a rank-deficient `ginibre` state
-    K K^dag / Tr is checked on the thin SVD of its D x r factor K instead
-    of an eigendecomposition.
+    Q = K / |K|_F, |K|_F^2 the sum of the squares of K's real and
+    imaginary parts.
     """
     def gue(dim, stream):
         m = _fresh_normals(seed, stream, (dim, dim))
         return HermitianOperator(scale * (m + m.conj().T) / 2.0).mat
 
     used = ("haar" if trial % 2 == 0 else "ginibre") if kind == "mix" else kind
-    state, k = _raw_state(s, used, seed, trial, rank)
-    if k.shape[1] == s.dim:
-        rho = DensityMatrix(state).mat
-    else:
-        u, sv, _ = np.linalg.svd(k, full_matrices=False)
-        rows = RowErrors(1)
-        rho = density_stack(rows, state[None], ((sv**2 / (sv**2).sum())[None], u[None]))[0][0]
-        rows.raise_first()
-    return rho, gue(s.d_w, 4 * trial + 1), gue(s.dim, 4 * trial + 2), used
+    k = _raw_factor(s, used, seed, trial, rank)
+    q = k / np.sqrt((k.real * k.real + k.imag * k.imag).sum())
+    return q, gue(s.d_w, 4 * trial + 1), gue(s.dim, 4 * trial + 2), used
 
 
 def _same_bits(a, b) -> bool:
@@ -366,128 +352,142 @@ def _batch_cases(draw):
 @given(_batch_cases())
 def test_draw_batch_rows_match_fresh_generator_reference(case):
     s, kind, rank, scale, seed, trials, _ = case
-    rho, f, v, kinds = draw_batch(s, kind, seed, trials, rank=rank, scale=scale)
-    assert rho.shape == (len(trials), s.dim, s.dim)
-    assert f.shape == (len(trials), s.d_w, s.d_w)
-    assert v.shape == (len(trials), s.dim, s.dim)
-    for k, trial in enumerate(trials):
-        ref = _reference_instance(s, kind, seed, trial, rank, scale)
-        assert _same_draws((rho[k], f[k], v[k], kinds[k]), ref)
+    groups, kinds = draw_batch(s, kind, seed, trials, rank=rank, scale=scale)
+    # one stack per kind drawn, its rows in trial order
+    assert sorted(k for rows, *_ in groups for k in rows) == list(range(len(trials)))
+    for rows, q, f, v in groups:
+        assert rows == sorted(rows) and len({kinds[k] for k in rows}) == 1
+        assert q.shape[:2] == (len(rows), s.dim)
+        assert f.shape == (len(rows), s.d_w, s.d_w)
+        assert v.shape == (len(rows), s.dim, s.dim)
+    for (q, f, v, used), trial in zip(drawn_rows(s, kind, seed, trials, rank, scale), trials):
+        assert _same_draws((q, f, v, used), _reference_instance(s, kind, seed, trial, rank, scale))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_batch_cases())
 def test_draw_batch_equals_its_two_halves(case):
     s, kind, rank, scale, seed, trials, split = case
-    whole = draw_batch(s, kind, seed, trials, rank=rank, scale=scale)
-    head = draw_batch(s, kind, seed, trials[:split], rank=rank, scale=scale)
-    tail = draw_batch(s, kind, seed, trials[split:], rank=rank, scale=scale)
-    joined = tuple(np.concatenate([a, b]) for a, b in zip(head[:3], tail[:3])) + (head[3] + tail[3],)
-    assert _same_draws(whole, joined)
+    whole = drawn_rows(s, kind, seed, trials, rank, scale)
+    joined = (drawn_rows(s, kind, seed, trials[:split], rank, scale)
+              + drawn_rows(s, kind, seed, trials[split:], rank, scale))
+    assert len(whole) == len(joined)
+    assert all(_same_draws(a, b) for a, b in zip(whole, joined))
 
 
 def test_one_instance_draws_are_one_row_batches():
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, kinds = draw_batch(s, "mix", 42, range(4))
+    rows = drawn_rows(s, "mix", 42, range(4))
     for k in range(4):
         got = draw_instance(s, "mix", 42, k)
-        assert _same_draws((got[0].mat, got[1].mat, got[2].mat, got[3]), (rho[k], f[k], v[k], kinds[k]))
+        assert _same_draws((got[0].factor, got[1].mat, got[2].mat, got[3]), rows[k])
+        assert _same_bits(got[0].mat, factor_states(rows[k][0][None])[0])
     # a pure state is a row of the haar ensemble, and so is a mix row of even trial
-    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, draw_batch(s, "haar", 42, [0])[0][0])
-    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, rho[0])
-    assert _same_bits(ginibre_mixed(4, 4, SeedSpec(42, 4)).mat, rho[1])
-    assert _same_bits(gue_hermitian(2, 1.0, SeedSpec(42, 1)).mat, f[0])
-    assert _same_bits(gue_hermitian(4, 1.0, SeedSpec(42, 2)).mat, v[0])
+    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).factor, drawn_rows(s, "haar", 42, [0])[0][0])
+    assert _same_bits(haar_pure(4, SeedSpec(42, 0)).mat, draw_instance(s, "mix", 42, 0)[0].mat)
+    assert _same_bits(ginibre_mixed(4, 4, SeedSpec(42, 4)).factor, rows[1][0])
+    assert _same_bits(gue_hermitian(2, 1.0, SeedSpec(42, 1)).mat, rows[0][1])
+    assert _same_bits(gue_hermitian(4, 1.0, SeedSpec(42, 2)).mat, rows[0][2])
 
 
 @pytest.mark.parametrize("dims, rank", [([2, 1, 1, 1], 1), ([2, 2, 1, 1], 3), ([2, 2, 2, 2], 5),
                                         ([2, 2, 4, 4], 4), ([1, 1, 1, 1], 1)])
 def test_one_state_draws_equal_their_ensembles_batch_rows(dims, rank):
-    # rank-deficient states are checked on their thin factors in both; a
-    # full-rank one (D = 1 here) on its eigenvalues in both
+    # the same factor, checked by the same factor_stack, and the same state formed from it
     s = TensorStructure.from_dims(dims)
     trials = [0, 3, 7]
-    haar, ginibre = (draw_batch(s, kind, 99, trials, rank)[0] for kind in ("haar", "ginibre"))
+    haar, ginibre = (drawn_rows(s, kind, 99, trials, rank) for kind in ("haar", "ginibre"))
     for k, trial in enumerate(trials):
-        assert _same_bits(haar_pure(s.dim, SeedSpec(99, 4 * trial)).mat, haar[k])
-        assert _same_bits(ginibre_mixed(s.dim, rank, SeedSpec(99, 4 * trial)).mat, ginibre[k])
+        for one, row, kind in ((haar_pure(s.dim, SeedSpec(99, 4 * trial)), haar[k], "haar"),
+                               (ginibre_mixed(s.dim, rank, SeedSpec(99, 4 * trial)), ginibre[k], "ginibre")):
+            assert _same_bits(one.factor, row[0])
+            assert _same_bits(one.mat, draw_instance(s, kind, 99, trial, rank)[0].mat)
 
 
 @pytest.mark.parametrize("rank", [None, 1])
 @pytest.mark.parametrize("seed", [42, 2**64 - 1, 2**64 - 1001])
 @pytest.mark.parametrize("dims", [[1, 1, 1, 1], [2, 1, 1, 1], [2, 2, 2, 2], [2, 2, 4, 4]])
 def test_mix_rows_are_their_kinds_ensemble_rows(dims, seed, rank):
-    # each kind's states are checked on their own factors, whatever else the batch holds
+    # each kind's factors are drawn and checked as a stack of their own, whatever else the batch holds
     s = TensorStructure.from_dims(dims)
     trials = range(5)
-    mix, haar, ginibre = (draw_batch(s, kind, seed, trials, rank)
-                          for kind in ("mix", "haar", "ginibre"))
-    assert mix[3] == ["haar", "ginibre"] * 2 + ["haar"]
+    mix, haar, ginibre = (drawn_rows(s, kind, seed, trials, rank) for kind in ("mix", "haar", "ginibre"))
+    assert [row[3] for row in mix] == ["haar", "ginibre"] * 2 + ["haar"]
     for k, trial in enumerate(trials):
-        want = haar if trial % 2 == 0 else ginibre
-        assert _same_draws(tuple(x[k] for x in mix), tuple(x[k] for x in want))
+        assert _same_draws(mix[k], (haar if trial % 2 == 0 else ginibre)[k])
 
 
 @pytest.fixture
-def eigh_minima(monkeypatch):
-    """The smallest eigenvalue of each matrix numpy.linalg.eigh decomposes while the test runs."""
-    minima = []
-    real = np.linalg.eigh
+def decompositions(monkeypatch):
+    """The shapes of the stacks numpy.linalg.eigh, eigvalsh or svd decomposes while the test runs."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
-        w, u = real(a, *args, **kwargs)
-        minima.extend(np.atleast_2d(w)[:, 0].tolist())
-        return w, u
+        def counted(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return minima
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
 
 
 def test_square_factor_with_a_round_off_eigenvalue_is_clamped_as_density_matrix_clamps(
-        monkeypatch, eigh_minima):
+        monkeypatch, decompositions):
+    # A square factor with a repeated column has a state of rank D - 1, whose
+    # smallest eigenvalue a D x D eigh finds at round-off of zero, of either
+    # sign, and DensityMatrix clamps to zero. The factor route needs no clamp:
+    # Q Q^dag is positive semidefinite by construction, and no decomposition runs.
     s = TensorStructure.from_dims([2, 2, 2, 1])
     trials = range(12)
     real = ensembles._Streams.complex_normals
 
     def repeated(self, streams, shape):
-        # every drawn D x D state factor repeats its first column: its state has rank D - 1
         z = real(self, streams, shape)
         if shape == (s.dim, s.dim) and streams[0] % 4 == 0:
             z[:, :, -1] = z[:, :, 0]
         return z
 
     monkeypatch.setattr(ensembles._Streams, "complex_normals", repeated)
-    rho = draw_batch(s, "ginibre", 8, trials)[0]
-    # each state's smallest eigenvalue is round-off of zero: eigh decomposed all of them
-    assert len(eigh_minima) == len(trials) and max(map(abs, eigh_minima)) < 1e-15
-    assert min(eigh_minima) < 0.0  # and some were clamped
-    states = ensembles._ginibre_states(ensembles._Streams(8).complex_normals(
-        [4 * t for t in trials], (s.dim, s.dim)))
-    for k in range(len(trials)):
-        assert _same_bits(DensityMatrix(states[k]).mat, rho[k])
+    rows = drawn_rows(s, "ginibre", 8, trials)
+    assert decompositions == []
+    minima = [np.linalg.eigvalsh(factor_states(q[None])[0])[0] for q, *_ in rows]
+    assert max(map(abs, minima)) < 1e-15
+    for q, *_ in rows:
+        # the state DensityMatrix builds and clamps is the factor's state within round-off
+        clamped = DensityMatrix(factor_states(q[None])[0])
+        assert np.abs(clamped.mat - factor_states(q[None])[0]).max() <= 1e-15
+        assert np.abs(clamped.factor @ clamped.factor.conj().T - clamped.mat).max() <= 1e-15
 
 
-def test_square_factor_runs_eigh_only_near_zero_and_keeps_the_psd_message(monkeypatch, eigh_minima):
+def test_drawn_factor_runs_no_decomposition_and_keeps_the_state_messages(monkeypatch, decompositions):
+    # a drawn factor is checked without a decomposition, and one that fails
+    # factor_stack raises the message DensityMatrix raises for its state
     s = TensorStructure.from_dims([2, 2, 1, 1])
     draw_batch(s, "ginibre", 8, range(6))
-    assert eigh_minima == []  # no drawn full-rank state has an eigenvalue near zero
-    real = ensembles._ginibre_states
+    assert decompositions == []
+    real = ensembles._unit_factors
+    for corrupt, message in ((lambda q: q * (1.0 + 1e-6), "density matrix trace"),
+                             (lambda q: q * np.nan, "matrix has a non-finite entry")):
+        def corrupted(k):
+            q = real(k)
+            q[1] = corrupt(q[1])
+            return q
 
-    def shifted(g):
-        # row 1's smallest eigenvalue moves to -1e-6 before renormalising: not PSD
-        a = real(g)
-        a[1] -= (np.linalg.eigvalsh(a[1])[0] + 1e-6) * np.eye(s.dim)
-        a[1] /= a[1].trace().real
-        return a
-
-    monkeypatch.setattr(ensembles, "_ginibre_states", shifted)
-    with pytest.raises(NotPositiveSemidefiniteError) as err:
-        draw_batch(s, "ginibre", 8, range(6))
-    assert len(eigh_minima) == 1
-    state = shifted(ensembles._Streams(8).complex_normals([0, 4], (s.dim, s.dim)))[1]
-    with pytest.raises(NotPositiveSemidefiniteError) as want:
-        DensityMatrix(state)
-    assert str(err.value) == str(want.value)
+        monkeypatch.setattr(ensembles, "_unit_factors", corrupted)
+        with pytest.raises(RejectedInputError, match=message) as err:
+            draw_batch(s, "ginibre", 8, range(6))
+        assert decompositions == []
+        q = corrupted(ensembles._Streams(8).complex_normals([0, 4], (s.dim, s.dim)))[1]
+        with pytest.raises(RejectedInputError, match=message) as want:
+            DensityMatrix(q @ q.conj().T)
+        decompositions.clear()
+        # the same message, with the state's trace |Q|^2 taken as a sum of squares
+        got, expected = (str(e.value).split() for e in (err, want))
+        assert got[:3] == expected[:3] and got[4:] == expected[4:]
+        if message == "density matrix trace":
+            trace = [float(w.removeprefix("np.float64(").rstrip(")")) for w in (got[3], expected[3])]
+            assert trace[0] == pytest.approx(trace[1], rel=1e-14)
 
 
 def _exact_distance(rho, k) -> float:
@@ -512,17 +512,22 @@ def _exact_distance(rho, k) -> float:
     ("ginibre", [2, 2, 1, 1], 2), ("ginibre", [2, 2, 2, 1], 3), ("ginibre", [2, 2, 2, 2], 3),
 ])
 def test_thin_factor_draws_are_no_further_from_the_exact_state(kind, dims, rank):
-    # against the parent route: eigh of the drawn state, round-off eigenvalues
-    # below zero clamped and the state rebuilt from the clamped eigenpairs
+    # the exact state is Q Q^dag / Tr of the drawn factor Q, the state the
+    # kernel verifies; against the route of a state given as a matrix: eigh
+    # of the drawn state, round-off eigenvalues below zero clamped and the
+    # state rebuilt from the clamped eigenpairs
+    # (where nothing is clamped, the two states differ only by a second
+    # division by the trace, so they are compared over all trials, worst to worst)
     s = TensorStructure.from_dims(dims)
-    trials = range(0, 40, 5)
-    rho = draw_batch(s, kind, 5, trials, rank)[0]
-    for k, trial in enumerate(trials):
-        state, g = _raw_state(s, kind, 5, trial, rank)
+    drawn, rebuilt = [], []
+    for trial in range(0, 40, 5):
+        rho = draw_instance(s, kind, 5, trial, rank)[0]
         rows = RowErrors(1)
-        clamped = density_stack(rows, state[None])[0][0]
+        clamped = density_stack(rows, rho.mat[None])[0][0]
         assert rows == [None]
-        assert _exact_distance(rho[k], g) <= _exact_distance(clamped, g)
+        drawn.append(_exact_distance(rho.mat, rho.factor))
+        rebuilt.append(_exact_distance(clamped, rho.factor))
+    assert max(drawn) <= max(rebuilt)
 
 
 def test_draw_batch_rejects_bad_inputs():
@@ -538,8 +543,8 @@ def test_draw_batch_rejects_bad_inputs():
     with pytest.raises(RejectedInputError):
         draw_batch(s, "haar", 42, [-1, 0])
     # the rank of Ginibre states only matters where one is drawn, as per trial
-    rho, _, _, kinds = draw_batch(s, "mix", 42, [0, 2], rank=5)
-    assert kinds == ["haar", "haar"]
+    groups, kinds = draw_batch(s, "mix", 42, [0, 2], rank=5)
+    assert kinds == ["haar", "haar"] and [rows for rows, *_ in groups] == [[0, 1]]
 
 
 def test_draw_batch_from_concurrent_threads_matches_serial():
@@ -547,12 +552,12 @@ def test_draw_batch_from_concurrent_threads_matches_serial():
     # must not see each other's re-keyed state
     s = TensorStructure.from_dims([2, 2, 1, 1])
     chunks = [range(k * 40, (k + 1) * 40) for k in range(4)]
-    serial = [draw_batch(s, "mix", 42, c) for c in chunks]
+    serial = [drawn_rows(s, "mix", 42, c) for c in chunks]
     results = {k: [] for k in range(len(chunks))}
 
     def work(k):
         for _ in range(5):
-            results[k].append(draw_batch(s, "mix", 42, chunks[k]))
+            results[k].append(drawn_rows(s, "mix", 42, chunks[k]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -567,4 +572,4 @@ def test_draw_batch_from_concurrent_threads_matches_serial():
     assert not any(t.is_alive() for t in threads)
     for k, want in enumerate(serial):
         assert len(results[k]) == 5
-        assert all(_same_draws(got, want) for got in results[k])
+        assert all(all(_same_draws(a, b) for a, b in zip(got, want)) for got in results[k])

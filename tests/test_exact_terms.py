@@ -3,15 +3,17 @@
 Every float64 entry of a drawn stack is an exact rational, and so is every
 sum and product of them: the reference takes the traces below in
 `fractions.Fraction` arithmetic, a complex number being a pair of Fractions,
-and so shares none of the kernel's arithmetic.
+and so shares none of the kernel's arithmetic. It is taken on the state the
+kernel verifies: Q Q^dag of the drawn factor Q, formed exactly.
 
 By the cyclic trace, Tr(sr dF dV sr) = Tr(rho dF dV), so term_fv is
 |Tr(rho dF dV)|^2 and term_vf is |Tr(rho dV dF)|^2. The kernel takes both as
-|Cov|^2 of its Cov = Tr(rho dF dV); the reference takes the two traces
-separately, each as a trace of products with rho. The accuracy gate takes
-var_F, var_V, Cov, P = 2 Im Cov, the corrected bound, the slack and the
-saturation ratio of the state rho / Tr(rho), whose trace is exactly 1, from
-the raw moments Tr(rho X) / Tr(rho): in exact arithmetic nothing cancels.
+|Cov|^2 of its Cov = <(dF (x) 1) Q, dV Q> / |Q|^2; the reference takes the
+two traces separately, each as a trace of products with rho. The accuracy
+gate takes var_F, var_V, Cov, P = 2 Im Cov, the corrected bound, the slack
+and the saturation ratio of the state rho / Tr(rho), whose trace is exactly
+1, from the raw moments Tr(rho X) / Tr(rho): in exact arithmetic nothing
+cancels.
 """
 
 from fractions import Fraction
@@ -20,8 +22,10 @@ import numpy as np
 import pytest
 
 from qbattery.ensembles import draw_batch
-from qbattery.moments import moment_batch, verify_batch
+from qbattery.moments import _verify_checked, moment_batch
 from qbattery.operators import TensorStructure
+
+from draws import drawn_states
 
 ZERO = Fraction(0)
 
@@ -38,6 +42,24 @@ def dot(pairs):
         re += ar * br - ai * bi
         im += ar * bi + ai * br
     return re, im
+
+
+def exact_state(q):
+    """Q Q^dag of a float64 factor Q (D, r), exactly: sum_k Q_ik conj(Q_jk)."""
+    qe = exact(q)
+    return [[dot((a, (b[0], -b[1])) for a, b in zip(qe[i], qe[j])) for j in range(len(qe))]
+            for i in range(len(qe))]
+
+
+def drawn_rows(s, kind, rank, n):
+    """(batch, i, rho, F, V) of each of n seed-2024 draws: the kernel's batch of the row's kind,
+    the row's index in it, and its exact state with its float64 F and V."""
+    groups, _ = draw_batch(s, kind, 2024, range(n), rank)
+    for rows, q, f, v in groups:
+        batch = _verify_checked(q, f, v, s)
+        assert batch.errors == [None] * len(rows)
+        for i in range(len(rows)):
+            yield batch, i, exact_state(q[i]), f[i], v[i]
 
 
 def centred(a, mean):
@@ -66,27 +88,25 @@ def battery_right(a, f, env):
 
 
 def exact_terms(rho, f, v, env):
-    """(|Tr(rho dF dV)|^2, |Tr(rho dV dF)|^2) of one instance, exactly."""
+    """(|Tr(rho dF dV)|^2, |Tr(rho dV dF)|^2) of one instance, rho taken as rho / Tr(rho), exactly."""
+    t = sum(rho[i][i][0] for i in range(len(rho)))
     d_w = len(f)
     rho_w = [[(sum(rho[i * env + e][j * env + e][0] for e in range(env)),
                sum(rho[i * env + e][j * env + e][1] for e in range(env)))
               for j in range(d_w)] for i in range(d_w)]
-    df = centred(f, trace_product(rho_w, f)[0])
-    dv = centred(v, trace_product(rho, v)[0])
+    df = centred(f, trace_product(rho_w, f)[0] / t)
+    dv = centred(v, trace_product(rho, v)[0] / t)
     fv = trace_product(rho, battery_left(df, dv, env))
     vf = trace_product(rho, battery_right(dv, df, env))
-    return fv[0] ** 2 + fv[1] ** 2, vf[0] ** 2 + vf[1] ** 2
+    return (fv[0] ** 2 + fv[1] ** 2) / t**2, (vf[0] ** 2 + vf[1] ** 2) / t**2
 
 
 @pytest.mark.parametrize("kind, rank", [("mix", None), ("haar", None), ("ginibre", 2)])
 @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1)])
 def test_sandwich_terms_match_the_exact_traces(dims, kind, rank):
     s = TensorStructure.from_dims(list(dims))
-    rho, f, v, _ = draw_batch(s, kind, 2024, range(6), rank)
-    batch = verify_batch(rho, f, v, s)
-    assert batch.errors == [None] * 6
-    for i in range(6):
-        want = exact_terms(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
+    for batch, i, rho, f, v in drawn_rows(s, kind, rank, 6):
+        want = exact_terms(rho, exact(f), exact(v), s.env_dim)
         scale = max(float(max(want)), float(batch.moments.var_f[i] * batch.moments.var_v[i]))
         for got, term in zip((batch.term_fv[i], batch.term_vf[i]), want):
             assert abs(float(Fraction(float(got)) - term)) <= 1e-13 * scale, (i, got, float(term))
@@ -154,34 +174,35 @@ def column_errors(batch, i, want):
 
 
 # (dims, kind, rank, rows): seed-2024 draws at D = 2, 4 and 8, then Haar rows
-# at D = 2, which saturate the bound
+# at D = 2, which saturate the bound, then rank-4 Ginibre rows at D = 16
 GATE_FAMILIES = ([(dims, kind, rank, 12) for dims in ((2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1))
                   for kind, rank in (("mix", None), ("haar", None), ("ginibre", 2))]
-                 + [((2, 1, 1, 1), "haar", None, 200)])
+                 + [((2, 1, 1, 1), "haar", None, 200), ((2, 2, 2, 2), "ginibre", 4, 4)])
 
 # (max, mean) of each column's error over every row of GATE_FAMILIES, with
-# every moment taken as a trace of the centred operators, Tr(rho_W dF dF),
-# Tr(rho dV dV) and Tr(rho dF dV), and P as -i Tr([rho, dF] dV).
-# Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the
-# largest over its default, Haswell, Sandybridge, Nehalem and Zen kernels
-# (OPENBLAS_CORETYPE), rounded up to two digits:
-#   var_f            5.9e-15 / 2.6e-16
-#   var_v            8.6e-14 / 5.6e-16
-#   cov              3.7e-15 / 1.9e-16
-#   power            1.1e-15 / 1.7e-16
-#   corrected_bound  1.7e-13 / 1.6e-15
-#   slack            1.7e-13 / 1.7e-15
-#   saturation_ratio 3.9e-12 / 2.6e-14
+# the state taken as its factor Q, every moment an inner product of
+# A = (dF (x) 1) Q and B = dV Q divided by |Q|^2, the bound as
+# (2 Im Cov)^2 + 2 var_F |B - mu A|^2 / |Q|^2 and P as 2 Im Cov.
+# Measured with numpy 2.4.6 and OpenBLAS 0.3.31, the largest over its
+# default (AVX-512), Haswell, Sandybridge, Nehalem and Zen kernels
+# (OPENBLAS_CORETYPE), rounded up to three digits:
+#   var_f            1.44e-15 / 1.48e-16
+#   var_v            1.07e-15 / 1.36e-16
+#   cov              1.03e-15 / 1.41e-16
+#   power            1.03e-15 / 1.78e-16
+#   corrected_bound  3.38e-15 / 5.30e-16
+#   slack            1.24e-15 / 9.47e-17
+#   saturation_ratio 3.37e-16 / 1.42e-17
 # Each bound is the smallest one-digit number at least 1.1 times its error.
 # A bound may only get stricter.
 GATE_BOUNDS = {
-    "var_f": (7e-15, 3e-16),
-    "var_v": (1e-13, 7e-16),
-    "cov": (5e-15, 3e-16),
+    "var_f": (2e-15, 2e-16),
+    "var_v": (2e-15, 2e-16),
+    "cov": (2e-15, 2e-16),
     "power": (2e-15, 2e-16),
-    "corrected_bound": (2e-13, 2e-15),
-    "slack": (2e-13, 2e-15),
-    "saturation_ratio": (5e-12, 3e-14),
+    "corrected_bound": (4e-15, 6e-16),
+    "slack": (2e-15, 2e-16),
+    "saturation_ratio": (4e-16, 2e-17),
 }
 
 
@@ -190,11 +211,8 @@ def gate_errors():
     errors = {k: [] for k in GATE_BOUNDS}
     for dims, kind, rank, n in GATE_FAMILIES:
         s = TensorStructure.from_dims(list(dims))
-        rho, f, v, _ = draw_batch(s, kind, 2024, range(n), rank)
-        batch = verify_batch(rho, f, v, s)
-        assert batch.errors == [None] * n
-        for i in range(n):
-            want = exact_columns(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
+        for batch, i, rho, f, v in drawn_rows(s, kind, rank, n):
+            want = exact_columns(rho, exact(f), exact(v), s.env_dim)
             assert want["corrected_bound"] > 0
             for k, e in column_errors(batch, i, want).items():
                 errors[k].append(e)
@@ -213,7 +231,7 @@ def test_moments_of_shifted_operators_match_the_exact_values():
     # F and V + 1e6 I: dF and dV are formed before any product, so var_F,
     # var_V and Cov keep to round-off of their own scale, not of the shift's
     s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _ = draw_batch(s, "mix", 42, range(24))
+    rho, f, v, _ = drawn_states(s, "mix", 42, range(24))
     f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)
     m = moment_batch(rho, f, v, s)
     for i in range(24):

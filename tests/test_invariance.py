@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.ensembles import draw_batch
-from qbattery.moments import verify_batch
+from qbattery.moments import _verify_checked
 from qbattery.operators import TensorStructure
 
 ROWS = 16
@@ -31,11 +31,24 @@ instances = st.tuples(
 )
 
 
-def drawn(case):
-    """(structure, rho, F, V): ROWS seeded draws as stacks."""
+def drawn(case, rows=ROWS):
+    """(structure, groups): seeded draws as `verify` takes them, one (rows, Q, F, V) stack per state kind."""
     dims, kind, seed = case
     s = TensorStructure(*dims)
-    return (s, *draw_batch(s, kind, seed, range(ROWS))[:3])
+    return s, draw_batch(s, kind, seed, range(rows))[0]
+
+
+def verified(s, groups, change=lambda rows, q, f, v: (q, f, v)):
+    """The kernel on each kind's stack after `change`, as `values` in trial order, and every row's error."""
+    n = sum(len(rows) for rows, *_ in groups)
+    out, errors = {}, [None] * n
+    for rows, *stacks in groups:
+        batch = _verify_checked(*change(rows, *stacks), s)
+        for name, x in vars(values(batch)).items():
+            out.setdefault(name, np.empty(n, dtype=x.dtype))[rows] = x
+        for k, err in zip(rows, batch.errors):
+            errors[k] = err
+    return SimpleNamespace(**out), errors
 
 
 def values(batch):
@@ -68,12 +81,12 @@ def unitaries(rng, n, d, haar):
 @settings(max_examples=80, deadline=None)
 @given(case=instances, log_a=st.floats(-6.0, 6.0), log_c=st.floats(-6.0, 6.0))
 def test_scaling_f_and_v(case, log_a, log_c):
-    s, rho, f, v = drawn(case)
+    s, groups = drawn(case)
     a, c = 10.0**log_a, 10.0**log_c
-    base, scaled = verify_batch(rho, f, v, s), verify_batch(rho, a * f, c * v, s)
-    assert base.errors == [None] * ROWS
-    assert scaled.errors == [None] * ROWS
-    x, y = values(base), values(scaled)
+    x, base = verified(s, groups)
+    y, scaled = verified(s, groups, lambda rows, q, f, v: (q, a * f, c * v))
+    assert base == [None] * ROWS
+    assert scaled == [None] * ROWS
     assert_close(y.power / (a * c), x.power, 1e-12 * x.sigma)
     assert_close(y.var_f / a**2, x.var_f, 1e-12 * x.f2)
     assert_close(y.var_v / c**2, x.var_v, 1e-12 * x.v2)
@@ -89,10 +102,9 @@ def test_scaling_f_and_v_up_falsifies_no_row():
     # (a c)^2 and are taken from Cov, and none of these rows fails a check
     rng = np.random.default_rng(9)
     for dims in ((2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 2, 1, 1)):
-        s = TensorStructure(*dims)
-        rho, f, v, _ = draw_batch(s, "mix", 9, range(2500))
+        s, groups = drawn((dims, "mix", 9), rows=2500)
         a, c = 10.0 ** rng.uniform(0.0, 6.0, (2, 2500, 1, 1))
-        errors = verify_batch(rho, a * f, c * v, s).errors
+        _, errors = verified(s, groups, lambda rows, q, f, v: (q, a[rows] * f, c[rows] * v))
         assert [(i, e) for i, e in enumerate(errors) if e is not None] == [], dims
 
 
@@ -102,12 +114,11 @@ def test_shifting_f_and_v(case, b, d):
     # F + bI and V + dI round their diagonals at the scale of b and d, and
     # dF and dV keep that error: the worst of 80,000 rows, under three OpenBLAS
     # kernels, was 1.2e-15 (1 + |b| + |d|)
-    s, rho, f, v = drawn(case)
-    base = verify_batch(rho, f, v, s)
-    shifted = verify_batch(rho, f + b * np.eye(s.d_w), v + d * np.eye(s.dim), s)
-    assert base.errors == [None] * ROWS
-    assert shifted.errors == [None] * ROWS
-    x, y = values(base), values(shifted)
+    s, groups = drawn(case)
+    x, base = verified(s, groups)
+    y, shifted = verified(s, groups, lambda rows, q, f, v: (q, f + b * np.eye(s.d_w), v + d * np.eye(s.dim)))
+    assert base == [None] * ROWS
+    assert shifted == [None] * ROWS
     rtol = 5e-15 * (1.0 + abs(b) + abs(d))
     assert_close(y.power, x.power, rtol * x.sigma)
     assert_close(y.var_f, x.var_f, rtol * x.f2)
@@ -120,17 +131,17 @@ def test_shifting_f_and_v(case, b, d):
        moved=st.sampled_from(["battery", "environment", "both"]))
 def test_local_unitaries(case, seed, moved):
     # W (x) E with W a change of battery basis and E a unitary on S, B and A:
-    # rho -> U rho U^dag, V -> U V U^dag, F -> W F W^dag, so F (x) 1 -> U (F (x) 1) U^dag
-    s, rho, f, v = drawn(case)
+    # Q -> U Q, so rho -> U rho U^dag, V -> U V U^dag, F -> W F W^dag, so F (x) 1 -> U (F (x) 1) U^dag
+    s, groups = drawn(case)
     rng = np.random.default_rng(seed)
     w = unitaries(rng, ROWS, s.d_w, moved != "environment")
     e = unitaries(rng, ROWS, s.env_dim, moved != "battery")
     u = np.stack([np.kron(wi, ei) for wi, ei in zip(w, e)])
-    base = verify_batch(rho, f, v, s)
-    turned = verify_batch(conjugated(u, rho), conjugated(w, f), conjugated(u, v), s)
-    assert base.errors == [None] * ROWS
-    assert turned.errors == [None] * ROWS
-    x, y = values(base), values(turned)
+    x, base = verified(s, groups)
+    y, turned = verified(s, groups, lambda rows, q, f, v: (u[rows] @ q, conjugated(w[rows], f),
+                                                           conjugated(u[rows], v)))
+    assert base == [None] * ROWS
+    assert turned == [None] * ROWS
     assert_close(y.power, x.power, 1e-12 * x.sigma)
     assert_close(y.var_f, x.var_f, 1e-12 * x.f2)
     assert_close(y.var_v, x.var_v, 1e-12 * x.v2)

@@ -14,6 +14,7 @@ from qbattery.moments import (
     PowerBoundReport,
     _delta_stack,
     _power_stage,
+    _verify_checked,
     compute_moments,
     corrected_bound,
     decomposition_terms,
@@ -42,8 +43,14 @@ QUBIT = TensorStructure.from_dims([2, 1, 1, 1])
 
 
 def charging_power(rho, f, v):
-    """P by the kernel's power stage alone, on one-row stacks; raises only for its own check."""
-    return float(_one_row(_power_stage, rho.mat, f.mat, v.mat)[0])
+    """P by the kernel's commutator route on rho's factor, on one-row stacks; raises only for the power stage's check."""
+    s = TensorStructure(f.dim, rho.dim // f.dim)
+
+    def stage(rows, q, fs, vs):
+        _, operands = moments._moment_stage(RowErrors(1), q, fs, vs, s)  # its checks are not raised
+        return _power_stage(rows, q, *operands)
+
+    return float(_one_row(stage, rho.factor, f.mat, v.mat)[0])
 
 
 def expectation(rho, a):
@@ -249,14 +256,13 @@ def table_errors(stage, **values):
 
 
 def moment_errors(var_f, var_v, cov):
-    # the moment rows check the variances before their clamp, the inequality after it
-    clamped = max(var_f, 0.0) * max(var_v, 0.0)
-    return table_errors("moments", var_f=var_f, var_v=var_v, product=clamped, cov_sq=abs(cov) ** 2)
+    return table_errors("moments", var_f=var_f, var_v=var_v, product=var_f * var_v, cov_sq=abs(cov) ** 2)
 
 
-def test_momentset_clamps_tiny_negative_variance(monkeypatch):
-    # states that are eigenvectors of V: Tr(rho dV dV) comes out as round-off of
-    # either sign, and the MomentSet of a row holds the variance clamped at 0
+def test_variance_of_an_eigenvector_is_round_off_and_never_negative(monkeypatch):
+    # states that are eigenvectors of V: var_V = |dV Q|^2 / t comes out as
+    # round-off, a sum of squares, so never below zero and with nothing to
+    # clamp; the row's tolerance still admits -1e-10
     rng = np.random.default_rng(19)
     s = TensorStructure.from_dims([2, 2, 1, 1])
     raw = []
@@ -278,9 +284,9 @@ def test_momentset_clamps_tiny_negative_variance(monkeypatch):
     batch = moment_batch(np.stack(rho), np.stack(f), np.stack(v), s)
     assert batch.errors == [None] * 32
     (var_v,) = raw
-    assert (var_v < 0.0).any() and (var_v >= -1e-10).all()
+    assert (var_v >= 0.0).all() and var_v.max() <= 1e-13
     for i in range(32):
-        assert batch.row(i).var_v == max(var_v[i], 0.0)
+        assert batch.row(i).var_v == var_v[i]
     assert moment_errors(-5e-11, 1.0, 0j) == [None]
 
 
@@ -455,41 +461,44 @@ def test_kernel_rows_do_not_depend_on_the_batch(dims):
         assert np.array_equal(whole[name], np.concatenate([head[name], tail[name]])), name
 
 
-def conjugate_cov_of(monkeypatch, state):
-    """Mutate the kernel's Cov to its conjugate Tr(rho dV dF) on the rows whose rho is `state`.
+def conjugate_cov_of(monkeypatch, f_state):
+    """Mutate the kernel's Cov to its conjugate <B, A> on the rows whose F is `f_state`.
 
     There 2 Im Cov = -P, so such a row fails the commutator-shift identity
     wherever P != 0; no other row changes.
     """
-    real = moments._cov
+    real = moments._moment_stage
 
-    def cov(rho, df, dv):
-        c = real(rho, df, dv)
-        return np.where((rho == state).all(axis=(-2, -1)), c.conj(), c)
+    def stage(rows, q, f, v, s):
+        m, operands = real(rows, q, f, v, s)
+        mine = (f == f_state).all(axis=(-2, -1))
+        return m._replace(cov=np.where(mine, m.cov.conj(), m.cov)), operands
 
-    monkeypatch.setattr(moments, "_cov", cov)
+    monkeypatch.setattr(moments, "_moment_stage", stage)
 
 
 def failing_instance(monkeypatch, s):
     """A drawn instance that `verify_instance` rejects under `conjugate_cov_of`, and its error message.
 
-    Trial 10 at seed 42: not among the trials `drawn_stacks` draws by default.
+    Trial 10 at seed 42, a pure state: not among the trials `drawn_stacks` draws by default.
     """
     rho, f, v, _ = draw_instance(s, "mix", 42, 10)
-    conjugate_cov_of(monkeypatch, rho.mat)
+    conjugate_cov_of(monkeypatch, f.mat)
     with pytest.raises(NumericalIntegrityError) as exc:
         verify_instance(rho, f, v, s)
     return rho, f, v, str(exc.value)
 
 
 def test_failing_row_reports_its_own_error_and_spares_the_others(monkeypatch):
+    # on factor stacks, as verify hands its draws to the kernel
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, message = failing_instance(monkeypatch, s)
-    rho_s, f_s, v_s = drawn_stacks(s, "mix", 5)
-    clean = kernel_fields(verify_batch(rho_s, f_s, v_s, s))
+    drawn = [draw_instance(s, "haar", 42, i) for i in range(5)]
+    q_s, f_s, v_s = (np.stack([d[k].factor if k == 0 else d[k].mat for d in drawn]) for k in range(3))
+    clean = kernel_fields(_verify_checked(q_s, f_s, v_s, s))
     at = 2
-    batch = verify_batch(np.insert(rho_s, at, rho.mat, axis=0), np.insert(f_s, at, f.mat, axis=0),
-                         np.insert(v_s, at, v.mat, axis=0), s)
+    batch = _verify_checked(np.insert(q_s, at, rho.factor, axis=0), np.insert(f_s, at, f.mat, axis=0),
+                            np.insert(v_s, at, v.mat, axis=0), s)
     assert isinstance(batch.errors[at], NumericalIntegrityError)
     assert str(batch.errors[at]) == message
     assert [e for i, e in enumerate(batch.errors) if i != at] == [None] * 5

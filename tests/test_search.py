@@ -133,6 +133,24 @@ def test_saturation_deterministic():
     assert find_saturating(cfg).to_dict() == find_saturating(cfg).to_dict()
 
 
+def test_the_lowest_succeeding_restart_wins_whatever_its_objective(tmp_path):
+    # at seed 3 every restart reaches a ratio of 0.999, restart 3 the highest:
+    # restart 0 is returned, so round-off in the objectives cannot pick the result
+    out = tmp_path / "sat.json"
+    assert main(["search", "--mode", "saturation", "--dims", "2,2,2,1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    restarts = json.loads((tmp_path / "sat.json.manifest.json").read_text())["restarts"]
+    assert len(restarts) == 8 and all(r["succeeded"] for r in restarts)
+    assert min(r["objective"] for r in restarts) < restarts[0]["objective"]
+    assert json.loads(out.read_text())["objective"] == restarts[0]["objective"]
+    # where no restart succeeds, the least objective wins, the lowest index among equals
+    cfg = zero_power_config(thresholds=SearchThresholds(min_var_f=2.0, max_abs_power=0.0),
+                            budget=400, restarts=3)
+    res = find_zero_power(cfg)
+    assert not res.succeeded
+    assert res.objective == min(r["objective"] for r in res.restarts)
+
+
 def test_saturation_on_larger_space():
     cfg = SearchConfig(structure=PAIR, mode="saturation", budget=40_000,
                        seed=SeedSpec(42), restarts=8)
