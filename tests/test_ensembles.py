@@ -31,6 +31,7 @@ from qbattery.operators import (
     TensorStructure,
     density_stack,
     factor_states,
+    norm_sq_stack,
     partial_trace_stack,
 )
 from draws import drawn_rows
@@ -312,8 +313,7 @@ def _raw_factor(s, used, seed, trial, rank=None):
 def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
     """One trial drawn with a fresh Philox per stream and one check per matrix: (Q, F, V, kind).
 
-    Q = K / |K|_F, |K|_F^2 the sum of the squares of K's real and
-    imaginary parts.
+    Q = K / |K|_F, with |K|_F^2 taken by `norm_sq_stack`, as the draw takes it.
     """
     def gue(dim, stream):
         m = _fresh_normals(seed, stream, (dim, dim))
@@ -321,7 +321,7 @@ def _reference_instance(s, kind, seed, trial, rank=None, scale=1.0):
 
     used = ("haar" if trial % 2 == 0 else "ginibre") if kind == "mix" else kind
     k = _raw_factor(s, used, seed, trial, rank)
-    q = k / np.sqrt((k.real * k.real + k.imag * k.imag).sum())
+    q = k / np.sqrt(norm_sq_stack(k))
     return q, gue(s.d_w, 4 * trial + 1), gue(s.dim, 4 * trial + 2), used
 
 
