@@ -51,9 +51,13 @@ def exact_state(q):
             for i in range(len(qe))]
 
 
-def drawn_rows(s, kind, rank, n):
-    """(batch, i, rho, F, V) of each of n seed-2024 draws: the kernel's batch of the row's kind,
-    the row's index in it, and its exact state with its float64 F and V."""
+def kernel_rows(s, kind, rank, n):
+    """(batch, i, rho, F, V) for each of n seed-2024 draws, as `verify` verifies them.
+
+    `batch` is the kernel's batch of the row's state kind and i the row's
+    index in it; rho is the exact state Q Q^dag of its factor, and F and V
+    are its float64 operators.
+    """
     groups, _ = draw_batch(s, kind, 2024, range(n), rank)
     for rows, q, f, v in groups:
         batch = _verify_checked(q, f, v, s)
@@ -105,7 +109,7 @@ def exact_terms(rho, f, v, env):
 @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1)])
 def test_sandwich_terms_match_the_exact_traces(dims, kind, rank):
     s = TensorStructure.from_dims(list(dims))
-    for batch, i, rho, f, v in drawn_rows(s, kind, rank, 6):
+    for batch, i, rho, f, v in kernel_rows(s, kind, rank, 6):
         want = exact_terms(rho, exact(f), exact(v), s.env_dim)
         scale = max(float(max(want)), float(batch.moments.var_f[i] * batch.moments.var_v[i]))
         for got, term in zip((batch.term_fv[i], batch.term_vf[i]), want):
@@ -211,7 +215,7 @@ def gate_errors():
     errors = {k: [] for k in GATE_BOUNDS}
     for dims, kind, rank, n in GATE_FAMILIES:
         s = TensorStructure.from_dims(list(dims))
-        for batch, i, rho, f, v in drawn_rows(s, kind, rank, n):
+        for batch, i, rho, f, v in kernel_rows(s, kind, rank, n):
             want = exact_columns(rho, exact(f), exact(v), s.env_dim)
             assert want["corrected_bound"] > 0
             for k, e in column_errors(batch, i, want).items():
