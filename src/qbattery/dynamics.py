@@ -3,10 +3,9 @@
 The composite evolves under H = H0 + V by unitary conjugation with
 U(t) = exp(-i H t), built from one spectral decomposition of H; there is no
 integrator error to disentangle from bound diagnostics. The initial state is
-decomposed once too, as rho0 = q0 diag(p0) q0^dag: U(t) carries its
-eigenvectors and leaves its spectrum as it is, so the state at every grid
-point is handed to the kernel as its factor U(t) q0 sqrt(p0), after a check
-that the carried U(t) q0 are orthonormal. Power is
+not decomposed here: it carries the factor Q0 of rho0 = Q0 Q0^dag it was
+checked on when it was built, and the state at every grid point is handed
+to the kernel as its factor U(t) Q0. Power is
 always evaluated with the interaction V alone. When H0 commutes with the
 embedded battery operator the power equals d<F>/dt, and trajectories carry a
 central finite-difference estimate of that derivative for cross-checking;
@@ -32,17 +31,14 @@ from .operators import (
     DimensionMismatchError,
     HermitianOperator,
     RejectedInputError,
-    RowErrors,
     TensorStructure,
     _is_integer,
     _is_number,
     _one_row,
     density_from_literal,
-    density_stack,
     eig_stack,
     embed_battery_op,
     hermitian_from_literal,
-    orthonormal_stack,
 )
 
 COMMUTE_TOL = 1e-10
@@ -100,7 +96,7 @@ class Trajectory:
 
 
 def _evolved(w: np.ndarray, vec: np.ndarray, q0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """U(t) q0 over `times`, with U(t) = exp(-i H t) from H = vec diag(w) vec^dag."""
+    """U(t) q0 over `times` for a factor q0 (D, r), with U(t) = exp(-i H t) from H = vec diag(w) vec^dag."""
     return (vec * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ (vec.conj().T @ q0)
 
 
@@ -114,14 +110,13 @@ def trajectory_report(
 
     The grid must be finite and strictly increasing, with at least 3 points
     so the interior finite differences exist; `dfdt_fd` has none at the
-    endpoints. rho0 is decomposed once, by DensityMatrix's checks, and its
-    eigenpairs (p0, q0) are carried through the evolution: the state at t
-    has the spectrum p0 and the eigenvectors U(t) q0, and the kernel takes
-    its factor U(t) q0 sqrt(p0), so no state is formed or decomposed again.
-    The grid is evolved and verified in batches of `batch_rows(D)` points;
-    every point's carried U(t) q0 passes an orthonormality check before any
-    point is verified. The first failed check of the earliest failing point
-    raises.
+    endpoints. Only H is decomposed, by `eig_stack`, whose checks keep U(t)
+    unitary to 1e-10. rho0 is taken as the factor Q0 its DensityMatrix was
+    checked on: the state at t is U(t) Q0 Q0^dag U(t)^dag, and the kernel
+    takes its factor U(t) Q0, so no state is formed or decomposed. Any
+    factor is a valid state, and every check of the chain runs at every
+    point. The grid is evolved and verified in batches of `batch_rows(D)`
+    points; the first failed check of the earliest failing point raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.
     """
@@ -139,28 +134,16 @@ def trajectory_report(
     f_emb = embed_battery_op(f, s)
     gate = bool(np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL)
     (w,), (vec,) = _one_row(eig_stack, h.total().mat)
-    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
-
     size = batch_rows(s.dim)
     batches = []
-    failed = None
     for start in range(0, len(times), size):
         block = times[start : start + size]
         n = len(block)
-        rows = RowErrors(n)
-        u = _evolved(w, vec, q0, block)
-        orthonormal_stack(rows, u)
-        rows.raise_first()
-        batch = _verify_checked(u * np.sqrt(p0), np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                                np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
-        # a later chunk's orthonormality error outranks this chunk's first
-        # verification error (states are checked before points are verified)
-        failed = failed or next((e for e in batch.errors if e is not None), None)
-        batches.append(batch)
-    if failed is not None:
-        raise failed
-
+        batches.append(_verify_checked(_evolved(w, vec, rho0.factor, block),
+                                       np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                                       np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s))
     report = concat_batches(batches)
+    report.errors.raise_first()
     mean_f = report.moments.mean_f
     fd = (mean_f[2:] - mean_f[:-2]) / (times[2:] - times[:-2])
     # every array: the report's fields after its moments, the moments' before their errors

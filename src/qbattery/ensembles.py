@@ -20,7 +20,8 @@ checks Q itself (`factor_stack`: finite entries, trace and purity) and
 forms no D x D state: the moment kernel takes Q. Each kind's rows are drawn
 and checked as a stack of their own, so a `mix` row is its kind's ensemble
 row bit for bit. Only `draw_instance` forms a state, Q Q^dag / Tr, through
-`DensityMatrix.from_factor`.
+`DensityMatrix.from_factor`, as a battery eigenstate product is formed from
+the factor u_j (x) Q_rest of F's eigenvector and the rest's state.
 """
 
 from collections.abc import Sequence
@@ -158,9 +159,7 @@ def battery_eigenstate_product(
     if not 0 <= j < s.d_w:
         raise RejectedInputError(f"eigenvector index {j} out of range [0, {s.d_w})")
     (w,), (u,) = _one_row(eig_stack, f.mat)
-    vec = u[:, j]
-    proj = np.outer(vec, vec.conj())
-    state = DensityMatrix(np.kron(proj, rest.mat))
+    state = DensityMatrix.from_factor(np.kron(u[:, j : j + 1], rest.factor))
     return BatteryEigenstateProduct(state=state, eigenvalue=float(w[j]), index=j)
 
 

@@ -16,9 +16,8 @@ with sr = sqrt(rho), and is bounded by
 
 The kernel takes each state as a factor Q (D x r) of rho = Q Q^dag / t,
 t = |Q|^2, as every caller holds one: a draw's K / |K|_F, an evolved
-U(t) q0 sqrt(p0), a search's parameters, or u sqrt(w) from a
-DensityMatrix's eigenpairs. With A = (dF (x) 1) Q, B = dV Q and
-<X, Y> = Tr(X^dag Y), every moment is an inner product: var_F = |A|^2 / t,
+U(t) Q0, a search's parameters, or a DensityMatrix's `factor`. With
+A = (dF (x) 1) Q, B = dV Q and <X, Y> = Tr(X^dag Y), every moment is an inner product: var_F = |A|^2 / t,
 var_V = |B|^2 / t and Cov(F,V) = Tr(rho dF dV) = <A, B> / t, kept complex
 and unsymmetrized; <F> and the battery purity are taken on the reduced state
 rho_W = Q_W Q_W^dag / t. That costs O(D^2 r) per row, D^3 only where r = D.
@@ -42,8 +41,9 @@ table, `_CHECKS`, checked where the chain reaches it; a clean report
 certifies the algebra numerically.
 
 ``verify_batch`` is the one implementation of the chain over stacks of
-states: it checks them as DensityMatrix does, takes their factors u sqrt(w)
-and records each row's first failed check instead of raising.
+states: it checks them as DensityMatrix does, takes the factors
+`density_stack` hands out and records each row's first failed check
+instead of raising.
 ``_verify_checked`` and ``_moments_checked`` run the chain and its moment
 stage on factor stacks whose states passed a boundary check (the draws, the
 trajectories, the search, a DensityMatrix's factor). ``verify_instance``,
@@ -383,13 +383,12 @@ def _batch(stage, q, f, v, s: TensorStructure):
 
 
 def _states_batch(stage, rho, f, v, s: TensorStructure):
-    """`stage` on stacks of states after DensityMatrix's and HermitianOperator's checks, on factors u sqrt(w)."""
+    """`stage` on stacks of states after DensityMatrix's and HermitianOperator's checks, on their factors."""
     rho, f, v = _checked_stacks(rho, f, v, s)
     if rho.shape[2] != s.dim:
         raise DimensionMismatchError(f"state dims {rho.shape[1:]} != structure dim {s.dim}")
     rows = RowErrors(rho.shape[0])
-    _, _, (w, u) = density_stack(rows, rho)
-    q = u * np.sqrt(w)[:, None, :]
+    q = density_stack(rows, rho)[1]
     return stage(rows, q, hermitian_stack(rows, f), hermitian_stack(rows, v), s)
 
 
@@ -398,7 +397,7 @@ def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
 
     The moment stage of `verify_batch`, with its input checks: each row of
     rho passes DensityMatrix's checks and the kernel takes its factor
-    u sqrt(w); F and V pass HermitianOperator's.
+    u sqrt(clip(w, 0)); F and V pass HermitianOperator's.
     """
     return _states_batch(_moment_stage, rho, f, v, s)[0]
 
@@ -409,8 +408,8 @@ def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
     Checks each state as DensityMatrix does (Hermiticity, trace, positivity,
     purity; a round-off eigenvalue below zero is clamped) and F and V as
     HermitianOperator does, then runs every check of the chain,
-    `_chain_stage`, on the states' factors u sqrt(w), in its order and at
-    its tolerance, as a mask over the rows: the moments, the power by the
+    `_chain_stage`, on the states' factors u sqrt(clip(w, 0)), in its order
+    and at its tolerance, as a mask over the rows: the moments, the power by the
     commutator, the same power as 2 Im Cov, which certifies the square-root
     decomposition, and the bounds. Rows are independent: a row's values and
     error do not depend on what else is in the stack.
@@ -421,11 +420,11 @@ def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
 def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
     """The chain on factor stacks q (N, D, r) whose states, and F and V, passed a boundary check.
 
-    `factor_stack`'s, DensityMatrix's or the trajectory's orthonormality
-    check for q, HermitianOperator's for F and V, which hand back exactly
-    Hermitian matrices. Every check of the chain runs. The draws, the
-    trajectory states, the search's final candidate and the demo come this
-    way.
+    `factor_stack`'s or DensityMatrix's for q (a trajectory's rho0, which a
+    checked U(t) evolves), HermitianOperator's for F and V, which hand back
+    exactly Hermitian matrices. Every check of the chain runs. The draws,
+    the trajectory states, the search's final candidate and the demo come
+    this way.
     """
     return _batch(_chain_stage, q, f, v, s)
 

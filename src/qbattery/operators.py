@@ -18,13 +18,13 @@ finite and exactly Hermitian, since (A + A^dag)/2 is, and so is a real
 diagonal shift or a real multiple of it; code that only shifts or scales such
 a matrix does not check it again.
 
-A state enters either as a matrix or as a factor. `density_stack` judges a
-matrix on its `eigh` eigenpairs (w, u), and its factor is u sqrt(w). A
-state drawn or built as Q Q^dag / Tr from a factor Q (D x r) is Hermitian
-and positive semidefinite by construction: `factor_stack` checks Q's
-entries, trace and purity, with DensityMatrix's messages, and decomposes
-nothing. A `DensityMatrix` keeps the factor it was checked on, and the
-moment kernel takes every state as such a factor.
+A state is decomposed at most once, where it enters. `density_stack` judges
+a matrix on its `eigh` eigenpairs (w, u) and hands out only the factor
+u sqrt(clip(w, 0)). A state built as Q Q^dag / Tr from a factor Q (D x r),
+such as a draw or a ket, is Hermitian and positive semidefinite by
+construction: `factor_stack` checks Q's entries, trace and purity, with
+DensityMatrix's messages, and decomposes nothing. A `DensityMatrix` keeps
+the factor it was checked on: the moment kernel takes every state as one.
 """
 
 from dataclasses import dataclass
@@ -184,12 +184,13 @@ def _check_trace(rows: RowErrors, tr: np.ndarray) -> np.ndarray:
 
 
 def density_stack(rows: RowErrors, a: np.ndarray):
-    """DensityMatrix's checks and repairs over a stack; returns (states, purities, (w, u)).
+    """DensityMatrix's checks and repairs over a stack; returns (states, factors).
 
-    (w, u) are the eigenpairs of the returned states: eigh's own for a row
-    left as it was, and (clip(w) / t, u) for a row whose eigenvalues were
-    clamped, t being the trace it was divided by. So w is never negative,
-    and u sqrt(w) is a factor of the returned state.
+    Each row is divided by its trace and decomposed once by `eigh`; its
+    factor is u sqrt(clip(w, 0)) from those eigenpairs (w, u), D x D, and
+    is what the moment kernel takes. A row with an eigenvalue in the clamp
+    window [-PSD_TOL, 0) is replaced by the state of its factor,
+    `factor_states`, so every returned state is its factor's.
     """
     a = _symmetrized(rows, a, "density matrix is not Hermitian: residual {:.3e} > {}")
     tr = _check_trace(rows, np.trace(a, axis1=-2, axis2=-1).real)
@@ -198,17 +199,12 @@ def density_stack(rows: RowErrors, a: np.ndarray):
     w_min = w.min(axis=-1, initial=np.inf)
     rows.record(w_min < -PSD_TOL, lambda i: NotPositiveSemidefiniteError(
         f"density matrix has eigenvalue {w_min[i]:.3e} < -{PSD_TOL}"))
+    q = u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     clamp = w_min < 0.0
     if clamp.any():
-        uc, wc = u[clamp], np.clip(w[clamp], 0.0, None)
-        b = (uc * wc[:, None, :]) @ _adjoint(uc)
-        b = (b + _adjoint(b)) / 2.0
-        t = np.trace(b, axis1=-2, axis2=-1).real
-        a[clamp] = b / t[:, None, None]
-        w[clamp] = wc / t[:, None]
-    p = norm_sq_stack(a)
-    _check_purity(rows, p, a.shape[-1])
-    return a, p, (w, u)
+        a[clamp] = factor_states(q[clamp])
+    _check_purity(rows, norm_sq_stack(a), a.shape[-1])
+    return a, q
 
 
 def factor_stack(rows: RowErrors, q: np.ndarray) -> np.ndarray:
@@ -290,20 +286,21 @@ class HermitianOperator(_CheckedMatrix):
 class DensityMatrix(_CheckedMatrix):
     """Positive semidefinite, unit-trace Hermitian matrix, and a factor of it.
 
-    Construction symmetrizes, renormalizes the trace, and applies the PSD
-    repair policy: eigenvalues in [-1e-10, 0) are clamped to zero (round-off
-    from propagation), anything below -1e-10 is rejected as a genuine error.
-    `factor` is u sqrt(w) from the eigenpairs the check computed, or the Q
-    of `from_factor`: a D x r matrix whose factor factor^dag / |factor|^2 is
-    mat to round-off, and which is what the moment kernel takes.
+    Construction from a matrix symmetrizes, renormalizes the trace, and
+    applies the PSD repair policy of `density_stack`: eigenvalues in
+    [-1e-10, 0) are clamped to zero (round-off from propagation), anything
+    below -1e-10 is rejected as a genuine error. `factor` is the factor
+    `density_stack` hands out, or the Q of `from_factor` and `from_ket`: a
+    D x r matrix with factor factor^dag / |factor|^2 = mat to round-off,
+    and what the moment kernel takes.
     """
 
     __slots__ = ("factor",)
 
     def __init__(self, mat):
-        (a,), _, ((w,), (u,)) = _one_row(density_stack, _as_complex_square(mat))
+        (a,), (q,) = _one_row(density_stack, _as_complex_square(mat))
         self._freeze(a)
-        self._freeze(u * np.sqrt(w), "factor")
+        self._freeze(q, "factor")
 
     @classmethod
     def from_factor(cls, q) -> "DensityMatrix":
@@ -319,13 +316,12 @@ class DensityMatrix(_CheckedMatrix):
 
     @classmethod
     def from_ket(cls, psi) -> "DensityMatrix":
-        """Rank-1 projector |psi><psi| from a (normalizable) state vector."""
+        """Rank-1 projector |psi><psi| from a (normalizable) state vector, whose factor is psi / |psi|."""
         v = np.asarray(psi, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise RejectedInputError("cannot build a state from the zero vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
+        return cls.from_factor((v / norm)[:, None])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -333,13 +329,6 @@ class DensityMatrix(_CheckedMatrix):
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6f})"
-
-
-def orthonormal_stack(rows: RowErrors, u: np.ndarray) -> None:
-    """Record the rows whose r columns are not orthonormal to 1e-10: max|U^dag U - I_r|."""
-    ortho = _max_abs(_adjoint(u) @ u - np.eye(u.shape[-1]))
-    rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
-        f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))
 
 
 def eig_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +341,9 @@ def eig_stack(rows: RowErrors, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     recon = _max_abs((u * w[..., None, :]) @ _adjoint(u) - a)
     rows.record(recon > 1e-9 * (1.0 + _max_abs(a)), lambda i: NumericalIntegrityError(
         f"eigendecomposition reconstruction error {recon[i]:.3e}"))
-    orthonormal_stack(rows, u)
+    ortho = _max_abs(_adjoint(u) @ u - np.eye(u.shape[-1]))
+    rows.record(ortho > 1e-10, lambda i: NumericalIntegrityError(
+        f"eigenvector columns not orthonormal: {ortho[i]:.3e}"))
     return w, u
 
 

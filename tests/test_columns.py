@@ -47,7 +47,6 @@ from qbattery.operators import (
     RowErrors,
     TensorStructure,
     _one_row,
-    density_stack,
     eig_stack,
     to_matrix_literal,
 )
@@ -86,14 +85,13 @@ def reference_rows(doc) -> list[list[str]]:
     rho0, h, f, grid = parse_scenario(doc)
     s = h.structure
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
-    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
     times = [float(t) for t in grid]
     values = []
     size = batch_rows(s.dim)
     for start in range(0, len(times), size):
         block = np.array(times[start : start + size])
         n = len(block)
-        factors = dynamics._evolved(w, u, q0, block) * np.sqrt(p0)
+        factors = dynamics._evolved(w, u, rho0.factor, block)
         batch = moments._verify_checked(factors, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
                                         np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
         assert batch.errors == [None] * n
@@ -226,6 +224,25 @@ def test_trajectory_raises_the_earliest_kernel_error(monkeypatch):
         trajectory_report(*exchange_trajectory(9))
 
 
+def test_trajectory_raises_the_earliest_kernel_error_across_chunks(monkeypatch):
+    # every chunk is verified, then the earliest failing point raises: the
+    # first chunk fails at its last point, the second at its first
+    real = dynamics._verify_checked
+    chunks = []
+
+    def patched(q, f, v, s):
+        batch = real(q, f, v, s)
+        chunks.append(batch)
+        batch.errors[0 if len(chunks) > 1 else -1] = NumericalIntegrityError(
+            f"kernel check failed in chunk {len(chunks)}")
+        return batch
+
+    monkeypatch.setattr(dynamics, "_verify_checked", patched)
+    with pytest.raises(NumericalIntegrityError, match="failed in chunk 1"):
+        trajectory_report(*exchange_trajectory(batch_rows(4) + 20))
+    assert len(chunks) == 2
+
+
 # ---------------------------------------------------------------- Hermiticity re-checks
 
 @pytest.fixture
@@ -258,16 +275,17 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch):
     rho0, h, f, _ = exchange_trajectory()
     size = batch_rows(4)
-    checked = []
-    real = dynamics.orthonormal_stack
-    monkeypatch.setattr(dynamics, "orthonormal_stack", lambda rows, u: checked.append(u.shape) or real(rows, u))
+    verified = []
+    real = dynamics._verify_checked
+    monkeypatch.setattr(dynamics, "_verify_checked", lambda q, *args: verified.append(q.shape) or real(q, *args))
     for points, chunks in ((size - 47, 1), (2 * size + 52, 3)):
         symmetrized_calls.clear()
-        checked.clear()
+        verified.clear()
         trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, points))
-        # F (x) 1, H0 + V and rho0 once; per chunk the carried U(t) q0, and none in the kernel
-        assert len(symmetrized_calls) == 3
-        assert len(checked) == chunks and sum(n for n, *_ in checked) == points
+        # F (x) 1 and H0 + V once; rho0 was checked where it was built, and
+        # no chunk checks its evolved factors U(t) rho0.factor, nor the kernel what it forms
+        assert len(symmetrized_calls) == 2
+        assert len(verified) == chunks and sum(n for n, *_ in verified) == points
 
 
 def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
@@ -314,9 +332,9 @@ def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     symmetrized_calls.clear()
     size = batch_rows(4)
     trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, size + 76))
-    # F (x) 1 for the commutation gate, H0 + V and rho0, once; then nothing
-    # per chunk: the states are factors, and the kernel checks nothing it forms
-    assert symmetrized_calls == [(1, 4, 4), (1, 4, 4), (1, 4, 4)]
+    # F (x) 1 for the commutation gate and H0 + V, once; then nothing per
+    # chunk: the states are factors, and the kernel checks nothing it forms
+    assert symmetrized_calls == [(1, 4, 4), (1, 4, 4)]
 
 
 def exactly_hermitian_stacks(seed, dims, n, scale, pure):

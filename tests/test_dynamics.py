@@ -23,7 +23,6 @@ from qbattery.operators import (
     RejectedInputError,
     TensorStructure,
     _one_row,
-    density_stack,
     eig_stack,
     to_matrix_literal,
 )
@@ -48,9 +47,8 @@ def exchange_setup(g=1.0):
 def propagate(rho0, h, t):
     """rho(t) = U rho0 U^dag with U = exp(-i (H0 + V) t), as trajectory_report builds it."""
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
-    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
-    ut = _evolved(w, u, q0, np.array([t]))[0]
-    return DensityMatrix((ut * p0) @ ut.conj().T)
+    qt = _evolved(w, u, rho0.factor, np.array([t]))[0]
+    return DensityMatrix.from_factor(qt)
 
 
 def test_propagate_t0_is_identity():
@@ -90,19 +88,18 @@ def test_propagate_conserves_energy():
 
 @pytest.mark.parametrize("rank", [1, 3, 8])
 def test_evolved_states_are_u_rho0_u_dag(rank):
-    # built from rho0's eigenpairs, whatever its rank, against scipy's expm
+    # U(t) rho0.factor, whatever rho0's rank, against scipy's expm
     s = TensorStructure.from_dims([2, 2, 2, 1])
     rho0 = ginibre_mixed(8, rank, SeedSpec(66))
     h = HamiltonianSpec(h0=gue_hermitian(8, 1.0, SeedSpec(67)), v=gue_hermitian(8, 1.0, SeedSpec(68)),
                         structure=s)
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
-    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
     times = np.array([0.0, 0.4, 2.5])
-    for t, vt in zip(times, _evolved(w, u, q0, times)):
+    for t, qt in zip(times, _evolved(w, u, rho0.factor, times)):
         ev = expm(-1j * t * h.total().mat)
-        state = (vt * p0) @ vt.conj().T  # the state of the factor vt sqrt(p0) the kernel takes
+        state = qt @ qt.conj().T  # the state of the factor qt the kernel takes
         assert np.abs(state - ev @ rho0.mat @ ev.conj().T).max() <= 1e-13
-        assert np.abs(vt - ev @ q0).max() <= 1e-13
+        assert np.abs(qt - ev @ rho0.factor).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- exchange model

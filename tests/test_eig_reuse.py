@@ -1,12 +1,14 @@
-"""At most one eigendecomposition per state, and the factors the kernel takes are checked where they enter.
+"""At most one eigendecomposition per state, where the state is built; the kernel takes its factor.
 
 A drawn state is its factor Q = K / |K|_F, checked on Q itself: no
 decomposition runs for it, in the chunks or in the writer, which forms the
-reported state from its factor. A trajectory decomposes only its initial
-state: U(t) carries rho0's eigenvectors to every grid point, and the kernel
-takes U(t) q0 sqrt(p0) after a check that the carried U(t) q0 are
-orthonormal. `eig_stack` checks the eigenpairs `eigh` gives it for
-reconstruction and orthonormality, so a corrupted pair fails its row there.
+reported state from its factor. A ket is its own factor, and so is a
+battery eigenstate product, F's eigenvector (x) the rest's factor: neither
+runs a D x D `eigh`. A state given as a matrix is decomposed once, by
+`density_stack` when it is parsed. A trajectory decomposes only H: the
+kernel takes U(t) rho0.factor at every grid point. `eig_stack` checks the
+eigenpairs `eigh` gives it for reconstruction and orthonormality, so a
+corrupted pair fails its row there, and H's fails the trajectory.
 """
 
 import json
@@ -25,9 +27,16 @@ from qbattery.dynamics import (
     parse_scenario,
     trajectory_report,
 )
-from qbattery.ensembles import SeedSpec, ginibre_mixed, gue_hermitian
+from qbattery.ensembles import (
+    SeedSpec,
+    battery_eigenstate_product,
+    ginibre_mixed,
+    gue_hermitian,
+    haar_pure,
+)
 from qbattery.moments import REPORT_FIELDS, verify_batch
 from qbattery.operators import (
+    DensityMatrix,
     HermitianOperator,
     NumericalIntegrityError,
     RowErrors,
@@ -35,6 +44,7 @@ from qbattery.operators import (
     _one_row,
     density_stack,
     eig_stack,
+    factor_states,
     to_matrix_literal,
 )
 from test_exact_terms import GATE_BOUNDS, exact, exact_columns, exact_state
@@ -92,12 +102,36 @@ def test_trajectory_decomposes_each_state_once(eigh_shapes):
     h = HamiltonianSpec(h0=HermitianOperator(np.zeros((4, 4), dtype=complex)),
                         v=exchange_interaction(1.0, s), structure=s)
     rho0, f = ground_excited_state(s), HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
-    grid = np.linspace(0.0, 3.0, 2100)
-    eigh_shapes.clear()  # building rho0 checked it
+    assert eigh_shapes == []  # a ket is its own factor
+    trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, 2100))
+    # H once; the kernel takes U(t) rho0.factor and decomposes nothing
+    assert eigh_shapes == [(1, 4, 4)]
+
+
+@pytest.mark.parametrize("dims, rank", [([2, 2, 1, 1], 3), ([2, 2, 2, 2], 16)])
+def test_literal_rho0_is_decomposed_once_at_parse(eigh_shapes, dims, rank):
+    s = TensorStructure.from_dims(dims)
+    doc_rho0 = to_matrix_literal(ginibre_mixed(s.dim, rank, SeedSpec(17, 3)))
+    assert eigh_shapes == []  # a draw is its factor
+    rho0, h, f, grid = parse_scenario({**builtin_exchange_scenario(steps=40), "structure": dims,
+                                       "rho0": doc_rho0})
+    assert eigh_shapes == [(1, s.dim, s.dim)]  # rho0, by density_stack
+    eigh_shapes.clear()
     trajectory_report(rho0, h, f, grid)
-    # H and rho0 once each; the propagated states carry rho0's eigenpairs, and
-    # the kernel decomposes nothing
-    assert eigh_shapes == [(1, 4, 4), (1, 4, 4)]
+    assert eigh_shapes == [(1, s.dim, s.dim)]  # H, and not rho0 again
+
+
+def test_kets_and_eigenstate_products_run_no_state_decomposition(eigh_shapes):
+    s = TensorStructure.from_dims([3, 2, 2, 1])
+    ket = DensityMatrix.from_ket(np.arange(1.0, 13.0) + 0.5j)
+    assert eigh_shapes == []
+    assert ket.factor.shape == (12, 1)
+    f = gue_hermitian(3, 1.0, SeedSpec(41))
+    for rest in (haar_pure(4, SeedSpec(42)), ginibre_mixed(4, 3, SeedSpec(43))):
+        eigh_shapes.clear()
+        prod = battery_eigenstate_product(f, 1, rest, s)
+        assert eigh_shapes == [(1, 3, 3)]  # F's eigenpairs only
+        assert prod.state.factor.shape == (12, rest.factor.shape[1])
 
 
 def batch_values(batch):
@@ -172,11 +206,10 @@ MATRIX_RATIO_TOL = 5e-12
 
 
 def carried_states(rho0, h, grid):
-    """The states U(t) rho0 U(t)^dag as the trajectory carries them: (u_t p0) u_t^dag, and (p0, u_t)."""
+    """The states U(t) rho0 U(t)^dag as the trajectory carries them: (Q_t Q_t^dag, Q_t), Q_t = U(t) Q0."""
     (w,), (vec,) = _one_row(eig_stack, h.total().mat)
-    _, _, ((p0,), (q0,)) = _one_row(density_stack, rho0.mat)
-    u = dynamics._evolved(w, vec, q0, np.asarray(grid))
-    return (u * p0) @ u.conj().swapaxes(-1, -2), (p0, u)
+    q = dynamics._evolved(w, vec, rho0.factor, np.asarray(grid))
+    return q @ q.conj().swapaxes(-1, -2), q
 
 
 @pytest.mark.parametrize("name", CARRIED_SCENARIOS)
@@ -198,16 +231,15 @@ def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
         diff = np.abs(got[field] - values)
         close = diff <= 1e-12 * np.maximum(np.abs(values), 1.0)
         if field == "saturation_ratio" and s.dim <= 4:
-            # The two routes normalise and clamp their states on different
-            # eigenvalues, so the states differ in their last bits; at D <= 4
-            # a ratio near 1 carries that into its 12th digit. There each
-            # route's ratio is held to its own state's exact value: the
+            # The reference forms each state and takes a new eigh factor of
+            # it, so the two routes' states differ in their last bits; at
+            # D <= 4 a ratio near 1 carries that into its 12th digit. There
+            # each route's ratio is held to its own state's exact value: the
             # trajectory's to its factor's, at the exact gate's bound, and
             # the reference's to the state it was given.
             factors = carried_states(rho0, h, grid)[1]
             for i in np.flatnonzero(~close):
-                q = factors[1][i] * np.sqrt(factors[0])
-                close[i] = (exact_ratio_error(exact_state(q), f.mat, h.v.mat, s, got[field][i])
+                close[i] = (exact_ratio_error(exact_state(factors[i]), f.mat, h.v.mat, s, got[field][i])
                             <= GATE_BOUNDS["saturation_ratio"][0]
                             and exact_ratio_error(exact(states[i]), f.mat, h.v.mat, s, values[i])
                             <= MATRIX_RATIO_TOL)
@@ -225,20 +257,29 @@ def test_carried_spectrum_is_rho0s(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_verify_checked", spy)
     trajectory_report(rho0, h, f, grid)
-    p0 = carried_states(rho0, h, grid)[1][0]
     assert len(seen) == 1  # one chunk
-    # each point's factor U(t) q0 sqrt(p0) has rho0's spectrum as its Gram matrix
+    # each point's factor U(t) rho0.factor has rho0's factor's Gram matrix,
+    # diag(p0) with p0 rho0's eigenvalues, clamped at zero
+    p0 = np.diag(rho0.factor.conj().T @ rho0.factor).real
     gram = seen[0].conj().swapaxes(-1, -2) @ seen[0]
     assert np.abs(gram - np.diag(p0)).max() <= 1e-15
     assert np.count_nonzero(p0 > 1e-12) == 3 and p0.min() >= 0.0  # rank 3, clamped
 
 
+def test_pure_rho0_given_as_a_ket_saturates_at_every_point():
+    # A pure state's bound saturates in D = 2. Given as a ket, rho0 is its
+    # own D x 1 factor and stays pure along the trajectory; an eigh factor
+    # of |psi><psi| would carry a column of round-off weight, and verify a
+    # slightly mixed state.
+    _, h, f, grid = scenario([2, 1, 1, 1], 1)
+    rho0 = DensityMatrix.from_ket(ginibre_mixed(2, 1, SeedSpec(17, 3)).factor[:, 0])
+    assert rho0.factor.shape == (2, 1)
+    ratio = trajectory_report(rho0, h, f, grid).report.saturation_ratio
+    assert len(ratio) == 41 and np.all(ratio == 1.0)
+
+
 def negate_column(u):
     u[:, 0] = -u[:, 0]
-
-
-def rescale_column(u):
-    u[:, 0] *= 1.0 + 1e-6
 
 
 def corrupted_evolution(monkeypatch, corrupt, row):
@@ -253,10 +294,20 @@ def corrupted_evolution(monkeypatch, corrupt, row):
 
 
 @pytest.mark.parametrize("name", ["exchange", "D8-rank3", "D16-rank16"])
-def test_rescaled_carried_eigenvector_raises_the_orthonormality_error(monkeypatch, name):
+def test_corrupted_eigenvectors_of_h_raise_through_eig_stack(monkeypatch, name):
+    # U(t) is unitary to eig_stack's tolerance: H's eigenvectors, rescaled in
+    # one column as they leave eigh, fail its checks, and the trajectory raises
     rho0, h, f, grid = carried_scenario(name)
-    corrupted_evolution(monkeypatch, rescale_column, 5)
-    with pytest.raises(NumericalIntegrityError, match="eigenvector columns not orthonormal"):
+    real = np.linalg.eigh
+
+    def rescaled(a):
+        w, u = real(a)
+        u = u.copy()
+        u[..., 0] *= 1.0 + 1e-6
+        return w, u
+
+    monkeypatch.setattr(np.linalg, "eigh", rescaled)
+    with pytest.raises(NumericalIntegrityError, match="eigendecomposition reconstruction error"):
         trajectory_report(rho0, h, f, grid)
 
 
@@ -272,28 +323,38 @@ def test_a_negated_carried_eigenvector_is_the_same_eigenpair(monkeypatch):
         assert np.all(diff <= 1e-14 * np.maximum(np.abs(values), 1.0)), field
 
 
-def test_orthonormal_stack_checks_thin_factors_against_the_identity_of_their_width():
-    u = np.linalg.qr(np.arange(1.0, 25.0).reshape(8, 3) + 1j)[0][None].repeat(2, axis=0)
+def test_eig_stack_checks_eigenvector_orthonormality(monkeypatch):
+    # a column of a zero eigenvalue may be scaled without changing the
+    # reconstruction; only the orthonormality check sees it
+    u = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + 1j * np.eye(3))[0]
+    a = np.stack([(u * np.array([0.0, 1.0, 2.0])) @ u.conj().T] * 2)
+    real = np.linalg.eigh
+
+    def scaled(m):
+        w, vec = real(m)
+        vec = vec.copy()
+        vec[1, :, np.argmin(np.abs(w[1]))] *= 2.0
+        return w, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
     rows = RowErrors(2)
-    dynamics.orthonormal_stack(rows, u)
-    assert rows == [None, None]
-    # a D x D identity would take these columns for 5 missing ones
-    u[1, :, 0] *= 2.0
-    dynamics.orthonormal_stack(rows, u)
-    assert rows[0] is None and "not orthonormal: 3.000e+00" in str(rows[1])
+    eig_stack(rows, a)
+    assert rows[0] is None and "eigenvector columns not orthonormal: 3.0" in str(rows[1])
 
 
 def test_density_stack_returns_factors_of_the_returned_state():
     u = np.linalg.qr(np.array([[1.0, 2.0j, 0.5], [0.3, -1.0, 1.0j], [2.0, 0.1, 1.0]]))[0]
-    for w in ([0.2, 0.3, 0.5 + 1e-9],  # trace 1 + 1e-9: divided by it
-              [-5e-11, 0.4, 0.6 + 5e-11]):  # an eigenvalue in the clamp window
+    for w, clamped in (([0.2, 0.3, 0.5 + 1e-9], False),  # trace 1 + 1e-9: divided by it
+                       ([-5e-11, 0.4, 0.6 + 5e-11], True)):  # an eigenvalue in the clamp window
         state = ((u * np.array(w)) @ u.conj().T)[None]
         rows = RowErrors(1)
-        out, _, (w_out, u_out) = density_stack(rows, state)
+        out, q = density_stack(rows, state)
         assert rows == [None]
-        assert w_out.min() >= 0.0 and abs(w_out.sum() - 1.0) <= 1e-15
-        assert np.abs((u_out * w_out[:, None, :]) @ u_out.conj().swapaxes(-1, -2) - out).max() <= 1e-15
+        assert q.shape == (1, 3, 3)
         assert np.abs(np.trace(out[0]) - 1.0) <= 1e-15
-        # the factor u sqrt(w) the kernel takes for a state given as a matrix
-        q = u_out * np.sqrt(w_out)[:, None, :]
-        assert np.abs(q @ q.conj().swapaxes(-1, -2) - out).max() <= 1e-15
+        # the factor the kernel takes for a state given as a matrix: its
+        # state Q Q^dag / |Q|^2 is the returned state, bit for bit where a
+        # row was clamped, as it is built from its factor
+        if clamped:
+            assert np.array_equal(out, factor_states(q))
+        assert np.abs(factor_states(q) - out).max() <= 1e-15

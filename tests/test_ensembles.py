@@ -209,7 +209,9 @@ def test_battery_eigenstate_product_zeroes_everything():
         v = gue_hermitian(6, 1.0, SeedSpec(43, j))
         m = compute_moments(prod.state, f, v, s)
         rep = verify_instance(prod.state, f, v, s)
-        assert m.var_f <= 1e-10
+        # the state is F's eigenvector (x) rest's factor, not an eigh factor of
+        # its D x D matrix, so (dF (x) 1) Q is round-off of F's eigenpair alone
+        assert m.var_f <= 1e-30
         assert abs(m.cov) <= 1e-10
         assert abs(rep.power) <= 1e-10
         assert rep.saturation_ratio == 0.0
