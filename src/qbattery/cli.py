@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -190,13 +191,22 @@ def _write_file(path: str, data) -> None:
             fh.truncate()
 
 
-def _write_manifest(args, started: float, digests=None, config=None, **telemetry) -> None:
-    """Write <out>.manifest.json for the parsed `args`.
+def _start() -> tuple[float, int]:
+    """Where a command starts: the clock, and the process's minor page faults so far."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _write_manifest(args, started: float, faults: int, digests=None, config=None, **telemetry) -> None:
+    """Write <out>.manifest.json for the parsed `args` of a command begun at `_start()`.
 
     Its config is every parsed argument but the subcommand, --out and --seed
-    (which has its own field), with `config` laid over it.
+    (which has its own field), with `config` laid over it. `resources` holds
+    the command's minor page faults and the process's peak RSS in MB
+    (ru_maxrss, which Linux counts in KiB); like the durations, they are
+    never part of a payload.
     """
     parsed = {k: v for k, v in vars(args).items() if k not in ("command", "out", "seed")}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "subcommand": args.command,
         "config": {**parsed, **(config or {})},
@@ -204,6 +214,8 @@ def _write_manifest(args, started: float, digests=None, config=None, **telemetry
         "version": __version__,
         "input_digests": digests or {},
         "duration_seconds": time.perf_counter() - started,
+        "resources": {"minor_page_faults": usage.ru_minflt - faults,
+                      "peak_rss_mb": usage.ru_maxrss / 1024.0},
         **telemetry,
     }
     _write_file(args.out + ".manifest.json", _json_bytes(manifest))
@@ -249,11 +261,11 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
-    The draws' factors passed `factor_stack`'s checks and F and V
-    HermitianOperator's, so the kernel takes them as they are. Returns the
-    kinds, each row's first failed check, an (N, 15) array of the values in
-    TRIAL_COLUMNS after "trial" and "kind", and the seconds spent drawing
-    and in the kernel.
+    The draws' factors passed `factor_stack`'s checks, and F and V are
+    exactly Hermitian by construction with finite entries checked, so the
+    kernel takes them as they are. Returns the kinds, each row's first
+    failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
+    "trial" and "kind", and the seconds spent drawing and in the kernel.
     """
     started = time.perf_counter()
     groups, kinds = draw_batch(structure, kind, seed, trials, rank)
@@ -300,7 +312,7 @@ def cmd_verify(args) -> int:
         )
     SeedSpec(args.seed)  # rejects a bad seed even when no trial draws with it
     kind = ENSEMBLES[args.ensemble]
-    started = time.perf_counter()
+    started, faults = _start()
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
     chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
     pooled = time.perf_counter()
@@ -348,7 +360,7 @@ def cmd_verify(args) -> int:
     stages = {"chunks": pooled - started, "draw": draw, "kernel": kernel,
               "report": time.perf_counter() - pooled}
 
-    _write_manifest(args, started, stage_seconds=stages)
+    _write_manifest(args, started, faults, stage_seconds=stages)
 
     print(f"verify: {args.trials} trials, {violations} violations -> {args.out}")
     return 0 if not violations else 1
@@ -357,7 +369,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- evolve
 
 def cmd_evolve(args) -> int:
-    started = time.perf_counter()
+    started, faults = _start()
     path = Path(args.config)
     if args.config == "exchange" and not path.exists():
         source, doc, digests = "builtin:exchange", builtin_exchange_scenario(), {}
@@ -380,7 +392,7 @@ def cmd_evolve(args) -> int:
         payload = ("\n".join(lines) + "\n").encode()
     _write_file(args.out, payload)
 
-    _write_manifest(args, started, digests, {"config": source})
+    _write_manifest(args, started, faults, digests, {"config": source})
 
     max_power = float(np.abs(trajectory.report.power).max())
     min_purity = float(trajectory.battery_purity.min())
@@ -395,7 +407,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_search(args) -> int:
     structure = _parse_dims(args.dims)
-    started = time.perf_counter()
+    started, faults = _start()
     thresholds = SearchThresholds(
         min_var_f=args.min_var_f,
         min_abs_cov=args.min_abs_cov,
@@ -416,7 +428,7 @@ def cmd_search(args) -> int:
         result = find_saturating(config)
 
     _write_file(args.out, _json_bytes(result.to_dict()))
-    _write_manifest(args, started, restarts=result.restarts, kernel_calls=result.kernel_calls)
+    _write_manifest(args, started, faults, restarts=result.restarts, kernel_calls=result.kernel_calls)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
     print(
@@ -485,7 +497,7 @@ _DEMO_CASES = {
 
 
 def cmd_demo(args) -> int:
-    started = time.perf_counter()
+    started, faults = _start()
     s, rho, f, v, checks = _DEMO_CASES[args.case](args.seed)
     batch = _verify_checked(rho.factor[None], f.mat[None], v.mat[None], s)
     batch.errors.raise_first()
@@ -516,7 +528,7 @@ def cmd_demo(args) -> int:
         print(f"result: {'PASS' if all_passed else 'FAIL'}")
     if args.out:
         _write_file(args.out, _json_bytes(doc))
-        _write_manifest(args, started)
+        _write_manifest(args, started, faults)
     return 0 if all_passed else 1
 
 

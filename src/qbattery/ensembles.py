@@ -22,6 +22,14 @@ and checked as a stack of their own, so a `mix` row is its kind's ensemble
 row bit for bit. Only `draw_instance` forms a state, Q Q^dag / Tr, through
 `DensityMatrix.from_factor`, as a battery eigenstate product is formed from
 the factor u_j (x) Q_rest of F's eigenvector and the rest's state.
+
+F and V are scale (M + M^dag) / 2 of a complex Gaussian M = re + 1j im,
+formed by `_gue_stack` from the stream's re and im arrays: re + re^T and
+im - im^T are written into the real and imaginary parts and scaled in
+place, with no complex M, adjoint or sum formed. They are exactly Hermitian
+by construction, so the draw checks only that their entries are finite,
+which an overflowing scale breaks, with HermitianOperator's message.
+`draw_batch`, `draw_instance` and `gue_hermitian` all build them this way.
 """
 
 from collections.abc import Sequence
@@ -40,7 +48,6 @@ from .operators import (
     _one_row,
     eig_stack,
     factor_stack,
-    hermitian_stack,
     norm_sq_stack,
 )
 
@@ -79,13 +86,18 @@ class _Streams:
         self._rng = SeedSpec(master_seed).rng()
         self._state = self._rng.bit_generator.state  # counter 0 and an empty buffer
 
-    def complex_normals(self, streams, shape) -> np.ndarray:
-        """re + 1j * im per stream, re and im its first two standard-normal arrays of `shape`."""
+    def normals(self, streams, shape) -> np.ndarray:
+        """(N, 2, *shape): each stream's first two standard-normal arrays of `shape`, re then im."""
         parts = np.empty((len(streams), 2, *shape))
         for k, stream in enumerate(streams):
             self._state["state"]["key"][1] = stream
             self._rng.bit_generator.state = self._state
             self._rng.standard_normal(out=parts[k])  # re, then im: the generator fills in C order
+        return parts
+
+    def complex_normals(self, streams, shape) -> np.ndarray:
+        """re + 1j * im per stream, re and im its `normals`."""
+        parts = self.normals(streams, shape)
         z = np.empty((len(streams), *shape), dtype=complex)
         z.real, z.imag = parts[:, 0], parts[:, 1]  # the bits of re + 1j * im, in one pass
         return z
@@ -100,12 +112,26 @@ def _unit_factors(k: np.ndarray) -> np.ndarray:
     return k / np.sqrt(norm_sq_stack(k))[:, None, None]
 
 
-def _gue_operators(m: np.ndarray, scale: float) -> np.ndarray:
-    """scale * (M + M^dag) / 2 per row of m (N, dim, dim).
+def _gue_stack(rows: RowErrors, parts: np.ndarray, scale: float) -> np.ndarray:
+    """scale (M + M^dag) / 2 per row of M = re + 1j im, from `normals` parts (N, 2, d, d).
 
-    Halving is exact, so one product by scale / 2 rounds as scale * X / 2 does.
+    re + re^T is written into the real part and im - im^T into the imaginary
+    part, then the whole is scaled in place: the bits of
+    (M + M^dag) * (scale / 2), as a + (-b) == a - b, and halving is exact,
+    so one product by scale / 2 rounds as scale * X / 2 does. The result is
+    exactly Hermitian by construction, so only its entries' finiteness is
+    checked, with HermitianOperator's message: an overflowing scale is the
+    only way to fail.
     """
-    return (m + m.conj().swapaxes(-1, -2)) * (scale / 2.0)
+    re, im = parts[:, 0], parts[:, 1]
+    a = np.empty(re.shape, dtype=complex)
+    np.add(re, re.swapaxes(-1, -2), out=a.real)
+    np.subtract(im, im.swapaxes(-1, -2), out=a.imag)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is recorded below
+        a *= scale / 2.0
+    rows.record(~np.isfinite(a).all(axis=(-2, -1)),
+                lambda i: RejectedInputError("matrix has a non-finite entry"))
+    return a
 
 
 def haar_pure(dim: int, seed: SeedSpec) -> DensityMatrix:
@@ -130,7 +156,10 @@ def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not scale > 0:
         raise RejectedInputError(f"scale must be positive, got {scale}")
-    return HermitianOperator(_gue_operators(_one_stream(seed, (dim, dim)), scale)[0])
+    rows = RowErrors(1)
+    a = _gue_stack(rows, _Streams(seed.master_seed).normals([seed.stream_index], (dim, dim)), scale)
+    rows.raise_first()
+    return HermitianOperator.wrap_checked(a[0])
 
 
 @dataclass(frozen=True)
@@ -182,9 +211,11 @@ def draw_batch(
     Each group is (rows, Q (n, D, r), F (n, d_w, d_w), V (n, D, D)) for the
     rows `rows` of `trials` that drew that kind, in trial order; kinds[k] is
     the state kind of trials[k]. Q is the factor of the state (see the module
-    docstring), checked by `factor_stack`, and F and V passed
-    HermitianOperator's check. A row that fails a check raises the error
-    that drawing the trials one by one would raise first.
+    docstring), checked by `factor_stack`. F and V are scale (M + M^dag) / 2,
+    formed from the stream's re and im arrays by `_gue_stack`: exactly
+    Hermitian by construction, and checked for finite entries. A row that
+    fails a check raises the error that drawing the trials one by one would
+    raise first: its state's, then its F's, then its V's.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -207,9 +238,9 @@ def draw_batch(
             keys = [bases[k] for k in rows]
             checked = RowErrors(len(rows))
             q = factor_stack(checked, _unit_factors(streams.complex_normals(keys, (s.dim, width))))
-            f = _gue_operators(streams.complex_normals([b + 1 for b in keys], (s.d_w, s.d_w)), scale)
-            v = _gue_operators(streams.complex_normals([b + 2 for b in keys], (s.dim, s.dim)), scale)
-            groups.append((rows, q, hermitian_stack(checked, f), hermitian_stack(checked, v)))
+            f = _gue_stack(checked, streams.normals([b + 1 for b in keys], (s.d_w, s.d_w)), scale)
+            v = _gue_stack(checked, streams.normals([b + 2 for b in keys], (s.dim, s.dim)), scale)
+            groups.append((rows, q, f, v))
             for k, err in zip(rows, checked):
                 errors[k] = err
     errors.raise_first()

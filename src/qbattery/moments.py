@@ -421,8 +421,9 @@ def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
     """The chain on factor stacks q (N, D, r) whose states, and F and V, passed a boundary check.
 
     `factor_stack`'s or DensityMatrix's for q (a trajectory's rho0, which a
-    checked U(t) evolves), HermitianOperator's for F and V, which hand back
-    exactly Hermitian matrices. Every check of the chain runs. The draws,
+    checked U(t) evolves), HermitianOperator's for F and V, which hands back
+    exactly Hermitian matrices, or a draw's, whose F and V are exactly
+    Hermitian by construction. Every check of the chain runs. The draws,
     the trajectory states, the search's final candidate and the demo come
     this way.
     """

@@ -12,11 +12,12 @@ first failure of every row in `RowErrors`; `HermitianOperator` and
 error, and `_one_row` does the same for any stack function.
 
 The Hermiticity check, which also rejects NaN and infinite entries, runs at
-the boundaries, where a matrix enters: the classes' constructors, the stacked
-draws and `moments.verify_batch`'s input pass. A matrix that passed it is
-finite and exactly Hermitian, since (A + A^dag)/2 is, and so is a real
-diagonal shift or a real multiple of it; code that only shifts or scales such
-a matrix does not check it again.
+the boundaries, where a matrix enters: the classes' constructors and
+`moments.verify_batch`'s input pass. A matrix that passed it is finite and
+exactly Hermitian, since (A + A^dag)/2 is, and so is a real diagonal shift
+or a real multiple of it; code that only shifts or scales such a matrix does
+not check it again. The drawn F and V are built exactly Hermitian, so their
+draw checks only that their entries are finite.
 
 A state is decomposed at most once, where it enters. `density_stack` judges
 a matrix on its `eigh` eigenpairs (w, u) and hands out only the factor

@@ -62,7 +62,7 @@ def test_verify_manifest_sidecar(tmp_path):
     run("verify", "--dims", "2,1,1,1", "--trials", "5", "--seed", "9", "--out", str(out))
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert set(manifest) == {"subcommand", "config", "seed", "version",
-                             "input_digests", "duration_seconds", "stage_seconds"}
+                             "input_digests", "duration_seconds", "stage_seconds", "resources"}
     assert manifest["subcommand"] == "verify"
     assert manifest["seed"] == 9
     assert manifest["config"]["trials"] == 5
@@ -75,6 +75,11 @@ def test_verify_manifest_sidecar(tmp_path):
     assert stages["chunks"] + stages["report"] <= manifest["duration_seconds"]
     assert stages["draw"] + stages["kernel"] <= stages["chunks"]
     assert stages["draw"] > 0.0 and stages["kernel"] > 0.0
+    # the command's minor page faults and the process's peak RSS, from getrusage
+    resources = manifest["resources"]
+    assert set(resources) == {"minor_page_faults", "peak_rss_mb"}
+    assert type(resources["minor_page_faults"]) is int and resources["minor_page_faults"] >= 0
+    assert type(resources["peak_rss_mb"]) is float and resources["peak_rss_mb"] > 0.0
 
 
 _CHUNKED = {

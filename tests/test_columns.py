@@ -259,17 +259,34 @@ def symmetrized_calls(monkeypatch):
     return calls
 
 
-def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls):
+@pytest.fixture
+def gue_builds(monkeypatch):
+    """Shapes of the F and V stacks `ensembles._gue_stack` builds while the test runs."""
+    shapes = []
+    real = ensembles._gue_stack
+
+    def counted(rows, parts, scale):
+        a = real(rows, parts, scale)
+        shapes.append(a.shape)
+        return a
+
+    monkeypatch.setattr(ensembles, "_gue_stack", counted)
+    return shapes
+
+
+def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls, gue_builds):
     trials = 2 * batch_rows(4) + 452  # three chunks at D = 4
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(trials),
                  "--out", str(tmp_path / "o.json")]) == 0
-    # per chunk: F and V of the draw's pure and of its mixed rows (4); the
-    # states are checked on their factors, as their states are Hermitian by
-    # construction, and the kernel checks nothing it forms: not F and V
-    # again, nor dF and dV; then the redraw of the reported instance checks
-    # its F and V (2)
+    # per chunk: F and V of the draw's pure and of its mixed rows (4), each
+    # built exactly Hermitian and checked for finite entries where it is
+    # built; then the redraw of the reported instance builds its F and V (2).
+    # Nothing runs HermitianOperator's check: the states are checked on
+    # their factors, F and V hold by construction, and the kernel checks
+    # nothing it forms: not F and V again, nor dF and dV
     assert len(cli._trial_chunks(trials, 4)) == 3
-    assert len(symmetrized_calls) == 3 * 4 + 2
+    assert len(gue_builds) == 3 * 4 + 2
+    assert symmetrized_calls == []
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch):
@@ -314,17 +331,18 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
         assert symmetrized_calls == [], stage.__name__
 
 
-def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls):
+def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls, gue_builds):
     size = batch_rows(4)
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(size + 76),
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
-    for n in (size, 76):  # two chunks; each draw checks F and V of its pure, then of its mixed rows
-        # and the kernel checks nothing it forms: dF and dV are exactly
-        # Hermitian shifts of checked inputs
+    for n in (size, 76):  # two chunks; each draw builds F and V of its pure, then of its mixed rows
         want += [(n // 2, 2, 2), (n // 2, 4, 4)] * 2
     want += [(1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
-    assert symmetrized_calls == want
+    assert gue_builds == want
+    # and the kernel checks nothing it forms: dF and dV are exactly
+    # Hermitian shifts of exactly Hermitian inputs
+    assert symmetrized_calls == []
 
 
 def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
@@ -341,8 +359,8 @@ def exactly_hermitian_stacks(seed, dims, n, scale, pure):
     """F and V stacks as the kernel is handed them: GUE draws, and the search's parameterization."""
     s = TensorStructure.from_dims(list(dims))
     rng = np.random.default_rng(seed)
-    gue = [ensembles._gue_operators(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)),
-                                    scale) for d in (s.d_w, s.dim)]
+    gue = [ensembles._gue_stack(RowErrors(n), rng.standard_normal((n, 2, d, d)), scale)
+           for d in (s.d_w, s.dim)]
     param = search._Parameterization(s, pure_state=pure)
     _, f, v, _ = param.build(scale * rng.standard_normal((n, param.n_params)))
     return gue + [f, v]

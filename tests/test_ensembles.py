@@ -338,7 +338,8 @@ def _same_draws(x, y) -> bool:
 @st.composite
 def _batch_cases(draw):
     dims = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4)
-                .filter(lambda d: math.prod(d) <= 16))
+                .filter(lambda d: math.prod(d) <= 16)
+                | st.sampled_from([[2, 2, 4, 4], [4, 4, 2, 2], [1, 4, 4, 4]]))  # D = 64
     s = TensorStructure.from_dims(dims)
     kind = draw(st.sampled_from(STATE_KINDS))
     rank = draw(st.none() | st.integers(1, s.dim))
@@ -362,6 +363,8 @@ def test_draw_batch_rows_match_fresh_generator_reference(case):
         assert q.shape[:2] == (len(rows), s.dim)
         assert f.shape == (len(rows), s.d_w, s.d_w)
         assert v.shape == (len(rows), s.dim, s.dim)
+        for a in (f, v):  # exactly Hermitian as built, with no symmetrization after
+            assert (a == a.conj().swapaxes(-1, -2)).all()
     for (q, f, v, used), trial in zip(drawn_rows(s, kind, seed, trials, rank, scale), trials):
         assert _same_draws((q, f, v, used), _reference_instance(s, kind, seed, trial, rank, scale))
 
@@ -547,6 +550,38 @@ def test_draw_batch_rejects_bad_inputs():
     # the rank of Ginibre states only matters where one is drawn, as per trial
     groups, kinds = draw_batch(s, "mix", 42, [0, 2], rank=5)
     assert kinds == ["haar", "haar"] and [rows for rows, *_ in groups] == [[0, 1]]
+
+
+def test_overflowing_scale_raises_only_the_rejection(monkeypatch):
+    # scale / 2 * (M + M^dag) overflows to inf: the draw rejects it as bad
+    # input, with HermitianOperator's message and no numpy warning
+    s = TensorStructure.from_dims([2, 2, 4, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for draw in (lambda: draw_batch(s, "mix", 42, range(8), scale=1e308),
+                     lambda: draw_instance(s, "ginibre", 42, 3, scale=1e308),
+                     lambda: gue_hermitian(64, 1e308, SeedSpec(42)),
+                     lambda: gue_hermitian(2, float("inf"), SeedSpec(42))):
+            with pytest.raises(RejectedInputError, match="matrix has a non-finite entry"):
+                draw()
+
+    # a row's F error comes before its V error: record what each build adds
+    added = []
+    real = ensembles._gue_stack
+
+    def recording(rows, parts, scale):
+        before = list(rows)
+        a = real(rows, parts, scale)
+        added.append([None if b is not None else e for b, e in zip(before, rows)])
+        return a
+
+    monkeypatch.setattr(ensembles, "_gue_stack", recording)
+    with pytest.raises(RejectedInputError) as err:
+        draw_batch(s, "haar", 42, range(1, 9), scale=1.79e308)
+    f_errors, v_errors = added
+    assert f_errors[0] is not None and err.value is f_errors[0]
+    # every V overflows at D = 64, but a row whose F failed keeps F's error
+    assert all((f is None) != (v is None) for f, v in zip(f_errors, v_errors))
 
 
 def test_draw_batch_from_concurrent_threads_matches_serial():

@@ -76,12 +76,13 @@ def test_out_in_missing_directory_exits_2(tmp_path, argv):
 def _outputs(out: Path) -> list:
     """The payload, the CSV if any, and the manifest without its timings.
 
-    The timings are the duration_seconds line and verify's stage_seconds object.
+    The timings are the duration_seconds line and verify's stage_seconds
+    object; the resources object, page faults and peak RSS, varies as they do.
     """
     files = [out, Path(str(out) + ".trials.csv")]
     found = [p.read_bytes() for p in files if p.exists()]
     manifest = Path(str(out) + ".manifest.json").read_bytes()
-    manifest = re.sub(rb'\n  "stage_seconds": \{[^}]*\},?', b"", manifest)
+    manifest = re.sub(rb'\n  "(resources|stage_seconds)": \{[^}]*\},?', b"", manifest)
     return found + [re.sub(rb'\n  "duration_seconds": [^\n]*', b"", manifest)]
 
 
