@@ -22,6 +22,7 @@ import math
 import os
 import resource
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -42,7 +43,7 @@ from .ensembles import (
     SeedSpec,
     battery_eigenstate_product,
     draw_batch,
-    draw_instance,
+    draw_instance,  # noqa: F401  a name bench/tracer.py patches here
     gue_hermitian,
     haar_pure,
 )
@@ -85,6 +86,7 @@ TRIAL_COLUMNS = (
     "cov_re",
     "cov_im",
 )
+_SLACK = TRIAL_COLUMNS.index("slack") - 2  # its column in the values after "trial" and "kind"
 
 
 def _hermitian_reprs(x: np.ndarray) -> list:
@@ -120,12 +122,19 @@ def _matrix_text(m: _CheckedMatrix, newline: str) -> str:
     return "{" + inner + ("," + inner).join(parts) + newline + "}"
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_text(obj, newline: str) -> str:
     """`obj` as _json_bytes writes it, indented as `newline` is."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is str:
         return json.encoder.encode_basestring_ascii(obj)
+    if obj is None or type(obj) is bool:  # before int: a bool is an int
+        return _JSON_CONSTANTS[obj]
+    if type(obj) is int:
+        return int.__repr__(obj)
     inner = newline + "  "
     if type(obj) in (list, tuple) and obj:
         try:
@@ -156,9 +165,9 @@ def _json_bytes(obj) -> bytes:
     written as its to_matrix_literal dict; when its matrix is finite and
     equal to its conjugate transpose, as checked ones are, only the upper
     triangle is formatted and each entry below it takes its partner's text,
-    its sign toggled where the two sign bits differ. Finite floats, strings,
-    lists, tuples, dicts with string keys and checked matrices are written
-    here, everything else by the stdlib.
+    its sign toggled where the two sign bits differ. Finite floats, ints,
+    bools, None, strings, lists, tuples, dicts with string keys and checked
+    matrices are written here, everything else by the stdlib.
     """
     return (_json_text(obj, "\n") + "\n").encode()
 
@@ -232,17 +241,19 @@ def _parse_dims(text: str) -> TensorStructure:
     return TensorStructure.from_dims(dims)
 
 
-def _g17(x: float) -> str:
-    return "%.17g" % x
+_g17 = "%.17g".__mod__  # a float's CSV text; a bound C method, called once per value
 
 
-# The verify pool pays at D = 64 only with single-threaded BLAS, which is how
-# the benchmark runs it (OPENBLAS_NUM_THREADS=1). Wall time of `verify --dims
-# 2,2,4,4 --ensemble ginibre --rank 4 --trials 600` on 2 cores (numpy 2.4.6,
-# OpenBLAS 0.3.31), --threads 2 against --threads 1, in two sets of runs:
-# - BLAS on 1 thread: 0.98-1.03 s against 1.49-1.86 s; 1.19-1.71 s against 1.66-2.02 s.
-# - BLAS on 2 threads: 2.68-3.21 s against 1.59-2.85 s; 2.62-3.31 s against 1.75-2.11 s.
-# A measurement with threaded BLAS therefore says nothing against the pool.
+# The verify pool pays at D = 64 with single-threaded BLAS, which is how the
+# benchmark runs it (OPENBLAS_NUM_THREADS=1). On 2 cores (numpy 2.4.6,
+# OpenBLAS 0.3.31), `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
+# --trials 60`, 35 commands in one process at each --threads value:
+# - the chunks (manifest stage_seconds "chunks") took 17.7-19.8 ms (quartiles)
+#   on 1 thread and 14.0-15.9 ms on 2, though their summed draw and kernel
+#   time rose from 17.1-19.2 ms to 25.6-28.1 ms;
+# - with the pool removed, the benchmark's sweep-wide read 2,084-2,154 items/s
+#   against 2,318-2,335 with it (8 s runs, seeds 1-3).
+# Threaded BLAS competes with the pool, so measure it with BLAS on one thread.
 def _map_ordered(fn, items, threads: int) -> list:
     """[fn(item) for item in items], run on `threads` worker threads when more than one."""
     if threads > 1:
@@ -258,7 +269,29 @@ def _trial_chunks(trials: int, dim: int) -> list[range]:
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
+class _Offers:
+    """The least offer of a trial to report that verify's chunks make, from any thread.
+
+    An offer is (key, trial, rows), rows a function that returns copies of
+    the trial's drawn (Q, F, V); it runs only for an offer that is the least
+    so far. A failed trial's key (0, trial) ranks before any clean trial's. A
+    clean trial's key is (1, 0, trial) for a NaN slack, which np.argmin ranks
+    first, else (1, 1, slack, trial). No two trials share a key, so the least
+    offer does not depend on the order in which the chunks finish.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.least = None  # (key, trial, (Q, F, V))
+
+    def offer(self, key: tuple, trial: int, rows) -> None:
+        with self._lock:
+            if self.least is None or key < self.least[0]:
+                self.least = (key, trial, rows())
+
+
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers: _Offers,
+                  trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
     The draws' factors passed `factor_stack`'s checks, and F and V are
@@ -266,6 +299,8 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
     kernel takes them as they are. Returns the kinds, each row's first
     failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
     "trial" and "kind", and the seconds spent drawing and in the kernel.
+    The chunk offers `offers` its first failed trial, else its clean trial
+    of least slack (np.argmin's: the first of equal slacks).
     """
     started = time.perf_counter()
     groups, kinds = draw_batch(structure, kind, seed, trials, rank)
@@ -279,7 +314,16 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
         values[rows] = np.stack([*batch[1:], *m[:4], m.cov.real, m.cov.imag], axis=1)
         for k, err in zip(rows, batch.errors):
             errors[k] = err
-    return kinds, errors, values, (drawn - started, time.perf_counter() - drawn)
+    checked = time.perf_counter()
+    failed = [k for k, err in enumerate(errors) if err is not None]
+    k = failed[0] if failed else int(np.argmin(values[:, _SLACK]))
+    slack, trial = float(values[k, _SLACK]), trials[k]
+    key = (0, trial) if failed else (1, 0, trial) if math.isnan(slack) else (1, 1, slack, trial)
+    for rows, *stacks in groups:
+        if k in rows:
+            j = rows.index(k)
+            offers.offer(key, trial, lambda: tuple(stack[j].copy() for stack in stacks))
+    return kinds, errors, values, (drawn - started, checked - drawn)
 
 
 # The trials CSV is formatted and written a block of rows at a time. Peak RSS
@@ -313,7 +357,8 @@ def cmd_verify(args) -> int:
     SeedSpec(args.seed)  # rejects a bad seed even when no trial draws with it
     kind = ENSEMBLES[args.ensemble]
     started, faults = _start()
-    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
+    offers = _Offers()
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers)
     chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
     pooled = time.perf_counter()
     kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]
@@ -342,14 +387,15 @@ def cmd_verify(args) -> int:
         summary["max_power_sq"] = float(column["power_sq"].max())
         summary["min_slack"] = float(column["slack"][least])
         summary["mean_saturation_ratio"] = math.fsum(column["saturation_ratio"].tolist()) / len(clean)
-        worst, case = int(clean[least]), {"report": dict(zip(REPORT_FIELDS, rows[least].tolist()))}
-    if violations:
-        worst = next(i for i, err in enumerate(errors) if err is not None)
-        case = {"violation": str(errors[worst])}
     if errors:
-        # a trial's draw depends only on (seed, trial), so its matrices are drawn again
-        rho, f, v, _ = draw_instance(structure, kind, args.seed, worst, args.rank)
-        instance = {"rho": rho, "f": f, "v": v}
+        # the least offer: the first failed trial, else the clean trial of least
+        # slack, with the rows its chunk drew, which are draw_instance's bits, as
+        # a draw depends only on (seed, trial)
+        _, worst, (q, f, v) = offers.least
+        case = ({"violation": str(errors[worst])} if violations
+                else {"report": dict(zip(REPORT_FIELDS, rows[worst].tolist()))})
+        instance = {"rho": DensityMatrix.from_factor(q), "f": HermitianOperator.wrap_checked(f),
+                    "v": HermitianOperator.wrap_checked(v)}
         case.update({"instance": instance} if violations else instance)
         summary["worst_case"] = {"trial": worst, "kind": kinds[worst], **case}
 

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbattery import cli, moments
+from qbattery import cli, ensembles, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 from qbattery.ensembles import draw_instance
@@ -150,11 +151,15 @@ def test_verify_worst_case_is_least_slack_over_chunks(tmp_path):
         assert (summary["min_slack"], summary["worst_case"]["trial"]) == want
 
 
-def test_verify_reports_the_first_violation_drawn_again(tmp_path, monkeypatch):
-    # a saturation-ratio check that allows only 0.3 falsifies the claim on some rows
+def plant_saturation_violation(monkeypatch):
+    """A saturation-ratio check that allows only 0.3: it falsifies the claim on some rows."""
     *rest, (stage, residual, _, message) = moments._CHECKS
     assert "saturation ratio" in message
     monkeypatch.setattr(moments, "_CHECKS", (*rest, (stage, residual, lambda x: 0.3, message)))
+
+
+def test_verify_reports_the_first_violation_from_its_chunk(tmp_path, monkeypatch):
+    plant_saturation_violation(monkeypatch)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"v{threads}.json"
@@ -170,10 +175,63 @@ def test_verify_reports_the_first_violation_drawn_again(tmp_path, monkeypatch):
     first = min(set(range(2500)) - set(clean))
     assert worst["trial"] == first
     assert "saturation ratio" in worst["violation"]
+    # its matrices are the rows its chunk drew, bit for bit those of draw_instance
     rho, f, v, kind = draw_instance(TensorStructure.from_dims([2, 2, 1, 1]), "mix", 42, first)
     assert worst["kind"] == kind
     assert worst["instance"] == {"rho": to_matrix_literal(rho), "f": to_matrix_literal(f),
                                  "v": to_matrix_literal(v)}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_draws_each_trials_streams_once(tmp_path, monkeypatch, threads, planted):
+    # trial i owns streams 4i (its state), 4i + 1 (F) and 4i + 2 (V); the
+    # reported trial is not drawn again, whether it is clean or failed
+    if planted:
+        plant_saturation_violation(monkeypatch)
+    drawn = []
+    real = ensembles._Streams.normals
+
+    def counted(self, streams, shape):
+        drawn.extend(streams)
+        return real(self, streams, shape)
+
+    monkeypatch.setattr(ensembles._Streams, "normals", counted)
+    out = tmp_path / "o.json"
+    trials = 2500  # two chunks at D = 4
+    assert run("verify", "--dims", "2,2,1,1", "--trials", str(trials), "--threads", threads,
+               "--out", str(out)) == (1 if planted else 0)
+    assert (json.loads(out.read_text())["violations"] > 0) == planted
+    assert sorted(drawn) == [4 * i + j for i in range(trials) for j in range(3)]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_verify_reports_the_least_offer_whatever_order_chunks_finish(tmp_path, monkeypatch, planted):
+    # every chunk offers one trial to report, from its own thread; more threads
+    # than cores and a short switch interval vary the order the offers arrive in
+    if planted:
+        plant_saturation_violation(monkeypatch)
+    trials = 4000
+    assert len(cli._trial_chunks(trials, 8)) == 8
+    outputs = set()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in ("1", "8", "8", "3"):
+            out = tmp_path / f"o{threads}.json"
+            assert run("verify", "--dims", "2,2,2,1", "--trials", str(trials), "--format", "csv",
+                       "--threads", threads, "--out", str(out)) == (1 if planted else 0)
+            outputs.add((out.read_bytes(), Path(f"{out}.trials.csv").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs) == 1
+    (summary, table), = outputs
+    summary = json.loads(summary)
+    assert (summary["violations"] > 0) == planted
+    if not planted:
+        slack = TRIAL_COLUMNS.index("slack")
+        rows = [r.split(",") for r in table.decode().splitlines()[1:]]
+        assert summary["worst_case"]["trial"] == min((float(r[slack]), int(r[0])) for r in rows)[1]
 
 
 def literal(obj) -> np.ndarray:

@@ -280,12 +280,12 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls, 
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: F and V of the draw's pure and of its mixed rows (4), each
     # built exactly Hermitian and checked for finite entries where it is
-    # built; then the redraw of the reported instance builds its F and V (2).
+    # built; the reported instance is its chunk's own draw, not drawn again.
     # Nothing runs HermitianOperator's check: the states are checked on
     # their factors, F and V hold by construction, and the kernel checks
     # nothing it forms: not F and V again, nor dF and dV
     assert len(cli._trial_chunks(trials, 4)) == 3
-    assert len(gue_builds) == 3 * 4 + 2
+    assert len(gue_builds) == 3 * 4
     assert symmetrized_calls == []
 
 
@@ -338,8 +338,7 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls, gue_
     want = []
     for n in (size, 76):  # two chunks; each draw builds F and V of its pure, then of its mixed rows
         want += [(n // 2, 2, 2), (n // 2, 4, 4)] * 2
-    want += [(1, 2, 2), (1, 4, 4)]  # the one-row redraw of the reported instance
-    assert gue_builds == want
+    assert gue_builds == want  # and no one-row redraw of the reported instance
     # and the kernel checks nothing it forms: dF and dV are exactly
     # Hermitian shifts of exactly Hermitian inputs
     assert symmetrized_calls == []

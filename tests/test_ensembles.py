@@ -86,6 +86,25 @@ def test_draw_batch_near_2_64_equals_draw_instance_without_warnings():
                                   drawn_rows(s, "mix", 2**64 - 1001, [0])[0][0])
 
 
+EDGE_KEYS = [0, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", EDGE_KEYS)
+def test_plain_int_rekey_draws_as_a_fresh_generator(seed):
+    # _Streams sets each stream's key through the public state setter from plain
+    # ints; a numpy whose setter read them otherwise, or rejected them, fails here
+    streams = ensembles._Streams(seed)
+    assert type(streams._key[0]) is int and streams._key[0] == seed
+    for stream in EDGE_KEYS:
+        want = SeedSpec(seed, stream).rng().standard_normal((2, 3, 2))
+        assert streams.normals([stream], (3, 2))[0].tobytes() == want.tobytes()
+    # several streams in one call, and two re-keys in a row on one object
+    want = [SeedSpec(seed, k).rng().standard_normal((2, 5)) for k in reversed(EDGE_KEYS)]
+    for _ in range(2):
+        got = streams.normals(list(reversed(EDGE_KEYS)), (5,))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_seedspec_rejects_bad_values():
     with pytest.raises(RejectedInputError):
         SeedSpec(-1)

@@ -54,6 +54,22 @@ def test_edge_values(obj):
     assert _json_bytes(obj) == stdlib_bytes(obj)
 
 
+JSON_SCALARS = [0, 1, -1, 7, 2**63, -(2**64), 10**40, True, False, None]
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("scalar", JSON_SCALARS, ids=repr)
+def test_ints_bools_and_none_at_each_depth(monkeypatch, scalar, depth):
+    # written by _json_text itself, not the stdlib fallback: alone, in lists
+    # and tuples, among floats, and as dict values at each nesting depth
+    obj = scalar
+    for level in range(depth):
+        obj = [obj, 1.5] if level % 2 else {"k": obj, "a": (obj,), "z": [2.5, obj]}
+    want = stdlib_bytes(obj)
+    monkeypatch.setattr(cli.json, "dumps", None)
+    assert _json_bytes(obj) == want
+
+
 @pytest.mark.parametrize("obj", [object(), [1.0, object()], {(1, 2): 3}, {1: 1, "a": 2}])
 def test_rejects_what_the_stdlib_rejects(obj):
     with pytest.raises(TypeError):
