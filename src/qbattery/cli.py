@@ -41,6 +41,7 @@ from .dynamics import (  # noqa: F401  trajectory_rows: a name bench/tracer.py p
 )
 from .ensembles import (
     SeedSpec,
+    Workspace,
     battery_eigenstate_product,
     draw_batch,
     draw_instance,  # noqa: F401  a name bench/tracer.py patches here
@@ -108,25 +109,15 @@ def _hermitian_reprs(x: np.ndarray) -> list:
     return text
 
 
-def _matrix_text(m: _CheckedMatrix, newline: str) -> str:
-    """to_matrix_literal(m) as _json_text writes it, formatting a Hermitian matrix's upper triangle only."""
-    a = m.mat
-    if not (a.size and np.isfinite(a).all() and (a == a.conj().T).all()):
-        return _json_text(to_matrix_literal(m), newline)
-    inner = newline + "  "
-    row, entry = inner + "  ", inner + "    "
-    parts = [f'"dim": {len(a)}']
-    for name, x in (("im", a.imag), ("re", a.real)):
-        rows = ["[" + entry + ("," + entry).join(r) + row + "]" for r in _hermitian_reprs(x)]
-        parts.append(f'"{name}": [' + row + ("," + row).join(rows) + inner + "]")
-    return "{" + inner + ("," + inner).join(parts) + newline + "}"
-
+# The payload is written in pieces of about this many characters, each
+# encoded and written as it is made: the text is ASCII, so they are bytes too.
+_JSON_BLOCK = 32 * 1024
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(obj, newline: str) -> str:
-    """`obj` as _json_bytes writes it, indented as `newline` is."""
+def _json_scalar(obj):
+    """The text of a finite float, string, bool, None or int, as _json_bytes writes it; None for other values."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is str:
@@ -135,32 +126,101 @@ def _json_text(obj, newline: str) -> str:
         return _JSON_CONSTANTS[obj]
     if type(obj) is int:
         return int.__repr__(obj)
+    return None
+
+
+def _json_pieces(obj, newline: str):
+    """`obj`, which `_json_scalar` does not write, as _json_bytes writes it, indented as `newline` is, in pieces.
+
+    The pieces join to its text. A container's text is cut only between its
+    entries, into pieces of at most about _JSON_BLOCK characters; a longer
+    piece is one entry's text too long to cut, and a short container of
+    scalars is one piece.
+    """
+    if isinstance(obj, _CheckedMatrix):
+        yield from _matrix_pieces(obj, newline)
+        return
     inner = newline + "  "
+    sep = "," + inner
     if type(obj) in (list, tuple) and obj:
         try:
-            # finite floats in one pass; "n" is in "nan" and "inf" only
-            body = ("," + inner).join(map(float.__repr__, obj))
-            if "n" in body:
+            # finite floats, a piece's worth per join; "n" is in "nan" and "inf" only
+            step = _JSON_BLOCK // (len(sep) + 24)  # float.__repr__ is at most 24 characters
+            bodies = [sep.join(map(float.__repr__, obj[a : a + step])) for a in range(0, len(obj), step)]
+            if any("n" in body for body in bodies):
                 raise TypeError
         except TypeError:
-            body = ("," + inner).join([_json_text(x, inner) for x in obj])
-        return "[" + inner + body + newline + "]"
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        items = [json.encoder.encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, _CheckedMatrix):
-        return _matrix_text(obj, newline)
-    # anything else as the stdlib writes it (its strings hold no raw newline)
-    return json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal).replace("\n", newline)
+            opener, closer, items = "[", "]", [("", x) for x in obj]
+        else:
+            bodies[-1] += newline + "]"
+            yield "[" + inner + bodies[0]
+            for body in bodies[1:]:
+                yield sep + body
+            return
+    elif type(obj) is dict and obj and all(type(k) is str for k in obj):
+        opener, closer = "{", "}"
+        items = [(json.encoder.encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+    else:
+        # anything else as the stdlib writes it (its strings hold no raw newline)
+        yield json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal).replace("\n", newline)
+        return
+    # (head, value) items, the head a dict entry's key and ": "
+    texts = [_json_scalar(v) for _, v in items]
+    if None not in texts:  # scalars only: one join, one piece when it is short enough
+        body = sep.join([head + text for (head, _), text in zip(items, texts)])
+        if len(body) <= _JSON_BLOCK:
+            yield opener + inner + body + newline + closer
+            return
+    pending, size = [opener + inner], 0
+    for i, ((head, value), text) in enumerate(zip(items, texts)):
+        head = sep + head if i else head
+        pending.append(head)
+        size += len(head)
+        for piece in (text,) if text is not None else _json_pieces(value, inner):
+            if size + len(piece) > _JSON_BLOCK:
+                yield "".join(pending)
+                pending, size = [], 0
+            pending.append(piece)
+            size += len(piece)
+    pending.append(newline + closer)
+    yield "".join(pending)
 
 
-def _json_bytes(obj) -> bytes:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal) + "\n", written faster.
+def _matrix_pieces(m: _CheckedMatrix, newline: str):
+    """to_matrix_literal(m) as _json_pieces writes it, formatting a Hermitian matrix's upper triangle only."""
+    a = m.mat
+    if not (a.size and np.isfinite(a).all() and (a == a.conj().T).all()):
+        yield from _json_pieces(to_matrix_literal(m), newline)
+        return
+    inner = newline + "  "
+    row, entry = inner + "  ", inner + "    "
+    pending, size = ["{" + inner + f'"dim": {len(a)}'], 0
+    for name, x in (("im", a.imag), ("re", a.real)):
+        rows = ["[" + entry + ("," + entry).join(texts) + row + "]" for texts in _hermitian_reprs(x)]
+        if sum(map(len, rows)) + len(rows) * (len(row) + 1) <= _JSON_BLOCK:
+            rows = [("," + row).join(rows)]  # a short part in one join
+        pending.append("," + inner + f'"{name}": [' + row)
+        for i, text in enumerate(rows):
+            text = "," + row + text if i else text
+            if size + len(text) > _JSON_BLOCK:
+                yield "".join(pending)
+                pending, size = [], 0
+            pending.append(text)
+            size += len(text)
+        pending.append(inner + "]")
+    pending.append(newline + "}")
+    yield "".join(pending)
+
+
+def _json_blocks(obj):
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal) + "\n", in blocks.
 
     Byte-identical to that stdlib call for every value it accepts, and, like
-    it, raises for anything else. A list of finite floats is written in one
-    join over float.__repr__, where the stdlib's indenting encoder runs a
+    it, raises for anything else, though only once the blocks before the
+    value that it cannot write are made. A block is a piece of
+    `_json_pieces`, of about _JSON_BLOCK bytes at most, so no copy of a
+    large payload is made whole. A list of finite floats is written in
+    joins over float.__repr__, where the stdlib's indenting encoder runs a
     Python generator per item. A DensityMatrix or HermitianOperator is
     written as its to_matrix_literal dict; when its matrix is finite and
     equal to its conjugate transpose, as checked ones are, only the upper
@@ -169,7 +229,18 @@ def _json_bytes(obj) -> bytes:
     bools, None, strings, lists, tuples, dicts with string keys and checked
     matrices are written here, everything else by the stdlib.
     """
-    return (_json_text(obj, "\n") + "\n").encode()
+    text = _json_scalar(obj)
+    pieces = iter([text]) if text is not None else _json_pieces(obj, "\n")
+    last = next(pieces)
+    for piece in pieces:
+        yield last.encode()
+        last = piece
+    yield (last + "\n").encode()
+
+
+def _json_bytes(obj) -> bytes:
+    """The payload bytes of `obj`: the join of its `_json_blocks`."""
+    return b"".join(_json_blocks(obj))
 
 
 # ext4 (with its default auto_da_alloc) starts writeback of a file's data when
@@ -182,7 +253,7 @@ def _json_bytes(obj) -> bytes:
 # - unlink, then create: 0.008-0.019 ms against 0.006 ms;
 # - rewrite in place, shrinking only to a non-zero length: 0.004 ms on both.
 def _write_file(path: str, data) -> None:
-    """Write `data`, bytes or an iterable of byte blocks, to `path` in place.
+    """Write `data`, bytes or an iterable of byte blocks, to `path` in place, each block as it is made.
 
     The file is created with mode 0o666 & ~umask if missing. Unlike
     open(path, "wb"), it is never truncated to zero first: the blocks are
@@ -227,7 +298,7 @@ def _write_manifest(args, started: float, faults: int, digests=None, config=None
                       "peak_rss_mb": usage.ru_maxrss / 1024.0},
         **telemetry,
     }
-    _write_file(args.out + ".manifest.json", _json_bytes(manifest))
+    _write_file(args.out + ".manifest.json", _json_blocks(manifest))
 
 
 def _parse_dims(text: str) -> TensorStructure:
@@ -247,12 +318,13 @@ _g17 = "%.17g".__mod__  # a float's CSV text; a bound C method, called once per 
 # The verify pool pays at D = 64 with single-threaded BLAS, which is how the
 # benchmark runs it (OPENBLAS_NUM_THREADS=1). On 2 cores (numpy 2.4.6,
 # OpenBLAS 0.3.31), `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
-# --trials 60`, 35 commands in one process at each --threads value:
-# - the chunks (manifest stage_seconds "chunks") took 17.7-19.8 ms (quartiles)
-#   on 1 thread and 14.0-15.9 ms on 2, though their summed draw and kernel
-#   time rose from 17.1-19.2 ms to 25.6-28.1 ms;
-# - with the pool removed, the benchmark's sweep-wide read 2,084-2,154 items/s
-#   against 2,318-2,335 with it (8 s runs, seeds 1-3).
+# --trials 60`, 35 commands in one process at each --threads value, each
+# thread reusing its chunk buffers:
+# - the chunks (manifest stage_seconds "chunks") took 14.4-17.8 ms (quartiles)
+#   on 1 thread and 12.0-13.5 ms on 2, though their summed draw and kernel
+#   time rose from 14.2-17.6 ms to 21.5-23.9 ms;
+# - with the pool removed, the benchmark's sweep-wide read 2,295-2,390 items/s
+#   against 2,496-2,729 with it (8 s runs, seeds 1-3).
 # Threaded BLAS competes with the pool, so measure it with BLAS on one thread.
 def _map_ordered(fn, items, threads: int) -> list:
     """[fn(item) for item in items], run on `threads` worker threads when more than one."""
@@ -291,7 +363,7 @@ class _Offers:
 
 
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers: _Offers,
-                  trials: range) -> tuple:
+                  workspaces, trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
     The draws' factors passed `factor_stack`'s checks, and F and V are
@@ -300,10 +372,16 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
     failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
     "trial" and "kind", and the seconds spent drawing and in the kernel.
     The chunk offers `offers` its first failed trial, else its clean trial
-    of least slack (np.argmin's: the first of equal slacks).
+    of least slack (np.argmin's: the first of equal slacks). With
+    `workspaces`, a threading.local, the stacks are drawn into the running
+    thread's `Workspace`, which its later chunks reuse: nothing the chunk
+    returns or offers is a view of them.
     """
     started = time.perf_counter()
-    groups, kinds = draw_batch(structure, kind, seed, trials, rank)
+    if workspaces is not None and not hasattr(workspaces, "workspace"):
+        workspaces.workspace = Workspace()
+    workspace = getattr(workspaces, "workspace", None)
+    groups, kinds = draw_batch(structure, kind, seed, trials, rank, workspace=workspace)
     drawn = time.perf_counter()
     errors, values = [None] * len(kinds), np.empty((len(kinds), len(TRIAL_COLUMNS) - 2))
     for rows, *stacks in groups:
@@ -358,8 +436,14 @@ def cmd_verify(args) -> int:
     kind = ENSEMBLES[args.ensemble]
     started, faults = _start()
     offers = _Offers()
-    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers)
-    chunks = _map_ordered(one, _trial_chunks(args.trials, structure.dim), args.threads)
+    trials = _trial_chunks(args.trials, structure.dim)
+    # a Workspace per thread, for this command only, where a thread runs more
+    # than one chunk: kept for one chunk, its normals array is one more array
+    # held through the kernel, and a 100-trial D = 16 command faulted in 722
+    # pages with it against 541 without (median of 25 in-process commands)
+    workspaces = threading.local() if len(trials) > args.threads else None
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers, workspaces)
+    chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()
     kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]
     for chunk in chunks:
@@ -399,7 +483,7 @@ def cmd_verify(args) -> int:
         case.update({"instance": instance} if violations else instance)
         summary["worst_case"] = {"trial": worst, "kind": kinds[worst], **case}
 
-    _write_file(args.out, _json_bytes(summary))
+    _write_file(args.out, _json_blocks(summary))
     if args.format == "csv":
         _write_file(args.out + ".trials.csv", _trial_csv(clean.tolist(), kinds, rows))
     # draw and kernel: each chunk's seconds in draw_batch and in the kernel, summed over chunks
@@ -431,7 +515,7 @@ def cmd_evolve(args) -> int:
 
     if args.format == "json":
         columns = trajectory.columns()
-        payload = _json_bytes([dict(zip(TRAJECTORY_COLUMNS, values)) for values in zip(*columns)])
+        payload = _json_blocks([dict(zip(TRAJECTORY_COLUMNS, values)) for values in zip(*columns)])
     else:
         lines = [",".join(TRAJECTORY_COLUMNS)]
         lines.extend(_trajectory_lines(trajectory))
@@ -473,7 +557,7 @@ def cmd_search(args) -> int:
     else:
         result = find_saturating(config)
 
-    _write_file(args.out, _json_bytes(result.to_dict()))
+    _write_file(args.out, _json_blocks(result.to_dict()))
     _write_manifest(args, started, faults, restarts=result.restarts, kernel_calls=result.kernel_calls)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
@@ -573,7 +657,7 @@ def cmd_demo(args) -> int:
             print(f"  {'PASS' if ok else 'FAIL'}  {name}")
         print(f"result: {'PASS' if all_passed else 'FAIL'}")
     if args.out:
-        _write_file(args.out, _json_bytes(doc))
+        _write_file(args.out, _json_blocks(doc))
         _write_manifest(args, started, faults)
     return 0 if all_passed else 1
 

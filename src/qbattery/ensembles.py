@@ -11,7 +11,9 @@ re-keyed before each stream to counter 0, key (master_seed, stream_index)
 and an empty buffer, which is the state of a fresh generator with that key,
 through the public state setter from a dict of plain ints; it then checks
 each stack once. The other draws are one-row calls of the
-same code.
+same code. Given a `Workspace`, `draw_batch` draws into the arrays it
+holds, which one thread reuses from call to call: `verify`'s chunks do, so
+a D = 64 chunk draws into no freshly faulted pages.
 
 A state is drawn as its factor Q = K / |K|_F from a complex Gaussian K:
 D x 1 for Haar, D x r for Ginibre at rank r; `mix` draws trial t as `haar`
@@ -34,6 +36,7 @@ which an overflowing scale breaks, with HermitianOperator's message.
 `draw_batch`, `draw_instance` and `gue_hermitian` all build them this way.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -95,21 +98,49 @@ class _Streams:
         state["buffer"] = state["buffer"].tolist()
         self._state, self._key = state, state["state"]["key"]
 
-    def normals(self, streams, shape) -> np.ndarray:
-        """(N, 2, *shape): each stream's first two standard-normal arrays of `shape`, re then im."""
-        parts = np.empty((len(streams), 2, *shape))
+    def normals(self, streams, shape, out=None) -> np.ndarray:
+        """(N, 2, *shape): each stream's first two standard-normal arrays of `shape`, re then im.
+
+        Written into `out`, an (N, 2, *shape) float array, when one is given.
+        """
+        parts = np.empty((len(streams), 2, *shape)) if out is None else out
         for k, stream in enumerate(streams):
             self._key[1] = stream
             self._bits.state = self._state
             self._rng.standard_normal(out=parts[k])  # re, then im: the generator fills in C order
         return parts
 
-    def complex_normals(self, streams, shape) -> np.ndarray:
-        """re + 1j * im per stream, re and im its `normals`."""
-        parts = self.normals(streams, shape)
-        z = np.empty((len(streams), *shape), dtype=complex)
+    def complex_normals(self, streams, shape, scratch=None, out=None) -> np.ndarray:
+        """re + 1j * im per stream, re and im its `normals`, drawn into `scratch`; written into `out` when given."""
+        parts = self.normals(streams, shape, scratch)
+        z = np.empty((len(streams), *shape), dtype=complex) if out is None else out
         z.real, z.imag = parts[:, 0], parts[:, 1]  # the bits of re + 1j * im, in one pass
         return z
+
+
+class Workspace:
+    """The arrays that successive `draw_batch` calls on one thread draw into, one per name.
+
+    A call overwrites what the call before it drew into the same array, so
+    a caller copies what it keeps of a call's stacks before its next call.
+    Not for sharing between threads.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, name, shape, dtype=float) -> np.ndarray:
+        """An uninitialised `shape` view of the array `name`, which grows when it is too small."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _fresh(name, shape, dtype=float) -> np.ndarray:
+    """A new array for each call: the stand-in for a Workspace that keeps nothing."""
+    return np.empty(shape, dtype)
 
 
 def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
@@ -117,11 +148,11 @@ def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
 
 
 def _unit_factors(k: np.ndarray) -> np.ndarray:
-    """K / |K|_F per row of factors k (N, D, r)."""
-    return k / np.sqrt(norm_sq_stack(k))[:, None, None]
+    """K / |K|_F per row of factors k (N, D, r), in place: the bits of k / s."""
+    return np.divide(k, np.sqrt(norm_sq_stack(k))[:, None, None], out=k)
 
 
-def _gue_stack(rows: RowErrors, parts: np.ndarray, scale: float) -> np.ndarray:
+def _gue_stack(rows: RowErrors, parts: np.ndarray, scale: float, out=None) -> np.ndarray:
     """scale (M + M^dag) / 2 per row of M = re + 1j im, from `normals` parts (N, 2, d, d).
 
     re + re^T is written into the real part and im - im^T into the imaginary
@@ -130,10 +161,11 @@ def _gue_stack(rows: RowErrors, parts: np.ndarray, scale: float) -> np.ndarray:
     so one product by scale / 2 rounds as scale * X / 2 does. The result is
     exactly Hermitian by construction, so only its entries' finiteness is
     checked, with HermitianOperator's message: an overflowing scale is the
-    only way to fail.
+    only way to fail. Written into `out`, an (N, d, d) complex array, when
+    one is given.
     """
     re, im = parts[:, 0], parts[:, 1]
-    a = np.empty(re.shape, dtype=complex)
+    a = np.empty(re.shape, dtype=complex) if out is None else out
     np.add(re, re.swapaxes(-1, -2), out=a.real)
     np.subtract(im, im.swapaxes(-1, -2), out=a.imag)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is recorded below
@@ -214,6 +246,7 @@ def draw_batch(
     trials: Sequence[int],
     rank: int | None = None,
     scale: float = 1.0,
+    workspace: Workspace | None = None,
 ) -> tuple[list, list[str]]:
     """The seeded instances of `trials`, one stack per state kind drawn: (groups, kinds).
 
@@ -225,6 +258,11 @@ def draw_batch(
     Hermitian by construction, and checked for finite entries. A row that
     fails a check raises the error that drawing the trials one by one would
     raise first: its state's, then its F's, then its V's.
+
+    With a `workspace`, the normals are drawn into one of its arrays, and
+    each kind's Q, F and V stacks are written into arrays of their own,
+    which the next call with that workspace overwrites; without one, every
+    array is new.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -239,16 +277,24 @@ def draw_batch(
         raise RejectedInputError(f"scale must be positive, got {scale}")
 
     streams = _Streams(master_seed)
+    take = _fresh if workspace is None else workspace
     errors = RowErrors(len(bases))
     groups = []
     for used, width in (("haar", 1), ("ginibre", rank)):
         rows = [k for k, u in enumerate(kinds) if u == used]
         if rows:
-            keys = [bases[k] for k in rows]
-            checked = RowErrors(len(rows))
-            q = factor_stack(checked, _unit_factors(streams.complex_normals(keys, (s.dim, width))))
-            f = _gue_stack(checked, streams.normals([b + 1 for b in keys], (s.d_w, s.d_w)), scale)
-            v = _gue_stack(checked, streams.normals([b + 2 for b in keys], (s.dim, s.dim)), scale)
+            n, keys = len(rows), [bases[k] for k in rows]
+            checked = RowErrors(n)
+            # a mix draw's two kinds' stacks are live together, so each kind has
+            # arrays of its own; the one normals array is read before it is drawn into again
+            q = _unit_factors(streams.complex_normals(
+                keys, (s.dim, width), take("normals", (n, 2, s.dim, width)),
+                take(("q", used), (n, s.dim, width), complex)))
+            q = factor_stack(checked, q)
+            f, v = (_gue_stack(checked, streams.normals([b + i for b in keys], (d, d),
+                                                        take("normals", (n, 2, d, d))),
+                               scale, take((name, used), (n, d, d), complex))
+                    for i, name, d in ((1, "f", s.d_w), (2, "v", s.dim)))
             groups.append((rows, q, f, v))
             for k, err in zip(rows, checked):
                 errors[k] = err

@@ -84,20 +84,21 @@ VAR_TOL = 1e-10
 # Callers stack instances in batches of at most this many complex entries per
 # stacked (N, D, D) operand: large enough to amortise numpy's per-call cost at
 # small D, small enough that D = 64 batches stay half a megabyte. At D = 64 a
-# batch is 8 rows, so a 60-trial verify runs 8 chunks, not 15 of 4 rows. That
-# gains only at --threads 2, so it is in how the two pool threads share the
-# chunks, not in per-call cost. Median pool phase of 40 `verify --dims 2,2,4,4
-# --ensemble ginibre --rank 4 --trials 60` commands each, interleaved (2-core
-# host, OPENBLAS_NUM_THREADS=1, numpy 2.4.6):
-# - 2**14: 60.0 ms at --threads 1, 47.8 ms at --threads 2;
-# - 2**15: 64.6 ms and 38.2 ms;
-# - 2**16: 73.3 ms and 41.2 ms, and the sweep-wide benchmark's peak RSS rose
-#   from 46.5-46.8 MB (2**14) to 53.2-53.5 MB, against 48.8-48.9 MB at 2**15.
-# The few ms the pool loses at --threads 1 are about what cli._json_text's
-# upper-triangle writer saves on the same command, so a whole --threads 1
-# command is no slower: 71.2 ms at 2**14 writing every entry, 67.6 ms at
-# 2**15 writing the upper triangle (in process, median of 16 alternating
-# blocks of 15).
+# batch is 8 rows, so a 60-trial verify runs 8 chunks. Median pool phase and
+# whole command of 40 `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
+# --trials 60` commands each, interleaved in one process, with each verify
+# thread reusing its chunk buffers and the payload written in 32 KiB blocks
+# (2-core host, OPENBLAS_NUM_THREADS=1, numpy 2.4.6):
+# - 2**14: 18.1 and 26.4 ms at --threads 1, 16.9 and 25.7 ms at --threads 2;
+# - 2**15: 15.6 and 24.6 ms, 13.4 and 22.2 ms;
+# - 2**16: 14.4 and 22.8 ms, 12.0 and 22.0 ms. The benchmark's sweep-wide read
+#   2,756-2,789 items/s against 2,481-2,597 at 2**15 (8 s runs, seeds 1-3),
+#   but its peak RSS rose from 45.2-45.3 MB to 49.1-49.4 MB, 10 % above the
+#   44.6 MB of drawing every chunk into new arrays.
+# So the half megabyte holds the batch at 2**15. The JSON writer no longer
+# weighs in: cli._json_blocks writes a D = 64 payload in 32 KiB blocks at any
+# batch size, where an upper-triangle writer once saved what 2**15 cost over
+# 2**14 at --threads 1; 2**15 is now the faster of the two on both thread counts.
 # The chunk size never changes a payload byte.
 BATCH_ENTRIES = 2**15
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,9 @@ def test_verify_draws_each_trials_streams_once(tmp_path, monkeypatch, threads, p
     drawn = []
     real = ensembles._Streams.normals
 
-    def counted(self, streams, shape):
+    def counted(self, streams, shape, *out):
         drawn.extend(streams)
-        return real(self, streams, shape)
+        return real(self, streams, shape, *out)
 
     monkeypatch.setattr(ensembles._Streams, "normals", counted)
     out = tmp_path / "o.json"
@@ -254,6 +255,95 @@ def test_clean_worst_case_is_draw_instances_matrices(tmp_path, dims, ensemble, r
     for name, op in (("rho", rho), ("f", f), ("v", v)):
         assert np.array_equal(literal(worst[name]), op.mat), name
         assert literal(worst[name]).tobytes() == op.mat.tobytes(), name
+
+
+class _FreshArrays(ensembles.Workspace):
+    """A Workspace that hands out a new array for every request: draws without buffers."""
+
+    def __call__(self, name, shape, dtype=float):
+        return np.empty(shape, dtype)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_verify_chunks_reuse_their_threads_buffers_bit_for_bit(tmp_path, monkeypatch, threads):
+    # 36 gue-ops trials at D = 64 are five chunks, of 8 rows and then 4, each
+    # with a haar and a ginibre stack live at once: more chunks than threads,
+    # so each worker thread draws its chunks into one Workspace. Every drawn
+    # row must be the one a draw without buffers gives, and so must the
+    # payload and the CSV
+    s = TensorStructure.from_dims([2, 2, 4, 4])
+    argv = ["verify", "--dims", "2,2,4,4", "--trials", "36", "--format", "csv", "--threads", threads]
+    assert len(cli._trial_chunks(36, s.dim)) == 5
+    real, drawn = cli.draw_batch, []
+
+    def kept(*args, workspace):
+        assert isinstance(workspace, ensembles.Workspace)
+        groups, kinds = real(*args, workspace=workspace)
+        (_, *haar), (_, *ginibre) = groups
+        assert not any(np.shares_memory(a, b) for a in haar for b in ginibre)
+        drawn.append((args[3], threading.get_ident(), [x.copy() for _, *stacks in groups for x in stacks],
+                      [x.__array_interface__["data"][0] for _, *stacks in groups for x in stacks]))
+        return groups, kinds
+
+    monkeypatch.setattr(cli, "draw_batch", kept)
+    out = tmp_path / "reused.json"
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # threads switch inside each other's draws and kernels
+        assert run(*argv, "--out", str(out)) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == 5
+    for trials, _, got, _ in drawn:
+        groups, _ = ensembles.draw_batch(s, "mix", 42, trials)
+        want = [x for _, *stacks in groups for x in stacks]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    # a thread's later chunks draw into the arrays of its first
+    by_thread = {}
+    for _, thread, _, addresses in drawn:
+        by_thread.setdefault(thread, set()).add(tuple(addresses))
+    assert all(len(seen) == 1 for seen in by_thread.values())
+
+    monkeypatch.setattr(cli, "draw_batch", real)
+    monkeypatch.setattr(cli, "Workspace", _FreshArrays)
+    fresh = tmp_path / "fresh.json"
+    assert run(*argv, "--out", str(fresh)) == 0
+    for suffix in ("", ".trials.csv"):
+        assert Path(f"{out}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("trials, threads", [("8", "1"), ("16", "2")])
+def test_verify_keeps_no_workspace_where_no_thread_runs_a_second_chunk(tmp_path, monkeypatch, trials, threads):
+    # a Workspace kept for one chunk would only hold its normals through the kernel
+    real, passed = cli.draw_batch, []
+
+    def recorded(*args, workspace):
+        passed.append(workspace)
+        return real(*args, workspace=workspace)
+
+    monkeypatch.setattr(cli, "draw_batch", recorded)
+    assert run("verify", "--dims", "2,2,4,4", "--trials", trials, "--threads", threads,
+               "--out", str(tmp_path / "o.json")) == 0
+    assert passed == [None] * int(threads)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
+def test_verify_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
+    # each thread's chunks reuse its arrays and the payload is written in
+    # blocks, so 16 D = 64 chunks fault in about as many pages as 2 do;
+    # drawing every chunk into new arrays cost about 290 faults per chunk
+    def faults(trials):
+        out = tmp_path / "f.json"
+        assert run("verify", "--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
+                   "--threads", "1", "--trials", str(trials), "--out", str(out)) == 0
+        return json.loads(Path(f"{out}.manifest.json").read_text())["resources"]["minor_page_faults"]
+
+    assert [len(cli._trial_chunks(n, 64)) for n in (16, 128)] == [2, 16]
+    faults(16), faults(128)  # first touches of this process's heap
+    few, many = faults(16), faults(128)
+    # twice the 2-chunk count, or twice 64 pages (256 KiB, half a D = 64 V
+    # stack) where a warm heap leaves that count near 0
+    assert many <= 2 * max(few, 64), (few, many)
 
 
 @pytest.mark.parametrize("argv", [

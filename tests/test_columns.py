@@ -265,8 +265,8 @@ def gue_builds(monkeypatch):
     shapes = []
     real = ensembles._gue_stack
 
-    def counted(rows, parts, scale):
-        a = real(rows, parts, scale)
+    def counted(rows, parts, scale, *out):
+        a = real(rows, parts, scale, *out)
         shapes.append(a.shape)
         return a
 

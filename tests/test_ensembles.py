@@ -466,8 +466,8 @@ def test_square_factor_with_a_round_off_eigenvalue_is_clamped_as_density_matrix_
     trials = range(12)
     real = ensembles._Streams.complex_normals
 
-    def repeated(self, streams, shape):
-        z = real(self, streams, shape)
+    def repeated(self, streams, shape, *buffers):
+        z = real(self, streams, shape, *buffers)
         if shape == (s.dim, s.dim) and streams[0] % 4 == 0:
             z[:, :, -1] = z[:, :, 0]
         return z
@@ -588,9 +588,9 @@ def test_overflowing_scale_raises_only_the_rejection(monkeypatch):
     added = []
     real = ensembles._gue_stack
 
-    def recording(rows, parts, scale):
+    def recording(rows, parts, scale, *out):
         before = list(rows)
-        a = real(rows, parts, scale)
+        a = real(rows, parts, scale, *out)
         added.append([None if b is not None else e for b, e in zip(before, rows)])
         return a
 
@@ -601,6 +601,34 @@ def test_overflowing_scale_raises_only_the_rejection(monkeypatch):
     assert f_errors[0] is not None and err.value is f_errors[0]
     # every V overflows at D = 64, but a row whose F failed keeps F's error
     assert all((f is None) != (v is None) for f, v in zip(f_errors, v_errors))
+
+
+def test_draw_batch_without_a_workspace_leaves_what_it_returned_alone():
+    # draw_instance and the tests keep a call's arrays: a later call must not write into them
+    s = TensorStructure.from_dims([2, 2, 4, 4])
+    groups, _ = draw_batch(s, "mix", 42, range(8))
+    kept = [x.copy() for _, *stacks in groups for x in stacks]
+    draw_batch(s, "mix", 43, range(8))
+    draw_instance(s, "mix", 42, 3)
+    assert [x.tobytes() for _, *stacks in groups for x in stacks] == [x.tobytes() for x in kept]
+
+
+def test_draw_batch_with_a_workspace_draws_into_its_arrays_bit_for_bit():
+    # a call with a workspace overwrites the arrays the call before it returned,
+    # each kind's own; its rows are the rows a call without one draws
+    s = TensorStructure.from_dims([2, 2, 4, 4])
+    workspace = ensembles.Workspace()
+    first, _ = draw_batch(s, "mix", 42, range(8), workspace=workspace)
+    for trials in (range(8, 16), range(16, 20)):
+        groups, kinds = draw_batch(s, "mix", 42, trials, workspace=workspace)
+        want, want_kinds = draw_batch(s, "mix", 42, trials)
+        assert kinds == want_kinds
+        for (rows, *got), (want_rows, *expected), (_, *before) in zip(groups, want, first):
+            assert rows == want_rows
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+            assert all(np.shares_memory(x, y) for x, y in zip(got, before))
+        (_, *haar), (_, *ginibre) = groups
+        assert not any(np.shares_memory(a, b) for a in haar for b in ginibre)
 
 
 def test_draw_batch_from_concurrent_threads_matches_serial():

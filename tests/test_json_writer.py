@@ -1,4 +1,4 @@
-"""`cli._json_bytes` writes exactly the bytes of the stdlib's indenting encoder."""
+"""`cli._json_blocks` writes exactly the bytes of the stdlib's indenting encoder, in bounded blocks."""
 
 import json
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbattery.cli as cli
-from qbattery.cli import _json_bytes, main
+import qbattery.moments as moments
+from qbattery.cli import _json_blocks, _json_bytes, main
 from qbattery.operators import DensityMatrix, HermitianOperator, to_matrix_literal
 
 
@@ -87,14 +88,14 @@ def test_rejects_what_the_stdlib_rejects(obj):
 ])
 def test_payloads_and_manifests_equal_the_stdlib_encoder(tmp_path, monkeypatch, argv):
     written = []
-    real = cli._json_bytes
+    real = cli._json_blocks
 
     def checked(obj):
-        out = real(obj)
+        out = b"".join(real(obj))
         written.append(out == stdlib_bytes(obj, default=to_matrix_literal))
-        return out
+        return iter([out])
 
-    monkeypatch.setattr(cli, "_json_bytes", checked)
+    monkeypatch.setattr(cli, "_json_blocks", checked)
     main(argv + ["--out", str(tmp_path / "out.json")])
     assert written == [True, True]  # the payload, then its manifest
 
@@ -158,3 +159,76 @@ def test_hermitian_matrices_equal_the_stdlib_encoder(obj):
 def test_matrices_that_are_not_exactly_hermitian_are_written_in_full(mat):
     obj = {"m": [HermitianOperator.wrap_checked(mat.astype(complex))]}
     assert _json_bytes(obj) == stdlib_bytes(obj, default=to_matrix_literal)
+
+
+# ---------------------------------------------------------------- blocks
+
+def _d64(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+
+
+def _hermitian64(seed):
+    m = _d64(seed)
+    return (m + m.conj().T) / 2.0
+
+
+def _verify_summary(tmp_path, monkeypatch, argv):
+    """The summary object `verify` hands the block writer."""
+    objs = []
+    real = cli._json_blocks
+
+    def kept(obj):
+        objs.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "_json_blocks", kept)
+    main(["verify", *argv, "--out", str(tmp_path / "o.json")])
+    monkeypatch.setattr(cli, "_json_blocks", real)
+    return objs[0]
+
+
+def _nan64():
+    m = _hermitian64(3)
+    m[5, 7] = m[7, 5] = float("nan")
+    return HermitianOperator.wrap_checked(m)
+
+
+@pytest.mark.parametrize("case", ["hermitian", "state", "non-hermitian", "nan", "floats", "floats-nan",
+                                  "summary", "violation"])
+def test_blocks_join_to_the_payload_bytes_and_stay_small(tmp_path, monkeypatch, case):
+    # a D = 64 matrix is about 175 kB of text: it is cut between rows, and a
+    # long list between entries, so no block is a copy of a whole payload
+    if case == "hermitian":
+        obj = {"v": HermitianOperator.wrap_checked(_hermitian64(1))}
+    elif case == "state":
+        q = _d64(2)[:, :4]
+        obj = [DensityMatrix.from_factor(q / np.linalg.norm(q))]
+    elif case == "non-hermitian":  # to_matrix_literal's dict, through the generic route
+        obj = {"m": HermitianOperator.wrap_checked(_d64(4))}
+    elif case == "nan":  # its rows are lists the float join rejects: each NaN by the stdlib
+        obj = {"a": [1.5, {"m": _nan64()}]}
+    elif case == "floats":
+        obj = {"x": np.random.default_rng(5).standard_normal(20000).tolist()}
+    elif case == "floats-nan":  # a NaN after several pieces' worth of floats
+        obj = np.random.default_rng(6).standard_normal(9000).tolist() + [float("nan")]
+    elif case == "summary":
+        obj = _verify_summary(tmp_path, monkeypatch, ["--dims", "2,2,4,4", "--trials", "17"])
+    else:
+        # every row whose saturation ratio is above 0 fails: the worst case nests an "instance"
+        *rest, (stage, residual, _, message) = moments._CHECKS
+        assert "saturation ratio" in message
+        monkeypatch.setattr(moments, "_CHECKS", (*rest, (stage, residual, lambda x: 0.0, message)))
+        obj = _verify_summary(tmp_path, monkeypatch, ["--dims", "2,2,4,4", "--trials", "17"])
+        assert obj["violations"] > 0 and "instance" in obj["worst_case"]
+    blocks = list(_json_blocks(obj))
+    want = stdlib_bytes(obj, default=to_matrix_literal)
+    assert b"".join(blocks) == _json_bytes(obj) == want
+    assert len(want) > 100_000 and len(blocks) > 2
+    assert max(map(len, blocks)) <= 64 * 1024
+
+
+def test_a_small_payload_is_one_block(tmp_path, monkeypatch):
+    obj = _verify_summary(tmp_path, monkeypatch, ["--dims", "2,2,2,1", "--trials", "50"])
+    assert obj["worst_case"] is not None
+    assert len(list(_json_blocks(obj))) == 1
