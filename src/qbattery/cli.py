@@ -315,23 +315,63 @@ def _parse_dims(text: str) -> TensorStructure:
 _g17 = "%.17g".__mod__  # a float's CSV text; a bound C method, called once per value
 
 
+@functools.cache
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """`count` helper threads for `_map_ordered`, started on first use and kept for the process."""
+    return ThreadPoolExecutor(max_workers=count)
+
+
+# a forked child has none of its parent's threads: it starts its own helpers
+if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
 # The verify pool pays at D = 64 with single-threaded BLAS, which is how the
 # benchmark runs it (OPENBLAS_NUM_THREADS=1). On 2 cores (numpy 2.4.6,
 # OpenBLAS 0.3.31), `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
-# --trials 60`, 35 commands in one process at each --threads value, each
-# thread reusing its chunk buffers:
-# - the chunks (manifest stage_seconds "chunks") took 14.4-17.8 ms (quartiles)
-#   on 1 thread and 12.0-13.5 ms on 2, though their summed draw and kernel
-#   time rose from 14.2-17.6 ms to 21.5-23.9 ms;
-# - with the pool removed, the benchmark's sweep-wide read 2,295-2,390 items/s
-#   against 2,496-2,729 with it (8 s runs, seeds 1-3).
+# --trials 60`, 40 commands in one process at each --threads value:
+# - the chunks (manifest stage_seconds "chunks") took 14.6 ms (median) on
+#   1 thread and 10.8-14.1 ms on 2, though their summed draw and kernel time
+#   rose from 14.4 ms to 20.5-26.0 ms;
+# - with the caller taking chunks and the helpers and Workspaces kept for the
+#   process, the benchmark's sweep-wide read 2,763 items/s (quartiles
+#   2,689-2,804) against 2,555 (2,523-2,620) with a new pool per command and
+#   an idle caller (10 pairs of 8 s runs, seeds 11-20), and 2,290-2,410 with
+#   no pool (8 s runs, seeds 1-4); a repeated command faults in 0 pages on
+#   2 threads, against 812 with the new pool.
 # Threaded BLAS competes with the pool, so measure it with BLAS on one thread.
 def _map_ordered(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], run on `threads` worker threads when more than one."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """[fn(item) for item in items], run on the calling thread and `threads - 1` helpers.
+
+    Each thread takes the next item's index until none is left or an item
+    has failed. The failure of the lowest index is raised once no item is
+    running: every item below it was handed out first, so it is the error
+    of the earliest failing item.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results, failures = [None] * len(items), []
+    lock, order = threading.Lock(), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as err:  # raised below, once no item is running
+                failures.append((i, err))
+
+    helpers = [_helpers(threads - 1).submit(work) for _ in range(min(threads, len(items)) - 1)]
+    work()
+    for helper in helpers:
+        helper.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 # ---------------------------------------------------------------- verify
@@ -362,6 +402,10 @@ class _Offers:
                 self.least = (key, trial, rows())
 
 
+# each thread's Workspace, kept for the life of the process: see cmd_verify
+_WORKSPACES = threading.local()
+
+
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers: _Offers,
                   workspaces, trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
@@ -374,8 +418,8 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
     The chunk offers `offers` its first failed trial, else its clean trial
     of least slack (np.argmin's: the first of equal slacks). With
     `workspaces`, a threading.local, the stacks are drawn into the running
-    thread's `Workspace`, which its later chunks reuse: nothing the chunk
-    returns or offers is a view of them.
+    thread's `Workspace`, which its later chunks, of this command and of
+    later ones, reuse: nothing the chunk returns or offers is a view of them.
     """
     started = time.perf_counter()
     if workspaces is not None and not hasattr(workspaces, "workspace"):
@@ -437,11 +481,12 @@ def cmd_verify(args) -> int:
     started, faults = _start()
     offers = _Offers()
     trials = _trial_chunks(args.trials, structure.dim)
-    # a Workspace per thread, for this command only, where a thread runs more
-    # than one chunk: kept for one chunk, its normals array is one more array
-    # held through the kernel, and a 100-trial D = 16 command faulted in 722
-    # pages with it against 541 without (median of 25 in-process commands)
-    workspaces = threading.local() if len(trials) > args.threads else None
+    # a Workspace per thread, kept for the process, used where a thread runs
+    # more than one chunk: with one chunk it saves no time. A 100-trial D = 16
+    # command (one chunk) took 5.3-5.4 ms in its chunk with one and 4.5-7.1 ms
+    # without, and faulted in 540 pages against 622 (medians of 40 in-process
+    # commands, three runs each)
+    workspaces = _WORKSPACES if len(trials) > args.threads else None
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers, workspaces)
     chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()

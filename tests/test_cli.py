@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import signal
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -305,11 +308,99 @@ def test_verify_chunks_reuse_their_threads_buffers_bit_for_bit(tmp_path, monkeyp
     assert all(len(seen) == 1 for seen in by_thread.values())
 
     monkeypatch.setattr(cli, "draw_batch", real)
+    # each thread's Workspaces live for the process: the control run gets new
+    # ones that hand out new arrays, not the ones earlier commands made
+    monkeypatch.setattr(cli, "_WORKSPACES", threading.local())
     monkeypatch.setattr(cli, "Workspace", _FreshArrays)
     fresh = tmp_path / "fresh.json"
     assert run(*argv, "--out", str(fresh)) == 0
     for suffix in ("", ".trials.csv"):
         assert Path(f"{out}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+
+
+def test_verify_workspaces_carry_over_between_commands_of_other_dims(tmp_path, monkeypatch):
+    # a thread's Workspace lives for the process, so one command's chunks draw
+    # into arrays that an earlier command of another D shaped: D = 16 grows
+    # the D = 64 haar factor stack (64 x 16 entries against 4 x 64) and D = 64
+    # takes a prefix again. Each payload must be that of new arrays
+    commands = [("2,2,4,4", "36"), ("2,2,2,2", "300"), ("2,2,4,4", "36")]
+    assert [len(cli._trial_chunks(n, dim)) for n, dim in ((36, 64), (300, 16))] == [5, 3]
+    real, used = cli.draw_batch, []
+
+    def recorded(*args, workspace):
+        used.append((threading.get_ident(), workspace))
+        return real(*args, workspace=workspace)
+
+    def outputs(name):
+        paths = []
+        for i, (dims, trials) in enumerate(commands):
+            out = tmp_path / f"{name}{i}.json"
+            assert run("verify", "--dims", dims, "--trials", trials, "--format", "csv",
+                       "--threads", "2", "--out", str(out)) == 0
+            paths.append([Path(f"{out}{suffix}").read_bytes() for suffix in ("", ".trials.csv")])
+        return paths
+
+    monkeypatch.setattr(cli, "_WORKSPACES", threading.local())
+    monkeypatch.setattr(cli, "draw_batch", recorded)
+    kept = outputs("kept")
+    by_thread = {}
+    for thread, workspace in used:
+        by_thread.setdefault(thread, set()).add(id(workspace))
+    # the calling thread draws chunks of every command, all into one Workspace
+    assert sum(thread == threading.get_ident() for thread, _ in used) >= len(commands)
+    assert all(len(seen) == 1 for seen in by_thread.values()), by_thread
+
+    monkeypatch.setattr(cli, "draw_batch", real)
+    monkeypatch.setattr(cli, "_WORKSPACES", threading.local())
+    monkeypatch.setattr(cli, "Workspace", _FreshArrays)
+    assert kept == outputs("fresh")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_map_ordered_raises_the_earliest_failure_once_no_item_runs(threads):
+    # item 2 fails at once and item 1 later, while item 3 still runs: the
+    # error is item 1's, raised after every item handed out has returned
+    assert cli._map_ordered(lambda i: i * i, range(9), threads) == [i * i for i in range(9)]
+    running, lock = set(), threading.Lock()
+
+    def fn(i):
+        with lock:
+            running.add(i)
+        try:
+            time.sleep(0.05 if i in (1, 3) else 0.001)
+            if i in (1, 2):
+                raise ValueError(i)
+            return i
+        finally:
+            with lock:
+                running.discard(i)
+
+    with pytest.raises(ValueError) as raised:
+        cli._map_ordered(fn, range(12), threads)
+    assert raised.value.args == (1,)
+    assert not running
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_threaded_verify_runs_in_a_forked_child(tmp_path):
+    # the helper threads of a threaded verify are not copied into a forked
+    # child, which must start its own: without that its next threaded
+    # command waits forever on a dead helper, and the alarm ends it
+    argv = ["verify", "--dims", "2,2,4,4", "--trials", "36", "--threads", "2"]
+    want, got = tmp_path / "parent.json", tmp_path / "child.json"
+    assert run(*argv, "--out", str(want)) == 0
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            signal.alarm(20)
+            code = run(*argv, "--out", str(got))
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("trials, threads", [("8", "1"), ("16", "2")])
@@ -329,21 +420,27 @@ def test_verify_keeps_no_workspace_where_no_thread_runs_a_second_chunk(tmp_path,
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
 def test_verify_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
-    # each thread's chunks reuse its arrays and the payload is written in
-    # blocks, so 16 D = 64 chunks fault in about as many pages as 2 do;
-    # drawing every chunk into new arrays cost about 290 faults per chunk
-    def faults(trials):
+    # each thread's chunks, of this command and of earlier ones, reuse its
+    # arrays and the payload is written in blocks, so 16 D = 64 chunks fault
+    # in about as many pages as 2 do, and a repeated command hardly any;
+    # drawing every chunk into new arrays cost about 290 faults per chunk, and
+    # Workspaces kept for one command only about 350 (1 thread) and 800
+    # (2 threads) per 60-trial command
+    def faults(trials, threads):
         out = tmp_path / "f.json"
         assert run("verify", "--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
-                   "--threads", "1", "--trials", str(trials), "--out", str(out)) == 0
+                   "--threads", threads, "--trials", str(trials), "--out", str(out)) == 0
         return json.loads(Path(f"{out}.manifest.json").read_text())["resources"]["minor_page_faults"]
 
-    assert [len(cli._trial_chunks(n, 64)) for n in (16, 128)] == [2, 16]
-    faults(16), faults(128)  # first touches of this process's heap
-    few, many = faults(16), faults(128)
-    # twice the 2-chunk count, or twice 64 pages (256 KiB, half a D = 64 V
-    # stack) where a warm heap leaves that count near 0
-    assert many <= 2 * max(few, 64), (few, many)
+    assert [len(cli._trial_chunks(n, 64)) for n in (16, 60, 128)] == [2, 8, 16]
+    for threads in ("1", "2"):
+        for trials in (16, 128, 60):  # first touches of this process's heap and Workspaces
+            faults(trials, threads)
+        few, many, repeated = (faults(trials, threads) for trials in (16, 128, 60))
+        # twice the 2-chunk count, or twice 64 pages (256 KiB, half a D = 64 V
+        # stack) where a warm heap leaves that count near 0
+        assert many <= 2 * max(few, 64), (threads, few, many)
+        assert repeated <= 64, (threads, repeated)
 
 
 @pytest.mark.parametrize("argv", [
