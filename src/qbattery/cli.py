@@ -109,10 +109,6 @@ def _hermitian_reprs(x: np.ndarray) -> list:
     return text
 
 
-# The payload is written in pieces of about this many characters, each
-# encoded and written as it is made: the text is ASCII, so they are bytes too.
-_JSON_BLOCK = 32 * 1024
-
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -130,33 +126,37 @@ def _json_scalar(obj):
 
 
 def _json_pieces(obj, newline: str):
-    """`obj`, which `_json_scalar` does not write, as _json_bytes writes it, indented as `newline` is, in pieces.
+    """`obj` as _json_bytes writes it, indented as `newline` is, in pieces that join to its text.
 
-    The pieces join to its text. A container's text is cut only between its
-    entries, into pieces of at most about _JSON_BLOCK characters; a longer
-    piece is one entry's text too long to cut, and a short container of
-    scalars is one piece.
+    The pieces follow the value. A scalar, or a list, tuple or dict of
+    scalars, is one piece. A finite checked matrix equal to its conjugate
+    transpose is one piece per row of its literal's "im" and "re" lists,
+    with only the upper triangle formatted. Any other list, tuple or dict
+    with string keys gives its opener and each entry's head, a scalar's with
+    its text, and recurses into the other entries; everything else is
+    written by the stdlib.
     """
-    if isinstance(obj, _CheckedMatrix):
-        yield from _matrix_pieces(obj, newline)
+    text = _json_scalar(obj)
+    if text is not None:
+        yield text
         return
     inner = newline + "  "
-    sep = "," + inner
-    if type(obj) in (list, tuple) and obj:
-        try:
-            # finite floats, a piece's worth per join; "n" is in "nan" and "inf" only
-            step = _JSON_BLOCK // (len(sep) + 24)  # float.__repr__ is at most 24 characters
-            bodies = [sep.join(map(float.__repr__, obj[a : a + step])) for a in range(0, len(obj), step)]
-            if any("n" in body for body in bodies):
-                raise TypeError
-        except TypeError:
-            opener, closer, items = "[", "]", [("", x) for x in obj]
-        else:
-            bodies[-1] += newline + "]"
-            yield "[" + inner + bodies[0]
-            for body in bodies[1:]:
-                yield sep + body
+    if isinstance(obj, _CheckedMatrix):
+        a = obj.mat
+        if a.size and np.isfinite(a).all() and (a == a.conj().T).all():
+            row, entry = inner + "  ", inner + "    "
+            head = "{" + inner + f'"dim": {len(a)}'
+            for name, x in (("im", a.imag), ("re", a.real)):
+                head += "," + inner + f'"{name}": [' + row
+                for texts in _hermitian_reprs(x):
+                    yield head + "[" + entry + ("," + entry).join(texts) + row + "]"
+                    head = "," + row
+                head = inner + "]"
+            yield head + newline + "}"
             return
+        obj = to_matrix_literal(obj)
+    if type(obj) in (list, tuple) and obj:
+        opener, closer, items = "[", "]", [("", x) for x in obj]
     elif type(obj) is dict and obj and all(type(k) is str for k in obj):
         opener, closer = "{", "}"
         items = [(json.encoder.encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
@@ -165,77 +165,31 @@ def _json_pieces(obj, newline: str):
         yield json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal).replace("\n", newline)
         return
     # (head, value) items, the head a dict entry's key and ": "
+    sep = "," + inner
     texts = [_json_scalar(v) for _, v in items]
-    if None not in texts:  # scalars only: one join, one piece when it is short enough
-        body = sep.join([head + text for (head, _), text in zip(items, texts)])
-        if len(body) <= _JSON_BLOCK:
-            yield opener + inner + body + newline + closer
-            return
-    pending, size = [opener + inner], 0
-    for i, ((head, value), text) in enumerate(zip(items, texts)):
-        head = sep + head if i else head
-        pending.append(head)
-        size += len(head)
-        for piece in (text,) if text is not None else _json_pieces(value, inner):
-            if size + len(piece) > _JSON_BLOCK:
-                yield "".join(pending)
-                pending, size = [], 0
-            pending.append(piece)
-            size += len(piece)
-    pending.append(newline + closer)
-    yield "".join(pending)
-
-
-def _matrix_pieces(m: _CheckedMatrix, newline: str):
-    """to_matrix_literal(m) as _json_pieces writes it, formatting a Hermitian matrix's upper triangle only."""
-    a = m.mat
-    if not (a.size and np.isfinite(a).all() and (a == a.conj().T).all()):
-        yield from _json_pieces(to_matrix_literal(m), newline)
+    if None not in texts:
+        yield opener + inner + sep.join([head + text for (head, _), text in zip(items, texts)]) + newline + closer
         return
-    inner = newline + "  "
-    row, entry = inner + "  ", inner + "    "
-    pending, size = ["{" + inner + f'"dim": {len(a)}'], 0
-    for name, x in (("im", a.imag), ("re", a.real)):
-        rows = ["[" + entry + ("," + entry).join(texts) + row + "]" for texts in _hermitian_reprs(x)]
-        if sum(map(len, rows)) + len(rows) * (len(row) + 1) <= _JSON_BLOCK:
-            rows = [("," + row).join(rows)]  # a short part in one join
-        pending.append("," + inner + f'"{name}": [' + row)
-        for i, text in enumerate(rows):
-            text = "," + row + text if i else text
-            if size + len(text) > _JSON_BLOCK:
-                yield "".join(pending)
-                pending, size = [], 0
-            pending.append(text)
-            size += len(text)
-        pending.append(inner + "]")
-    pending.append(newline + "}")
-    yield "".join(pending)
+    for i, ((head, value), text) in enumerate(zip(items, texts)):
+        yield (sep if i else opener + inner) + head + (text or "")
+        if text is None:
+            yield from _json_pieces(value, inner)
+    yield newline + closer
 
 
 def _json_blocks(obj):
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal) + "\n", in blocks.
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal) + "\n", piece by piece.
 
     Byte-identical to that stdlib call for every value it accepts, and, like
-    it, raises for anything else, though only once the blocks before the
-    value that it cannot write are made. A block is a piece of
-    `_json_pieces`, of about _JSON_BLOCK bytes at most, so no copy of a
-    large payload is made whole. A list of finite floats is written in
-    joins over float.__repr__, where the stdlib's indenting encoder runs a
-    Python generator per item. A DensityMatrix or HermitianOperator is
-    written as its to_matrix_literal dict; when its matrix is finite and
-    equal to its conjugate transpose, as checked ones are, only the upper
-    triangle is formatted and each entry below it takes its partner's text,
-    its sign toggled where the two sign bits differ. Finite floats, ints,
-    bools, None, strings, lists, tuples, dicts with string keys and checked
-    matrices are written here, everything else by the stdlib.
+    it, raises for anything else, though only once the pieces before the
+    value that it cannot write are made. Each piece of `_json_pieces` is
+    encoded as it is made, and a verify payload's longest is one matrix
+    row, so no copy of a whole payload is made. A DensityMatrix or
+    HermitianOperator is written as its to_matrix_literal dict.
     """
-    text = _json_scalar(obj)
-    pieces = iter([text]) if text is not None else _json_pieces(obj, "\n")
-    last = next(pieces)
-    for piece in pieces:
-        yield last.encode()
-        last = piece
-    yield (last + "\n").encode()
+    for piece in _json_pieces(obj, "\n"):
+        yield piece.encode()
+    yield b"\n"
 
 
 def _json_bytes(obj) -> bytes:
@@ -402,12 +356,12 @@ class _Offers:
                 self.least = (key, trial, rows())
 
 
-# each thread's Workspace, kept for the life of the process: see cmd_verify
+# each thread's Workspace, kept for the life of the process
 _WORKSPACES = threading.local()
 
 
 def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers: _Offers,
-                  workspaces, trials: range) -> tuple:
+                  trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
     The draws' factors passed `factor_stack`'s checks, and F and V are
@@ -416,16 +370,15 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
     failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
     "trial" and "kind", and the seconds spent drawing and in the kernel.
     The chunk offers `offers` its first failed trial, else its clean trial
-    of least slack (np.argmin's: the first of equal slacks). With
-    `workspaces`, a threading.local, the stacks are drawn into the running
-    thread's `Workspace`, which its later chunks, of this command and of
-    later ones, reuse: nothing the chunk returns or offers is a view of them.
+    of least slack (np.argmin's: the first of equal slacks). The stacks are
+    drawn into the running thread's `Workspace` in _WORKSPACES, which its
+    later chunks, of this command and of later ones, reuse: nothing the
+    chunk returns or offers is a view of them.
     """
     started = time.perf_counter()
-    if workspaces is not None and not hasattr(workspaces, "workspace"):
-        workspaces.workspace = Workspace()
-    workspace = getattr(workspaces, "workspace", None)
-    groups, kinds = draw_batch(structure, kind, seed, trials, rank, workspace=workspace)
+    if not hasattr(_WORKSPACES, "workspace"):
+        _WORKSPACES.workspace = Workspace()
+    groups, kinds = draw_batch(structure, kind, seed, trials, rank, workspace=_WORKSPACES.workspace)
     drawn = time.perf_counter()
     errors, values = [None] * len(kinds), np.empty((len(kinds), len(TRIAL_COLUMNS) - 2))
     for rows, *stacks in groups:
@@ -481,13 +434,7 @@ def cmd_verify(args) -> int:
     started, faults = _start()
     offers = _Offers()
     trials = _trial_chunks(args.trials, structure.dim)
-    # a Workspace per thread, kept for the process, used where a thread runs
-    # more than one chunk: with one chunk it saves no time. A 100-trial D = 16
-    # command (one chunk) took 5.3-5.4 ms in its chunk with one and 4.5-7.1 ms
-    # without, and faulted in 540 pages against 622 (medians of 40 in-process
-    # commands, three runs each)
-    workspaces = _WORKSPACES if len(trials) > args.threads else None
-    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers, workspaces)
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers)
     chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()
     kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]

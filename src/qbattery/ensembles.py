@@ -138,11 +138,6 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-def _fresh(name, shape, dtype=float) -> np.ndarray:
-    """A new array for each call: the stand-in for a Workspace that keeps nothing."""
-    return np.empty(shape, dtype)
-
-
 def _one_stream(seed: SeedSpec, shape) -> np.ndarray:
     return _Streams(seed.master_seed).complex_normals([seed.stream_index], shape)
 
@@ -261,8 +256,8 @@ def draw_batch(
 
     With a `workspace`, the normals are drawn into one of its arrays, and
     each kind's Q, F and V stacks are written into arrays of their own,
-    which the next call with that workspace overwrites; without one, every
-    array is new.
+    which the next call with that workspace overwrites; without one, the
+    call takes a Workspace of its own, so every array it returns is new.
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
@@ -277,7 +272,7 @@ def draw_batch(
         raise RejectedInputError(f"scale must be positive, got {scale}")
 
     streams = _Streams(master_seed)
-    take = _fresh if workspace is None else workspace
+    take = Workspace() if workspace is None else workspace
     errors = RowErrors(len(bases))
     groups = []
     for used, width in (("haar", 1), ("ginibre", rank)):

@@ -95,10 +95,11 @@ VAR_TOL = 1e-10
 #   2,756-2,789 items/s against 2,481-2,597 at 2**15 (8 s runs, seeds 1-3),
 #   but its peak RSS rose from 45.2-45.3 MB to 49.1-49.4 MB, 10 % above the
 #   44.6 MB of drawing every chunk into new arrays.
-# So the half megabyte holds the batch at 2**15. The JSON writer no longer
-# weighs in: cli._json_blocks writes a D = 64 payload in 32 KiB blocks at any
-# batch size, where an upper-triangle writer once saved what 2**15 cost over
-# 2**14 at --threads 1; 2**15 is now the faster of the two on both thread counts.
+# So the half megabyte holds the batch at 2**15. The JSON writer does not
+# weigh in: cli._json_blocks writes a D = 64 payload in pieces of at most one
+# matrix row at any batch size, where an upper-triangle writer once saved what
+# 2**15 cost over 2**14 at --threads 1; 2**15 is now the faster of the two on
+# both thread counts.
 # The chunk size never changes a payload byte.
 BATCH_ENTRIES = 2**15
 

@@ -404,28 +404,38 @@ def test_threaded_verify_runs_in_a_forked_child(tmp_path):
 
 
 @pytest.mark.parametrize("trials, threads", [("8", "1"), ("16", "2")])
-def test_verify_keeps_no_workspace_where_no_thread_runs_a_second_chunk(tmp_path, monkeypatch, trials, threads):
-    # a Workspace kept for one chunk would only hold its normals through the kernel
-    real, passed = cli.draw_batch, []
+def test_verify_draws_a_threads_only_chunk_into_its_workspace(tmp_path, monkeypatch, trials, threads):
+    # where no thread runs a second chunk, each still draws into its Workspace,
+    # and the next command's chunks on that thread draw into the same one
+    real, used = cli.draw_batch, []
 
     def recorded(*args, workspace):
-        passed.append(workspace)
+        used.append((threading.get_ident(), workspace))
         return real(*args, workspace=workspace)
 
+    monkeypatch.setattr(cli, "_WORKSPACES", threading.local())
     monkeypatch.setattr(cli, "draw_batch", recorded)
-    assert run("verify", "--dims", "2,2,4,4", "--trials", trials, "--threads", threads,
-               "--out", str(tmp_path / "o.json")) == 0
-    assert passed == [None] * int(threads)
+    for _ in range(2):
+        assert run("verify", "--dims", "2,2,4,4", "--trials", trials, "--threads", threads,
+                   "--out", str(tmp_path / "o.json")) == 0
+    assert len(used) == 2 * int(threads)
+    assert all(isinstance(workspace, ensembles.Workspace) for _, workspace in used)
+    by_thread = {}
+    for thread, workspace in used:
+        by_thread.setdefault(thread, set()).add(id(workspace))
+    assert all(len(seen) == 1 for seen in by_thread.values()), by_thread
+    if threads == "1":  # both commands' one chunk, on the calling thread
+        assert list(by_thread) == [threading.get_ident()]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
 def test_verify_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
     # each thread's chunks, of this command and of earlier ones, reuse its
-    # arrays and the payload is written in blocks, so 16 D = 64 chunks fault
-    # in about as many pages as 2 do, and a repeated command hardly any;
-    # drawing every chunk into new arrays cost about 290 faults per chunk, and
-    # Workspaces kept for one command only about 350 (1 thread) and 800
-    # (2 threads) per 60-trial command
+    # arrays and the payload is written in pieces of at most one matrix row,
+    # so 16 D = 64 chunks fault in about as many pages as 2 do, and a
+    # repeated command hardly any; drawing every chunk into new arrays cost
+    # about 290 faults per chunk, and Workspaces kept for one command only
+    # about 350 (1 thread) and 800 (2 threads) per 60-trial command
     def faults(trials, threads):
         out = tmp_path / "f.json"
         assert run("verify", "--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
