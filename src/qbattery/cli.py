@@ -68,26 +68,8 @@ from .search import (
 
 ENSEMBLES = {"haar": "haar", "ginibre": "ginibre", "gue-ops": "mix"}
 
-TRIAL_COLUMNS = (
-    "trial",
-    "kind",
-    "power",
-    "power_sq",
-    "term_fv",
-    "term_vf",
-    "term_cross",
-    "corrected_bound",
-    "loose_bound",
-    "slack",
-    "saturation_ratio",
-    "mean_f",
-    "mean_v",
-    "var_f",
-    "var_v",
-    "cov_re",
-    "cov_im",
-)
-_SLACK = TRIAL_COLUMNS.index("slack") - 2  # its column in the values after "trial" and "kind"
+TRIAL_COLUMNS = ("trial", "kind", *REPORT_FIELDS, "mean_f", "mean_v", "var_f", "var_v", "cov_re", "cov_im")
+_SLACK = REPORT_FIELDS.index("slack")  # its column in the values after "trial" and "kind"
 
 
 def _hermitian_reprs(x: np.ndarray) -> list:
@@ -129,12 +111,12 @@ def _json_pieces(obj, newline: str):
     """`obj` as _json_bytes writes it, indented as `newline` is, in pieces that join to its text.
 
     The pieces follow the value. A scalar, or a list, tuple or dict of
-    scalars, is one piece. A finite checked matrix equal to its conjugate
-    transpose is one piece per row of its literal's "im" and "re" lists,
-    with only the upper triangle formatted. Any other list, tuple or dict
-    with string keys gives its opener and each entry's head, a scalar's with
-    its text, and recurses into the other entries; everything else is
-    written by the stdlib.
+    scalars, is one piece, and an empty one is "[]" or "{}". A finite
+    checked matrix equal to its conjugate transpose is one piece per row of
+    its literal's "im" and "re" lists, with only the upper triangle
+    formatted. Any other list, tuple or dict with string keys gives its
+    opener and each entry's head, a scalar's with its text, and recurses
+    into the other entries; everything else is written by the stdlib.
     """
     text = _json_scalar(obj)
     if text is not None:
@@ -155,14 +137,17 @@ def _json_pieces(obj, newline: str):
             yield head + newline + "}"
             return
         obj = to_matrix_literal(obj)
-    if type(obj) in (list, tuple) and obj:
+    if type(obj) in (list, tuple):
         opener, closer, items = "[", "]", [("", x) for x in obj]
-    elif type(obj) is dict and obj and all(type(k) is str for k in obj):
+    elif type(obj) is dict and all(type(k) is str for k in obj):
         opener, closer = "{", "}"
         items = [(json.encoder.encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
     else:
         # anything else as the stdlib writes it (its strings hold no raw newline)
         yield json.dumps(obj, indent=2, sort_keys=True, default=to_matrix_literal).replace("\n", newline)
+        return
+    if not items:
+        yield opener + closer
         return
     # (head, value) items, the head a dict entry's key and ": "
     sep = "," + inner
@@ -384,9 +369,8 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
     for rows, *stacks in groups:
         batch = _verify_checked(*stacks, structure)
         m = batch.moments
-        # a ReportBatch holds REPORT_FIELDS after its moments; a MomentBatch starts
-        # with mean_f, mean_v, var_f and var_v
-        values[rows] = np.stack([*batch[1:], *m[:4], m.cov.real, m.cov.imag], axis=1)
+        named = {**m._asdict(), **batch._asdict(), "cov_re": m.cov.real, "cov_im": m.cov.imag}
+        values[rows] = np.stack([named[k] for k in TRIAL_COLUMNS[2:]], axis=1)
         for k, err in zip(rows, batch.errors):
             errors[k] = err
     checked = time.perf_counter()

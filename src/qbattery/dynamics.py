@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import ReportBatch, _verify_checked, batch_rows, concat_batches
+from .moments import REPORT_FIELDS, ReportBatch, _verify_checked, batch_rows, concat_batches
 from .moments import verify_instance  # noqa: F401  a name bench/tracer.py patches here
 from .operators import (
     DensityMatrix,
@@ -146,8 +146,9 @@ def trajectory_report(
     report.errors.raise_first()
     mean_f = report.moments.mean_f
     fd = (mean_f[2:] - mean_f[:-2]) / (times[2:] - times[:-2])
-    # every array: the report's fields after its moments, the moments' before their errors
-    for a in (times, fd, *report[1:], *report.moments[:-1]):
+    m = report.moments
+    for a in (times, fd, *(getattr(report, k) for k in REPORT_FIELDS),
+              *(getattr(m, k) for k in m._fields if k != "errors")):
         a.setflags(write=False)
     return Trajectory(t=times, report=report, dfdt_fd=fd, power_tracks_dfdt=gate)
 

@@ -37,18 +37,17 @@ when P = 2 Im Cov, which the shift row of the check table certifies against
 P by the commutator on Q, -i (<Q, (dF (x) 1) B> - <Q, dV A>) / t: a second
 route to P that shares no product with <A, B>. No square root or
 eigendecomposition is taken. Every identity of the chain is a row of one
-table, `_CHECKS`, checked where the chain reaches it; a clean report
-certifies the algebra numerically.
+table, `_CHECKS`, checked where the chain reaches it, from the means (the
+traces Tr(rho_W F) and Tr(Q^dag V Q) are real) to the saturation ratio; a
+clean report certifies the algebra numerically.
 
-``verify_batch`` is the one implementation of the chain over stacks of
-states: it checks them as DensityMatrix does, takes the factors
-`density_stack` hands out and records each row's first failed check
-instead of raising.
 ``_verify_checked`` and ``_moments_checked`` run the chain and its moment
-stage on factor stacks whose states passed a boundary check (the draws, the
-trajectories, the search, a DensityMatrix's factor). ``verify_instance``,
-``compute_moments`` and ``decomposition_terms`` run the stage of it that
-they name on a one-row stack of the DensityMatrix's factor, so each raises
+stage on complex factor stacks of the right shapes whose states, and F and
+V, passed a boundary check where the stacks were built: the draws, the
+trajectories, the search and the demo; nothing here checks them again.
+``verify_instance``, ``compute_moments`` and ``decomposition_terms`` check
+the dimensions of one DensityMatrix and two HermitianOperators and run the
+stage they name on a one-row stack of the state's factor, so each raises
 only for the checks of its own part of the chain. ``MomentBatch.row`` and
 ``ReportBatch.row`` hand out a row that passed them as a plain ``MomentSet``
 or ``PowerBoundReport``; those records check nothing themselves.
@@ -71,10 +70,7 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     RowErrors,
     TensorStructure,
     _adjoint,
-    density_stack,
     embed_battery_op,
-    expectation_stack,
-    hermitian_stack,
     matrix_sqrt,
     norm_sq_stack,
 )
@@ -119,6 +115,11 @@ def batch_rows(dim: int) -> int:
 # bound is a sum of non-negative terms and at least (2 Im Cov)^2: the sign of
 # the bound and P^2 <= bound. They take the other route's value instead.
 _CHECKS = (
+    # the means: the traces Tr(rho_W F) and Tr(Q^dag V Q) of Hermitian products are real
+    ("moments", lambda x: np.abs(x.trace_f.imag), lambda x: 1e-10 * (1.0 + np.abs(x.trace_f.real)),
+     "mean_f has imaginary part {trace_f.imag:.3e}"),
+    ("moments", lambda x: np.abs(x.trace_v.imag), lambda x: 1e-10 * (1.0 + np.abs(x.trace_v.real)),
+     "mean_v has imaginary part {trace_v.imag:.3e}"),
     # the moments: sums of squares, then Cauchy-Schwarz for the three inner products
     ("moments", lambda x: -x.var_f, lambda x: VAR_TOL,
      f"var_f = {{var_f!r}} below -{VAR_TOL}"),
@@ -221,7 +222,7 @@ REPORT_FIELDS = ("power", "power_sq", "term_fv", "term_vf", "term_cross",
 
 
 class ReportBatch(NamedTuple):
-    """`verify_batch` results: every PowerBoundReport field as an array, plus the moments.
+    """The chain's results: every PowerBoundReport field as an array, plus the moments.
 
     `errors[i]` is the exception ``verify_instance`` raises for row i alone,
     or None when every check passed; the values of a failed row mean nothing.
@@ -280,20 +281,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nij->n", a.conj(), b)
 
 
-def _checked_stacks(q, f, v, s: TensorStructure):
-    """The three stacks as complex arrays, after the dimension checks; q holds states or factors."""
-    q, f, v = (np.asarray(x, dtype=complex) for x in (q, f, v))
-    if f.shape[1:] != (s.d_w, s.d_w):
-        raise DimensionMismatchError(f"battery operator dim {f.shape[-1]} != d_w {s.d_w}")
-    if q.ndim != 3 or q.shape[1] != s.dim or v.shape[1:] != (s.dim, s.dim):
-        raise DimensionMismatchError(
-            f"state/interaction dims ({q.shape[-2]}, {v.shape[-1]}) != structure dim {s.dim}"
-        )
-    if not q.shape[0] == f.shape[0] == v.shape[0]:
-        raise DimensionMismatchError(f"stack lengths differ: {q.shape[0]}, {f.shape[0]}, {v.shape[0]}")
-    return q, f, v
-
-
 def _gram(a, b, t):
     """(var_F, var_V, Cov) = (|A|^2, |B|^2, <A, B>) / t."""
     return norm_sq_stack(a) / t, norm_sq_stack(b) / t, _inner(a, b) / t
@@ -311,15 +298,16 @@ def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure):
     t = np.where(t > 0.0, t, 1.0)  # a zero factor is a row rejected where it entered
     qw = q.reshape(len(q), s.d_w, -1)
     rho_w = qw @ _adjoint(qw) / t[:, None, None]
-    mean_f = expectation_stack(rows, rho_w, f)
-    mean_v = expectation_stack(rows, _adjoint(q), _times(v, q)) / t
+    trace_f = np.einsum("nij,nji->n", rho_w, f)
+    trace_v = np.einsum("nij,nji->n", _adjoint(q), _times(v, q))
+    mean_f, mean_v = trace_f.real, trace_v.real / t
     df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
     a, b = _battery_left(df, q), _times(dv, q)
     var_f, var_v, cov = _gram(a, b, t)
     mu = cov / np.where(var_f > 0.0, var_f, 1.0)
     slack = 2.0 * var_f * norm_sq_stack(b - mu[:, None, None] * a) / t
-    _run_checks(rows, "moments", var_f=var_f, var_v=var_v, product=var_f * var_v,
-                cov_sq=np.abs(cov) ** 2)
+    _run_checks(rows, "moments", trace_f=trace_f, trace_v=trace_v, var_f=var_f, var_v=var_v,
+                product=var_f * var_v, cov_sq=np.abs(cov) ** 2)
     m = MomentBatch(mean_f, mean_v, var_f, var_v, cov, norm_sq_stack(rho_w), slack, rows)
     return m, (t, a, b, df, dv)
 
@@ -379,62 +367,23 @@ def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure) -> ReportBatch:
     return report
 
 
-def _batch(stage, q, f, v, s: TensorStructure):
-    q, f, v = _checked_stacks(q, f, v, s)
-    return stage(RowErrors(q.shape[0]), q, f, v, s)
-
-
-def _states_batch(stage, rho, f, v, s: TensorStructure):
-    """`stage` on stacks of states after DensityMatrix's and HermitianOperator's checks, on their factors."""
-    rho, f, v = _checked_stacks(rho, f, v, s)
-    if rho.shape[2] != s.dim:
-        raise DimensionMismatchError(f"state dims {rho.shape[1:]} != structure dim {s.dim}")
-    rows = RowErrors(rho.shape[0])
-    q = density_stack(rows, rho)[1]
-    return stage(rows, q, hermitian_stack(rows, f), hermitian_stack(rows, v), s)
-
-
-def moment_batch(rho, f, v, s: TensorStructure) -> MomentBatch:
-    """`compute_moments` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
-
-    The moment stage of `verify_batch`, with its input checks: each row of
-    rho passes DensityMatrix's checks and the kernel takes its factor
-    u sqrt(clip(w, 0)); F and V pass HermitianOperator's.
-    """
-    return _states_batch(_moment_stage, rho, f, v, s)[0]
-
-
-def verify_batch(rho, f, v, s: TensorStructure) -> ReportBatch:
-    """`verify_instance` over stacks rho (N,D,D), F (N,d_w,d_w), V (N,D,D).
-
-    Checks each state as DensityMatrix does (Hermiticity, trace, positivity,
-    purity; a round-off eigenvalue below zero is clamped) and F and V as
-    HermitianOperator does, then runs every check of the chain,
-    `_chain_stage`, on the states' factors u sqrt(clip(w, 0)), in its order
-    and at its tolerance, as a mask over the rows: the moments, the power by the
-    commutator, the same power as 2 Im Cov, which certifies the square-root
-    decomposition, and the bounds. Rows are independent: a row's values and
-    error do not depend on what else is in the stack.
-    """
-    return _states_batch(_chain_stage, rho, f, v, s)
-
-
 def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
-    """The chain on factor stacks q (N, D, r) whose states, and F and V, passed a boundary check.
+    """The chain on complex factor stacks q (N, D, r), F (N, d_w, d_w) and V (N, D, D).
 
-    `factor_stack`'s or DensityMatrix's for q (a trajectory's rho0, which a
-    checked U(t) evolves), HermitianOperator's for F and V, which hands back
-    exactly Hermitian matrices, or a draw's, whose F and V are exactly
-    Hermitian by construction. Every check of the chain runs. The draws,
-    the trajectory states, the search's final candidate and the demo come
-    this way.
+    Their states, and F and V, passed a boundary check where the stacks were
+    built: `factor_stack`'s or DensityMatrix's for q (a trajectory's rho0,
+    which a checked U(t) evolves), HermitianOperator's for F and V, which
+    hands back exactly Hermitian matrices, or a draw's, whose F and V are
+    exactly Hermitian by construction. Every check of the chain runs. The
+    draws, the trajectory states, the search's final candidate and the demo
+    come this way.
     """
-    return _batch(_chain_stage, q, f, v, s)
+    return _chain_stage(RowErrors(len(q)), q, f, v, s)
 
 
 def _moments_checked(q, f, v, s: TensorStructure) -> MomentBatch:
-    """The moment stage on factor stacks that passed a boundary check, as in `_verify_checked`: the search's."""
-    return _batch(_moment_stage, q, f, v, s)[0]
+    """The moment stage on stacks that passed a boundary check, as in `_verify_checked`: the search's."""
+    return _moment_stage(RowErrors(len(q)), q, f, v, s)[0]
 
 
 def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
@@ -449,8 +398,12 @@ def concat_batches(batches: list[ReportBatch]) -> ReportBatch:
 def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianOperator,
                   s: TensorStructure):
     """`stage` on one-row stacks of the instance, rho by its factor; raises the row's first failed check."""
+    if f.dim != s.d_w:
+        raise DimensionMismatchError(f"battery operator dim {f.dim} != d_w {s.d_w}")
+    if rho.dim != s.dim or v.dim != s.dim:
+        raise DimensionMismatchError(f"state/interaction dims ({rho.dim}, {v.dim}) != structure dim {s.dim}")
     rows = RowErrors(1)
-    out = stage(rows, *_checked_stacks(rho.factor[None], f.mat[None], v.mat[None], s), s)
+    out = stage(rows, rho.factor[None], f.mat[None], v.mat[None], s)
     rows.raise_first()
     return out
 

@@ -12,8 +12,8 @@ first failure of every row in `RowErrors`; `HermitianOperator` and
 error, and `_one_row` does the same for any stack function.
 
 The Hermiticity check, which also rejects NaN and infinite entries, runs at
-the boundaries, where a matrix enters: the classes' constructors and
-`moments.verify_batch`'s input pass. A matrix that passed it is finite and
+the boundaries, where a matrix enters: the classes' constructors, through
+which every parsed input passes. A matrix that passed it is finite and
 exactly Hermitian, since (A + A^dag)/2 is, and so is a real diagonal shift
 or a real multiple of it; code that only shifts or scales such a matrix does
 not check it again. The drawn F and V are built exactly Hermitian, so their
@@ -355,12 +355,6 @@ def embed_battery_op(f: HermitianOperator, s: TensorStructure) -> HermitianOpera
     return HermitianOperator(np.kron(f.mat, np.eye(s.env_dim)))
 
 
-def partial_trace_stack(rho: np.ndarray, s: TensorStructure) -> np.ndarray:
-    """Reduced battery matrix of each state in a stack, tracing out S, B and A."""
-    r = rho.reshape(rho.shape[0], s.d_w, s.env_dim, s.d_w, s.env_dim)
-    return np.einsum("niaja->nij", r)
-
-
 def matrix_sqrt(rho: DensityMatrix) -> HermitianOperator:
     """Positive square root of a state via spectral decomposition.
 
@@ -375,19 +369,6 @@ def matrix_sqrt(rho: DensityMatrix) -> HermitianOperator:
     if err > 1e-9:
         raise NumericalIntegrityError(f"sqrt(rho)^2 deviates from rho by {err:.3e}")
     return root
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(A B) for each pair of matrices in two stacks."""
-    return np.einsum("nij,nji->n", a, b)
-
-
-def expectation_stack(rows: RowErrors, rho: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Re Tr(rho A) per row; the imaginary part must vanish to 1e-10 (both are Hermitian)."""
-    t = trace_product(rho, a)
-    rows.record(np.abs(t.imag) > 1e-10 * (1.0 + np.abs(t.real)), lambda i: NumericalIntegrityError(
-        f"expectation has imaginary part {t.imag[i]:.3e}"))
-    return t.real
 
 
 def to_matrix_literal(mat) -> dict:

@@ -3,12 +3,14 @@
 `draw_batch` returns one stack per state kind drawn; these helpers put the
 rows back in trial order, with each state formed as `draw_instance` forms
 it (`factor_states`, the code `DensityMatrix.from_factor` runs).
+`state_factors` takes a stack of states back to factors the kernel takes,
+as `DensityMatrix` checks and decomposes each state.
 """
 
 import numpy as np
 
 from qbattery.ensembles import draw_batch
-from qbattery.operators import factor_states
+from qbattery.operators import DensityMatrix, factor_states
 
 
 def drawn_rows(s, kind, seed, trials, rank=None, scale=1.0):
@@ -38,3 +40,8 @@ def drawn_states(s, kind, seed, trials, rank=None, scale=1.0):
     for rows, q, fg, vg in groups:
         rho[rows], f[rows], v[rows] = factor_states(q), fg, vg
     return rho, f, v, kinds
+
+
+def state_factors(rho):
+    """The factor of each state in a stack (N, D, D), as DensityMatrix checks and decomposes it: D x D."""
+    return np.stack([DensityMatrix(r).factor for r in rho])

@@ -66,6 +66,12 @@ def gram(var_f=1.0, var_v=1.0, conjugate=False):
 
 # the start of each _CHECKS row's message -> (the family, the mutation)
 MUTATIONS = {
+    # rho_W as Q_W Q_W^T, without the conjugate: Tr(rho_W F) is complex
+    "mean_f has imaginary part": ("generic", lambda mp: wrap(
+        mp, "_adjoint", lambda real: lambda a: a.swapaxes(-1, -2))),
+    # V Q with a stray factor i: Tr(Q^dag V Q) is imaginary
+    "mean_v has imaginary part": ("generic", lambda mp: wrap(
+        mp, "_times", lambda real: lambda x, q: 1j * real(x, q))),
     # var_F negated
     "var_f = ": ("generic", lambda mp: wrap(mp, "_gram", gram(var_f=-1.0))),
     # var_V negated

@@ -1,7 +1,7 @@
 """Trajectories and sweep tables written from the kernel's arrays.
 
 The payloads must be the bytes a per-value ``f"{x:.17g}"`` formatting of
-`verify_batch`'s results gives; a `Trajectory` holds read-only columns; the
+the kernel's results gives; a `Trajectory` holds read-only columns; the
 kernel must not re-check stacks that a boundary check has just passed.
 """
 
@@ -37,21 +37,17 @@ from qbattery.moments import (
     batch_rows,
     compute_moments,
     decomposition_terms,
-    verify_batch,
     verify_instance,
 )
 from qbattery.operators import (
     HermitianOperator,
     NumericalIntegrityError,
-    RejectedInputError,
     RowErrors,
     TensorStructure,
     _one_row,
     eig_stack,
     to_matrix_literal,
 )
-
-from draws import drawn_states
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
                   0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0, float("inf")]
@@ -303,19 +299,6 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch)
         # no chunk checks its evolved factors U(t) rho0.factor, nor the kernel what it forms
         assert len(symmetrized_calls) == 2
         assert len(verified) == chunks and sum(n for n, *_ in verified) == points
-
-
-def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
-    s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v, _ = drawn_states(s, "mix", 1, range(3))
-    symmetrized_calls.clear()
-    assert verify_batch(rho, f, v, s).errors == [None] * 3
-    assert len(symmetrized_calls) == 3  # the inputs, and nothing the kernel forms
-    v = v.copy()
-    v[1, 0, 1] += 1e-6
-    errors = verify_batch(rho, f, v, s).errors
-    assert errors[0] is None and errors[2] is None
-    assert isinstance(errors[1], RejectedInputError) and "not Hermitian" in str(errors[1])
 
 
 def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):

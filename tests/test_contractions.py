@@ -13,15 +13,14 @@ import qbattery.moments as moments
 import qbattery.operators as operators
 from qbattery.ensembles import draw_instance
 from qbattery.moments import (
+    _moments_checked,
     _verify_checked,
     decomposition_terms,
-    moment_batch,
-    verify_batch,
     verify_instance,
 )
 from qbattery.operators import TensorStructure, _adjoint
 
-from draws import drawn_factors, drawn_states
+from draws import drawn_factors, drawn_states, state_factors
 
 CONTRACTIONS = {
     "(F x 1) A": (moments._battery_left, lambda f, a: f @ a),
@@ -91,9 +90,10 @@ def test_kernel_never_forms_f_kron_identity(no_lift):
     q, f, v = drawn_factors(s, "ginibre", 3, range(4), rank=4)
     report = _verify_checked(q, f, v, s)
     assert report.errors == [None] * 4
-    rho = drawn_states(s, "ginibre", 3, range(4), rank=4)[0]
-    assert verify_batch(rho, f, v, s).errors == [None] * 4
-    assert moment_batch(rho, f, v, s).errors == [None] * 4
+    # the states' full-rank D x D factors, as DensityMatrix takes them
+    q = state_factors(drawn_states(s, "ginibre", 3, range(4), rank=4)[0])
+    assert _verify_checked(q, f, v, s).errors == [None] * 4
+    assert _moments_checked(q, f, v, s).errors == [None] * 4
     rho1, f1, v1, _ = draw_instance(s, "ginibre", 3, 0, rank=4)
     assert verify_instance(rho1, f1, v1, s).power == report.power[0]
     terms = decomposition_terms(rho1, f1, v1, s)

@@ -34,7 +34,7 @@ from qbattery.ensembles import (
     gue_hermitian,
     haar_pure,
 )
-from qbattery.moments import REPORT_FIELDS, verify_batch
+from qbattery.moments import REPORT_FIELDS, _verify_checked
 from qbattery.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -47,6 +47,7 @@ from qbattery.operators import (
     factor_states,
     to_matrix_literal,
 )
+from draws import state_factors
 from test_exact_terms import GATE_BOUNDS, exact, exact_columns, exact_state
 
 MOMENT_FIELDS = ("mean_f", "mean_v", "var_f", "var_v", "cov", "purity_w")
@@ -218,13 +219,13 @@ def test_carried_eigenpairs_match_a_fresh_eigh_of_every_state(name):
     s = h.structure
     traj = trajectory_report(rho0, h, f, grid)
 
-    # the reference: the same states formed, then each decomposed again by verify_batch's density_stack
+    # the reference: the same states formed, then each decomposed again as a DensityMatrix
     carried = carried_states(rho0, h, grid)[0]
     n = len(grid)
     rows = RowErrors(n)
     states = density_stack(rows, carried)[0]
-    want = verify_batch(states, np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
-                        np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
+    want = _verify_checked(state_factors(states), np.broadcast_to(f.mat, (n, s.d_w, s.d_w)),
+                           np.broadcast_to(h.v.mat, (n, s.dim, s.dim)), s)
     assert rows == want.errors == [None] * n
     got = batch_values(traj.report)
     for field, values in batch_values(want).items():

@@ -32,9 +32,14 @@ from qbattery.operators import (
     density_stack,
     factor_states,
     norm_sq_stack,
-    partial_trace_stack,
 )
 from draws import drawn_rows
+
+
+def reduced_battery_state(rho, s):
+    """Tr_SBA rho of a state, by einsum over the environment index, checked as a DensityMatrix."""
+    r = rho.mat.reshape(s.d_w, s.env_dim, s.d_w, s.env_dim)
+    return DensityMatrix(np.einsum("iaja->ij", r))
 
 
 # ---------------------------------------------------------------- seeds
@@ -171,7 +176,7 @@ def test_haar_reduced_battery_purity_average():
     acc = 0.0
     for i in range(n):
         rho = haar_pure(4, SeedSpec(4000, i))
-        acc += DensityMatrix(partial_trace_stack(rho.mat[None], s)[0]).purity()
+        acc += reduced_battery_state(rho, s).purity()
     assert abs(acc / n - 0.8) < 0.01
 
 
@@ -241,7 +246,7 @@ def test_battery_eigenstate_product_reduces_to_projector():
     f = HermitianOperator(np.diag([3.0, -1.0]).astype(complex))
     rest = haar_pure(2, SeedSpec(44))
     prod = battery_eigenstate_product(f, 0, rest, s)
-    red = DensityMatrix(partial_trace_stack(prod.state.mat[None], s)[0])
+    red = reduced_battery_state(prod.state, s)
     # ascending order: j = 0 is the eigenvalue -1 level, i.e. |1><1|
     assert prod.eigenvalue == pytest.approx(-1.0)
     assert np.allclose(red.mat, np.diag([0.0, 1.0]), atol=1e-12)

@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from qbattery.ensembles import draw_batch
-from qbattery.moments import _verify_checked, moment_batch
+from qbattery.moments import _moments_checked, _verify_checked
 from qbattery.operators import TensorStructure
 
-from draws import drawn_states
+from draws import drawn_states, state_factors
 
 ZERO = Fraction(0)
 
@@ -237,7 +237,7 @@ def test_moments_of_shifted_operators_match_the_exact_values():
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v, _ = drawn_states(s, "mix", 42, range(24))
     f, v = f + 1e6 * np.eye(2), v + 1e6 * np.eye(4)
-    m = moment_batch(rho, f, v, s)
+    m = _moments_checked(state_factors(rho), f, v, s)
     for i in range(24):
         want = exact_columns(exact(rho[i]), exact(f[i]), exact(v[i]), s.env_dim)
         for name, err in moment_errors(m, i, want).items():

@@ -100,6 +100,23 @@ def test_payloads_and_manifests_equal_the_stdlib_encoder(tmp_path, monkeypatch, 
     assert written == [True, True]  # the payload, then its manifest
 
 
+def test_a_verify_manifest_is_written_without_the_stdlib(tmp_path, monkeypatch):
+    # its "input_digests" is {}, which is written as "{}", as every empty
+    # list, tuple or dict is, and not by json.dumps
+    encoded = []
+    real = cli._json_blocks
+    monkeypatch.setattr(cli, "_json_blocks", lambda obj: encoded.append(obj) or real(obj))
+    main(["verify", "--dims", "2,2,1,1", "--trials", "5", "--out", str(tmp_path / "v.json")])
+    manifest = encoded[-1]
+    assert manifest["subcommand"] == "verify" and manifest["input_digests"] == {}
+    want = stdlib_bytes(manifest)
+    calls = []
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+    assert _json_bytes(manifest) == want
+    assert calls == []
+
+
 # ---------------------------------------------------------------- checked matrices
 
 EXTREMES = [5e-324, -5e-324, 1e308, -1e308]

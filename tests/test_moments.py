@@ -13,14 +13,13 @@ from qbattery.moments import (
     MomentSet,
     PowerBoundReport,
     _delta_stack,
+    _moments_checked,
     _power_stage,
     _verify_checked,
     compute_moments,
     corrected_bound,
     decomposition_terms,
     loose_bound,
-    moment_batch,
-    verify_batch,
     verify_instance,
 )
 from qbattery.operators import (
@@ -31,9 +30,12 @@ from qbattery.operators import (
     RowErrors,
     TensorStructure,
     _one_row,
+    density_stack,
     embed_battery_op,
-    expectation_stack,
+    hermitian_stack,
 )
+
+from draws import state_factors
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -54,8 +56,8 @@ def charging_power(rho, f, v):
 
 
 def expectation(rho, a):
-    """Re Tr(rho A) by the kernel's stacked expectation, on one-row stacks."""
-    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
+    """Re Tr(rho A) as the kernel's mean of V = A, Tr(Q^dag A Q) / |Q|^2 on rho's factor Q."""
+    return compute_moments(rho, a, a, TensorStructure(a.dim)).mean_v
 
 
 def oracle_quantities(rho, f, v):
@@ -256,7 +258,8 @@ def table_errors(stage, **values):
 
 
 def moment_errors(var_f, var_v, cov):
-    return table_errors("moments", var_f=var_f, var_v=var_v, product=var_f * var_v, cov_sq=abs(cov) ** 2)
+    return table_errors("moments", trace_f=1.0 + 0j, trace_v=1.0 + 0j, var_f=var_f, var_v=var_v,
+                        product=var_f * var_v, cov_sq=abs(cov) ** 2)
 
 
 def test_variance_of_an_eigenvector_is_round_off_and_never_negative(monkeypatch):
@@ -281,7 +284,7 @@ def test_variance_of_an_eigenvector_is_round_off_and_never_negative(monkeypatch)
             rho.append(DensityMatrix.from_ket(ket).mat)
             f.append(f_op.mat)
             v.append(v_op.mat)
-    batch = moment_batch(np.stack(rho), np.stack(f), np.stack(v), s)
+    batch = _moments_checked(state_factors(np.stack(rho)), np.stack(f), np.stack(v), s)
     assert batch.errors == [None] * 32
     (var_v,) = raw
     assert (var_v >= 0.0).all() and var_v.max() <= 1e-13
@@ -441,7 +444,7 @@ def test_kernel_matches_per_instance_reference(dims, kind):
     s = TensorStructure.from_dims(list(dims))
     rank = max(1, s.dim // 2) if kind != "haar" else None  # Ginibre states below full rank
     rho, f, v = drawn_stacks(s, kind, 4 if s.dim == 64 else 12, rank=rank)
-    batch = verify_batch(rho, f, v, s)
+    batch = _verify_checked(state_factors(rho), f, v, s)
     assert batch.errors == [None] * len(rho)
     got = kernel_fields(batch)
     for i in range(len(rho)):
@@ -454,9 +457,10 @@ def test_kernel_matches_per_instance_reference(dims, kind):
 def test_kernel_rows_do_not_depend_on_the_batch(dims):
     s = TensorStructure.from_dims(list(dims))
     rho, f, v = drawn_stacks(s, "mix", 7, rank=2)
-    whole = kernel_fields(verify_batch(rho, f, v, s))
-    head = kernel_fields(verify_batch(rho[:3], f[:3], v[:3], s))
-    tail = kernel_fields(verify_batch(rho[3:], f[3:], v[3:], s))
+    q = state_factors(rho)
+    whole = kernel_fields(_verify_checked(q, f, v, s))
+    head = kernel_fields(_verify_checked(q[:3], f[:3], v[:3], s))
+    tail = kernel_fields(_verify_checked(q[3:], f[3:], v[3:], s))
     for name in whole:
         assert np.array_equal(whole[name], np.concatenate([head[name], tail[name]])), name
 
@@ -506,31 +510,30 @@ def test_failing_row_reports_its_own_error_and_spares_the_others(monkeypatch):
         assert np.array_equal(np.delete(values, at), clean[name]), name
 
 
-def test_kernel_checks_its_inputs_are_hermitian():
-    s = TensorStructure.from_dims([2, 2, 1, 1])
-    rho, f, v = drawn_stacks(s, "haar", 3)
-    v[1, 0, 1] += 1e-6
-    batch = verify_batch(rho, f, v, s)
-    assert batch.errors[0] is None and batch.errors[2] is None
-    with pytest.raises(RejectedInputError) as exc:
-        HermitianOperator(v[1])
-    assert type(batch.errors[1]) is RejectedInputError
-    assert str(batch.errors[1]) == str(exc.value)
+def boundary_checked(rho, f, v):
+    """(rows, Q, F, V): stacks of states and operators after DensityMatrix's and HermitianOperator's checks.
+
+    `rows` holds each row's first failure, and Q the states' factors.
+    """
+    rows = RowErrors(len(rho))
+    return rows, density_stack(rows, rho)[1], hermitian_stack(rows, f), hermitian_stack(rows, v)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_kernel_rejects_non_finite_inputs(bad):
-    # a NaN or an infinity in rho, F or V rejects its own row as bad input;
-    # the other rows come out as they do without it
+def test_a_non_finite_row_is_rejected_where_it_enters(bad):
+    # a NaN or an infinity in rho, F or V rejects its own row as bad input
+    # where the stack is checked, which hands that row on as zeros; the
+    # kernel takes them, and its other rows come out as they do without it
     s = TensorStructure.from_dims([2, 2, 1, 1])
     rho, f, v = drawn_stacks(s, "mix", 4)
-    clean = kernel_fields(verify_batch(rho, f, v, s))
+    clean = kernel_fields(_verify_checked(*boundary_checked(rho, f, v)[1:], s))
     for k in range(3):
         stacks = [x.copy() for x in (rho, f, v)]
         stacks[k][k + 1, 1, 1] = bad
-        batch = verify_batch(*stacks, s)
-        assert type(batch.errors[k + 1]) is RejectedInputError
-        assert "non-finite entry" in str(batch.errors[k + 1])
+        rows, *checked = boundary_checked(*stacks)
+        assert type(rows[k + 1]) is RejectedInputError and "non-finite entry" in str(rows[k + 1])
+        assert [e for i, e in enumerate(rows) if i != k + 1] == [None] * 3
+        batch = _verify_checked(*checked, s)
         assert [e for i, e in enumerate(batch.errors) if i != k + 1] == [None] * 3
         for name, values in kernel_fields(batch).items():
             assert np.array_equal(np.delete(values, k + 1), np.delete(clean[name], k + 1)), name

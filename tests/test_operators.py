@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
+from qbattery.moments import compute_moments
 from qbattery.operators import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     NotPositiveSemidefiniteError,
     RejectedInputError,
+    RowErrors,
     TensorStructure,
     _one_row,
     density_from_literal,
     eig_stack,
     embed_battery_op,
-    expectation_stack,
     hermitian_from_literal,
+    hermitian_stack,
     matrix_from_literal,
     matrix_sqrt,
-    partial_trace_stack,
     to_matrix_literal,
 )
 
@@ -24,13 +25,14 @@ RNG = np.random.default_rng(1234)
 
 
 def expectation(rho, a):
-    """Re Tr(rho A) of one state and one operator, by the kernel's stacked check."""
-    return float(_one_row(expectation_stack, rho.mat, a.mat)[0])
+    """Re Tr(rho A) as the kernel's mean of V = A, Tr(Q^dag A Q) / |Q|^2 on rho's factor Q."""
+    return compute_moments(rho, a, a, TensorStructure(a.dim)).mean_v
 
 
 def partial_trace_to_battery(rho, s):
-    """The reduced battery state of `rho`, checked as a DensityMatrix."""
-    return DensityMatrix(partial_trace_stack(rho.mat[None], s)[0])
+    """The reduced battery state of `rho`, traced out by einsum and checked as a DensityMatrix."""
+    r = rho.mat.reshape(s.d_w, s.env_dim, s.d_w, s.env_dim)
+    return DensityMatrix(np.einsum("iaja->ij", r))
 
 
 def random_hermitian(dim, rng=RNG):
@@ -85,6 +87,22 @@ def test_hermitian_rejects_asymmetric():
     a[0, 1] += 1e-6
     with pytest.raises(RejectedInputError):
         HermitianOperator(a)
+
+
+def test_hermitian_stack_rejects_only_its_own_row():
+    # a row of a stack outside the tolerance fails alone, with the error
+    # HermitianOperator raises for it; the other rows come out as they are
+    rng = np.random.default_rng(8)
+    a = np.stack([random_hermitian(4, rng) for _ in range(3)])
+    bad = a.copy()
+    bad[1, 0, 1] += 1e-6
+    rows = RowErrors(3)
+    out = hermitian_stack(rows, bad)
+    with pytest.raises(RejectedInputError, match="not Hermitian") as exc:
+        HermitianOperator(bad[1])
+    assert rows[0] is None and rows[2] is None
+    assert type(rows[1]) is RejectedInputError and str(rows[1]) == str(exc.value)
+    assert np.array_equal(np.delete(out, 1, axis=0), np.delete(a, 1, axis=0))
 
 
 def test_hermitian_rejects_nonsquare():
