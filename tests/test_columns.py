@@ -34,6 +34,7 @@ from qbattery.dynamics import (
 from qbattery.ensembles import SeedSpec, draw_batch, ginibre_mixed, gue_hermitian
 from qbattery.moments import (
     REPORT_FIELDS,
+    _verify_checked,
     batch_rows,
     compute_moments,
     decomposition_terms,
@@ -42,12 +43,17 @@ from qbattery.moments import (
 from qbattery.operators import (
     HermitianOperator,
     NumericalIntegrityError,
+    RejectedInputError,
     RowErrors,
     TensorStructure,
     _one_row,
+    density_stack,
     eig_stack,
+    hermitian_stack,
     to_matrix_literal,
 )
+
+from draws import drawn_states
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
                   0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0, float("inf")]
@@ -299,6 +305,30 @@ def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch)
         # no chunk checks its evolved factors U(t) rho0.factor, nor the kernel what it forms
         assert len(symmetrized_calls) == 2
         assert len(verified) == chunks and sum(n for n, *_ in verified) == points
+
+
+def test_public_verify_batch_still_checks_its_inputs(symmetrized_calls):
+    # stacks of rho, F and V enter the kernel through DensityMatrix's and
+    # HermitianOperator's checks, once each; the kernel checks nothing it forms
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v, _ = drawn_states(s, "mix", 1, range(3))
+
+    def checked(v):
+        rows = RowErrors(3)
+        q = density_stack(rows, rho)[1]
+        f_s, v_s = hermitian_stack(rows, f), hermitian_stack(rows, v)
+        return rows, _verify_checked(q, f_s, v_s, s).errors
+
+    symmetrized_calls.clear()
+    rows, errors = checked(v)
+    assert list(rows) == [None] * 3 and errors == [None] * 3
+    assert len(symmetrized_calls) == 3  # the inputs, and nothing the kernel forms
+    v = v.copy()
+    v[1, 0, 1] += 1e-6
+    rows, errors = checked(v)
+    assert rows[0] is None and rows[2] is None
+    assert isinstance(rows[1], RejectedInputError) and "not Hermitian" in str(rows[1])
+    assert errors[0] is None and errors[2] is None
 
 
 def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):

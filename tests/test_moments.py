@@ -519,6 +519,26 @@ def boundary_checked(rho, f, v):
     return rows, density_stack(rows, rho)[1], hermitian_stack(rows, f), hermitian_stack(rows, v)
 
 
+def test_kernel_checks_its_inputs_are_hermitian():
+    # a stack enters the kernel through HermitianOperator's check: a row of V
+    # outside the tolerance fails alone, with HermitianOperator's error, and
+    # the kernel's other rows come out as they do without it
+    s = TensorStructure.from_dims([2, 2, 1, 1])
+    rho, f, v = drawn_stacks(s, "haar", 3)
+    clean = kernel_fields(_verify_checked(*boundary_checked(rho, f, v)[1:], s))
+    v[1, 0, 1] += 1e-6
+    rows, *checked = boundary_checked(rho, f, v)
+    assert rows[0] is None and rows[2] is None
+    with pytest.raises(RejectedInputError) as exc:
+        HermitianOperator(v[1])
+    assert type(rows[1]) is RejectedInputError
+    assert str(rows[1]) == str(exc.value)
+    batch = _verify_checked(*checked, s)
+    assert batch.errors[0] is None and batch.errors[2] is None
+    for name, values in kernel_fields(batch).items():
+        assert np.array_equal(np.delete(values, 1), np.delete(clean[name], 1)), name
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_row_is_rejected_where_it_enters(bad):
     # a NaN or an infinity in rho, F or V rejects its own row as bad input
