@@ -268,10 +268,14 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
 # The verify pool pays at D = 64 with single-threaded BLAS, which is how the
 # benchmark runs it (OPENBLAS_NUM_THREADS=1). On 2 cores (numpy 2.4.6,
 # OpenBLAS 0.3.31), `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
-# --trials 60`, 40 commands in one process at each --threads value:
-# - the chunks (manifest stage_seconds "chunks") took 14.6 ms (median) on
-#   1 thread and 10.8-14.1 ms on 2, though their summed draw and kernel time
-#   rose from 14.4 ms to 20.5-26.0 ms;
+# --trials 60`, four chunks of 15 rows, medians of 40 commands in one
+# process at each --threads value, six interleaved runs:
+# - the chunks (manifest stage_seconds "chunks") took 12.8-18.7 ms on
+#   1 thread and 9.0-12.0 ms on 2, though their summed draw and kernel time
+#   rose from 12.7-18.5 ms to 16.6-22.6 ms: a chunk costs more on two
+#   threads than on one, so fewer chunks (moments.BATCH_ENTRIES) gain more
+#   on two, where eight 8-row chunks took 10.7-13.7 ms and summed
+#   20.3-25.9 ms;
 # - with the caller taking chunks and the helpers and Workspaces kept for the
 #   process, the benchmark's sweep-wide read 2,763 items/s (quartiles
 #   2,689-2,804) against 2,555 (2,523-2,620) with a new pool per command and
@@ -315,8 +319,9 @@ def _map_ordered(fn, items, threads: int) -> list:
 
 # ---------------------------------------------------------------- verify
 
-def _trial_chunks(trials: int, dim: int) -> list[range]:
-    size = batch_rows(dim)
+def _trial_chunks(trials: int, dim: int, width: int) -> list[range]:
+    """Consecutive ranges of `batch_rows(dim, width)` trials, `width` the widest factor drawn."""
+    size = batch_rows(dim, width)
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
@@ -357,17 +362,20 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
     The chunk offers `offers` its first failed trial, else its clean trial
     of least slack (np.argmin's: the first of equal slacks). The stacks are
     drawn into the running thread's `Workspace` in _WORKSPACES, which its
-    later chunks, of this command and of later ones, reuse: nothing the
-    chunk returns or offers is a view of them.
+    later chunks, of this command and of later ones, reuse, and the kernel
+    writes each kind's dV in turn into the draw's normals array, which
+    holds at least V's floats: nothing the chunk returns or offers is a
+    view of them.
     """
     started = time.perf_counter()
     if not hasattr(_WORKSPACES, "workspace"):
         _WORKSPACES.workspace = Workspace()
-    groups, kinds = draw_batch(structure, kind, seed, trials, rank, workspace=_WORKSPACES.workspace)
+    workspace = _WORKSPACES.workspace
+    groups, kinds = draw_batch(structure, kind, seed, trials, rank, workspace=workspace)
     drawn = time.perf_counter()
     errors, values = [None] * len(kinds), np.empty((len(kinds), len(TRIAL_COLUMNS) - 2))
-    for rows, *stacks in groups:
-        batch = _verify_checked(*stacks, structure)
+    for rows, q, f, v in groups:
+        batch = _verify_checked(q, f, v, structure, workspace("normals", v.shape, complex))
         m = batch.moments
         named = {**m._asdict(), **batch._asdict(), "cov_re": m.cov.real, "cov_im": m.cov.imag}
         values[rows] = np.stack([named[k] for k in TRIAL_COLUMNS[2:]], axis=1)
@@ -417,7 +425,8 @@ def cmd_verify(args) -> int:
     kind = ENSEMBLES[args.ensemble]
     started, faults = _start()
     offers = _Offers()
-    trials = _trial_chunks(args.trials, structure.dim)
+    width = 1 if kind == "haar" else args.rank or structure.dim  # the widest factor drawn
+    trials = _trial_chunks(args.trials, structure.dim, width)
     one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers)
     chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()
@@ -466,7 +475,8 @@ def cmd_verify(args) -> int:
     stages = {"chunks": pooled - started, "draw": draw, "kernel": kernel,
               "report": time.perf_counter() - pooled}
 
-    _write_manifest(args, started, faults, stage_seconds=stages)
+    _write_manifest(args, started, faults, stage_seconds=stages,
+                    chunking={"rows": batch_rows(structure.dim, width), "count": len(trials)})
 
     print(f"verify: {args.trials} trials, {violations} violations -> {args.out}")
     return 0 if not violations else 1

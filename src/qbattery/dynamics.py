@@ -115,8 +115,10 @@ def trajectory_report(
     checked on: the state at t is U(t) Q0 Q0^dag U(t)^dag, and the kernel
     takes its factor U(t) Q0, so no state is formed or decomposed. Any
     factor is a valid state, and every check of the chain runs at every
-    point. The grid is evolved and verified in batches of `batch_rows(D)`
-    points; the first failed check of the earliest failing point raises.
+    point. The grid is evolved and verified in batches of
+    `batch_rows(D, r)` points, r the width of Q0: 2048 at D = 4 for a full
+    rank Q0, 3276 for a ket. The first failed check of the earliest failing
+    point raises.
 
     Returns a `Trajectory`: the kernel's arrays over the whole grid.
     """
@@ -134,7 +136,7 @@ def trajectory_report(
     f_emb = embed_battery_op(f, s)
     gate = bool(np.abs(f_emb.mat @ h.h0.mat - h.h0.mat @ f_emb.mat).max() <= COMMUTE_TOL)
     (w,), (vec,) = _one_row(eig_stack, h.total().mat)
-    size = batch_rows(s.dim)
+    size = batch_rows(s.dim, rho0.factor.shape[-1])
     batches = []
     for start in range(0, len(times), size):
         block = times[start : start + size]

@@ -130,12 +130,17 @@ class Workspace:
         self._flat = {}
 
     def __call__(self, name, shape, dtype=float) -> np.ndarray:
-        """An uninitialised `shape` view of the array `name`, which grows when it is too small."""
-        size = math.prod(shape)
+        """An uninitialised `shape` view of the array `name` as `dtype`, float or complex.
+
+        The array grows when it is too small. It is kept as floats and
+        viewed as `dtype`, so one name serves both dtypes: `verify` writes
+        its kernel's complex dV into the normals array of a finished draw.
+        """
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8  # in floats
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].view(dtype).reshape(shape)
 
 
 def _one_stream(seed: SeedSpec, shape) -> np.ndarray:

@@ -77,32 +77,29 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
 
 VAR_TOL = 1e-10
 
-# Callers stack instances in batches of at most this many complex entries per
-# stacked (N, D, D) operand: large enough to amortise numpy's per-call cost at
-# small D, small enough that D = 64 batches stay half a megabyte. At D = 64 a
-# batch is 8 rows, so a 60-trial verify runs 8 chunks. Median pool phase and
-# whole command of 40 `verify --dims 2,2,4,4 --ensemble ginibre --rank 4
-# --trials 60` commands each, interleaved in one process, with each verify
-# thread reusing its chunk buffers and the payload written in 32 KiB blocks
-# (2-core host, OPENBLAS_NUM_THREADS=1, numpy 2.4.6):
-# - 2**14: 18.1 and 26.4 ms at --threads 1, 16.9 and 25.7 ms at --threads 2;
-# - 2**15: 15.6 and 24.6 ms, 13.4 and 22.2 ms;
-# - 2**16: 14.4 and 22.8 ms, 12.0 and 22.0 ms. The benchmark's sweep-wide read
-#   2,756-2,789 items/s against 2,481-2,597 at 2**15 (8 s runs, seeds 1-3),
-#   but its peak RSS rose from 45.2-45.3 MB to 49.1-49.4 MB, 10 % above the
-#   44.6 MB of drawing every chunk into new arrays.
-# So the half megabyte holds the batch at 2**15. The JSON writer does not
-# weigh in: cli._json_blocks writes a D = 64 payload in pieces of at most one
-# matrix row at any batch size, where an upper-triangle writer once saved what
-# 2**15 cost over 2**14 at --threads 1; 2**15 is now the faster of the two on
-# both thread counts.
-# The chunk size never changes a payload byte.
-BATCH_ENTRIES = 2**15
+# Callers stack instances in batches of at most this many complex entries,
+# counting a row as D (D + r): D^2 for V and its D x D temporaries, and D r
+# for the factor Q (D x r) and the factor-sized products A and B, r being
+# the widest factor the batch can hold. At full rank that is 2 D^2, so a
+# batch holds 2**15 // D^2 rows, as when batches were sized by D alone: 8192
+# at D = 2, 128 at D = 16, 8 at D = 64. A rank-4 or a pure D = 64 batch
+# holds 15. Each verify thread draws into its own Workspace, whose arrays
+# outlive the chunk, and the kernel writes dV into the draw's normals array
+# (see `_verify_checked`), so wider chunks fault in few new pages. Medians of
+# 40 `verify --dims 2,2,4,4 --ensemble ginibre --rank 4 --trials 60` commands
+# in one process, six interleaved runs (2-core host, OPENBLAS_NUM_THREADS=1,
+# numpy 2.4.6): the pool phase ("chunks" in stage_seconds) took 14.3-19.2 ms
+# at --threads 1 and 10.7-13.7 ms at --threads 2 in eight 8-row chunks, and
+# 12.8-18.7 ms and 9.0-12.0 ms in four 15-row chunks; the benchmark's
+# sweep-wide peak RSS went from 45.2 to 46.7 MB (10 pairs of 8 s runs). The
+# gain is the cost each chunk adds on two threads (see cli._map_ordered),
+# not arithmetic. The chunk size never changes a payload byte.
+BATCH_ENTRIES = 2**16
 
 
-def batch_rows(dim: int) -> int:
-    """Instances per batch at total dimension `dim` (see BATCH_ENTRIES)."""
-    return max(1, BATCH_ENTRIES // (dim * dim))
+def batch_rows(dim: int, width: int) -> int:
+    """Instances per batch at total dimension `dim` with factors at most `width` wide (see BATCH_ENTRIES)."""
+    return max(1, BATCH_ENTRIES // (dim * (dim + width)))
 
 
 # Every identity of the chain, in the order it is checked: (stage, residual,
@@ -248,16 +245,20 @@ class ReportBatch(NamedTuple):
         return PowerBoundReport(**{k: float(getattr(self, k)[i]) for k in REPORT_FIELDS})
 
 
-def _delta_stack(a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _delta_stack(a: np.ndarray, mean: np.ndarray, out=None) -> np.ndarray:
     """A - mean * identity per row: exactly Hermitian when A is, so not checked again.
 
-    Only the diagonal is shifted, in a copy: on an 8-row D = 64 stack that
-    takes 0.03 ms, and a broadcast product of the real means with a complex
+    Only the diagonal is shifted, in a copy, written into `out` when one is
+    given, which must be C-contiguous: on an 8-row D = 64 stack that takes
+    0.03 ms, and a broadcast product of the real means with a complex
     identity 0.54 ms.
     """
-    d = a.copy()
-    d.reshape(len(d), -1)[:, :: d.shape[-1] + 1] -= mean[:, None]
-    return d
+    if out is None:
+        out = a.copy()
+    else:
+        out[...] = a
+    out.reshape(len(out), -1)[:, :: out.shape[-1] + 1] -= mean[:, None]
+    return out
 
 
 def _battery_left(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -286,13 +287,14 @@ def _gram(a, b, t):
     return norm_sq_stack(a) / t, norm_sq_stack(b) / t, _inner(a, b) / t
 
 
-def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure):
+def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure, dv=None):
     """The checks and arithmetic of `compute_moments` on factors q (N, D, r).
 
     Returns the MomentBatch and the power stage's operands. With t = |Q|^2,
     A = (dF (x) 1) Q and B = dV Q: var_F = |A|^2 / t, var_V = |B|^2 / t,
     Cov = <A, B> / t and slack = 2 var_F |B - mu A|^2 / t with
-    mu = Cov / var_F (0 where var_F = 0, and so A = 0).
+    mu = Cov / var_F (0 where var_F = 0, and so A = 0). dV is written into
+    `dv`, an (N, D, D) complex array, when one is given.
     """
     t = norm_sq_stack(q)
     t = np.where(t > 0.0, t, 1.0)  # a zero factor is a row rejected where it entered
@@ -301,7 +303,7 @@ def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure):
     trace_f = np.einsum("nij,nji->n", rho_w, f)
     trace_v = np.einsum("nij,nji->n", _adjoint(q), _times(v, q))
     mean_f, mean_v = trace_f.real, trace_v.real / t
-    df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v)
+    df, dv = _delta_stack(f, mean_f), _delta_stack(v, mean_v, dv)
     a, b = _battery_left(df, q), _times(dv, q)
     var_f, var_v, cov = _gram(a, b, t)
     mu = cov / np.where(var_f > 0.0, var_f, 1.0)
@@ -347,9 +349,9 @@ def saturation_ratio(power_sq, m: MomentBatch, cap=1.0 + 1e-9):
     return np.where(degenerate, 0.0, np.minimum(power_sq / np.where(degenerate, 1.0, bound), cap))
 
 
-def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure) -> ReportBatch:
+def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure, dv=None) -> ReportBatch:
     """Every check of the chain after the inputs' boundary checks, on factor stacks q."""
-    m, operands = _moment_stage(rows, q, f, v, s)
+    m, operands = _moment_stage(rows, q, f, v, s, dv)
     commutator = _power_stage(rows, q, *operands)
     power = 2.0 * m.cov.imag
     _run_checks(rows, "shift", power=commutator, power_delta=power)
@@ -367,7 +369,7 @@ def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure) -> ReportBatch:
     return report
 
 
-def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
+def _verify_checked(q, f, v, s: TensorStructure, dv=None) -> ReportBatch:
     """The chain on complex factor stacks q (N, D, r), F (N, d_w, d_w) and V (N, D, D).
 
     Their states, and F and V, passed a boundary check where the stacks were
@@ -377,8 +379,13 @@ def _verify_checked(q, f, v, s: TensorStructure) -> ReportBatch:
     exactly Hermitian by construction. Every check of the chain runs. The
     draws, the trajectory states, the search's final candidate and the demo
     come this way.
+
+    dV = V - <V> I, the chain's one D x D temporary where r < D, is written
+    into `dv`, an (N, D, D) complex array that shares no memory with q, F
+    or V, when one is given; nothing returned is a view of it. Verify's
+    chunks pass their draws' normals array, which the draw is done with.
     """
-    return _chain_stage(RowErrors(len(q)), q, f, v, s)
+    return _chain_stage(RowErrors(len(q)), q, f, v, s, dv)
 
 
 def _moments_checked(q, f, v, s: TensorStructure) -> MomentBatch:

@@ -66,7 +66,8 @@ def _verified_in_trial_order(s, trials):
 def sweep():
     """Seeded sweep over all structures with raw-numpy cross-checks.
 
-    Trials are drawn and verified in chunks of `batch_rows(D)`; the raw-numpy
+    Trials are drawn and verified in chunks of `batch_rows(D, D)`, the
+    gue-ops chunk size; the raw-numpy
     recomputation runs over each chunk's stacked matrices.
     """
     agg = {
@@ -87,7 +88,7 @@ def sweep():
         s = TensorStructure.from_dims(dims)
         eye_env = np.eye(s.env_dim)
         eye_full = np.eye(s.dim)
-        size = batch_rows(s.dim)
+        size = batch_rows(s.dim, s.dim)
         for first in range(0, TRIALS_PER_STRUCTURE, size):
             trials = np.arange(first, min(first + size, TRIALS_PER_STRUCTURE))
             report = _verified_in_trial_order(s, trials.tolist())

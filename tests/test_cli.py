@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbattery import cli, ensembles, moments
+from qbattery import cli, dynamics, ensembles, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 from qbattery.ensembles import draw_instance
@@ -66,8 +66,8 @@ def test_verify_manifest_sidecar(tmp_path):
     out = tmp_path / "m.json"
     run("verify", "--dims", "2,1,1,1", "--trials", "5", "--seed", "9", "--out", str(out))
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
-    assert set(manifest) == {"subcommand", "config", "seed", "version",
-                             "input_digests", "duration_seconds", "stage_seconds", "resources"}
+    assert set(manifest) == {"subcommand", "config", "seed", "version", "input_digests",
+                             "duration_seconds", "stage_seconds", "chunking", "resources"}
     assert manifest["subcommand"] == "verify"
     assert manifest["seed"] == 9
     assert manifest["config"]["trials"] == 5
@@ -80,6 +80,8 @@ def test_verify_manifest_sidecar(tmp_path):
     assert stages["chunks"] + stages["report"] <= manifest["duration_seconds"]
     assert stages["draw"] + stages["kernel"] <= stages["chunks"]
     assert stages["draw"] > 0.0 and stages["kernel"] > 0.0
+    # the rows per chunk at D = 2 and the number of chunks, which the payload never shows
+    assert manifest["chunking"] == {"rows": 8192, "count": 1}
     # the command's minor page faults and the process's peak RSS, from getrusage
     resources = manifest["resources"]
     assert set(resources) == {"minor_page_faults", "peak_rss_mb"}
@@ -90,6 +92,8 @@ def test_verify_manifest_sidecar(tmp_path):
 _CHUNKED = {
     "verify-json-rank4": ("verify", "--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
                           "--trials", "20", "--format", "json"),
+    "verify-json-haar64": ("verify", "--dims", "2,2,4,4", "--ensemble", "haar",
+                           "--trials", "20", "--format", "json"),
     "verify-csv-gue-ops": ("verify", "--dims", "2,2,2,2", "--ensemble", "gue-ops",
                            "--trials", "300", "--format", "csv"),
     "evolve-csv": ("evolve", "--config", "exchange", "--format", "csv"),
@@ -110,6 +114,42 @@ def test_chunk_size_never_changes_the_payload(tmp_path, monkeypatch, argv):
     assert payloads[2] == payloads[0]
 
 
+_ROWS_PER_CHUNK = {
+    # D = 64: 2**16 // (D (D + r)) trials, r the widest factor the ensemble draws
+    "rank4-64": (("--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4"), 15),
+    "haar-64": (("--dims", "2,2,4,4", "--ensemble", "haar"), 15),
+    "gue-ops-rank4-64": (("--dims", "2,2,4,4", "--ensemble", "gue-ops", "--rank", "4"), 15),
+    "ginibre-64": (("--dims", "2,2,4,4", "--ensemble", "ginibre"), 8),
+    "gue-ops-64": (("--dims", "2,2,4,4", "--ensemble", "gue-ops"), 8),
+    # full rank at D = 16 and D = 2 keeps the rows of chunks sized by D alone
+    "gue-ops-16": (("--dims", "2,2,2,2", "--ensemble", "gue-ops"), 128),
+    "haar-2": (("--dims", "2,1,1,1", "--ensemble", "haar"), 10922),
+    "ginibre-2": (("--dims", "2,1,1,1", "--ensemble", "ginibre"), 8192),
+}
+
+
+@pytest.mark.parametrize("argv, rows", _ROWS_PER_CHUNK.values(), ids=_ROWS_PER_CHUNK)
+def test_rows_per_chunk(tmp_path, argv, rows):
+    # one trial more than a chunk holds is two chunks, as the manifest records
+    out = tmp_path / "o.json"
+    assert run("verify", *argv, "--trials", str(rows + 1), "--out", str(out)) == 0
+    chunking = json.loads(Path(f"{out}.manifest.json").read_text())["chunking"]
+    assert chunking == {"rows": rows, "count": 2}
+
+
+def test_small_sweeps_and_the_exchange_trajectory_are_one_chunk(tmp_path, monkeypatch):
+    # the benchmark's sweep-small commands, 100 gue-ops trials each, and the
+    # exchange scenario's 1001 grid points, a ket at D = 4, each run one chunk
+    for dims in ("2,1,1,1", "2,2,1,1", "2,2,2,1", "3,2,1,1", "2,2,2,2"):
+        out = tmp_path / "o.json"
+        assert run("verify", "--dims", dims, "--trials", "100", "--format", "csv", "--out", str(out)) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["chunking"]["count"] == 1, dims
+    real, batches = dynamics._verify_checked, []
+    monkeypatch.setattr(dynamics, "_verify_checked", lambda q, *args: batches.append(len(q)) or real(q, *args))
+    assert run("evolve", "--config", "exchange", "--out", str(tmp_path / "t.csv")) == 0
+    assert batches == [1001]
+
+
 @pytest.mark.parametrize("ensemble", ["haar", "ginibre", "gue-ops"])
 def test_verify_ensembles(tmp_path, ensemble):
     out = tmp_path / f"{ensemble}.json"
@@ -126,9 +166,9 @@ def test_verify_rank_restricted(tmp_path):
 def test_verify_thread_invariant_bytes(tmp_path):
     cases = [
         ("--dims", "2,2,1,1", "--trials", "40"),
-        # one trial past three D = 64 batches spans four of them
+        # one trial past three rank-4 D = 64 batches spans four of them
         ("--dims", "2,2,4,4", "--ensemble", "ginibre", "--rank", "4",
-         "--trials", str(3 * moments.batch_rows(64) + 1)),
+         "--trials", str(3 * moments.batch_rows(64, 4) + 1)),
     ]
     for n, case in enumerate(cases):
         payloads = []
@@ -216,7 +256,7 @@ def test_verify_reports_the_least_offer_whatever_order_chunks_finish(tmp_path, m
     if planted:
         plant_saturation_violation(monkeypatch)
     trials = 4000
-    assert len(cli._trial_chunks(trials, 8)) == 8
+    assert len(cli._trial_chunks(trials, 8, 8)) == 8
     outputs = set()
     interval = sys.getswitchinterval()
     try:
@@ -276,7 +316,7 @@ def test_verify_chunks_reuse_their_threads_buffers_bit_for_bit(tmp_path, monkeyp
     # payload and the CSV
     s = TensorStructure.from_dims([2, 2, 4, 4])
     argv = ["verify", "--dims", "2,2,4,4", "--trials", "36", "--format", "csv", "--threads", threads]
-    assert len(cli._trial_chunks(36, s.dim)) == 5
+    assert len(cli._trial_chunks(36, s.dim, s.dim)) == 5
     real, drawn = cli.draw_batch, []
 
     def kept(*args, workspace):
@@ -318,13 +358,49 @@ def test_verify_chunks_reuse_their_threads_buffers_bit_for_bit(tmp_path, monkeyp
         assert Path(f"{out}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_verify_writes_dv_into_its_threads_normals_bit_for_bit(tmp_path, monkeypatch, threads):
+    # 36 gue-ops trials at D = 64 are five chunks, more than threads, each
+    # with a haar and a ginibre stack live at once. Every kernel call writes
+    # dV into its thread's normals array, apart from both kinds' Q, F and V;
+    # the payload and CSV must be those of dV in a new array per call
+    argv = ["verify", "--dims", "2,2,4,4", "--trials", "36", "--format", "csv", "--threads", threads]
+    real_draw, real_kernel = cli.draw_batch, cli._verify_checked
+    drawn, calls, lock = {}, [], threading.Lock()
+
+    def draw(*args, workspace):
+        groups, kinds = real_draw(*args, workspace=workspace)
+        drawn[threading.get_ident()] = [x for _, *stacks in groups for x in stacks]
+        return groups, kinds
+
+    def kernel(q, f, v, s, dv):
+        stacks = drawn[threading.get_ident()]
+        normals = cli._WORKSPACES.workspace._flat["normals"]
+        with lock:
+            calls.append((np.shares_memory(dv, normals), any(np.shares_memory(dv, x) for x in stacks)))
+        return real_kernel(q, f, v, s, dv)
+
+    monkeypatch.setattr(cli, "draw_batch", draw)
+    monkeypatch.setattr(cli, "_verify_checked", kernel)
+    out = tmp_path / "normals.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert calls == [(True, False)] * 10  # five chunks of two kinds
+
+    monkeypatch.setattr(cli, "draw_batch", real_draw)
+    monkeypatch.setattr(cli, "_verify_checked", lambda q, f, v, s, dv: real_kernel(q, f, v, s))
+    fresh = tmp_path / "fresh.json"
+    assert run(*argv, "--out", str(fresh)) == 0
+    for suffix in ("", ".trials.csv"):
+        assert Path(f"{out}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+
+
 def test_verify_workspaces_carry_over_between_commands_of_other_dims(tmp_path, monkeypatch):
     # a thread's Workspace lives for the process, so one command's chunks draw
     # into arrays that an earlier command of another D shaped: D = 16 grows
     # the D = 64 haar factor stack (64 x 16 entries against 4 x 64) and D = 64
     # takes a prefix again. Each payload must be that of new arrays
     commands = [("2,2,4,4", "36"), ("2,2,2,2", "300"), ("2,2,4,4", "36")]
-    assert [len(cli._trial_chunks(n, dim)) for n, dim in ((36, 64), (300, 16))] == [5, 3]
+    assert [len(cli._trial_chunks(n, dim, dim)) for n, dim in ((36, 64), (300, 16))] == [5, 3]
     real, used = cli.draw_batch, []
 
     def recorded(*args, workspace):
@@ -431,8 +507,9 @@ def test_verify_draws_a_threads_only_chunk_into_its_workspace(tmp_path, monkeypa
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor page faults on Linux")
 def test_verify_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
     # each thread's chunks, of this command and of earlier ones, reuse its
-    # arrays and the payload is written in pieces of at most one matrix row,
-    # so 16 D = 64 chunks fault in about as many pages as 2 do, and a
+    # arrays, the kernel writes dV into the draw's normals array and the
+    # payload is written in pieces of at most one matrix row, so 16 rank-4
+    # D = 64 chunks of 15 rows fault in about as many pages as 2 do, and a
     # repeated command hardly any; drawing every chunk into new arrays cost
     # about 290 faults per chunk, and Workspaces kept for one command only
     # about 350 (1 thread) and 800 (2 threads) per 60-trial command
@@ -442,13 +519,13 @@ def test_verify_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
                    "--threads", threads, "--trials", str(trials), "--out", str(out)) == 0
         return json.loads(Path(f"{out}.manifest.json").read_text())["resources"]["minor_page_faults"]
 
-    assert [len(cli._trial_chunks(n, 64)) for n in (16, 60, 128)] == [2, 8, 16]
+    assert [len(cli._trial_chunks(n, 64, 4)) for n in (16, 60, 240)] == [2, 4, 16]
     for threads in ("1", "2"):
-        for trials in (16, 128, 60):  # first touches of this process's heap and Workspaces
+        for trials in (16, 240, 60):  # first touches of this process's heap and Workspaces
             faults(trials, threads)
-        few, many, repeated = (faults(trials, threads) for trials in (16, 128, 60))
-        # twice the 2-chunk count, or twice 64 pages (256 KiB, half a D = 64 V
-        # stack) where a warm heap leaves that count near 0
+        few, many, repeated = (faults(trials, threads) for trials in (16, 240, 60))
+        # twice the 2-chunk count, or twice 64 pages (256 KiB, a quarter of a
+        # 15-row D = 64 V stack) where a warm heap leaves that count near 0
         assert many <= 2 * max(few, 64), (threads, few, many)
         assert repeated <= 64, (threads, repeated)
 

@@ -83,13 +83,13 @@ TABLE_REPORT_FIELDS = ("power", "power_sq", "corrected_bound", "loose_bound", "s
 
 
 def reference_rows(doc) -> list[list[str]]:
-    """The evolve table, value by value: the states' factors in batch_rows(D) chunks through the kernel."""
+    """The evolve table, value by value: the states' factors in batch_rows(D, r) chunks through the kernel."""
     rho0, h, f, grid = parse_scenario(doc)
     s = h.structure
     (w,), (u,) = _one_row(eig_stack, h.total().mat)
     times = [float(t) for t in grid]
     values = []
-    size = batch_rows(s.dim)
+    size = batch_rows(s.dim, rho0.factor.shape[-1])
     for start in range(0, len(times), size):
         block = np.array(times[start : start + size])
         n = len(block)
@@ -113,7 +113,7 @@ def reference_rows(doc) -> list[list[str]]:
 
 @pytest.mark.parametrize("doc", [
     builtin_exchange_scenario(),
-    random_scenario([2, 2, 2, 1], batch_rows(8) + 88),  # two kernel chunks at D = 8
+    random_scenario([2, 2, 2, 1], batch_rows(8, 8) + 88),  # two kernel chunks at D = 8, rho0 a literal
 ], ids=["exchange", "random-D8"])
 def test_evolve_payloads_match_per_value_formatting(tmp_path, doc):
     cfg = tmp_path / "scenario.json"
@@ -142,13 +142,13 @@ def test_row_formats_match_per_value_formatting():
 # ---------------------------------------------------------------- verify payload
 
 def test_verify_csv_matches_per_value_formatting(tmp_path):
-    dims, trials, seed = "2,2,1,1", batch_rows(4) + 476, 5  # two chunks at D = 4
+    dims, trials, seed = "2,2,1,1", batch_rows(4, 4) + 476, 5  # two gue-ops chunks at D = 4
     out = tmp_path / "sweep.json"
     assert main(["verify", "--dims", dims, "--trials", str(trials), "--seed", str(seed),
                  "--format", "csv", "--out", str(out)]) == 0
     s = TensorStructure.from_dims([int(d) for d in dims.split(",")])
     lines = [",".join(TRIAL_COLUMNS)]
-    for chunk in cli._trial_chunks(trials, s.dim):
+    for chunk in cli._trial_chunks(trials, s.dim, s.dim):
         groups, kinds = draw_batch(s, "mix", seed, chunk)
         text = [None] * len(chunk)
         for rows, q, f, v in groups:  # each kind's rows in one kernel call
@@ -241,7 +241,7 @@ def test_trajectory_raises_the_earliest_kernel_error_across_chunks(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_verify_checked", patched)
     with pytest.raises(NumericalIntegrityError, match="failed in chunk 1"):
-        trajectory_report(*exchange_trajectory(batch_rows(4) + 20))
+        trajectory_report(*exchange_trajectory(batch_rows(4, 1) + 20))
     assert len(chunks) == 2
 
 
@@ -277,7 +277,7 @@ def gue_builds(monkeypatch):
 
 
 def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls, gue_builds):
-    trials = 2 * batch_rows(4) + 452  # three chunks at D = 4
+    trials = 2 * batch_rows(4, 4) + 452  # three gue-ops chunks at D = 4
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(trials),
                  "--out", str(tmp_path / "o.json")]) == 0
     # per chunk: F and V of the draw's pure and of its mixed rows (4), each
@@ -286,14 +286,14 @@ def test_verify_chunk_checks_each_drawn_stack_once(tmp_path, symmetrized_calls, 
     # Nothing runs HermitianOperator's check: the states are checked on
     # their factors, F and V hold by construction, and the kernel checks
     # nothing it forms: not F and V again, nor dF and dV
-    assert len(cli._trial_chunks(trials, 4)) == 3
+    assert len(cli._trial_chunks(trials, 4, 4)) == 3
     assert len(gue_builds) == 3 * 4
     assert symmetrized_calls == []
 
 
 def test_trajectory_chunk_checks_each_state_once(symmetrized_calls, monkeypatch):
     rho0, h, f, _ = exchange_trajectory()
-    size = batch_rows(4)
+    size = batch_rows(4, 1)
     verified = []
     real = dynamics._verify_checked
     monkeypatch.setattr(dynamics, "_verify_checked", lambda q, *args: verified.append(q.shape) or real(q, *args))
@@ -345,7 +345,7 @@ def test_one_instance_stages_check_only_what_they_form(symmetrized_calls):
 
 
 def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls, gue_builds):
-    size = batch_rows(4)
+    size = batch_rows(4, 4)
     assert main(["verify", "--dims", "2,2,1,1", "--trials", str(size + 76),
                  "--out", str(tmp_path / "o.json")]) == 0
     want = []
@@ -360,7 +360,7 @@ def test_verify_chunk_checks_f_at_battery_size(tmp_path, symmetrized_calls, gue_
 def test_trajectory_chunk_checks_f_at_battery_size(symmetrized_calls):
     rho0, h, f, _ = exchange_trajectory()
     symmetrized_calls.clear()
-    size = batch_rows(4)
+    size = batch_rows(4, 1)
     trajectory_report(rho0, h, f, np.linspace(0.0, 3.0, size + 76))
     # F (x) 1 for the commutation gate and H0 + V, once; then nothing per
     # chunk: the states are factors, and the kernel checks nothing it forms

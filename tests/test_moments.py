@@ -473,8 +473,8 @@ def conjugate_cov_of(monkeypatch, f_state):
     """
     real = moments._moment_stage
 
-    def stage(rows, q, f, v, s):
-        m, operands = real(rows, q, f, v, s)
+    def stage(rows, q, f, v, s, dv=None):
+        m, operands = real(rows, q, f, v, s, dv)
         mine = (f == f_state).all(axis=(-2, -1))
         return m._replace(cov=np.where(mine, m.cov.conj(), m.cov)), operands
 
