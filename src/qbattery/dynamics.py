@@ -10,7 +10,7 @@ always evaluated with the interaction V alone. When H0 commutes with the
 embedded battery operator the power equals d<F>/dt, and trajectories carry a
 central finite-difference estimate of that derivative for cross-checking;
 when it does not commute the comparison is meaningless and the trajectory
-says so.
+says so (`Trajectory.power_tracks_dfdt`, which the evolve manifest records).
 
 `trajectory_report` returns a `Trajectory`: the grid, the verification
 kernel's arrays over it and the finite differences, kept as read-only

@@ -197,10 +197,9 @@ def gue_hermitian(dim: int, scale: float, seed: SeedSpec) -> HermitianOperator:
         raise RejectedInputError(f"dim must be >= 1, got {dim}")
     if not scale > 0:
         raise RejectedInputError(f"scale must be positive, got {scale}")
-    rows = RowErrors(1)
-    a = _gue_stack(rows, _Streams(seed.master_seed).normals([seed.stream_index], (dim, dim)), scale)
-    rows.raise_first()
-    return HermitianOperator.wrap_checked(a[0])
+    parts = _Streams(seed.master_seed).normals([seed.stream_index], (dim, dim))
+    (a,) = _one_row(lambda rows, p: _gue_stack(rows, p, scale), parts[0])
+    return HermitianOperator.wrap_checked(a)
 
 
 @dataclass(frozen=True)

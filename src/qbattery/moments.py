@@ -37,20 +37,23 @@ when P = 2 Im Cov, which the shift row of the check table certifies against
 P by the commutator on Q, -i (<Q, (dF (x) 1) B> - <Q, dV A>) / t: a second
 route to P that shares no product with <A, B>. No square root or
 eigendecomposition is taken. Every identity of the chain is a row of one
-table, `_CHECKS`, checked where the chain reaches it, from the means (the
-traces Tr(rho_W F) and Tr(Q^dag V Q) are real) to the saturation ratio; a
-clean report certifies the algebra numerically.
+table, `_CHECKS`, from the means (the traces Tr(rho_W F) and Tr(Q^dag V Q)
+are real) to the saturation ratio, checked at two points: the five
+"moments" rows on the moment stage's arrays, the six "chain" rows on the
+report's. A clean report certifies the algebra numerically.
 
 ``_verify_checked`` and ``_moments_checked`` run the chain and its moment
 stage on complex factor stacks of the right shapes whose states, and F and
 V, passed a boundary check where the stacks were built: the draws, the
-trajectories, the search and the demo; nothing here checks them again.
-``verify_instance``, ``compute_moments`` and ``decomposition_terms`` check
-the dimensions of one DensityMatrix and two HermitianOperators and run the
-stage they name on a one-row stack of the state's factor, so each raises
-only for the checks of its own part of the chain. ``MomentBatch.row`` and
-``ReportBatch.row`` hand out a row that passed them as a plain ``MomentSet``
-or ``PowerBoundReport``; those records check nothing themselves.
+trajectories and the search's candidates; nothing here checks them again.
+``_one_instance`` checks the dimensions of one DensityMatrix and two
+HermitianOperators and runs a stage on a one-row stack of the state's
+factor, so ``verify_instance``, ``compute_moments`` and
+``decomposition_terms`` each raise only for the checks of the stage they
+name; the search's final candidate and the demo run the chain so.
+``MomentBatch.row`` and ``ReportBatch.row`` hand out a row that passed them
+as a plain ``MomentSet`` or ``PowerBoundReport``; those records check
+nothing themselves.
 
 F (x) 1 itself is never formed: F stays a d_w x d_w stack, and its products
 with Q and B are contractions over the battery index.
@@ -70,6 +73,7 @@ from .operators import (  # noqa: F401  embed_battery_op, matrix_sqrt: names ben
     RowErrors,
     TensorStructure,
     _adjoint,
+    _one_row,
     embed_battery_op,
     matrix_sqrt,
     norm_sq_stack,
@@ -103,11 +107,13 @@ def batch_rows(dim: int, width: int) -> int:
 
 
 # Every identity of the chain, in the order it is checked: (stage, residual,
-# allowed, message). A row fails where residual > allowed; both are functions
-# of the stage's named arrays, and the message is formatted with the row's
-# values. The report's values are named as its fields (REPORT_FIELDS);
-# `commutator_sq` is the square of P by the commutator on Q, and
-# `paper_bound` the bound by the paper's formula, 2 (var_F var_V - Re Cov^2).
+# allowed, message), the stage "moments" or "chain" (see the module
+# docstring). A row fails where residual > allowed; both are functions of the
+# stage's named arrays, and the message is formatted with the row's values.
+# The report's values are named as its fields (REPORT_FIELDS); `commutator`
+# and `commutator_imag` are the parts of P by the commutator on Q,
+# `commutator_sq` the square of the first, and `paper_bound` the bound by the
+# paper's formula, 2 (var_F var_V - Re Cov^2).
 # Two rows would hold by construction on the reported values, as the Gram
 # bound is a sum of non-negative terms and at least (2 Im Cov)^2: the sign of
 # the bound and P^2 <= bound. They take the other route's value instead.
@@ -125,11 +131,11 @@ _CHECKS = (
     ("moments", lambda x: x.cov_sq - x.product, lambda x: 1e-9 * (1.0 + x.product),
      "covariance inequality violated: var_f*var_v = {product!r} < |cov|^2 = {cov_sq!r}"),
     # P by the commutator is real
-    ("power", lambda x: np.abs(x.power_imag), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
-     "charging power has imaginary part {power_imag:.3e}"),
+    ("chain", lambda x: np.abs(x.commutator_imag), lambda x: 1e-10 * (1.0 + np.abs(x.commutator)),
+     "charging power has imaginary part {commutator_imag:.3e}"),
     # the same P as 2 Im Cov, by the covariance
-    ("shift", lambda x: np.abs(x.power - x.power_delta), lambda x: 1e-10 * (1.0 + np.abs(x.power)),
-     "commutator-shift power identity violated: {power!r} vs {power_delta!r}"),
+    ("chain", lambda x: np.abs(x.commutator - x.power), lambda x: 1e-10 * (1.0 + np.abs(x.commutator)),
+     "commutator-shift power identity violated: {commutator!r} vs {power!r}"),
     # the bounds
     ("chain", lambda x: -x.paper_bound, lambda x: 1e-9,
      "corrected bound is negative: {paper_bound!r}"),
@@ -139,7 +145,7 @@ _CHECKS = (
     ("chain", lambda x: x.commutator_sq - x.corrected_bound, lambda x: 1e-9 * (1.0 + x.corrected_bound),
      "power bound violated: power^2 = {commutator_sq!r} > bound = {corrected_bound!r}"),
     # the report: the ratio is its own residual; a negative or NaN ratio is out of range
-    ("report", lambda x: np.where(x.saturation_ratio >= 0.0, x.saturation_ratio, np.inf),
+    ("chain", lambda x: np.where(x.saturation_ratio >= 0.0, x.saturation_ratio, np.inf),
      lambda x: 1.0 + 1e-9, "saturation ratio {saturation_ratio!r} outside [0, 1]"),
 )
 
@@ -314,14 +320,12 @@ def _moment_stage(rows: RowErrors, q, f, v, s: TensorStructure, dv=None):
     return m, (t, a, b, df, dv)
 
 
-def _power_stage(rows: RowErrors, q, t, a, b, df, dv):
+def _power_stage(q, t, a, b, df, dv):
     """P = -i Tr([rho, dF (x) 1] dV) by the commutator on Q, -i (<Q, (dF (x) 1) B> - <Q, dV A>) / t.
 
-    The paper's P exactly, as [rho, cI] = 0; asserted real to 1e-10.
+    The paper's P exactly, as [rho, cI] = 0, kept complex: a "chain" row asserts it real to 1e-10.
     """
-    raw = -1j * (_inner(q, _battery_left(df, b)) - _inner(q, _times(dv, a))) / t
-    _run_checks(rows, "power", power=raw.real, power_imag=raw.imag)
-    return raw.real
+    return -1j * (_inner(q, _battery_left(df, b)) - _inner(q, _times(dv, a))) / t
 
 
 def _cov_terms(cov):
@@ -352,20 +356,17 @@ def saturation_ratio(power_sq, m: MomentBatch, cap=1.0 + 1e-9):
 def _chain_stage(rows: RowErrors, q, f, v, s: TensorStructure, dv=None) -> ReportBatch:
     """Every check of the chain after the inputs' boundary checks, on factor stacks q."""
     m, operands = _moment_stage(rows, q, f, v, s, dv)
-    commutator = _power_stage(rows, q, *operands)
+    commutator = _power_stage(q, *operands)
     power = 2.0 * m.cov.imag
-    _run_checks(rows, "shift", power=commutator, power_delta=power)
-
     power_sq = power * power
     term_fv, term_vf, term_cross = _cov_terms(m.cov)
     report = ReportBatch(moments=m, power=power, power_sq=power_sq, term_fv=term_fv,
                          term_vf=term_vf, term_cross=term_cross, corrected_bound=gram_bound(m),
                          loose_bound=loose_bound(m), slack=m.slack,
                          saturation_ratio=saturation_ratio(power_sq, m))
-    values = {k: getattr(report, k) for k in REPORT_FIELDS}
-    _run_checks(rows, "chain", **values, paper_bound=corrected_bound(m),
-                commutator_sq=commutator * commutator)
-    _run_checks(rows, "report", **values)
+    _run_checks(rows, "chain", **{k: getattr(report, k) for k in REPORT_FIELDS},
+                commutator=commutator.real, commutator_imag=commutator.imag,
+                commutator_sq=commutator.real * commutator.real, paper_bound=corrected_bound(m))
     return report
 
 
@@ -377,8 +378,7 @@ def _verify_checked(q, f, v, s: TensorStructure, dv=None) -> ReportBatch:
     which a checked U(t) evolves), HermitianOperator's for F and V, which
     hands back exactly Hermitian matrices, or a draw's, whose F and V are
     exactly Hermitian by construction. Every check of the chain runs. The
-    draws, the trajectory states, the search's final candidate and the demo
-    come this way.
+    draws and the trajectory states come this way.
 
     dV = V - <V> I, the chain's one D x D temporary where r < D, is written
     into `dv`, an (N, D, D) complex array that shares no memory with q, F
@@ -409,10 +409,7 @@ def _one_instance(stage, rho: DensityMatrix, f: HermitianOperator, v: HermitianO
         raise DimensionMismatchError(f"battery operator dim {f.dim} != d_w {s.d_w}")
     if rho.dim != s.dim or v.dim != s.dim:
         raise DimensionMismatchError(f"state/interaction dims ({rho.dim}, {v.dim}) != structure dim {s.dim}")
-    rows = RowErrors(1)
-    out = stage(rows, rho.factor[None], f.mat[None], v.mat[None], s)
-    rows.raise_first()
-    return out
+    return _one_row(lambda rows, q, fs, vs: stage(rows, q, fs, vs, s), rho.factor, f.mat, v.mat)
 
 
 def compute_moments(

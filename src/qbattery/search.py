@@ -31,8 +31,9 @@ from .moments import (  # noqa: F401  compute_moments, verify_instance: names be
     MomentSet,
     PowerBoundReport,
     compute_moments,
+    _chain_stage,
     _moments_checked,
-    _verify_checked,
+    _one_instance,
     saturation_ratio,
     verify_instance,
 )
@@ -199,10 +200,11 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
 # time is per call, not per row.
 _LOOKAHEAD = 8
 
+# A walk's first step, its shrink factor, and the rejections in a row that shrink it.
+_STEP0, _SHRINK, _PATIENCE = 0.5, 0.5, 10
 
-def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int,
-                    step0: float = 0.5, shrink: float = 0.5, patience: int = 10,
-                    min_step: float = 1e-12):
+
+def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int, min_step: float = 1e-12):
     """Single-coordinate pattern search; returns (best_x, best_val, evals, hit_target).
 
     A generator: it yields stacks of parameter vectors and is sent back
@@ -218,7 +220,7 @@ def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int,
     values, oks = yield x[None]
     value, ok = float(values[0]), bool(oks[0])
     evals = 1
-    step = step0
+    step = _STEP0
     fails = 0
     moves = []  # drawn (coordinate, sign), not yet taken
     while not ok and evals < budget and step >= min_step:
@@ -227,8 +229,8 @@ def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int,
         while len(steps) < min(_LOOKAHEAD, budget - evals) and next_step >= min_step:
             steps.append(next_step)
             next_fails += 1
-            if next_fails >= patience:
-                next_step *= shrink
+            if next_fails >= _PATIENCE:
+                next_step *= _SHRINK
                 next_fails = 0
         while len(moves) < len(steps):
             i = int(rng.integers(len(x)))
@@ -246,8 +248,8 @@ def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int,
                 fails = 0
                 break
             fails += 1
-            if fails >= patience:
-                step *= shrink
+            if fails >= _PATIENCE:
+                step *= _SHRINK
                 fails = 0
         del moves[:taken]
     return x, value, evals, ok
@@ -304,8 +306,7 @@ def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResu
     rho = DensityMatrix.from_factor(q[0])
     f_op = HermitianOperator(f[0])
     v_op = HermitianOperator(v[0])
-    batch = _verify_checked(rho.factor[None], f_op.mat[None], v_op.mat[None], config.structure)
-    batch.errors.raise_first()
+    batch = _one_instance(_chain_stage, rho, f_op, v_op, config.structure)
     return SearchResult(
         rho=rho,
         f=f_op,

@@ -80,7 +80,7 @@ MUTATIONS = {
     "covariance inequality violated": ("saturating-env", lambda mp: wrap(mp, "_gram", gram(var_f=0.5))),
     # the anticommutator for the commutator: <Q, (dF (x) 1) B> taken with -B
     "charging power has imaginary part": ("generic", lambda mp: wrap(
-        mp, "_power_stage", lambda real: lambda rows, q, t, a, b, df, dv: real(rows, q, t, a, -b, df, dv))),
+        mp, "_power_stage", lambda real: lambda q, t, a, b, df, dv: real(q, t, a, -b, df, dv))),
     # Cov as <B, A>, the conjugate of <A, B>: 2 Im Cov = -P
     "commutator-shift power identity violated": ("generic", lambda mp: wrap(
         mp, "_gram", gram(conjugate=True))),
@@ -97,6 +97,12 @@ MUTATIONS = {
     "saturation ratio": ("saturating", lambda mp: wrap(
         mp, "saturation_ratio", lambda real: lambda power_sq, m: real(2.0 * power_sq, m, cap=np.inf))),
 }
+
+
+def test_the_table_is_checked_at_two_points():
+    # the moment stage's five rows, then the six the report needs
+    tags = [tag for tag, *_ in moments._CHECKS]
+    assert tags == ["moments"] * 5 + ["chain"] * 6
 
 
 def test_every_check_row_has_one_mutation():

@@ -586,6 +586,22 @@ def test_evolve_scenario_file_json(tmp_path):
     assert manifest["input_digests"] == {str(cfg): "sha256:" + hashlib.sha256(cfg.read_bytes()).hexdigest()}
 
 
+@pytest.mark.parametrize("drive, tracks", [(None, True), (np.kron([[0, 1], [1, 0]], np.eye(2)), False)],
+                         ids=["exchange", "battery-drive"])
+def test_evolve_manifest_says_whether_power_tracks_dfdt(tmp_path, drive, tracks):
+    # the exchange model's H0 commutes with F (x) 1, so P is d<F>/dt; a drive
+    # on the battery does not; the flag is the manifest's, not the payload's
+    doc = builtin_exchange_scenario(g=1.0, steps=10)
+    if drive is not None:
+        doc["h0"] = to_matrix_literal(drive)
+    cfg, out = tmp_path / "scenario.json", tmp_path / "traj.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("evolve", "--config", str(cfg), "--format", "json", "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "traj.json.manifest.json").read_text())
+    assert manifest["power_tracks_dfdt"] is tracks
+    assert "power_tracks_dfdt" not in out.read_text()
+
+
 def test_evolve_missing_file(tmp_path):
     assert run("evolve", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "t.csv")) == 2
@@ -695,6 +711,13 @@ def test_demo_json_output(capsys):
     assert doc["report"]["saturation_ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("case", ["eigenstate", "saturating", "real-cov"])
+def test_demo_json_stdout_is_the_payload(tmp_path, capsys, case):
+    out = tmp_path / "demo.json"
+    assert run("demo", "--case", case, "--format", "json", "--out", str(out)) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_demo_writes_payload(tmp_path, capsys):
     out = tmp_path / "demo.json"
     assert run("demo", "--case", "real-cov", "--out", str(out)) == 0
@@ -711,20 +734,21 @@ def test_demo_unknown_case():
 def test_demo_runs_the_kernel_once(monkeypatch, capsys, case):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return verify_checked(*args, **kwargs)
+    def counted(stage, *args):
+        calls.append(stage)
+        return one_instance(stage, *args)
 
     def not_called(*args):
         raise AssertionError("a second pass over the instance")
 
-    verify_checked = cli._verify_checked
-    monkeypatch.setattr(cli, "_verify_checked", counted)
+    one_instance = cli._one_instance
+    monkeypatch.setattr(cli, "_one_instance", counted)
+    monkeypatch.setattr(cli, "_verify_checked", not_called)
     monkeypatch.setattr(cli, "verify_instance", not_called)
     monkeypatch.setattr(cli, "compute_moments", not_called)
     assert run("demo", "--case", case) == 0
     assert "result: PASS" in capsys.readouterr().out
-    assert len(calls) == 1 and calls[0][0] == 1
+    assert calls == [moments._chain_stage]
 
 
 # ---------------------------------------------------------------- top level
@@ -740,6 +764,16 @@ def test_no_subcommand():
 def test_unwritable_out(tmp_path):
     assert run("verify", "--dims", "2,1,1,1", "--trials", "1",
                "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")) == 2
+
+
+def test_input_too_large_for_memory_is_bad_input(tmp_path, capsys):
+    # D = 64^4 asks numpy for a 4 PiB normals array, which fails at once
+    out = tmp_path / "huge.json"
+    assert run("verify", "--dims", "64,64,64,64", "--ensemble", "ginibre", "--trials", "1",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,7 +29,6 @@ from qbattery.operators import (
     RejectedInputError,
     RowErrors,
     TensorStructure,
-    _one_row,
     density_stack,
     embed_battery_op,
     hermitian_stack,
@@ -45,14 +44,13 @@ QUBIT = TensorStructure.from_dims([2, 1, 1, 1])
 
 
 def charging_power(rho, f, v):
-    """P by the kernel's commutator route on rho's factor, on one-row stacks; raises only for the power stage's check."""
+    """P by the kernel's commutator route on rho's factor, on a one-row stack, asserted real as the chain asserts it."""
     s = TensorStructure(f.dim, rho.dim // f.dim)
-
-    def stage(rows, q, fs, vs):
-        _, operands = moments._moment_stage(RowErrors(1), q, fs, vs, s)  # its checks are not raised
-        return _power_stage(rows, q, *operands)
-
-    return float(_one_row(stage, rho.factor, f.mat, v.mat)[0])
+    q = rho.factor[None]
+    _, operands = moments._moment_stage(RowErrors(1), q, f.mat[None], v.mat[None], s)  # its checks are not raised
+    (p,) = _power_stage(q, *operands)
+    assert abs(p.imag) <= 1e-10 * (1.0 + abs(p.real))
+    return float(p.real)
 
 
 def expectation(rho, a):
@@ -305,11 +303,12 @@ def test_momentset_rejects_covariance_inequality_breach():
 
 def test_report_rejects_out_of_range_ratio():
     (err,) = table_errors(
-        "report",
+        "chain",
         power=1.0, power_sq=1.0, term_fv=0.5, term_vf=0.5, term_cross=0.0,
         corrected_bound=2.0, loose_bound=3.0, slack=1.0, saturation_ratio=1.5,
+        commutator=1.0, commutator_imag=0.0, commutator_sq=1.0, paper_bound=2.0,
     )
-    assert isinstance(err, NumericalIntegrityError)
+    assert isinstance(err, NumericalIntegrityError) and str(err).startswith("saturation ratio 1.5 outside")
 
 
 def test_report_to_dict_is_json_ready():
@@ -590,7 +589,7 @@ def test_one_row_calls_run_each_check_once(monkeypatch):
     compute_moments(rho, f, v, s)
     assert calls == ["moments"]
     verify_instance(rho, f, v, s)
-    assert calls == ["moments"] + ["moments", "power", "shift", "chain", "report"]
+    assert calls == ["moments"] + ["moments", "chain"]
     calls.clear()
     MomentSet(mean_f=0.0, mean_v=0.0, var_f=1.0, var_v=1.0, cov=0j)
     PowerBoundReport(power=0.0, power_sq=0.0, term_fv=0.0, term_vf=0.0, term_cross=0.0,
