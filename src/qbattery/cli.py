@@ -548,8 +548,13 @@ def cmd_search(args) -> int:
     else:
         result = find_saturating(config)
 
+    searched = time.perf_counter()
     _write_file(args.out, _json_blocks(result.to_dict()))
-    _write_manifest(args, started, faults, restarts=result.restarts, kernel_calls=result.kernel_calls)
+    # the search's "report" stage is its final chain and the payload's write
+    stages = {**result.stage_seconds}
+    stages["report"] += time.perf_counter() - searched
+    _write_manifest(args, started, faults, restarts=result.restarts, kernel_calls=result.kernel_calls,
+                    lookahead=result.lookahead, rows_scored=result.rows_scored, stage_seconds=stages)
 
     status = "succeeded" if result.succeeded else "exhausted budget"
     print(

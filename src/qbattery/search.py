@@ -21,7 +21,8 @@ instance), and scaling an operator up cannot game them.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,9 +102,14 @@ class SearchResult:
     evaluations: int
     succeeded: bool
     battery_purity: float
-    # manifest telemetry, not in the payload: per-restart summaries and lockstep rounds
+    # manifest telemetry, not in the payload: per-restart summaries, lockstep
+    # rounds, each walk's lookahead, the rows the kernel scored, and where the
+    # time went ("rounds", "kernel" inside them, and "report", the final chain)
     restarts: tuple = ()
     kernel_calls: int = 0
+    lookahead: int = 0
+    rows_scored: int = 0
+    stage_seconds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -195,26 +201,32 @@ def _moments(param: _Parameterization, xs: np.ndarray) -> tuple[MomentBatch, np.
     return m, valid & np.array([err is None for err in m.errors])
 
 
-# Moves scored per kernel call. Scoring the next few moves together costs
-# little more than scoring one, because at these sizes the moment stage's
-# time is per call, not per row.
-_LOOKAHEAD = 8
+# Moves each walk scores per kernel call: max(2, 32 // D), 8 at D = 4 and 4
+# at D = 8. A round costs about 230 us fixed plus a share per scored row
+# (4 us at D = 4, 9.5 us at D = 8, most of it the eigvalsh of V), and the
+# rows behind an acceptance are thrown away, so the wider the instance the
+# fewer moves are worth scoring ahead (numpy 2.4.6, 2-core host). No walk
+# depends on it: it sets only how a walk's moves are split into rounds.
+def _lookahead(dim: int) -> int:
+    return max(2, 32 // dim)
+
 
 # A walk's first step, its shrink factor, and the rejections in a row that shrink it.
 _STEP0, _SHRINK, _PATIENCE = 0.5, 0.5, 10
 
 
-def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int, min_step: float = 1e-12):
+def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int, *, lookahead: int,
+                    min_step: float = 1e-12):
     """Single-coordinate pattern search; returns (best_x, best_val, evals, hit_target).
 
     A generator: it yields stacks of parameter vectors and is sent back
     (values, success flags) for their rows. The walk keeps strict
     improvements only, so the best value is monotone non-increasing. The
-    next `_LOOKAHEAD` moves are drawn and scored together as if each were
+    next `lookahead` moves are drawn and scored together as if each were
     rejected; the walk takes them in order, and after an acceptance it
     re-scores the moves it drew but did not take from the new point. Its
     draws, steps, result and evaluation count are therefore those of scoring
-    one move at a time.
+    one move at a time, whatever the lookahead.
     """
     x = x0.copy()
     values, oks = yield x[None]
@@ -222,50 +234,58 @@ def _pattern_search(x0: np.ndarray, rng: np.random.Generator, budget: int, min_s
     evals = 1
     step = _STEP0
     fails = 0
+    n_params = len(x)
     moves = []  # drawn (coordinate, sign), not yet taken
     while not ok and evals < budget and step >= min_step:
-        # the step of each of the next moves if every move before it is rejected
-        steps, next_step, next_fails = [], step, fails
-        while len(steps) < min(_LOOKAHEAD, budget - evals) and next_step >= min_step:
-            steps.append(next_step)
+        # the next moves, each at the step it takes if every move before it is rejected
+        n = min(lookahead, budget - evals)
+        ys = x[None].repeat(n, 0)
+        next_step, next_fails = step, fails
+        for k in range(n):
+            if next_step < min_step:
+                ys = ys[:k]
+                break
+            if k == len(moves):
+                moves.append((int(rng.integers(n_params)), 1.0 if rng.random() < 0.5 else -1.0))
+            i, sign = moves[k]
+            ys[k, i] += sign * next_step
             next_fails += 1
             if next_fails >= _PATIENCE:
                 next_step *= _SHRINK
                 next_fails = 0
-        while len(moves) < len(steps):
-            i = int(rng.integers(len(x)))
-            moves.append((i, 1.0 if rng.random() < 0.5 else -1.0))
-        ys = np.repeat(x[None], len(steps), axis=0)
-        for k, ((i, sign), move_step) in enumerate(zip(moves, steps)):
-            ys[k, i] += sign * move_step
         values, oks = yield ys
         taken = 0
-        for y, candidate, ok_candidate in zip(ys, values.tolist(), oks.tolist()):
+        for candidate in values.tolist():
             taken += 1
-            evals += 1
             if candidate < value:
-                x, value, ok = y, candidate, ok_candidate
+                x, value, ok = ys[taken - 1], candidate, bool(oks[taken - 1])
                 fails = 0
                 break
             fails += 1
             if fails >= _PATIENCE:
                 step *= _SHRINK
                 fails = 0
+        evals += taken
         del moves[:taken]
     return x, value, evals, ok
 
 
 def _lockstep(walks, score):
-    """Drive `_pattern_search` walks in rounds; returns (each walk's result, in order, rounds).
+    """Drive `_pattern_search` walks in rounds; returns (each walk's result, in order, telemetry).
 
     A round scores the stacks of every live walk in one `score` call and
     sends each walk its own rows, so each walk is the one it would take alone.
+    The telemetry is (rounds, rows scored, seconds inside `score`).
     """
-    results, rounds = [None] * len(walks), 0
+    results, rounds, rows, kernel = [None] * len(walks), 0, 0, 0.0
     live = [(k, walk, next(walk)) for k, walk in enumerate(walks)]
     while live:
-        values, oks = score(np.concatenate([stack for _, _, stack in live]))
+        xs = np.concatenate([stack for _, _, stack in live])
+        started = time.perf_counter()
+        values, oks = score(xs)
+        kernel += time.perf_counter() - started
         rounds += 1
+        rows += len(xs)
         stepped, end = [], 0
         for k, walk, stack in live:
             start, end = end, end + len(stack)
@@ -274,7 +294,7 @@ def _lockstep(walks, score):
             except StopIteration as done:
                 results[k] = done.value
         live = stepped
-    return results, rounds
+    return results, (rounds, rows, kernel)
 
 
 def _restart_starts(config: SearchConfig, n_params: int):
@@ -292,9 +312,17 @@ def _restart_starts(config: SearchConfig, n_params: int):
 
 
 def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResult:
-    """Every restart in lockstep; the winner (see the module docstring) verified in one kernel call."""
-    walks = [_pattern_search(*start) for start in _restart_starts(config, param.n_params)]
-    results, rounds = _lockstep(walks, score)
+    """Every restart in lockstep; the winner (see the module docstring) verified in one kernel call.
+
+    Each walk scores up to `_lookahead(D)` moves per round, D the structure's
+    total dimension; the result does not depend on it.
+    """
+    lookahead = _lookahead(config.structure.dim)
+    walks = [_pattern_search(*start, lookahead=lookahead)
+             for start in _restart_starts(config, param.n_params)]
+    started = time.perf_counter()
+    results, (rounds, rows, kernel) = _lockstep(walks, score)
+    ended = time.perf_counter()
     # the lowest-index restart that succeeded, else the least objective (the lowest index among equals)
     best = min(range(len(results)), key=lambda r: (not results[r][3], 0.0 if results[r][3] else results[r][1], r))
     x, objective, _, succeeded = results[best]
@@ -320,6 +348,10 @@ def _search(config: SearchConfig, param: _Parameterization, score) -> SearchResu
         restarts=tuple({"index": r, "objective": value, "evaluations": evals, "succeeded": ok}
                        for r, (_, value, evals, ok) in enumerate(results)),
         kernel_calls=rounds,
+        lookahead=lookahead,
+        rows_scored=rows,
+        stage_seconds={"rounds": ended - started, "kernel": kernel,
+                       "report": time.perf_counter() - ended},
     )
 
 

@@ -203,7 +203,7 @@ def test_budget_and_restarts_accept_numpy_integers():
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_threshold_exits_2_before_searching(tmp_path, capsys, monkeypatch, value):
-    def no_walk(*args):
+    def no_walk(*args, **kwargs):
         raise AssertionError("a walk started")
 
     monkeypatch.setattr(search, "_pattern_search", no_walk)
@@ -231,16 +231,18 @@ PAYLOAD_KEYS = {"rho", "f", "v", "report", "moments", "objective", "evaluations"
 
 def test_restart_telemetry_goes_to_the_manifest_only(tmp_path, monkeypatch):
     rounds = []  # rounds each restart's walk took part in: one per stack it yielded
+    rows = []  # rows each restart's walk yielded, over all its stacks
 
-    def counted(*args):
-        walk = _pattern_search(*args)
-        stack, n = next(walk), 0
+    def counted(*args, **kwargs):
+        walk = _pattern_search(*args, **kwargs)
+        stack, n, m = next(walk), 0, 0
         while True:
-            n += 1
+            n, m = n + 1, m + len(stack)
             try:
                 stack = walk.send((yield stack))
             except StopIteration as done:
                 rounds.append(n)
+                rows.append(m)
                 return done.value
 
     monkeypatch.setattr(search, "_pattern_search", counted)
@@ -258,6 +260,39 @@ def test_restart_telemetry_goes_to_the_manifest_only(tmp_path, monkeypatch):
     assert any(r["succeeded"] and r["objective"] == result.objective for r in restarts)
     assert len(rounds) == 16  # the CLI run and the direct call, 8 restarts each
     assert manifest["kernel_calls"] == result.kernel_calls == max(rounds[:8]) == max(rounds[8:])
+    # D = 2: each walk scores up to 16 moves per round
+    assert manifest["lookahead"] == result.lookahead == 16
+    assert manifest["rows_scored"] == result.rows_scored == sum(rows[:8]) == sum(rows[8:])
+    assert result.rows_scored >= result.evaluations
+    stages = manifest["stage_seconds"]
+    assert set(stages) == {"rounds", "kernel", "report"} and all(t >= 0.0 for t in stages.values())
+    assert stages["kernel"] <= stages["rounds"]
+
+
+# the benchmark's saturation search, at D = 8
+SATURATION_ARGV = ("search", "--mode", "saturation", "--dims", "2,2,2,1", "--seed", "1")
+
+
+def test_the_lookahead_moves_rows_scored_and_no_payload(tmp_path, monkeypatch):
+    # At D = 8 a walk scores 4 moves per round; the rows behind an acceptance
+    # are thrown away, so fewer are scored than at the former fixed 8. Rows,
+    # not seconds, are counted, so the host's load cannot move this test.
+    out, old = tmp_path / "sat.json", tmp_path / "sat8.json"
+    assert main([*SATURATION_ARGV, "--out", str(out)]) == 0
+    monkeypatch.setattr(search, "_lookahead", lambda dim: 8)
+    assert main([*SATURATION_ARGV, "--out", str(old)]) == 0
+    assert out.read_bytes() == old.read_bytes()
+    manifest = json.loads((tmp_path / "sat.json.manifest.json").read_text())
+    old_manifest = json.loads((tmp_path / "sat8.json.manifest.json").read_text())
+    assert manifest["restarts"] == old_manifest["restarts"]
+    assert (manifest["lookahead"], old_manifest["lookahead"]) == (4, 8)
+    evaluations = json.loads(out.read_text())["evaluations"]
+    assert manifest["rows_scored"] <= 2.0 * evaluations < old_manifest["rows_scored"]
+
+
+@pytest.mark.parametrize("dim, lookahead", [(1, 32), (2, 16), (4, 8), (8, 4), (16, 2), (64, 2)])
+def test_the_lookahead_follows_the_dimension(dim, lookahead):
+    assert search._lookahead(dim) == lookahead
 
 
 # ---------------------------------------------------------------- internals
@@ -339,9 +374,10 @@ def test_lookahead_walk_equals_one_move_at_a_time(budget, goal):
     # never met, so that walk ends when its step falls below the minimum.
     score = distance_score(goal)
     x0 = np.zeros(6)
-    got = run_alone(_pattern_search(x0, np.random.default_rng(3), budget), score)
     want = pattern_search_one_at_a_time(score, x0, np.random.default_rng(3), budget)
-    assert_same_walk(got, want)
+    for lookahead in (1, 2, 3, 4, 8, 16):
+        walk = _pattern_search(x0, np.random.default_rng(3), budget, lookahead=lookahead)
+        assert_same_walk(run_alone(walk, score), want)
 
 
 def test_lockstep_walks_of_unequal_length_equal_each_walk_alone():
@@ -358,8 +394,9 @@ def test_lockstep_walks_of_unequal_length_equal_each_walk_alone():
         calls.append(len(xs))
         return score(xs)
 
-    got, rounds = _lockstep([_pattern_search(x0, np.random.default_rng(k), budget, min_step=m)
-                             for k, (x0, budget, m) in enumerate(walks)], counting_score)
+    got, (rounds, rows, _) = _lockstep(
+        [_pattern_search(x0, np.random.default_rng(k), budget, lookahead=8, min_step=m)
+         for k, (x0, budget, m) in enumerate(walks)], counting_score)
     want = [pattern_search_one_at_a_time(score, x0, np.random.default_rng(k), budget, min_step=m)
             for k, (x0, budget, m) in enumerate(walks)]
     for g, w in zip(got, want):
@@ -367,12 +404,13 @@ def test_lockstep_walks_of_unequal_length_equal_each_walk_alone():
     assert [w[2] for w in want[:2]] == [1, 37] and want[0][3] and not want[1][3]
     assert not want[2][3] and want[2][2] < 5000
     assert want[3][3] and want[3][2] > 100
-    assert rounds == len(calls) and calls[0] == len(walks)
+    assert rounds == len(calls) and calls[0] == len(walks) and rows == sum(calls)
     assert sum(calls) >= sum(w[2] for w in want)
 
 
-def assert_restarts_equal_walks_alone(config, score):
-    results, _ = _lockstep([_pattern_search(*start) for start in _restart_starts(config, 6)], score)
+def assert_restarts_equal_walks_alone(config, score, lookahead=8):
+    results, _ = _lockstep([_pattern_search(*start, lookahead=lookahead)
+                            for start in _restart_starts(config, 6)], score)
     starts = _restart_starts(config, 6)
     assert len(results) == len(starts) == min(config.restarts, config.budget)
     for got, (x0, rng, budget) in zip(results, starts):
@@ -388,7 +426,7 @@ def test_budget_below_restarts_runs_one_evaluation_walks(budget, restarts):
 
 @settings(max_examples=40, deadline=None)
 @given(restarts=st.integers(1, 16), budget=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1),
-       goal=st.sampled_from([0.0, 1e-3, 0.5]))
-def test_lockstep_restarts_equal_each_walk_alone(restarts, budget, seed, goal):
+       goal=st.sampled_from([0.0, 1e-3, 0.5]), lookahead=st.integers(1, 32))
+def test_lockstep_restarts_equal_each_walk_alone(restarts, budget, seed, goal, lookahead):
     config = zero_power_config(budget=budget, restarts=restarts, seed=SeedSpec(seed))
-    assert_restarts_equal_walks_alone(config, distance_score(goal))
+    assert_restarts_equal_walks_alone(config, distance_score(goal), lookahead)
