@@ -42,6 +42,7 @@ from .dynamics import (  # noqa: F401  trajectory_rows: a name bench/tracer.py p
 from .ensembles import (
     SeedSpec,
     Workspace,
+    _check_trials,
     battery_eigenstate_product,
     draw_batch,
     draw_instance,  # noqa: F401  a name bench/tracer.py patches here
@@ -286,7 +287,10 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
 #   2,689-2,804) against 2,555 (2,523-2,620) with a new pool per command and
 #   an idle caller (10 pairs of 8 s runs, seeds 11-20), and 2,290-2,410 with
 #   no pool (8 s runs, seeds 1-4); a repeated command faults in 0 pages on
-#   2 threads, against 812 with the new pool.
+#   2 threads, against 812 with the new pool;
+# - a cached stdlib pool with an idle caller read 1,920-2,193 sweep-wide items/s
+#   against 2,344-2,618 with the caller taking chunks, 13-22 % slower in each of
+#   4 alternating pairs of 8 s runs (seeds 71-74), at 0.3-0.6 MB more peak RSS.
 # Threaded BLAS competes with the pool, so measure it with BLAS on one thread.
 def _map_ordered(fn, items, threads: int) -> list:
     """[fn(item) for item in items], run on the calling thread and `threads - 1` helpers.
@@ -330,47 +334,35 @@ def _trial_chunks(trials: int, dim: int, width: int) -> list[range]:
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-class _Offers:
-    """The least offer of a trial to report that verify's chunks make, from any thread.
+def _reported(errors: list, slack: np.ndarray) -> int:
+    """The index of the trial to report: the first failed one, else np.argmin's of `slack`.
 
-    An offer is (key, trial, rows), rows a function that returns copies of
-    the trial's drawn (Q, F, V); it runs only for an offer that is the least
-    so far. A failed trial's key (0, trial) ranks before any clean trial's. A
-    clean trial's key is (1, 0, trial) for a NaN slack, which np.argmin ranks
-    first, else (1, 1, slack, trial). No two trials share a key, so the least
-    offer does not depend on the order in which the chunks finish.
+    np.argmin takes the first of equal slacks, and a NaN before any number.
+    Over consecutive chunks, the pick over all of them is the pick of the
+    chunk that holds it, so each chunk keeps only its own pick's rows.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.least = None  # (key, trial, (Q, F, V))
-
-    def offer(self, key: tuple, trial: int, rows) -> None:
-        with self._lock:
-            if self.least is None or key < self.least[0]:
-                self.least = (key, trial, rows())
+    failed = next((k for k, err in enumerate(errors) if err is not None), None)
+    return int(np.argmin(slack)) if failed is None else failed
 
 
 # each thread's Workspace, kept for the life of the process
 _WORKSPACES = threading.local()
 
 
-def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers: _Offers,
-                  trials: range) -> tuple:
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
     The draws' factors passed `factor_stack`'s checks, and F and V are
     exactly Hermitian by construction with finite entries checked, so the
     kernel takes them as they are. Returns the kinds, each row's first
     failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
-    "trial" and "kind", and the seconds spent drawing and in the kernel.
-    The chunk offers `offers` its first failed trial, else its clean trial
-    of least slack (np.argmin's: the first of equal slacks). The stacks are
-    drawn into the running thread's `Workspace` in _WORKSPACES, which its
-    later chunks, of this command and of later ones, reuse, and the kernel
-    writes each kind's dV in turn into the draw's normals array, which
-    holds at least V's floats: nothing the chunk returns or offers is a
-    view of them.
+    "trial" and "kind", the seconds spent drawing and in the kernel, and
+    its candidate to report: (trial, copies of its drawn Q, F and V rows)
+    for the `_reported` trial of the chunk. The stacks are drawn into the
+    running thread's `Workspace` in _WORKSPACES, which its later chunks, of
+    this command and of later ones, reuse, and the kernel writes each
+    kind's dV in turn into the draw's normals array, which holds at least
+    V's floats: nothing the chunk returns is a view of them.
     """
     started = time.perf_counter()
     if not hasattr(_WORKSPACES, "workspace"):
@@ -387,15 +379,10 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, offers
         for k, err in zip(rows, batch.errors):
             errors[k] = err
     checked = time.perf_counter()
-    failed = [k for k, err in enumerate(errors) if err is not None]
-    k = failed[0] if failed else int(np.argmin(values[:, _SLACK]))
-    slack, trial = float(values[k, _SLACK]), trials[k]
-    key = (0, trial) if failed else (1, 0, trial) if math.isnan(slack) else (1, 1, slack, trial)
-    for rows, *stacks in groups:
-        if k in rows:
-            j = rows.index(k)
-            offers.offer(key, trial, lambda: tuple(stack[j].copy() for stack in stacks))
-    return kinds, errors, values, (drawn - started, checked - drawn)
+    k = _reported(errors, values[:, _SLACK])
+    j, stacks = next((rows.index(k), stacks) for rows, *stacks in groups if k in rows)
+    candidate = (trials[k], tuple(stack[j].copy() for stack in stacks))
+    return kinds, errors, values, (drawn - started, checked - drawn), candidate
 
 
 # The trials CSV is formatted and written a block of rows at a time. Peak RSS
@@ -426,26 +413,24 @@ def cmd_verify(args) -> int:
         raise RejectedInputError(
             f"--rank must be in [1, {structure.dim}] for these dims, got {args.rank}"
         )
-    SeedSpec(args.seed)  # rejects a bad seed even when no trial draws with it
+    # a bad seed, even one no trial draws with, or trials past its streams, before chunking
+    _check_trials(args.seed, 0, max(args.trials - 1, 0))
     kind = ENSEMBLES[args.ensemble]
     started, faults = _start()
-    offers = _Offers()
     width = 1 if kind == "haar" else args.rank or structure.dim  # the widest factor drawn
     trials = _trial_chunks(args.trials, structure.dim, width)
-    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, offers)
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
     chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()
-    kinds, errors, values = [], [], [np.empty((0, len(TRIAL_COLUMNS) - 2))]
-    for chunk in chunks:
-        kinds += chunk[0]
-        errors += chunk[1]
-        values.append(chunk[2])
+    kinds = [k for chunk in chunks for k in chunk[0]]
+    errors = [err for chunk in chunks for err in chunk[1]]
+    values = np.concatenate([np.empty((0, len(TRIAL_COLUMNS) - 2)), *(chunk[2] for chunk in chunks)])
     draw, kernel = sum((np.array(chunk[3]) for chunk in chunks), np.zeros(2)).tolist()
     for err in errors:
         if err is not None and not isinstance(err, NumericalIntegrityError):
             raise err
     clean = np.flatnonzero([err is None for err in errors])
-    rows = np.concatenate(values)[clean]
+    rows = values[clean]
     column = dict(zip(TRIAL_COLUMNS[2:], rows.T))
     violations = len(errors) - len(clean)
     summary = {
@@ -462,12 +447,13 @@ def cmd_verify(args) -> int:
         summary["min_slack"] = float(column["slack"][least])
         summary["mean_saturation_ratio"] = math.fsum(column["saturation_ratio"].tolist()) / len(clean)
     if errors:
-        # the least offer: the first failed trial, else the clean trial of least
-        # slack, with the rows its chunk drew, which are draw_instance's bits, as
-        # a draw depends only on (seed, trial)
-        _, worst, (q, f, v) = offers.least
+        # the first failed trial, else the clean trial of least slack, with the
+        # rows its chunk drew, which are draw_instance's bits, as a draw depends
+        # only on (seed, trial)
+        worst = _reported(errors, values[:, _SLACK])
+        q, f, v = dict(chunk[4] for chunk in chunks)[worst]
         case = ({"violation": str(errors[worst])} if violations
-                else {"report": dict(zip(REPORT_FIELDS, rows[worst].tolist()))})
+                else {"report": dict(zip(REPORT_FIELDS, values[worst].tolist()))})
         instance = {"rho": DensityMatrix.from_factor(q), "f": HermitianOperator.wrap_checked(f),
                     "v": HermitianOperator.wrap_checked(v)}
         case.update({"instance": instance} if violations else instance)

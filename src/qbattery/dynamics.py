@@ -14,8 +14,9 @@ says so (`Trajectory.power_tracks_dfdt`, which the evolve manifest records).
 
 `trajectory_report` returns a `Trajectory`: the grid, the verification
 kernel's arrays over it and the finite differences, kept as read-only
-columns from the kernel to the output; `trajectory_rows` formats the CSV
-rows straight from them.
+columns from the kernel to the output. The CLI writes CSV rows from them
+through `_trajectory_lines`; `trajectory_rows`, the same rows as lists of
+strings, is kept for bench/tracer.py, which patches it.
 """
 
 import math

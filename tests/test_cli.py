@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import signal
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery import cli, dynamics, ensembles, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
@@ -224,6 +227,65 @@ def test_verify_reports_the_first_violation_from_its_chunk(tmp_path, monkeypatch
     assert worst["kind"] == kind
     assert worst["instance"] == {"rho": to_matrix_literal(rho), "f": to_matrix_literal(f),
                                  "v": to_matrix_literal(v)}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_reports_a_violation_at_trial_zero(tmp_path, monkeypatch, threads):
+    # a "chain" row that fails row 0 of every kernel call: with --ensemble haar
+    # each chunk is one kernel call, so the first row of every chunk fails, and
+    # trial 0, a failure at index 0 of its chunk and of the command, is reported
+    planted = ("chain", lambda x: (np.arange(len(x.power)) == 0) * 1.0, lambda x: 0.5,
+               "planted failure of row 0")
+    monkeypatch.setattr(moments, "_CHECKS", (*moments._CHECKS, planted))
+    trials = 4000
+    chunks = cli._trial_chunks(trials, 4, 1)
+    assert len(chunks) == 2 and len(chunks[0]) == moments.batch_rows(4, 1)
+    out = tmp_path / "z.json"
+    assert run("verify", "--dims", "2,2,1,1", "--ensemble", "haar", "--trials", str(trials),
+               "--threads", threads, "--out", str(out)) == 1
+    summary = json.loads(out.read_text())
+    assert summary["violations"] == len(chunks)
+    worst = summary["worst_case"]
+    assert (worst["trial"], worst["violation"]) == (0, "planted failure of row 0")
+    rho, f, v, kind = draw_instance(TensorStructure.from_dims([2, 2, 1, 1]), "haar", 42, 0)
+    assert worst["kind"] == kind
+    assert worst["instance"] == {"rho": to_matrix_literal(rho), "f": to_matrix_literal(f),
+                                 "v": to_matrix_literal(v)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reported_trial_is_the_candidate_of_the_chunk_that_holds_it(data):
+    n = data.draw(st.integers(1, 24))
+    failure = ValueError("failed")
+    errors = data.draw(st.lists(st.sampled_from([None, None, None, failure]), min_size=n, max_size=n))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.0, 1e-300, 2.0, math.inf, math.nan])
+    slack = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    whole = cli._reported(errors, slack)
+    # the rule itself: the first failure, else the first NaN, else the first least slack
+    failed = [k for k, err in enumerate(errors) if err is not None]
+    nans = np.flatnonzero(np.isnan(slack)).tolist()
+    assert whole == (failed or nans or [min(range(n), key=lambda k: (slack[k], k))])[0]
+    # the chunk that holds it picks it from its own rows
+    a, b = next((a, b) for a, b in zip(bounds, bounds[1:]) if a <= whole < b)
+    assert a + cli._reported(errors[a:b], slack[a:b]) == whole
+
+
+def test_verify_rejects_trials_beyond_the_seeds_streams_before_chunking(tmp_path, capsys, monkeypatch):
+    # trial t owns streams 4t .. 4t + 2, so trial 2**62 has no stream below
+    # 2**64; chunking 2**62 + 1 trials first would list about 5.6e14 ranges
+    def chunked(*args):
+        raise AssertionError("the trials were chunked")
+
+    monkeypatch.setattr(cli, "_trial_chunks", chunked)
+    out = tmp_path / "streams.json"
+    assert run("verify", "--dims", "2,1,1,1", "--trials", str(2**62 + 1), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stream_index")
+    assert not out.exists()
+    ensembles._check_trials(2**64 - 1, 0, 2**62 - 1)  # the last trial that has its streams
 
 
 @pytest.mark.parametrize("planted", [False, True])
