@@ -40,9 +40,9 @@ from .dynamics import (  # noqa: F401  trajectory_rows: a name bench/tracer.py p
     trajectory_rows,
 )
 from .ensembles import (
+    MAX_TRIALS,
     SeedSpec,
     Workspace,
-    _check_trials,
     battery_eigenstate_product,
     draw_batch,
     draw_instance,  # noqa: F401  a name bench/tracer.py patches here
@@ -338,8 +338,8 @@ def _reported(errors: list, slack: np.ndarray) -> int:
     """The index of the trial to report: the first failed one, else np.argmin's of `slack`.
 
     np.argmin takes the first of equal slacks, and a NaN before any number.
-    Over consecutive chunks, the pick over all of them is the pick of the
-    chunk that holds it, so each chunk keeps only its own pick's rows.
+    The pick over all trials is the pick over any subset that holds it, in
+    trial order: over its chunk, or over its thread's picks of its chunks.
     """
     failed = next((k for k, err in enumerate(errors) if err is not None), None)
     return int(np.argmin(slack)) if failed is None else failed
@@ -349,20 +349,24 @@ def _reported(errors: list, slack: np.ndarray) -> int:
 _WORKSPACES = threading.local()
 
 
-def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials: range) -> tuple:
+def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, held: dict,
+                  trials: range) -> tuple:
     """Draw the chunk's trials as factor stacks, one per state kind, then verify each in one batch.
 
     The draws' factors passed `factor_stack`'s checks, and F and V are
     exactly Hermitian by construction with finite entries checked, so the
     kernel takes them as they are. Returns the kinds, each row's first
     failed check, an (N, 15) array of the values in TRIAL_COLUMNS after
-    "trial" and "kind", the seconds spent drawing and in the kernel, and
-    its candidate to report: (trial, copies of its drawn Q, F and V rows)
-    for the `_reported` trial of the chunk. The stacks are drawn into the
-    running thread's `Workspace` in _WORKSPACES, which its later chunks, of
-    this command and of later ones, reuse, and the kernel writes each
-    kind's dV in turn into the draw's normals array, which holds at least
-    V's floats: nothing the chunk returns is a view of them.
+    "trial" and "kind", and the seconds spent drawing and in the kernel.
+    `held` maps each thread to the `_reported` pick over its chunks so far,
+    which `_map_ordered` hands it in trial order, as (error, slack, trial,
+    copies of its drawn Q, F and V rows): only the running thread writes its
+    entry, copying rows only when its chunk's pick replaces it. The stacks
+    are drawn into the running thread's `Workspace` in _WORKSPACES, which
+    its later chunks, of this command and of later ones, reuse, and the
+    kernel writes each kind's dV in turn into the draw's normals array,
+    which holds at least V's floats: nothing the chunk returns or keeps is
+    a view of them.
     """
     started = time.perf_counter()
     if not hasattr(_WORKSPACES, "workspace"):
@@ -380,9 +384,12 @@ def _verify_chunk(structure: TensorStructure, kind: str, seed: int, rank, trials
             errors[k] = err
     checked = time.perf_counter()
     k = _reported(errors, values[:, _SLACK])
-    j, stacks = next((rows.index(k), stacks) for rows, *stacks in groups if k in rows)
-    candidate = (trials[k], tuple(stack[j].copy() for stack in stacks))
-    return kinds, errors, values, (drawn - started, checked - drawn), candidate
+    kept = held.get(threading.get_ident())
+    if kept is None or _reported([kept[0], errors[k]], [kept[1], values[k, _SLACK]]) == 1:
+        j, stacks = next((rows.index(k), stacks) for rows, *stacks in groups if k in rows)
+        held[threading.get_ident()] = (errors[k], values[k, _SLACK], trials[k],
+                                       tuple(stack[j].copy() for stack in stacks))
+    return kinds, errors, values, (drawn - started, checked - drawn)
 
 
 # The trials CSV is formatted and written a block of rows at a time. Peak RSS
@@ -413,13 +420,15 @@ def cmd_verify(args) -> int:
         raise RejectedInputError(
             f"--rank must be in [1, {structure.dim}] for these dims, got {args.rank}"
         )
-    # a bad seed, even one no trial draws with, or trials past its streams, before chunking
-    _check_trials(args.seed, 0, max(args.trials - 1, 0))
+    if args.trials > MAX_TRIALS:  # before _trial_chunks lists their ranges
+        raise RejectedInputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    SeedSpec(args.seed)  # rejects a bad seed even when no trial draws with it
     kind = ENSEMBLES[args.ensemble]
     started, faults = _start()
     width = 1 if kind == "haar" else args.rank or structure.dim  # the widest factor drawn
     trials = _trial_chunks(args.trials, structure.dim, width)
-    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank)
+    held = {}
+    one = functools.partial(_verify_chunk, structure, kind, args.seed, args.rank, held)
     chunks = _map_ordered(one, trials, args.threads)
     pooled = time.perf_counter()
     kinds = [k for chunk in chunks for k in chunk[0]]
@@ -430,9 +439,9 @@ def cmd_verify(args) -> int:
         if err is not None and not isinstance(err, NumericalIntegrityError):
             raise err
     clean = np.flatnonzero([err is None for err in errors])
-    rows = values[clean]
-    column = dict(zip(TRIAL_COLUMNS[2:], rows.T))
     violations = len(errors) - len(clean)
+    rows = values[clean] if violations else values  # the clean trials' values
+    column = dict(zip(TRIAL_COLUMNS[2:], rows.T))
     summary = {
         "trials": args.trials,
         "violations": violations,
@@ -447,11 +456,11 @@ def cmd_verify(args) -> int:
         summary["min_slack"] = float(column["slack"][least])
         summary["mean_saturation_ratio"] = math.fsum(column["saturation_ratio"].tolist()) / len(clean)
     if errors:
-        # the first failed trial, else the clean trial of least slack, with the
-        # rows its chunk drew, which are draw_instance's bits, as a draw depends
-        # only on (seed, trial)
+        # the first failed trial, else the clean trial of least slack: the
+        # candidate its thread held, with the rows its chunk drew, which are
+        # draw_instance's bits, as a draw depends only on (seed, trial)
         worst = _reported(errors, values[:, _SLACK])
-        q, f, v = dict(chunk[4] for chunk in chunks)[worst]
+        q, f, v = {trial: rows for *_, trial, rows in held.values()}[worst]
         case = ({"violation": str(errors[worst])} if violations
                 else {"report": dict(zip(REPORT_FIELDS, values[worst].tolist()))})
         instance = {"rho": DensityMatrix.from_factor(q), "f": HermitianOperator.wrap_checked(f),

@@ -234,12 +234,8 @@ def battery_eigenstate_product(
 
 # stream index layout: each trial owns four consecutive streams
 _STREAMS_PER_TRIAL = 4
-
-
-def _check_trials(master_seed: int, least: int, greatest: int) -> None:
-    """Reject a seed, or trials least..greatest, whose streams are not valid `SeedSpec` keys."""
-    SeedSpec(master_seed, least * _STREAMS_PER_TRIAL)
-    SeedSpec(master_seed, greatest * _STREAMS_PER_TRIAL + 2)
+# the trials a seed has streams for: trial t's last stream, 4t + 2, is below 2**64
+MAX_TRIALS = (2**64 - 3) // _STREAMS_PER_TRIAL + 1
 
 
 STATE_KINDS = ("haar", "ginibre", "mix")
@@ -272,8 +268,9 @@ def draw_batch(
     """
     if kind not in STATE_KINDS:
         raise RejectedInputError(f"unknown state ensemble {kind!r}, expected one of {STATE_KINDS}")
-    _check_trials(master_seed, min(trials, default=0), max(trials, default=0))
     bases = [t * _STREAMS_PER_TRIAL for t in trials]
+    SeedSpec(master_seed, min(bases, default=0))
+    SeedSpec(master_seed, max(bases, default=0) + 2)
     kinds = [("haar" if t % 2 == 0 else "ginibre") if kind == "mix" else kind for t in trials]
     rank = s.dim if rank is None else rank
     if "ginibre" in kinds and not 1 <= rank <= s.dim:

@@ -17,7 +17,7 @@ from qbattery import cli, dynamics, ensembles, moments
 from qbattery.cli import TRIAL_COLUMNS, build_parser, main
 from qbattery.dynamics import TRAJECTORY_COLUMNS, builtin_exchange_scenario
 from qbattery.ensembles import draw_instance
-from qbattery.operators import TensorStructure, to_matrix_literal
+from qbattery.operators import RejectedInputError, TensorStructure, to_matrix_literal
 
 
 def run(*argv):
@@ -283,9 +283,39 @@ def test_verify_rejects_trials_beyond_the_seeds_streams_before_chunking(tmp_path
     out = tmp_path / "streams.json"
     assert run("verify", "--dims", "2,1,1,1", "--trials", str(2**62 + 1), "--out", str(out)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: stream_index")
+    assert err == [f"error: --trials must be at most {2**62}, got {2**62 + 1}"]
     assert not out.exists()
-    ensembles._check_trials(2**64 - 1, 0, 2**62 - 1)  # the last trial that has its streams
+    # the limit is the draws': the last trial it allows has its streams, the next has not
+    assert ensembles.MAX_TRIALS == 2**62
+    s = TensorStructure.from_dims([2, 1, 1, 1])
+    ensembles.draw_batch(s, "haar", 2**64 - 1, [ensembles.MAX_TRIALS - 1])
+    with pytest.raises(RejectedInputError, match="stream_index"):
+        ensembles.draw_batch(s, "haar", 2**64 - 1, [ensembles.MAX_TRIALS])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_keeps_one_candidates_rows_per_thread(tmp_path, monkeypatch, threads):
+    # copies of a candidate's drawn rows are kept per thread, not per chunk:
+    # 36 full-rank trials at D = 64 are 5 chunks of 8 rows
+    assert len(cli._trial_chunks(36, 64, 64)) == 5
+    calls, real = [], cli._verify_chunk
+
+    def chunk(*args):
+        calls.append((args[4], real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "_verify_chunk", chunk)
+    out = tmp_path / "held.json"
+    assert run("verify", "--dims", "2,2,4,4", "--trials", "36", "--threads", threads,
+               "--out", str(out)) == 0
+    held = calls[0][0]
+    assert len(calls) == 5 and all(h is held for h, _ in calls)
+    assert 1 <= len(held) <= int(threads)
+    # a chunk returns its kinds, errors, values and seconds, and no drawn rows
+    for _, (kinds, errors, values, seconds) in calls:
+        assert values.shape == (len(kinds), len(cli.TRIAL_COLUMNS) - 2) and len(seconds) == 2
+    trial = json.loads(out.read_text())["worst_case"]["trial"]
+    assert trial in [t for _, _, t, _ in held.values()]
 
 
 @pytest.mark.parametrize("planted", [False, True])
